@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -80,23 +81,51 @@ def _neighbor_offsets(dim: int, radius: int):
             if any(off)]
 
 
-def _excess_scan(values: dict, pts: dict, offsets, bound: float, direction: str):
-    """Ordered-pair excess scan; direction 'usc' compares T(x') against T(x)."""
+def _closed_values(t: PiecewiseMap, pts: dict):
+    """Closed value of every point, and its piece index if that piece is constant.
+
+    A piece whose affine endpoints are all constant (the empty value
+    included) has one value, so it is evaluated and closed once, at its
+    first point; points on affine pieces are evaluated one by one and get
+    ``None`` as their constant piece.
+    """
+    constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
+    shared: dict[int, BoxSet] = {}
+    values: dict[tuple[int, ...], BoxSet] = {}
+    const_piece: dict[tuple[int, ...], int | None] = {}
+    for idx, p in pts.items():
+        i, _ = t.piece_at(p)
+        if not constant[i]:
+            values[idx] = t.evaluate(p).closure()
+            const_piece[idx] = None
+            continue
+        if i not in shared:
+            shared[i] = t.evaluate(p).closure()
+        values[idx] = shared[i]
+        const_piece[idx] = i
+    return values, const_piece
+
+
+def _excess_scan(values: dict, const_piece: dict, pts: dict, offsets, bound: float,
+                 direction: str):
+    """Ordered-pair excess scan; direction 'usc' compares T(x') against T(x).
+
+    Pairs whose two points lie on constant pieces take their excess from a
+    memo keyed by the oriented pair of piece indices, so each such piece
+    pair costs one ``hausdorff_upper`` call however many grid pairs it has.
+    """
     witnesses: list[Witness] = []
     truncated = False
+    piece_excess: dict[tuple[int, int], float] = {}
     for idx in sorted(pts):
         x = pts[idx]
-        center = values[idx]
         for off in offsets:
-            nidx = tuple(i + o for i, o in zip(idx, off))
+            nidx = tuple(map(operator.add, idx, off))
             if nidx not in pts:
                 continue
             xn = pts[nidx]
-            other = values[nidx]
-            if direction == "usc":
-                a, b = other, center
-            else:
-                a, b = center, other
+            ia, ib = (nidx, idx) if direction == "usc" else (idx, nidx)
+            a, b = values[ia], values[ib]
             if a.is_empty:
                 continue
             if b.is_empty:
@@ -106,7 +135,13 @@ def _excess_scan(values: dict, pts: dict, offsets, bound: float, direction: str)
                 else:
                     truncated = True
                 continue
-            h = a.hausdorff_upper(b)
+            key = (const_piece[ia], const_piece[ib])
+            if None in key:
+                h = a.hausdorff_upper(b)
+            else:
+                h = piece_excess.get(key)
+                if h is None:
+                    h = piece_excess[key] = a.hausdorff_upper(b)
             if h > bound:
                 if len(witnesses) < _MAX_WITNESSES:
                     witnesses.append(Witness(x, xn, h, "excess"))
@@ -123,17 +158,27 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     Passes iff for every in-domain grid point x and grid neighbor x' with
     ``||x' - x||_inf <= delta``, the one-sided excess of T(x') over T(x) is
     at most ``tol + L * delta`` where L is the map's own maximal endpoint
-    slope.  Values are closed before comparison.
+    slope.  Values are closed before comparison.  ``delta`` defaults to the
+    grid step and must be at least that step, or no neighbor lies within
+    it (``ValueError``).
+
+    The scan works piece by piece: a constant piece's value is evaluated
+    and closed once, and the excess between two constant pieces is
+    computed once per oriented piece pair; only pairs that touch an affine
+    piece are compared point by point.
     """
     if delta is None:
         delta = grid.step
-    radius = max(1, int(math.floor(delta / grid.step + 1e-9)))
+    radius = int(math.floor(delta / grid.step + 1e-9))
+    if radius < 1:
+        raise ValueError(f"delta {delta} is below the grid step {grid.step}: "
+                         "no grid neighbor lies within it")
     pts = _grid_points_in(t, grid, point_filter)
-    values = {idx: t.evaluate(p).closure() for idx, p in pts.items()}
+    values, const_piece = _closed_values(t, pts)
     slope = t.max_slope()
     bound = tol + slope * delta
     offsets = _neighbor_offsets(grid.dim, radius)
-    witnesses, truncated = _excess_scan(values, pts, offsets, bound, direction)
+    witnesses, truncated = _excess_scan(values, const_piece, pts, offsets, bound, direction)
     notes = ["values closed before comparison"]
     if truncated:
         notes.append("witness list truncated")

@@ -240,7 +240,7 @@ def cmd_check_map(document, prop, step, eps_chain, tol, delta, out, fmt):
                     property_name=f"e-uscs@eps={e:g}") for e in eps]
                 rep = combine_reports("e-uscs-family", kids,
                                       {"eps_list": list(eps)})
-    except _io.DocumentError as exc:
+    except (_io.DocumentError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     _finish_report(rep, out, fmt)
 

@@ -23,6 +23,7 @@ from typing import Any, Sequence
 
 from . import io as _io
 from .checks import (
+    _MAX_WITNESSES,
     FAIL,
     PASS,
     CheckReport,
@@ -305,9 +306,9 @@ def _values_condition_4_1(e: AbstractEconomy, i: int, grid: Grid, name: str) -> 
             wit.append(Witness(x, None, 0.0, "bad value", "second constraint map value"))
         if not h.evaluate(x).subset_within(bval, 0.0):
             wit.append(Witness(x, None, 0.0, "inclusion", "conflict value escapes B"))
-        if len(wit) >= 32:
+        if len(wit) >= _MAX_WITNESSES:
             break
-    return CheckReport(name, PASS if not wit else FAIL, tuple(wit[:32]),
+    return CheckReport(name, PASS if not wit else FAIL, tuple(wit[:_MAX_WITNESSES]),
                        {"points_checked": grid.point_count()})
 
 
@@ -339,7 +340,7 @@ def _almost_w_usc_children(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float]
                     wit.append(Witness(p, None, math.inf, "empty value"))
                 elif not _convex(val):
                     wit.append(Witness(p, None, 0.0, "nonconvex"))
-                if len(wit) >= 32:
+                if len(wit) >= _MAX_WITNESSES:
                     break
             children.append(CheckReport(f"{label}.values@eps={eps:g}",
                                         PASS if not wit else FAIL, tuple(wit),
@@ -394,7 +395,7 @@ def check_theorem_4_1_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
             if hbar.evaluate(x).contains(xb):
                 wit.append(Witness(x, None, 0.0, "reflexive",
                                    "block point inside adherent conflict value"))
-                if len(wit) >= 32:
+                if len(wit) >= _MAX_WITNESSES:
                     break
         conds.append(CheckReport(f"agent{i}.cond6-irreflexive",
                                  PASS if not wit else FAIL, tuple(wit)))
@@ -433,10 +434,10 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
                 wit.append(Witness(x, None, math.inf, "empty value", "B empty"))
             if not h.evaluate(x).subset_within(bval, 0.0):
                 wit.append(Witness(x, None, 0.0, "inclusion", "conflict value escapes B"))
-            if len(wit) >= 32:
+            if len(wit) >= _MAX_WITNESSES:
                 break
         conds.append(CheckReport(f"agent{i}.cond2-values", PASS if not wit else FAIL,
-                                 tuple(wit[:32])))
+                                 tuple(wit[:_MAX_WITNESSES])))
 
         conds.append(_openness_condition(e, i, f"agent{i}.cond3-open-conflict-region"))
 
@@ -474,7 +475,7 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
                         wit.append(Witness(x, None, math.inf, "empty value"))
                     elif not _convex(val):
                         wit.append(Witness(x, None, 0.0, "nonconvex"))
-                    if len(wit) >= 32:
+                    if len(wit) >= _MAX_WITNESSES:
                         break
                 c5_children.append(CheckReport(f"{label}@eps={eps:g}",
                                                PASS if not wit else FAIL, tuple(wit),
@@ -490,7 +491,7 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
             if pbar.evaluate(x).contains(xb):
                 wit.append(Witness(x, None, 0.0, "reflexive",
                                    "block point inside adherent preference value"))
-                if len(wit) >= 32:
+                if len(wit) >= _MAX_WITNESSES:
                     break
         conds.append(CheckReport(f"agent{i}.cond6-irreflexive",
                                  PASS if not wit else FAIL, tuple(wit)))
@@ -531,7 +532,7 @@ def check_theorem_4_3_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
                 wit.append(Witness(x, None, math.inf, "empty value"))
             elif not _convex(val):
                 wit.append(Witness(x, None, 0.0, "nonconvex"))
-            if len(wit) >= 32:
+            if len(wit) >= _MAX_WITNESSES:
                 break
         c2_children.append(CheckReport(f"agent{i}.cl-b-values",
                                        PASS if not wit else FAIL, tuple(wit)))

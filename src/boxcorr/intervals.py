@@ -337,6 +337,14 @@ class BoxSet:
         return BoxSet.of(self.dim, boxes)
 
     def closure(self) -> "BoxSet":
+        """The topological closure; ``self`` itself when every box is already closed.
+
+        A union of closed boxes is closed, and every constructor yields the
+        canonical form, which depends only on the point set; so such a set
+        is returned as it is instead of being canonicalized again.
+        """
+        if all(box_is_all_closed(b) for b in self.boxes):
+            return self
         return BoxSet.of(self.dim, [box_closure(b) for b in self.boxes])
 
     def intersect(self, other: "BoxSet") -> "BoxSet":
@@ -400,9 +408,13 @@ class BoxSet:
     def hausdorff_upper(self, other: "BoxSet") -> float:
         """Sup over self of sup-norm distance to other (excess of self over other).
 
-        Exact: the answer lies in a finite candidate set of endpoint
-        differences and half-gaps; coverage is monotone in the radius and
-        can change only at those candidates.
+        Both sets are closed first.  Against a one-box closed target the
+        excess is the closed form ``max(0, tgt.lo - bx.lo, bx.hi - tgt.hi)``
+        over every box ``bx`` of ``self`` and every dimension; it is 0
+        exactly when closed ``self`` lies inside the target.  Otherwise the
+        answer lies in a finite candidate set of endpoint differences and
+        half-gaps; coverage is monotone in the radius and can change only at
+        those candidates.
         """
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dims {self.dim} and {other.dim}")
@@ -412,8 +424,6 @@ class BoxSet:
             raise EmptyExcessError("undefined excess: target set is empty")
         a = self.closure()
         b = other.closure()
-        if a.subset_within(b, 0.0):
-            return 0.0
         if len(b.boxes) == 1:
             tgt = b.boxes[0]
             worst = 0.0
@@ -423,6 +433,8 @@ class BoxSet:
                     hi_gap = bx[d].hi - tgt[d].hi
                     worst = max(worst, lo_gap, hi_gap)
             return worst
+        if a.subset_within(b, 0.0):
+            return 0.0
         candidates = {0.0}
         for d in range(self.dim):
             a_ends = {iv_end for bx in a.boxes for iv_end in (bx[d].lo, bx[d].hi)}

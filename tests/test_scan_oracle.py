@@ -1,0 +1,394 @@
+"""The piece-aware USC scan and the interval fast paths against frozen point-pair copies.
+
+``seed_closure``, ``seed_hausdorff_upper`` and ``seed_check_usc`` are the
+straightforward implementations the fast paths replaced: every value is
+evaluated and closed at every grid point, and every neighbor pair pays a
+full excess computation that closes and canonicalizes both operands
+again. They stay here as the oracle; every report must come out equal,
+witness for witness.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Piece,
+                     PiecewiseMap, adherence, check_usc, t_upper)
+from boxcorr import checks as _checks
+from boxcorr.cli import main
+from boxcorr.gallery import ex2_1, ex4_1
+from boxcorr.intervals import EmptyExcessError, box_closure, box_contains, box_is_all_closed
+
+I = FlaggedInterval
+
+
+# ---------------------------------------------------------------------------
+# Frozen point-pair implementations
+# ---------------------------------------------------------------------------
+
+def seed_closure(s: BoxSet) -> BoxSet:
+    return BoxSet.of(s.dim, [box_closure(b) for b in s.boxes])
+
+
+def seed_hausdorff_upper(self: BoxSet, other: BoxSet) -> float:
+    if self.dim != other.dim:
+        raise ValueError(f"dims {self.dim} and {other.dim}")
+    if self.is_empty:
+        return 0.0
+    if other.is_empty:
+        raise EmptyExcessError("undefined excess: target set is empty")
+    a = seed_closure(self)
+    b = seed_closure(other)
+    if a.subset_within(b, 0.0):
+        return 0.0
+    if len(b.boxes) == 1:
+        tgt = b.boxes[0]
+        worst = 0.0
+        for bx in a.boxes:
+            for d in range(self.dim):
+                lo_gap = tgt[d].lo - bx[d].lo
+                hi_gap = bx[d].hi - tgt[d].hi
+                worst = max(worst, lo_gap, hi_gap)
+        return worst
+    candidates = {0.0}
+    for d in range(self.dim):
+        a_ends = {iv_end for bx in a.boxes for iv_end in (bx[d].lo, bx[d].hi)}
+        b_ends = sorted({iv_end for bx in b.boxes for iv_end in (bx[d].lo, bx[d].hi)})
+        for ae in a_ends:
+            for be in b_ends:
+                candidates.add(abs(ae - be))
+        for i, be in enumerate(b_ends):
+            for be2 in b_ends[i + 1:]:
+                candidates.add((be2 - be) / 2.0)
+    ordered = sorted(candidates)
+
+    def covered(r: float) -> bool:
+        if r == 0.0:
+            return a.subset_within(b, 0.0)
+        grown = BoxSet.of(
+            b.dim,
+            [tuple(I(iv.lo - r, iv.hi + r, True, True) for iv in bx) for bx in b.boxes],
+        )
+        return a.intersect(grown) == a
+
+    lo, hi = 0, len(ordered) - 1
+    assert covered(ordered[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if covered(ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ordered[lo]
+
+
+def _seed_excess_scan(values, pts, offsets, bound, direction):
+    witnesses = []
+    truncated = False
+    for idx in sorted(pts):
+        x = pts[idx]
+        center = values[idx]
+        for off in offsets:
+            nidx = tuple(i + o for i, o in zip(idx, off))
+            if nidx not in pts:
+                continue
+            xn = pts[nidx]
+            other = values[nidx]
+            if direction == "usc":
+                a, b = other, center
+            else:
+                a, b = center, other
+            if a.is_empty:
+                continue
+            if b.is_empty:
+                if len(witnesses) < _checks._MAX_WITNESSES:
+                    witnesses.append(_checks.Witness(x, xn, math.inf, "empty value",
+                                                     "nonempty value jumps against an empty one"))
+                else:
+                    truncated = True
+                continue
+            h = seed_hausdorff_upper(a, b)
+            if h > bound:
+                if len(witnesses) < _checks._MAX_WITNESSES:
+                    witnesses.append(_checks.Witness(x, xn, h, "excess"))
+                else:
+                    truncated = True
+    return witnesses, truncated
+
+
+def seed_check_usc(t, grid, delta=None, tol=1e-9, point_filter=None,
+                   property_name="usc", direction="usc"):
+    if delta is None:
+        delta = grid.step
+    radius = max(1, int(math.floor(delta / grid.step + 1e-9)))
+    pts = {idx: p for idx, p in grid.indexed_points()
+           if box_contains(t.domain, p) and (point_filter is None or point_filter(p))}
+    values = {idx: seed_closure(t.evaluate(p)) for idx, p in pts.items()}
+    slope = t.max_slope()
+    bound = tol + slope * delta
+    offsets = _checks._neighbor_offsets(grid.dim, radius)
+    witnesses, truncated = _seed_excess_scan(values, pts, offsets, bound, direction)
+    notes = ["values closed before comparison"]
+    if truncated:
+        notes.append("witness list truncated")
+    return _checks.CheckReport(
+        property_name, _checks.PASS if not witnesses else _checks.FAIL, tuple(witnesses),
+        {"grid_step": grid.step, "delta": delta, "tol": tol, "modulus_slope": slope,
+         "bound": bound, "points_checked": len(pts), "direction": direction},
+        tuple(notes),
+    )
+
+
+def assert_same_report(t, grid, **kwargs):
+    got = check_usc(t, grid, **kwargs)
+    want = seed_check_usc(t, grid, **kwargs)
+    assert got.property_name == want.property_name
+    assert got.verdict == want.verdict
+    assert got.witnesses == want.witnesses
+    assert repr(got.witnesses) == repr(want.witnesses)
+    assert got.notes == want.notes
+    assert got.parameters == want.parameters
+    assert repr(got.parameters) == repr(want.parameters)
+    return got
+
+
+def _variants(grid):
+    """The default scan, the lsc direction, a two-step delta and a point filter."""
+    return [{}, {"direction": "lsc"}, {"delta": 2 * grid.step},
+            {"point_filter": lambda p: sum(p) <= 1.5}]
+
+
+# ---------------------------------------------------------------------------
+# Reports equal the oracle's
+# ---------------------------------------------------------------------------
+
+def _ex2_1_maps():
+    t1, d = ex2_1()
+    out = [("t1", t1)]
+    for eps in (0.5, 0.25):
+        tv = t_upper(t1, eps, d)
+        out += [(f"t_upper@{eps}", tv), (f"adherence@{eps}", adherence(tv))]
+    return out
+
+
+@pytest.mark.parametrize("name,t", _ex2_1_maps(), ids=lambda v: v if isinstance(v, str) else "")
+def test_ex2_1_scans_match_oracle(name, t):
+    grid = Grid(1, (0.0625,), (1.9375,), 0.0625)
+    for opts in _variants(grid):
+        assert_same_report(t, grid, **opts)
+
+
+def _ex4_1_maps():
+    e = ex4_1(2)
+    out = []
+    for i, ag in enumerate(e.agents):
+        for label, m in ((f"conflict{i}", e.conflict_map(i)), (f"b{i}", ag.b_map)):
+            out.append((label, m))
+            for eps in (0.5, 2.0):
+                out.append((f"{label}-bar@{eps}", adherence(t_upper(m, eps, ag.d_set))))
+    return out
+
+
+@pytest.mark.parametrize("name,t", _ex4_1_maps(), ids=lambda v: v if isinstance(v, str) else "")
+def test_ex4_1_scans_match_oracle(name, t):
+    grid = Grid(2, (0.0, 0.0), (4.0, 4.0), 0.25)
+    for opts in _variants(grid):
+        assert_same_report(t, grid, **opts)
+
+
+def _random_interval(rng: random.Random) -> FlaggedInterval:
+    lo = rng.choice((-1.0, -0.5, 0.0, 0.25, 0.5, 1.0))
+    width = rng.choice((0.0, 0.25, 0.5, 1.0))
+    if width == 0.0:
+        return I.point(lo)
+    return I(lo, lo + width, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def _random_value(rng: random.Random, ddim: int, cdim: int):
+    kind = rng.choice(("empty", "constant", "constant", "affine", "affine"))
+    if kind == "empty":
+        return ()
+    value = []
+    for _ in range(rng.choice((1, 2))):
+        box = []
+        for _ in range(cdim):
+            iv = _random_interval(rng)
+            coeffs = [0.0] * ddim
+            if kind == "affine" and rng.random() < 0.7:
+                coeffs[rng.randrange(ddim)] = rng.choice((-1.0, -0.5, 0.5, 1.0))
+            box.append(AffineInterval(AffForm(iv.lo, tuple(coeffs)),
+                                      AffForm(iv.hi, tuple(coeffs)),
+                                      iv.lo_closed, iv.hi_closed))
+        value.append(tuple(box))
+    return tuple(value)
+
+
+def random_piecewise_map(seed: int) -> PiecewiseMap:
+    """A map on [0, 2]^ddim cut along axis 0 into two or three pieces.
+
+    Each piece carries the empty value, a union of constant boxes or a
+    union of affine boxes (constant width, so flags stay valid).
+    """
+    rng = random.Random(seed)
+    ddim, cdim = rng.choice((1, 2)), rng.choice((1, 2))
+    domain = tuple(I.closed(0.0, 2.0) for _ in range(ddim))
+    cuts = sorted(rng.sample((0.5, 1.0, 1.5), rng.choice((1, 2))))
+    edges = [0.0, *cuts, 2.0]
+    closed_left = [rng.random() < 0.5 for _ in cuts]
+    pieces = []
+    for k in range(len(edges) - 1):
+        lo_closed = k == 0 or not closed_left[k - 1]
+        hi_closed = k == len(edges) - 2 or closed_left[k]
+        region = (I(edges[k], edges[k + 1], lo_closed, hi_closed),) + domain[1:]
+        pieces.append(Piece(region, _random_value(rng, ddim, cdim)))
+    return PiecewiseMap(domain, cdim, tuple(pieces))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_affine_maps_match_oracle(seed):
+    t = random_piecewise_map(seed)
+    dim = t.domain_dim
+    # multi-box affine values make every oracle excess a candidate search,
+    # so the 2-D grids stay coarse
+    grid = Grid(dim, (0.0,) * dim, (2.0,) * dim, 0.25 if dim == 1 else 0.5)
+    for opts in _variants(grid):
+        assert_same_report(t, grid, **opts)
+
+
+def test_truncated_witness_list_matches_oracle():
+    dom = (I.closed(0, 4), I.closed(0, 4))
+    t = PiecewiseMap(dom, 1, (
+        Piece((I(0, 2, True, False), I.closed(0, 4)), ()),
+        Piece((I.closed(2, 4), I.closed(0, 4)),
+              ((AffineInterval(AffForm.constant(0.0, 2), AffForm.constant(1.0, 2)),),)),
+    ))
+    rep = assert_same_report(t, Grid(2, (0.0, 0.0), (4.0, 4.0), 0.0625))
+    assert "witness list truncated" in rep.notes
+    assert len(rep.witnesses) == _checks._MAX_WITNESSES
+
+
+# ---------------------------------------------------------------------------
+# Work done: one excess per constant piece pair
+# ---------------------------------------------------------------------------
+
+def _count_excess(monkeypatch):
+    calls = [0]
+    original = BoxSet.hausdorff_upper
+
+    def counted(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(BoxSet, "hausdorff_upper", counted)
+    return calls
+
+
+def test_excess_calls_bounded_by_piece_pairs(monkeypatch):
+    dom = (I.closed(0, 2),)
+
+    def const(lo, hi):
+        return ((AffineInterval(AffForm.constant(lo, 1), AffForm.constant(hi, 1)),),)
+
+    t = PiecewiseMap(dom, 1, (
+        Piece((I(0, 0.5, True, False),), const(0, 1)),
+        Piece((I.closed(0.5, 1),), const(0.5, 2)),
+        Piece((I(1, 1.5, False, False),), const(0, 0.25)),
+        Piece((I.closed(1.5, 2),), const(1, 3)),
+    ))
+    k = len(t.pieces)
+    calls = _count_excess(monkeypatch)
+    counts = []
+    for step in (1 / 8, 1 / 64):
+        calls[0] = 0
+        check_usc(t, Grid(1, (0.0,), (2.0,), step))
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+    assert 0 < counts[0] <= k * k
+
+
+# ---------------------------------------------------------------------------
+# delta below the grid step
+# ---------------------------------------------------------------------------
+
+def _ramp():
+    dom = (I.closed(0, 1),)
+    x = AffForm.coordinate(0, 1)
+    return PiecewiseMap(dom, 1, (Piece(dom, ((AffineInterval(x, x.shift(1.0)),),)),))
+
+
+def test_delta_below_step_is_rejected():
+    grid = Grid(1, (0.0,), (1.0,), 0.25)
+    with pytest.raises(ValueError, match="below the grid step"):
+        check_usc(_ramp(), grid, delta=0.1)
+    assert check_usc(_ramp(), grid, delta=0.25).passed
+    assert check_usc(_ramp(), grid).passed
+
+
+def test_cli_delta_below_step_exits_with_input_error():
+    r = CliRunner().invoke(main, ["check-map", "ex2_1.map", "--property", "usc",
+                                  "--delta", "0.001"])
+    assert r.exit_code == 2
+    assert "below the grid step" in r.output
+    assert "Traceback" not in r.output
+    assert isinstance(r.exception, SystemExit)
+
+
+# ---------------------------------------------------------------------------
+# closure and hausdorff_upper against the frozen copies
+# ---------------------------------------------------------------------------
+
+# few distinct endpoints keep 4-D canonicalization cheap
+dyadic = st.integers(min_value=0, max_value=4).map(lambda k: k / 2)
+
+
+@st.composite
+def flagged_intervals(draw, closed_only=False):
+    lo = draw(dyadic)
+    hi = draw(dyadic.filter(lambda h: h >= lo))
+    if lo == hi or closed_only:
+        return I.closed(lo, hi)
+    return I(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def flagged_unions(draw, dim=None, min_boxes=1, max_boxes=5):
+    if dim is None:
+        dim = draw(st.integers(min_value=1, max_value=4))
+    closed_only = draw(st.booleans())
+    n = draw(st.integers(min_value=min_boxes, max_value=max_boxes))
+    boxes = [tuple(draw(flagged_intervals(closed_only)) for _ in range(dim)) for _ in range(n)]
+    return BoxSet.of(dim, boxes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flagged_unions())
+def test_closure_matches_frozen_copy(s):
+    got = s.closure()
+    assert got == seed_closure(s)
+    assert got.closure() == got
+    if all(box_is_all_closed(b) for b in s.boxes):
+        assert got is s
+
+
+@st.composite
+def excess_operands(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    a = draw(flagged_unions(dim=dim))
+    one_box = draw(st.booleans())
+    b = draw(flagged_unions(dim=dim, max_boxes=1 if one_box else 5))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(excess_operands())
+def test_hausdorff_upper_matches_frozen_copy(operands):
+    a, b = operands
+    got = a.hausdorff_upper(b)
+    want = seed_hausdorff_upper(a, b)
+    assert (got, type(got)) == (want, type(want))
