@@ -50,7 +50,6 @@ from .radner import (
     InfoEconomy,
     PriceSimplex,
     budget_set,
-    delivery_set,
     information_set,
     radner_toy,
     remark_4_3_inclusion,
@@ -69,7 +68,7 @@ __all__ = [
     "certify_fixed_points", "check_dual_w_usc", "check_e_uscs",
     "check_theorem_4_1_hypotheses", "check_theorem_4_2_hypotheses",
     "check_theorem_4_3_hypotheses", "check_usc", "check_w_usc",
-    "closure_values", "combine_reports", "constant_map", "delivery_set",
+    "closure_values", "combine_reports", "constant_map",
     "information_set", "intersect_maps", "intersect_qv_chain", "radner_toy",
     "remark_4_3_inclusion", "reproduce_paper", "restrict", "search_equilibria",
     "select_by_region", "t_upper", "to_abstract_economy",

@@ -10,9 +10,9 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .intervals import BoxSet, Grid, box_contains
+from .intervals import Box, BoxSet, Grid, box_contains
 from .maps import PiecewiseMap, adherence, constant_map, intersect_maps, t_upper
 
 PASS = "pass"
@@ -66,6 +66,27 @@ def combine_reports(property_name: str, children: Sequence[CheckReport],
 # ---------------------------------------------------------------------------
 # Grid scans
 # ---------------------------------------------------------------------------
+
+def domain_points(domain: Box, grid: Grid,
+                  point_filter: Callable[[tuple[float, ...]], bool] | None = None):
+    """The grid points inside ``domain`` (and passing ``point_filter``), in
+    lexicographic order."""
+    for p in grid.points():
+        if box_contains(domain, p) and (point_filter is None or point_filter(p)):
+            yield p
+
+
+def scan_points(name: str, points, probe: Callable[[tuple[float, ...]], Iterable[Witness]],
+                parameters: dict | None = None) -> CheckReport:
+    """Per-point verdict: fail iff ``probe(x)`` yields a witness at some point.
+
+    The scan stops once ``_MAX_WITNESSES`` witnesses are found and keeps
+    the first ``_MAX_WITNESSES`` in point order.
+    """
+    witnesses = tuple(itertools.islice(
+        itertools.chain.from_iterable(map(probe, points)), _MAX_WITNESSES))
+    return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
+
 
 def _grid_points_in(t: PiecewiseMap, grid: Grid,
                     point_filter: Callable[[tuple[float, ...]], bool] | None):
@@ -199,15 +220,10 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     )
 
 
-def _nonempty_everywhere(t: PiecewiseMap, grid: Grid,
-                         point_filter=None) -> tuple[bool, list[tuple[float, ...]]]:
-    holes = []
-    for _, p in grid.indexed_points():
-        if not box_contains(t.domain, p) or (point_filter is not None and not point_filter(p)):
-            continue
-        if t.evaluate(p).is_empty:
-            holes.append(p)
-    return (not holes), holes
+def _empty_points(t: PiecewiseMap, grid: Grid, point_filter=None) -> list[tuple[float, ...]]:
+    """The first eight in-domain grid points where ``t`` has the empty value."""
+    return list(itertools.islice((p for p in domain_points(t.domain, grid, point_filter)
+                                  if t.evaluate(p).is_empty), 8))
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +247,10 @@ def check_w_usc(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float], grid: Gri
         tv_bar = adherence(tv)
         rep = check_usc(tv_bar, grid, delta, tol, point_filter,
                         property_name=f"almost-w-usc@eps={eps:g}")
-        ne, holes = _nonempty_everywhere(tv_bar, grid, point_filter)
-        rep.parameters["adherence_nonempty_everywhere"] = ne
+        holes = _empty_points(tv_bar, grid, point_filter)
+        rep.parameters["adherence_nonempty_everywhere"] = not holes
         if holes:
-            rep.parameters["adherence_empty_points"] = holes[:8]
+            rep.parameters["adherence_empty_points"] = holes
         children.append(rep)
     return combine_reports("w-usc-family", children,
                            {"eps_list": list(eps_list), "d_dim": d.dim})
@@ -243,28 +259,30 @@ def check_w_usc(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float], grid: Gri
 def check_dual_w_usc(t1: PiecewiseMap, t2: PiecewiseMap, d: BoxSet,
                      eps_list: Sequence[float], grid: Grid,
                      delta: float | None = None, tol: float = 1e-9,
-                     point_filter=None) -> CheckReport:
+                     point_filter=None,
+                     property_name: str = "dual-w-usc-family") -> CheckReport:
     """Dual variant: adherence of ``(T1 + V) cap T2 cap D`` checked per eps.
 
     The primary verdict follows the USC reading of the surrogate; an LSC
     surrogate verdict over the same pairs is recorded as an informational
-    child with swapped witness orientation.
+    child with swapped witness orientation. ``property_name`` names the
+    family report.
     """
     children = []
     for eps in eps_list:
         composite = intersect_maps(t_upper(t1, eps, d), t2)
-        ne, holes = _nonempty_everywhere(composite, grid, point_filter)
+        holes = _empty_points(composite, grid, point_filter)
         composite_bar = adherence(composite)
         rep = check_usc(composite_bar, grid, delta, tol, point_filter,
                         property_name=f"dual-w-usc@eps={eps:g}")
-        rep.parameters["pre_adherence_empty_points"] = holes[:8]
-        rep.parameters["pre_adherence_nonempty_everywhere"] = ne
+        rep.parameters["pre_adherence_empty_points"] = holes
+        rep.parameters["pre_adherence_nonempty_everywhere"] = not holes
         children.append(rep)
         lsc = check_usc(composite_bar, grid, delta, tol, point_filter,
                         property_name=f"dual-lsc-surrogate@eps={eps:g}", direction="lsc")
         lsc.parameters["informational"] = True
         children.append(lsc)
-    return combine_reports("dual-w-usc-family", children,
+    return combine_reports(property_name, children,
                            {"eps_list": list(eps_list)},
                            ("primary verdict follows the usc reading; "
                             "lsc surrogate recorded informationally",))
@@ -287,9 +305,7 @@ def _largest_box(s: BoxSet):
 def propose_constant_selection(t: PiecewiseMap, k_region, eps: float, grid: Grid) -> PiecewiseMap | None:
     """Constant-selection heuristic: a box inside every dilated value over K."""
     inter: BoxSet | None = None
-    for _, p in grid.indexed_points():
-        if not box_contains(t.domain, p) or not box_contains(k_region, p):
-            continue
+    for p in domain_points(t.domain, grid, lambda p: box_contains(k_region, p)):
         val = t.evaluate(p)
         if val.is_empty:
             return None
@@ -305,7 +321,8 @@ def propose_constant_selection(t: PiecewiseMap, k_region, eps: float, grid: Grid
 
 def check_e_uscs(t: PiecewiseMap, k_region, candidate: PiecewiseMap | None,
                  eps: float, grid: Grid, delta: float | None = None, tol: float = 1e-9,
-                 block: tuple[int, ...] | None = None) -> CheckReport:
+                 block: tuple[int, ...] | None = None,
+                 property_name: str = "e-uscs") -> CheckReport:
     """Selection property at radius eps over the sample region K.
 
     Three clauses: the candidate is a USC, convex-valued map on K; its values
@@ -313,6 +330,7 @@ def check_e_uscs(t: PiecewiseMap, k_region, candidate: PiecewiseMap | None,
     (block coordinates of x) everywhere on K.  When no candidate is supplied
     a constant selection is proposed; if the heuristic cannot produce a
     passing candidate the verdict is "unverified", not "fail".
+    ``property_name`` names the returned report.
     """
     if block is None:
         block = tuple(range(t.codomain_dim))
@@ -321,42 +339,39 @@ def check_e_uscs(t: PiecewiseMap, k_region, candidate: PiecewiseMap | None,
         candidate = propose_constant_selection(t, k_region, eps, grid)
         if candidate is None:
             return CheckReport(
-                "e-uscs", UNVERIFIED, (), {"eps": eps, "candidate": "heuristic"},
+                property_name, UNVERIFIED, (), {"eps": eps, "candidate": "heuristic"},
                 ("no constant selection exists inside the dilated values at this resolution",),
             )
 
     in_k = lambda p: box_contains(k_region, p)
     usc_rep = check_usc(candidate, grid, delta, tol, in_k, property_name="selection-usc")
 
-    convex_wit = []
-    inside_wit = []
-    avoid_wit = []
-    for _, p in grid.indexed_points():
-        if not box_contains(t.domain, p) or not in_k(p):
-            continue
-        cand_val = candidate.evaluate(p)
-        if len(cand_val.boxes) != 1:
-            convex_wit.append(Witness(p, None, math.inf, "nonconvex",
-                                      f"{len(cand_val.boxes)} canonical boxes"))
+    values = {p: candidate.evaluate(p) for p in domain_points(t.domain, grid, in_k)}
+
+    def nonconvex(p):
+        n = len(values[p].boxes)
+        if n != 1:
+            yield Witness(p, None, math.inf, "nonconvex", f"{n} canonical boxes")
+
+    def escapes(p):
         target = t.evaluate(p)
-        if target.is_empty or not cand_val.subset_within(target.dilate(eps), tol):
-            inside_wit.append(Witness(p, None, math.inf, "escapes dilation"))
-        xb = tuple(p[j] for j in block)
-        if cand_val.closure().contains(xb):
-            avoid_wit.append(Witness(p, None, 0.0, "contains base point"))
+        if target.is_empty or not values[p].subset_within(target.dilate(eps), tol):
+            yield Witness(p, None, math.inf, "escapes dilation")
+
+    def contains_base(p):
+        if values[p].closure().contains(tuple(p[j] for j in block)):
+            yield Witness(p, None, 0.0, "contains base point")
+
     children = [
         usc_rep,
-        CheckReport("selection-convex", PASS if not convex_wit else FAIL,
-                    tuple(convex_wit[:_MAX_WITNESSES])),
-        CheckReport("selection-inside-dilation", PASS if not inside_wit else FAIL,
-                    tuple(inside_wit[:_MAX_WITNESSES]), {"eps": eps, "tol": tol}),
-        CheckReport("selection-avoids-base-point", PASS if not avoid_wit else FAIL,
-                    tuple(avoid_wit[:_MAX_WITNESSES]), {"block": list(block)}),
+        scan_points("selection-convex", values, nonconvex),
+        scan_points("selection-inside-dilation", values, escapes, {"eps": eps, "tol": tol}),
+        scan_points("selection-avoids-base-point", values, contains_base, {"block": list(block)}),
     ]
-    rep = combine_reports("e-uscs", children, {"eps": eps, "candidate":
-                                               "heuristic" if proposed else "supplied"})
+    rep = combine_reports(property_name, children, {
+        "eps": eps, "candidate": "heuristic" if proposed else "supplied"})
     if proposed and rep.verdict == FAIL:
-        return CheckReport("e-uscs", UNVERIFIED, rep.witnesses, rep.parameters,
+        return CheckReport(property_name, UNVERIFIED, rep.witnesses, rep.parameters,
                            rep.notes + ("heuristic candidate failed; property undecided",),
                            rep.children)
     return rep

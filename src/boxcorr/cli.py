@@ -9,7 +9,6 @@ any other missing path is an input error.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -67,6 +66,8 @@ def _parse_eps(text: str | None, default: Sequence[float]) -> tuple[float, ...]:
         eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise InputError(f"bad --eps-chain: {exc}") from exc
+    if not all(math.isfinite(e) for e in eps):
+        raise InputError("--eps-chain entries must be finite")
     if not eps or any(e <= 0 for e in eps):
         raise InputError("--eps-chain entries must be positive")
     return eps
@@ -85,6 +86,9 @@ def _grid_for(domain: Box, step: float) -> Grid:
 def _check_ranges(step: float | None, tol: float, delta: float | None,
                   eps_chain: str | None = None) -> tuple[float, ...] | None:
     """Validate shared numeric options; returns the parsed eps chain."""
+    for opt, v in (("--step", step), ("--tol", tol), ("--delta", delta)):
+        if v is not None and not math.isfinite(v):
+            raise InputError(f"{opt} must be finite")
     if step is not None and step <= 0:
         raise InputError("--step must be positive")
     if tol < 0:
@@ -228,16 +232,14 @@ def cmd_check_map(document, prop, step, eps_chain, tol, delta, out, fmt):
                 if prop == "w-usc":
                     rep = check_w_usc(t, d, eps, grid, delta, tol)
                 else:
-                    kids = [dataclasses.replace(
-                        check_usc(adherence(t_upper(t, e, d)), grid, delta, tol),
-                        property_name=f"almost-w-usc@eps={e:g}") for e in eps]
+                    kids = [check_usc(adherence(t_upper(t, e, d)), grid, delta, tol,
+                                      property_name=f"almost-w-usc@eps={e:g}") for e in eps]
                     rep = combine_reports("almost-w-usc-family", kids,
                                           {"eps_list": list(eps)})
             else:
                 eps = eps_user or (0.5,)
-                kids = [dataclasses.replace(
-                    check_e_uscs(t, t.domain, None, e, grid, delta, tol),
-                    property_name=f"e-uscs@eps={e:g}") for e in eps]
+                kids = [check_e_uscs(t, t.domain, None, e, grid, delta, tol,
+                                     property_name=f"e-uscs@eps={e:g}") for e in eps]
                 rep = combine_reports("e-uscs-family", kids,
                                       {"eps_list": list(eps)})
     except (_io.DocumentError, ValueError) as exc:

@@ -23,7 +23,6 @@ from typing import Any, Sequence
 
 from . import io as _io
 from .checks import (
-    _MAX_WITNESSES,
     FAIL,
     PASS,
     CheckReport,
@@ -32,8 +31,11 @@ from .checks import (
     check_e_uscs,
     check_usc,
     combine_reports,
+    domain_points,
+    scan_points,
 )
-from .intervals import Box, BoxSet, FlaggedInterval, Grid, box_closure, box_contains, box_is_all_closed
+from .fixedpoint import check_grid_covers_targets
+from .intervals import Box, BoxSet, Grid, box_closure, box_contains, box_is_all_closed
 from .maps import (
     DomainError,
     PiecewiseMap,
@@ -236,28 +238,11 @@ def verify_equilibrium(e: AbstractEconomy, x: Sequence[float]) -> EquilibriumCer
     return EquilibriumCertificate(x, tuple(evidence), all(ev.ok for ev in evidence))
 
 
-def _check_grid_covers_targets(e: AbstractEconomy, grid: Grid) -> None:
-    if grid.dim != e.dim:
-        raise ValueError(f"grid dimension {grid.dim} != domain dimension {e.dim}")
-    for i, (ag, blk) in enumerate(zip(e.agents, e.blocks)):
-        bb = ag.d_set.bounding_box()
-        for k, j in enumerate(blk):
-            if grid.lo[j] > bb[k].lo or grid.hi[j] < bb[k].hi:
-                raise ValueError(
-                    f"grid does not cover agent {i}'s target set on coordinate {j}")
-
-
 def search_equilibria(e: AbstractEconomy, grid: Grid) -> list[EquilibriumCertificate]:
     """Valid certificates at every grid point of X, lexicographic order."""
-    _check_grid_covers_targets(e, grid)
-    found = []
-    for x in grid.points():
-        if not box_contains(e.domain, x):
-            continue
-        cert = verify_equilibrium(e, x)
-        if cert.valid:
-            found.append(cert)
-    return found
+    check_grid_covers_targets(grid, e.dim, tuple(ag.d_set for ag in e.agents), e.blocks)
+    certs = (verify_equilibrium(e, x) for x in domain_points(e.domain, grid))
+    return [c for c in certs if c.valid]
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +251,6 @@ def search_equilibria(e: AbstractEconomy, grid: Grid) -> list[EquilibriumCertifi
 
 def _convex(bs: BoxSet) -> bool:
     return len(bs.boxes) <= 1
-
-
-def _grid_points(e: AbstractEconomy, grid: Grid):
-    for x in grid.points():
-        if box_contains(e.domain, x):
-            yield x
 
 
 def _sets_condition(e: AbstractEconomy, i: int, name: str,
@@ -293,23 +272,48 @@ def _values_condition_4_1(e: AbstractEconomy, i: int, grid: Grid, name: str) -> 
     """Convex A/P values, nonempty convex B values, conflict inside B."""
     ag = e.agents[i]
     h = e.conflict_map(i)
-    wit = []
-    for x in _grid_points(e, grid):
-        aval = ag.a_map.evaluate(x)
-        pval = ag.p_map.evaluate(x)
+
+    def probe(x):
+        if not _convex(ag.a_map.evaluate(x)):
+            yield Witness(x, None, 0.0, "nonconvex", "constraint map value")
+        if not _convex(ag.p_map.evaluate(x)):
+            yield Witness(x, None, 0.0, "nonconvex", "preference map value")
         bval = ag.b_map.evaluate(x)
-        if not _convex(aval):
-            wit.append(Witness(x, None, 0.0, "nonconvex", "constraint map value"))
-        if not _convex(pval):
-            wit.append(Witness(x, None, 0.0, "nonconvex", "preference map value"))
         if bval.is_empty or not _convex(bval):
-            wit.append(Witness(x, None, 0.0, "bad value", "second constraint map value"))
+            yield Witness(x, None, 0.0, "bad value", "second constraint map value")
         if not h.evaluate(x).subset_within(bval, 0.0):
-            wit.append(Witness(x, None, 0.0, "inclusion", "conflict value escapes B"))
-        if len(wit) >= _MAX_WITNESSES:
-            break
-    return CheckReport(name, PASS if not wit else FAIL, tuple(wit[:_MAX_WITNESSES]),
+            yield Witness(x, None, 0.0, "inclusion", "conflict value escapes B")
+
+    return scan_points(name, domain_points(e.domain, grid), probe,
                        {"points_checked": grid.point_count()})
+
+
+def _value_shape(t: PiecewiseMap):
+    """Probe: a witness wherever the value of ``t`` is empty or not one box."""
+    def probe(x):
+        val = t.evaluate(x)
+        if val.is_empty:
+            yield Witness(x, None, math.inf, "empty value")
+        elif not _convex(val):
+            yield Witness(x, None, 0.0, "nonconvex")
+    return probe
+
+
+def _irreflexive(e: AbstractEconomy, i: int, bar: PiecewiseMap, grid: Grid,
+                 what: str) -> CheckReport:
+    """Condition 6: agent i's block point never lies in the value of ``bar``."""
+    blk = e.blocks[i]
+
+    def probe(x):
+        if bar.evaluate(x).contains(tuple(x[j] for j in blk)):
+            yield Witness(x, None, 0.0, "reflexive", f"block point inside adherent {what} value")
+
+    return scan_points(f"agent{i}.cond6-irreflexive", domain_points(e.domain, grid), probe)
+
+
+def _vacuous(i: int) -> CheckReport:
+    return CheckReport(f"agent{i}.conflict-region-empty", PASS, (), {"informational": True},
+                       ("empty conflict region: vacuously true",))
 
 
 def _openness_condition(e: AbstractEconomy, i: int, name: str) -> CheckReport:
@@ -331,19 +335,8 @@ def _almost_w_usc_children(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float]
         children.append(check_usc(bar, grid, delta, tol,
                                   property_name=f"{label}.almost-w-usc@eps={eps:g}"))
         if require_nonempty_convex:
-            wit = []
-            for _, p in grid.indexed_points():
-                if not box_contains(t.domain, p):
-                    continue
-                val = bar.evaluate(p)
-                if val.is_empty:
-                    wit.append(Witness(p, None, math.inf, "empty value"))
-                elif not _convex(val):
-                    wit.append(Witness(p, None, 0.0, "nonconvex"))
-                if len(wit) >= _MAX_WITNESSES:
-                    break
-            children.append(CheckReport(f"{label}.values@eps={eps:g}",
-                                        PASS if not wit else FAIL, tuple(wit),
+            children.append(scan_points(f"{label}.values@eps={eps:g}",
+                                        domain_points(t.domain, grid), _value_shape(bar),
                                         {"eps": eps}))
     return children
 
@@ -377,28 +370,14 @@ def check_theorem_4_1_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
             c4_children.extend(_almost_w_usc_children(
                 h_w, ag.d_set, eps_list, grid, delta, tol,
                 f"agent{i}.conflict@W{k}", require_nonempty_convex=True))
-        if not c4_children:
-            c4_children.append(CheckReport(f"agent{i}.conflict-region-empty", PASS, (),
-                                           {"informational": True},
-                                           ("empty conflict region: vacuously true",)))
-        conds.append(combine_reports(f"agent{i}.cond4-conflict-almost-w-usc", c4_children))
+        conds.append(combine_reports(f"agent{i}.cond4-conflict-almost-w-usc",
+                                     c4_children or [_vacuous(i)]))
         conds.append(combine_reports(
             f"agent{i}.cond5-b-almost-w-usc",
             _almost_w_usc_children(ag.b_map, ag.d_set, eps_list, grid, delta, tol,
                                    f"agent{i}.b", require_nonempty_convex=True)))
         # (6): block point never in the adherent conflict value
-        hbar = e.adherent_conflict(i)
-        blk = e.blocks[i]
-        wit = []
-        for x in _grid_points(e, grid):
-            xb = tuple(x[j] for j in blk)
-            if hbar.evaluate(x).contains(xb):
-                wit.append(Witness(x, None, 0.0, "reflexive",
-                                   "block point inside adherent conflict value"))
-                if len(wit) >= _MAX_WITNESSES:
-                    break
-        conds.append(CheckReport(f"agent{i}.cond6-irreflexive",
-                                 PASS if not wit else FAIL, tuple(wit)))
+        conds.append(_irreflexive(e, i, e.adherent_conflict(i), grid, "conflict"))
         agent_reports.append(combine_reports(f"agent{i}", conds))
     return combine_reports(
         "hypotheses-4.1", agent_reports,
@@ -423,39 +402,27 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         conds = [_sets_condition(e, i, f"agent{i}.cond1-sets")]
 
         h = e.conflict_map(i)
-        wit = []
-        for x in _grid_points(e, grid):
-            pval = ag.p_map.evaluate(x)
+
+        def values(x):
+            if not ag.p_map.evaluate(x).subset_within(ag.d_set, 0.0):
+                yield Witness(x, None, 0.0, "inclusion", "preference value escapes target set")
             bval = ag.b_map.evaluate(x)
-            if not pval.subset_within(ag.d_set, 0.0):
-                wit.append(Witness(x, None, 0.0, "inclusion",
-                                   "preference value escapes target set"))
             if bval.is_empty:
-                wit.append(Witness(x, None, math.inf, "empty value", "B empty"))
+                yield Witness(x, None, math.inf, "empty value", "B empty")
             if not h.evaluate(x).subset_within(bval, 0.0):
-                wit.append(Witness(x, None, 0.0, "inclusion", "conflict value escapes B"))
-            if len(wit) >= _MAX_WITNESSES:
-                break
-        conds.append(CheckReport(f"agent{i}.cond2-values", PASS if not wit else FAIL,
-                                 tuple(wit[:_MAX_WITNESSES])))
+                yield Witness(x, None, 0.0, "inclusion", "conflict value escapes B")
+
+        conds.append(scan_points(f"agent{i}.cond2-values", domain_points(e.domain, grid),
+                                 values))
 
         conds.append(_openness_condition(e, i, f"agent{i}.cond3-open-conflict-region"))
 
         # (4): dual property of (A,P) on the closed conflict region; B as before
-        w = e.conflict_region(i)
-        c4_children = []
-        for k, w_box in enumerate(w.boxes):
-            cl_box = box_closure(w_box)
-            a_r = restrict(ag.a_map, cl_box)
-            p_r = restrict(ag.p_map, cl_box)
-            dual = check_dual_w_usc(a_r, p_r, ag.d_set, eps_list, grid, delta, tol)
-            c4_children.append(CheckReport(f"agent{i}.dual@clW{k}", dual.verdict,
-                                           dual.witnesses, dual.parameters, dual.notes,
-                                           dual.children))
-        if not c4_children:
-            c4_children.append(CheckReport(f"agent{i}.conflict-region-empty", PASS, (),
-                                           {"informational": True},
-                                           ("empty conflict region: vacuously true",)))
+        c4_children = [
+            check_dual_w_usc(restrict(ag.a_map, cl_box), restrict(ag.p_map, cl_box), ag.d_set,
+                             eps_list, grid, delta, tol, property_name=f"agent{i}.dual@clW{k}")
+            for k, cl_box in enumerate(map(box_closure, e.conflict_region(i).boxes))
+        ] or [_vacuous(i)]
         c4_children.extend(_almost_w_usc_children(
             ag.b_map, ag.d_set, eps_list, grid, delta, tol,
             f"agent{i}.b", require_nonempty_convex=False))
@@ -467,34 +434,13 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
             t_iv = intersect_maps(t_upper(ag.a_map, eps, ag.d_set), ag.p_map)
             pairs = ((f"agent{i}.t-iv", adherence(t_iv)),
                      (f"agent{i}.b-v", adherence(t_upper(ag.b_map, eps, ag.d_set))))
-            for label, bar in pairs:
-                wit = []
-                for x in _grid_points(e, grid):
-                    val = bar.evaluate(x)
-                    if val.is_empty:
-                        wit.append(Witness(x, None, math.inf, "empty value"))
-                    elif not _convex(val):
-                        wit.append(Witness(x, None, 0.0, "nonconvex"))
-                    if len(wit) >= _MAX_WITNESSES:
-                        break
-                c5_children.append(CheckReport(f"{label}@eps={eps:g}",
-                                               PASS if not wit else FAIL, tuple(wit),
-                                               {"eps": eps}))
+            c5_children += [scan_points(f"{label}@eps={eps:g}", domain_points(e.domain, grid),
+                                        _value_shape(bar), {"eps": eps})
+                            for label, bar in pairs]
         conds.append(combine_reports(f"agent{i}.cond5-approx-values", c5_children))
 
         # (6): block point never in the adherent preference value
-        pbar = adherence(ag.p_map)
-        blk = e.blocks[i]
-        wit = []
-        for x in _grid_points(e, grid):
-            xb = tuple(x[j] for j in blk)
-            if pbar.evaluate(x).contains(xb):
-                wit.append(Witness(x, None, 0.0, "reflexive",
-                                   "block point inside adherent preference value"))
-                if len(wit) >= _MAX_WITNESSES:
-                    break
-        conds.append(CheckReport(f"agent{i}.cond6-irreflexive",
-                                 PASS if not wit else FAIL, tuple(wit)))
+        conds.append(_irreflexive(e, i, adherence(ag.p_map), grid, "preference"))
         agent_reports.append(combine_reports(f"agent{i}", conds))
     return combine_reports(
         "hypotheses-4.2", agent_reports,
@@ -523,38 +469,21 @@ def check_theorem_4_3_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         conds = [_sets_condition(e, i, f"agent{i}.cond1-sets", require_compact_x=True)]
 
         b_closed = closure_values(ag.b_map)
-        c2_children = [check_usc(b_closed, grid, delta, tol,
-                                 property_name=f"agent{i}.cl-b-usc")]
-        wit = []
-        for x in _grid_points(e, grid):
-            val = b_closed.evaluate(x)
-            if val.is_empty:
-                wit.append(Witness(x, None, math.inf, "empty value"))
-            elif not _convex(val):
-                wit.append(Witness(x, None, 0.0, "nonconvex"))
-            if len(wit) >= _MAX_WITNESSES:
-                break
-        c2_children.append(CheckReport(f"agent{i}.cl-b-values",
-                                       PASS if not wit else FAIL, tuple(wit)))
-        conds.append(combine_reports(f"agent{i}.cond2-cl-b", c2_children))
+        conds.append(combine_reports(f"agent{i}.cond2-cl-b", [
+            check_usc(b_closed, grid, delta, tol, property_name=f"agent{i}.cl-b-usc"),
+            scan_points(f"agent{i}.cl-b-values", domain_points(e.domain, grid),
+                        _value_shape(b_closed)),
+        ]))
 
         conds.append(_openness_condition(e, i, f"agent{i}.cond3-open-conflict-region"))
 
         h_closed = closure_values(e.conflict_map(i))
         w = e.conflict_region(i)
-        c4_children = []
-        for eps in eps_list:
-            for k, w_box in enumerate(w.boxes):
-                rep = check_e_uscs(h_closed, w_box, candidates[i], eps, grid,
-                                   delta, tol, block=e.blocks[i])
-                c4_children.append(CheckReport(
-                    f"agent{i}.e-uscs@W{k}@eps={eps:g}", rep.verdict, rep.witnesses,
-                    rep.parameters, rep.notes, rep.children))
-        if not c4_children:
-            c4_children.append(CheckReport(f"agent{i}.conflict-region-empty", PASS, (),
-                                           {"informational": True},
-                                           ("empty conflict region: vacuously true",)))
-        conds.append(combine_reports(f"agent{i}.cond4-e-uscs", c4_children))
+        c4_children = [
+            check_e_uscs(h_closed, w_box, candidates[i], eps, grid, delta, tol,
+                         block=e.blocks[i], property_name=f"agent{i}.e-uscs@W{k}@eps={eps:g}")
+            for eps in eps_list for k, w_box in enumerate(w.boxes)]
+        conds.append(combine_reports(f"agent{i}.cond4-e-uscs", c4_children or [_vacuous(i)]))
         agent_reports.append(combine_reports(f"agent{i}", conds))
     return combine_reports(
         "hypotheses-4.3", agent_reports,

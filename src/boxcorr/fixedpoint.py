@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import io as _io
-from .intervals import BoxSet, Grid, box_contains
+from .checks import domain_points
+from .intervals import BoxSet, Grid
 from .maps import PiecewiseMap, adherence, t_upper
 
 DEFAULT_EPS_CHAIN: tuple[float, ...] = (1 / 2, 1 / 4, 1 / 8, 1 / 16)
@@ -91,9 +92,6 @@ class QvSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __contains__(self, x: tuple[float, ...]) -> bool:
-        return x in set(self.points)
-
 
 @dataclass(frozen=True)
 class ChainResult:
@@ -121,31 +119,29 @@ def approximation_maps(pm: ProductMap, eps: float) -> tuple[PiecewiseMap, ...]:
     return tuple(adherence(t_upper(f, eps, d)) for f, d in zip(pm.factors, pm.d_sets))
 
 
-def _check_grid_covers_targets(pm: ProductMap, grid: Grid) -> None:
-    if grid.dim != pm.dim:
-        raise ValueError(f"grid dimension {grid.dim} != domain dimension {pm.dim}")
-    for i, (d, blk) in enumerate(zip(pm.d_sets, pm.blocks)):
+def check_grid_covers_targets(grid: Grid, dim: int, d_sets: tuple[BoxSet, ...],
+                              blocks: tuple[tuple[int, ...], ...]) -> None:
+    """Raise ``ValueError`` unless the grid spans every target set on its
+    block's coordinates, so that no fixed point or equilibrium is missed."""
+    if grid.dim != dim:
+        raise ValueError(f"grid dimension {grid.dim} != domain dimension {dim}")
+    for i, (d, blk) in enumerate(zip(d_sets, blocks)):
         bb = d.bounding_box()
         if bb is None:
             raise ValueError(f"target set {i} is empty")
         for k, j in enumerate(blk):
             if grid.lo[j] > bb[k].lo or grid.hi[j] < bb[k].hi:
-                raise ValueError(
-                    f"grid does not cover target set {i} on coordinate {j}; "
-                    "fixed points could be missed"
-                )
+                raise ValueError(f"grid does not cover target set {i} on coordinate {j}")
 
 
 def fixed_points_of_approximation(pm: ProductMap, eps: float, grid: Grid) -> QvSet:
     """All grid points x with every block x_i inside the approximate value at x."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _check_grid_covers_targets(pm, grid)
+    check_grid_covers_targets(grid, pm.dim, pm.d_sets, pm.blocks)
     approx = approximation_maps(pm, eps)
     kept: list[tuple[float, ...]] = []
-    for x in grid.points():
-        if not box_contains(pm.domain, x):
-            continue
+    for x in domain_points(pm.domain, grid):
         ok = True
         for m, blk in zip(approx, pm.blocks):
             xb = tuple(x[j] for j in blk)

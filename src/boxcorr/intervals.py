@@ -517,14 +517,3 @@ class Grid:
         for d in range(self.dim):
             n *= len(self.axis_values(d))
         return n
-
-    def covers_box(self, box: Box) -> bool:
-        return all(self.lo[d] <= box[d].lo and box[d].hi <= self.hi[d] for d in range(self.dim))
-
-    def covers(self, s: BoxSet) -> bool:
-        if s.dim != self.dim:
-            raise DimensionMismatchError(f"dims {s.dim} and {self.dim}")
-        bb = s.bounding_box()
-        if bb is None:
-            return True
-        return self.covers_box(bb)

@@ -224,40 +224,6 @@ class InformationSet:
         return BoxSet.of(self.dim, [box])
 
 
-def delivery_set(e: InfoEconomy, i: int, x: Sequence[float] | None,
-                 p: tuple[float, ...]):
-    """Within-class delivery consistency on state-contingent plans.
-
-    Plans y live in R^{goods*states} (no period-0 coordinate); for states
-    s, s' carrying the same signal the state-s value of y(s) may not
-    exceed the state-s value of y(s'). The allocation argument is part of
-    the correspondence's signature but the inequalities constrain only
-    the plan, so it may be None.
-    """
-    classes = e.signal_classes(i, p)
-    l = e.n_goods
-
-    def state_price(s: int) -> tuple[float, ...]:
-        return tuple(p[1 + s * l + g] for g in range(l))
-
-    def state_plan(y: Sequence[float], s: int) -> tuple[float, ...]:
-        return tuple(y[s * l + g] for g in range(l))
-
-    def ok(y: Sequence[float]) -> bool:
-        if len(y) != l * e.n_states:
-            raise ValueError("plan dimension mismatch")
-        for cls in classes:
-            for s in cls:
-                ps = state_price(s)
-                own = _dot(ps, state_plan(y, s))
-                for s2 in cls:
-                    if own > _dot(ps, state_plan(y, s2)):
-                        return False
-        return True
-
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # The associated abstract economy
 # ---------------------------------------------------------------------------
@@ -442,8 +408,7 @@ class AssociatedEconomy:
         return AssociatedCertificate(allocation, p, tuple(agents), in_simplex,
                                      price_ok, valid)
 
-    def search(self, axis_values: Sequence[float],
-               max_results: int | None = None) -> list[AssociatedCertificate]:
+    def search(self, axis_values: Sequence[float]) -> list[AssociatedCertificate]:
         """Exhaustive scan over measurable grid bundles and simplex prices.
 
         Bundles are generated per agent from ``axis_values`` on the reduced
@@ -476,8 +441,6 @@ class AssociatedEconomy:
                 cert = self.verify(alloc, p)
                 if cert.valid:
                     found.append(cert)
-                    if max_results is not None and len(found) >= max_results:
-                        return found
         return found
 
     def _solo_allocation(self, i: int, bundle: tuple[float, ...]):

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from boxcorr import BoxSet, FlaggedInterval, constant_map
 from boxcorr import io
 from boxcorr.cli import main
-from boxcorr.gallery import ex2_1
+from boxcorr.gallery import ex2_1, ex4_1
 
 I = FlaggedInterval
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -94,6 +94,45 @@ def test_bad_option_ranges_are_input_errors(runner):
                   EXAMPLES / "ex2_1.map").exit_code == 2
     assert invoke(runner, "check-map", "--eps-chain", "0.5,bogus",
                   EXAMPLES / "ex2_1.map").exit_code == 2
+
+
+@pytest.fixture()
+def b_map_doc(tmp_path):
+    """The B map of ``ex4_1(1)``: its USC check fails with excess 3 at step 1/8."""
+    path = tmp_path / "b.map"
+    io.save(io.map_to_doc(ex4_1(1).agents[0].b_map), str(path))
+    return path
+
+
+def test_tol_must_be_finite(runner, b_map_doc):
+    assert invoke(runner, "check-map", "--step", "0.125", b_map_doc).exit_code == 1
+    for value in ("nan", "inf"):
+        r = invoke(runner, "check-map", "--step", "0.125", "--tol", value, b_map_doc)
+        assert r.exit_code == 2
+        assert "--tol must be finite" in r.output
+
+
+@pytest.mark.parametrize("option", ["--step", "--delta"])
+def test_step_and_delta_must_be_finite(runner, b_map_doc, option):
+    for value in ("nan", "inf"):
+        r = invoke(runner, "check-map", option, value, b_map_doc)
+        assert r.exit_code == 2
+        assert f"{option} must be finite" in r.output
+        assert "Traceback" not in r.output
+
+
+def test_eps_chain_must_be_finite(runner):
+    for chain in ("nan", "0.5,inf"):
+        r = invoke(runner, "check-map", "--property", "w-usc", "--eps-chain", chain,
+                   EXAMPLES / "ex2_1.map")
+        assert r.exit_code == 2
+        assert "--eps-chain entries must be finite" in r.output
+
+
+def test_reproduce_paper_rejects_nan_tol(runner):
+    r = invoke(runner, "reproduce-paper", "--tol", "nan")
+    assert r.exit_code == 2
+    assert "--tol must be finite" in r.output
 
 
 def test_find_fixed_points_certifies_target(runner):

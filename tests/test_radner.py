@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from boxcorr import (InfoEconomy, PriceSimplex, budget_set, delivery_set,
+from boxcorr import (InfoEconomy, PriceSimplex, budget_set,
                      information_set, radner_toy, remark_4_3_inclusion,
                      to_abstract_economy, verify_market_clearing)
 from boxcorr.radner import _measurable_corners
@@ -139,33 +139,6 @@ def test_refining_a_signal_grows_the_information_set():
 def test_unknown_signal_preset_rejected():
     with pytest.raises(ValueError):
         dataclasses.replace(toy(), signals=("bogus", "pooled"))
-
-
-# ---------------------------------------------------------------------------
-# Delivery sets
-# ---------------------------------------------------------------------------
-
-def test_delivery_vacuous_when_states_separated():
-    e = two_state_economy((0.5, 0.5, 0.5), signal="revealing")
-    ok = delivery_set(e, 0, None, (1 / 3, 1 / 3, 1 / 3))
-    assert ok((1.0, 99.0))
-    assert ok((-5.0, 0.0))
-
-
-def test_delivery_pairwise_inequalities_within_class():
-    e = toy()
-    ok = delivery_set(e, 0, None, (0.0, 0.5, 0.5))
-    # within the pooled class both cross inequalities must hold, which
-    # forces equal state values
-    assert ok((1.0, 1.0))
-    assert not ok((1.0, 2.0))
-    assert not ok((2.0, 1.0))
-
-
-def test_delivery_constant_plan_within_class():
-    e = toy()
-    ok = delivery_set(e, 0, None, (0.2, 0.4, 0.4))
-    assert ok((3.0, 3.0))
 
 
 # ---------------------------------------------------------------------------

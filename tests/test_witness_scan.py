@@ -1,0 +1,494 @@
+"""The shared witness scan against frozen copies of the per-point loops it replaced.
+
+``scan_points`` is the one loop behind every per-point verdict: it walks
+the points in order, collects the witnesses each probe yields, stops once
+``_MAX_WITNESSES`` are found and keeps the first ``_MAX_WITNESSES``. The
+``seed_*`` functions below are the hand-written loops the hypothesis
+checkers and ``check_e_uscs`` used before; they stay here as the oracle,
+and every report built on the helper must equal theirs, witness for
+witness, parameters included.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Piece,
+                     PiecewiseMap, adherence, check_dual_w_usc, check_theorem_4_1_hypotheses,
+                     check_theorem_4_2_hypotheses, check_theorem_4_3_hypotheses,
+                     check_w_usc, closure_values, constant_map, intersect_maps, restrict,
+                     t_upper)
+from boxcorr import checks as _checks
+from boxcorr.checks import FAIL, PASS, UNVERIFIED, Witness, domain_points, scan_points
+from boxcorr.economy import AbstractEconomy, AgentSpec
+from boxcorr.gallery import ex2_2_economy, ex4_1, ex4_1_selection
+from boxcorr.intervals import box_closure, box_contains
+
+I = FlaggedInterval
+CAP = _checks._MAX_WITNESSES
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-point loops
+# ---------------------------------------------------------------------------
+# Each returns the witness list as the loop built it, before any slicing,
+# so a test can see where the cap fell.
+
+def _convex(bs):
+    return len(bs.boxes) <= 1
+
+
+def seed_grid_points(e, grid):
+    for x in grid.points():
+        if box_contains(e.domain, x):
+            yield x
+
+
+def seed_values_4_1(e, i, grid):
+    ag = e.agents[i]
+    h = e.conflict_map(i)
+    wit = []
+    for x in seed_grid_points(e, grid):
+        aval = ag.a_map.evaluate(x)
+        pval = ag.p_map.evaluate(x)
+        bval = ag.b_map.evaluate(x)
+        if not _convex(aval):
+            wit.append(Witness(x, None, 0.0, "nonconvex", "constraint map value"))
+        if not _convex(pval):
+            wit.append(Witness(x, None, 0.0, "nonconvex", "preference map value"))
+        if bval.is_empty or not _convex(bval):
+            wit.append(Witness(x, None, 0.0, "bad value", "second constraint map value"))
+        if not h.evaluate(x).subset_within(bval, 0.0):
+            wit.append(Witness(x, None, 0.0, "inclusion", "conflict value escapes B"))
+        if len(wit) >= CAP:
+            break
+    return wit
+
+
+def seed_values_4_2(e, i, grid):
+    ag = e.agents[i]
+    h = e.conflict_map(i)
+    wit = []
+    for x in seed_grid_points(e, grid):
+        pval = ag.p_map.evaluate(x)
+        bval = ag.b_map.evaluate(x)
+        if not pval.subset_within(ag.d_set, 0.0):
+            wit.append(Witness(x, None, 0.0, "inclusion",
+                               "preference value escapes target set"))
+        if bval.is_empty:
+            wit.append(Witness(x, None, math.inf, "empty value", "B empty"))
+        if not h.evaluate(x).subset_within(bval, 0.0):
+            wit.append(Witness(x, None, 0.0, "inclusion", "conflict value escapes B"))
+        if len(wit) >= CAP:
+            break
+    return wit
+
+
+def seed_value_shape(bar, points):
+    """The empty-or-nonconvex loop of 4.1 cond4/cond5, 4.2 cond5 and 4.3 cl-b-values."""
+    wit = []
+    for x in points:
+        val = bar.evaluate(x)
+        if val.is_empty:
+            wit.append(Witness(x, None, math.inf, "empty value"))
+        elif not _convex(val):
+            wit.append(Witness(x, None, 0.0, "nonconvex"))
+        if len(wit) >= CAP:
+            break
+    return wit
+
+
+def seed_map_points(t, grid):
+    """The point walk of the almost-w-usc value scans: the map's own domain."""
+    for _, p in grid.indexed_points():
+        if box_contains(t.domain, p):
+            yield p
+
+
+def seed_irreflexive(e, i, bar, grid, what):
+    blk = e.blocks[i]
+    wit = []
+    for x in seed_grid_points(e, grid):
+        xb = tuple(x[j] for j in blk)
+        if bar.evaluate(x).contains(xb):
+            wit.append(Witness(x, None, 0.0, "reflexive",
+                               f"block point inside adherent {what} value"))
+            if len(wit) >= CAP:
+                break
+    return wit
+
+
+def seed_nonempty_everywhere(t, grid, point_filter=None):
+    holes = []
+    for _, p in grid.indexed_points():
+        if not box_contains(t.domain, p) or (point_filter is not None and not point_filter(p)):
+            continue
+        if t.evaluate(p).is_empty:
+            holes.append(p)
+    return (not holes), holes
+
+
+def _largest_box(s):
+    best = None
+    best_key = None
+    for b in s.boxes:
+        key = (min(iv.hi - iv.lo for iv in b), sum(iv.hi - iv.lo for iv in b))
+        if best is None or key > best_key:
+            best, best_key = b, key
+    return best
+
+
+def seed_propose_constant_selection(t, k_region, eps, grid):
+    inter = None
+    for _, p in grid.indexed_points():
+        if not box_contains(t.domain, p) or not box_contains(k_region, p):
+            continue
+        val = t.evaluate(p)
+        if val.is_empty:
+            return None
+        dil = val.dilate(eps)
+        inter = dil if inter is None else inter.intersect(dil)
+        if inter.is_empty:
+            return None
+    if inter is None or inter.is_empty:
+        return None
+    return constant_map(t.domain, BoxSet.single(_largest_box(inter)))
+
+
+def seed_e_uscs_lists(t, k_region, candidate, eps, grid, tol, block):
+    convex_wit = []
+    inside_wit = []
+    avoid_wit = []
+    for _, p in grid.indexed_points():
+        if not box_contains(t.domain, p) or not box_contains(k_region, p):
+            continue
+        cand_val = candidate.evaluate(p)
+        if len(cand_val.boxes) != 1:
+            convex_wit.append(Witness(p, None, math.inf, "nonconvex",
+                                      f"{len(cand_val.boxes)} canonical boxes"))
+        target = t.evaluate(p)
+        if target.is_empty or not cand_val.subset_within(target.dilate(eps), tol):
+            inside_wit.append(Witness(p, None, math.inf, "escapes dilation"))
+        xb = tuple(p[j] for j in block)
+        if cand_val.closure().contains(xb):
+            avoid_wit.append(Witness(p, None, 0.0, "contains base point"))
+    return convex_wit, inside_wit, avoid_wit
+
+
+# ---------------------------------------------------------------------------
+# Comparison against whole hypothesis reports
+# ---------------------------------------------------------------------------
+
+def index_reports(rep, path=()):
+    here = path + (rep.property_name,)
+    out = {"/".join(here): rep}
+    for c in rep.children:
+        out.update(index_reports(c, here))
+    return out
+
+
+def assert_scan_equals(rep, raw, parameters=None):
+    want = tuple(raw[:CAP])
+    assert rep.verdict == (FAIL if raw else PASS)
+    assert rep.witnesses == want
+    assert repr(rep.witnesses) == repr(want)
+    assert rep.parameters == (parameters or {})
+    assert rep.notes == ()
+    assert rep.children == ()
+
+
+def compare_with_oracle(e, grid, eps_list, candidates=None, tol=1e-9):
+    """Every per-point report of the three checkers against its frozen loop.
+
+    Returns the raw witness lists, so callers can assert what was exercised.
+    """
+    raws = []
+
+    def check(rep, raw, parameters=None):
+        assert_scan_equals(rep, raw, parameters)
+        raws.append(raw)
+
+    r41 = index_reports(check_theorem_4_1_hypotheses(e, eps_list, grid, tol=tol))
+    r42 = index_reports(check_theorem_4_2_hypotheses(e, eps_list, grid, tol=tol))
+    r43 = index_reports(check_theorem_4_3_hypotheses(e, eps_list, candidates, grid, tol=tol))
+    for i, ag in enumerate(e.agents):
+        a = f"agent{i}"
+        w_boxes = e.conflict_region(i).boxes
+
+        base = f"hypotheses-4.1/{a}/"
+        check(r41[base + f"{a}.cond2-values"], seed_values_4_1(e, i, grid),
+              {"points_checked": grid.point_count()})
+        for k, w_box in enumerate(w_boxes):
+            h_w = restrict(e.conflict_map(i), w_box)
+            for eps in eps_list:
+                bar = adherence(t_upper(h_w, eps, ag.d_set))
+                check(r41[base + f"{a}.cond4-conflict-almost-w-usc/"
+                          f"{a}.conflict@W{k}.values@eps={eps:g}"],
+                      seed_value_shape(bar, seed_map_points(h_w, grid)), {"eps": eps})
+        for eps in eps_list:
+            bar = adherence(t_upper(ag.b_map, eps, ag.d_set))
+            check(r41[base + f"{a}.cond5-b-almost-w-usc/{a}.b.values@eps={eps:g}"],
+                  seed_value_shape(bar, seed_map_points(ag.b_map, grid)), {"eps": eps})
+        check(r41[base + f"{a}.cond6-irreflexive"],
+              seed_irreflexive(e, i, e.adherent_conflict(i), grid, "conflict"))
+
+        base = f"hypotheses-4.2/{a}/"
+        check(r42[base + f"{a}.cond2-values"], seed_values_4_2(e, i, grid))
+        for k, w_box in enumerate(w_boxes):
+            cl_box = box_closure(w_box)
+            a_r, p_r = restrict(ag.a_map, cl_box), restrict(ag.p_map, cl_box)
+            for eps in eps_list:
+                composite = intersect_maps(t_upper(a_r, eps, ag.d_set), p_r)
+                ne, holes = seed_nonempty_everywhere(composite, grid)
+                params = r42[base + f"{a}.cond4-dual-and-b/{a}.dual@clW{k}/"
+                             f"dual-w-usc@eps={eps:g}"].parameters
+                assert params["pre_adherence_empty_points"] == holes[:8]
+                assert params["pre_adherence_nonempty_everywhere"] is ne
+        for eps in eps_list:
+            t_iv = intersect_maps(t_upper(ag.a_map, eps, ag.d_set), ag.p_map)
+            bars = ((f"{a}.t-iv", adherence(t_iv)),
+                    (f"{a}.b-v", adherence(t_upper(ag.b_map, eps, ag.d_set))))
+            for label, bar in bars:
+                check(r42[base + f"{a}.cond5-approx-values/{label}@eps={eps:g}"],
+                      seed_value_shape(bar, seed_grid_points(e, grid)), {"eps": eps})
+        check(r42[base + f"{a}.cond6-irreflexive"],
+              seed_irreflexive(e, i, adherence(ag.p_map), grid, "preference"))
+
+        base = f"hypotheses-4.3/{a}/"
+        check(r43[base + f"{a}.cond2-cl-b/{a}.cl-b-values"],
+              seed_value_shape(closure_values(ag.b_map), seed_grid_points(e, grid)))
+        h_closed = closure_values(e.conflict_map(i))
+        for eps in eps_list:
+            for k, w_box in enumerate(w_boxes):
+                path = base + f"{a}.cond4-e-uscs/{a}.e-uscs@W{k}@eps={eps:g}"
+                candidate = None if candidates is None else candidates[i]
+                if candidate is None:
+                    candidate = seed_propose_constant_selection(h_closed, w_box, eps, grid)
+                    if candidate is None:
+                        assert r43[path].verdict == UNVERIFIED
+                        assert r43[path].children == ()
+                        continue
+                convex, inside, avoid = seed_e_uscs_lists(
+                    h_closed, w_box, candidate, eps, grid, tol, e.blocks[i])
+                check(r43[path + "/selection-convex"], convex)
+                check(r43[path + "/selection-inside-dilation"], inside,
+                      {"eps": eps, "tol": tol})
+                check(r43[path + "/selection-avoids-base-point"], avoid,
+                      {"block": list(e.blocks[i])})
+    return raws
+
+
+def _capped_mid_point(raw):
+    """The frozen loop found more than the cap and the cap splits one point."""
+    return len(raw) > CAP and raw[CAP - 1].point == raw[CAP].point
+
+
+# ---------------------------------------------------------------------------
+# scan_points and domain_points
+# ---------------------------------------------------------------------------
+
+def _counting(probe):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return probe(x)
+    return wrapped, calls
+
+
+def test_witnesses_come_in_point_order():
+    points = [(3.0,), (1.0,), (2.0,)]
+    rep = scan_points("order", points, lambda x: [Witness(x, None, 0.0, "hit")])
+    assert [w.point for w in rep.witnesses] == points
+    assert rep.verdict == FAIL
+    assert rep.property_name == "order"
+
+
+def test_cap_keeps_the_first_witnesses_and_stops_early():
+    points = [(float(k),) for k in range(100)]
+    probe, calls = _counting(lambda x: [Witness(x, None, 0.0, "hit")] if x[0] >= 10 else [])
+    rep = scan_points("cap", points, probe)
+    assert len(rep.witnesses) == CAP
+    assert [w.point for w in rep.witnesses] == points[10:10 + CAP]
+    # the scan stops at the point that brings the count to the cap
+    assert calls == points[:10 + CAP]
+
+
+def test_cap_can_fall_inside_one_point():
+    points = [(float(k),) for k in range(20)]
+    probe, calls = _counting(
+        lambda x: [Witness(x, None, float(j), "hit") for j in range(3)])
+    rep = scan_points("mid", points, probe)
+    full, rest = divmod(CAP, 3)
+    assert rest, "the cap must not be a multiple of the per-point count"
+    assert len(rep.witnesses) == CAP
+    assert calls == points[:full + 1]
+    assert [w.excess for w in rep.witnesses[-rest:]] == [float(j) for j in range(rest)]
+    assert {w.point for w in rep.witnesses[-rest:]} == {points[full]}
+
+
+def test_generator_probe_is_not_run_past_the_cap():
+    seen = []
+
+    def probe(x):
+        for j in range(3):
+            seen.append((x, j))
+            yield Witness(x, None, float(j), "hit")
+
+    scan_points("lazy", [(float(k),) for k in range(20)], probe)
+    assert len(seen) == CAP
+
+
+def test_empty_scan_passes_with_its_parameters():
+    params = {"eps": 0.5, "tol": 1e-9}
+    rep = scan_points("clean", [(0.0,), (1.0,)], lambda x: (), params)
+    assert rep.verdict == PASS
+    assert rep.witnesses == ()
+    assert rep.parameters == params
+    assert scan_points("none", [], lambda x: ()).parameters == {}
+    assert scan_points("none", [], lambda x: ()).verdict == PASS
+
+
+def test_domain_points_in_lexicographic_order_inside_the_domain():
+    grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
+    domain = (I(0, 1, False, True), I.closed(0, 1))
+    pts = list(domain_points(domain, grid))
+    assert pts == [(a, b) for a in (0.5, 1.0) for b in (0.0, 0.5, 1.0)]
+    assert pts == sorted(pts)
+    assert list(domain_points(domain, grid, lambda p: p[1] > 0)) == [
+        (0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)]
+
+
+# ---------------------------------------------------------------------------
+# Reports equal the frozen loops'
+# ---------------------------------------------------------------------------
+
+def test_ex4_1_reports_match_oracle():
+    e = ex4_1(2)
+    grid = Grid.over_box(e.domain, 0.125)
+    raws = compare_with_oracle(e, grid, (0.5, 2.0, 4.0))
+    # 4.2 and 4.3 stop at the cap on this grid
+    assert sum(len(r) >= CAP for r in raws) >= 4
+
+
+def test_ex4_1_with_curated_selection_matches_oracle():
+    e = ex4_1(2)
+    sel = ex4_1_selection(2)
+    compare_with_oracle(e, Grid.over_box(e.domain, 0.25), (0.5, 2.0), [sel, sel])
+
+
+def test_ex4_1_with_a_bad_selection_matches_oracle():
+    """A supplied selection that is nonconvex, escapes and holds base points."""
+    e = ex4_1(2)
+    sel = constant_map(e.domain, BoxSet.of(1, [(I.closed(0, 0.25),), (I.closed(3, 4),)]))
+    raws = compare_with_oracle(e, Grid.over_box(e.domain, 0.25), (0.5,), [sel, None])
+    assert sum(len(r) >= CAP for r in raws) >= 3
+
+
+def test_ex2_2_economy_reports_match_oracle():
+    e = ex2_2_economy()
+    raws = compare_with_oracle(e, Grid.over_box(e.domain, 0.0625), (0.5, 2.5))
+    assert any(raws)
+
+
+def _const_box(lo, width, dd):
+    return (AffineInterval(AffForm.constant(lo, dd), AffForm.constant(lo + width, dd),
+                           True, True),)
+
+
+def _random_map(rng, domain):
+    """A piecewise-constant map on ``domain`` into [0, 2], cut along axis 0.
+
+    Piece values are empty, one box or two disjoint boxes, so the value
+    scans see empty, convex and nonconvex values side by side.
+    """
+    dd = len(domain)
+    cuts = sorted(rng.sample((0.5, 1.0, 1.5), rng.choice((1, 2))))
+    edges = [0.0, *cuts, 2.0]
+    pieces = []
+    for k in range(len(edges) - 1):
+        region = (I(edges[k], edges[k + 1], k == 0, True),) + domain[1:]
+        kind = rng.choice(("empty", "one", "two", "two"))
+        if kind == "empty":
+            value = ()
+        elif kind == "one":
+            value = (_const_box(rng.choice((0.0, 0.5, 1.0)), rng.choice((0.5, 1.0)), dd),)
+        else:
+            value = (_const_box(0.0, 0.5, dd), _const_box(rng.choice((1.0, 1.5)), 0.5, dd))
+        pieces.append(Piece(region, value))
+    return PiecewiseMap(domain, 1, tuple(pieces))
+
+
+def random_economy(seed: int) -> AbstractEconomy:
+    """One or two agents, each choosing in [0, 2]."""
+    rng = random.Random(seed)
+    x_box = (I.closed(0.0, 2.0),)
+    n = rng.choice((1, 2))
+    domain = x_box * n
+    agents = []
+    for _ in range(n):
+        lo = rng.choice((0.5, 1.0))
+        d = BoxSet.of(1, [(I.closed(lo, lo + 1.0),)])
+        agents.append(AgentSpec(x_box, d, _random_map(rng, domain), _random_map(rng, domain),
+                                _random_map(rng, domain)))
+    return AbstractEconomy(tuple(agents))
+
+
+def _grid_for(e):
+    """A grid that also samples points left of the domain, which every scan skips."""
+    return Grid(e.dim, (-0.25,) * e.dim, (2.0,) * e.dim, 0.0625 if e.dim == 1 else 0.25)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_seeded_economies_match_oracle(seed):
+    e = random_economy(seed)
+    compare_with_oracle(e, _grid_for(e), (0.25, 1.0))
+
+
+def test_seeded_economy_splits_a_point_at_the_cap():
+    """A seeded report keeps only part of one point's witnesses, as the oracle does."""
+    e = random_economy(0)
+    raws = compare_with_oracle(e, _grid_for(e), (0.25, 1.0))
+    assert any(_capped_mid_point(r) for r in raws)
+
+
+# ---------------------------------------------------------------------------
+# The first empty points
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_empty_points_are_the_first_eight_holes(seed):
+    e = random_economy(seed)
+    grid = _grid_for(e)
+    for ag in e.agents:
+        for t in (ag.a_map, ag.b_map, intersect_maps(ag.a_map, ag.p_map)):
+            for point_filter in (None, lambda p: p[0] >= 0.5):
+                ne, holes = seed_nonempty_everywhere(t, grid, point_filter)
+                got = _checks._empty_points(t, grid, point_filter)
+                assert got == holes[:8]
+                assert (not got) is ne
+
+
+def test_family_reports_record_the_same_holes():
+    e = random_economy(3)
+    ag = e.agents[0]
+    grid = _grid_for(e)
+    eps_list = (0.25, 1.0)
+    rep = check_w_usc(ag.b_map, ag.d_set, eps_list, grid)
+    for eps in eps_list:
+        ne, holes = seed_nonempty_everywhere(adherence(t_upper(ag.b_map, eps, ag.d_set)), grid)
+        params = index_reports(rep)[f"w-usc-family/almost-w-usc@eps={eps:g}"].parameters
+        assert params["adherence_nonempty_everywhere"] is ne
+        assert params.get("adherence_empty_points", []) == holes[:8]
+    dual = check_dual_w_usc(ag.a_map, ag.p_map, ag.d_set, eps_list, grid,
+                            property_name="renamed")
+    assert dual.property_name == "renamed"
+    for eps in eps_list:
+        ne, holes = seed_nonempty_everywhere(
+            intersect_maps(t_upper(ag.a_map, eps, ag.d_set), ag.p_map), grid)
+        params = index_reports(dual)[f"renamed/dual-w-usc@eps={eps:g}"].parameters
+        assert params["pre_adherence_empty_points"] == holes[:8]
+        assert params["pre_adherence_nonempty_everywhere"] is ne
