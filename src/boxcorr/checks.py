@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .intervals import Box, BoxSet, Grid, box_contains
+from .intervals import Box, BoxSet, DimensionMismatchError, Grid, box_contains
 from .maps import PiecewiseMap, adherence, constant_map, intersect_maps, t_upper
 
 PASS = "pass"
@@ -88,43 +88,43 @@ def scan_points(name: str, points, probe: Callable[[tuple[float, ...]], Iterable
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
 
-def _grid_points_in(t: PiecewiseMap, grid: Grid,
-                    point_filter: Callable[[tuple[float, ...]], bool] | None):
-    pts: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for idx, p in grid.indexed_points():
-        if box_contains(t.domain, p) and (point_filter is None or point_filter(p)):
-            pts[idx] = p
-    return pts
-
-
 def _neighbor_offsets(dim: int, radius: int):
     return [off for off in itertools.product(range(-radius, radius + 1), repeat=dim)
             if any(off)]
 
 
-def _closed_values(t: PiecewiseMap, pts: dict):
-    """Closed value of every point, and its piece index if that piece is constant.
+def _closed_values(t: PiecewiseMap, grid: Grid,
+                   point_filter: Callable[[tuple[float, ...]], bool] | None):
+    """The in-domain grid points passing ``point_filter``, their closed
+    values, and each point's piece index if that piece is constant.
 
-    A piece whose affine endpoints are all constant (the empty value
-    included) has one value, so it is evaluated and closed once, at its
-    first point; points on affine pieces are evaluated one by one and get
-    ``None`` as their constant piece.
+    The walk goes piece by piece: per axis, a piece's grid points are the
+    indices whose axis value lies in its region's interval, so no point
+    searches for its piece. A piece whose affine endpoints are all
+    constant (the empty value included) has one value, which is closed
+    once; points on affine pieces are valued one by one and get ``None``
+    as their constant piece. All three results are keyed by grid index.
     """
-    constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
-    shared: dict[int, BoxSet] = {}
+    if grid.dim != t.domain_dim:
+        raise DimensionMismatchError(f"point of dim {grid.dim} vs box of dim {t.domain_dim}")
+    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    pts: dict[tuple[int, ...], tuple[float, ...]] = {}
     values: dict[tuple[int, ...], BoxSet] = {}
     const_piece: dict[tuple[int, ...], int | None] = {}
-    for idx, p in pts.items():
-        i, _ = t.piece_at(p)
-        if not constant[i]:
-            values[idx] = t.evaluate(p).closure()
-            const_piece[idx] = None
-            continue
-        if i not in shared:
-            shared[i] = t.evaluate(p).closure()
-        values[idx] = shared[i]
-        const_piece[idx] = i
-    return values, const_piece
+    for i, piece in enumerate(t.pieces):
+        constant = all(ai.is_constant for b in piece.value for ai in b)
+        shared = None
+        own = [[k for k, v in enumerate(ax) if iv.contains(v)] for ax, iv in zip(axes, piece.region)]
+        for idx in itertools.product(*own):
+            x = tuple(ax[k] for ax, k in zip(axes, idx))
+            if point_filter is not None and not point_filter(x):
+                continue
+            pts[idx] = x
+            if shared is None or not constant:
+                shared = t.value_on(i, x).closure()
+            values[idx] = shared
+            const_piece[idx] = i if constant else None
+    return pts, values, const_piece
 
 
 def _excess_scan(values: dict, const_piece: dict, pts: dict, offsets, bound: float,
@@ -183,8 +183,9 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     grid step and must be at least that step, or no neighbor lies within
     it (``ValueError``).
 
-    The scan works piece by piece: a constant piece's value is evaluated
-    and closed once, and the excess between two constant pieces is
+    The scan works piece by piece: each piece's grid points are read off
+    its region, a constant piece's value is evaluated and closed once, and
+    the excess between two constant pieces is
     computed once per oriented piece pair; only pairs that touch an affine
     piece are compared point by point.
     """
@@ -194,8 +195,7 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     if radius < 1:
         raise ValueError(f"delta {delta} is below the grid step {grid.step}: "
                          "no grid neighbor lies within it")
-    pts = _grid_points_in(t, grid, point_filter)
-    values, const_piece = _closed_values(t, pts)
+    pts, values, const_piece = _closed_values(t, grid, point_filter)
     slope = t.max_slope()
     bound = tol + slope * delta
     offsets = _neighbor_offsets(grid.dim, radius)
@@ -231,8 +231,7 @@ def _empty_points(t: PiecewiseMap, grid: Grid, point_filter=None) -> list[tuple[
 # ---------------------------------------------------------------------------
 
 def check_w_usc(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float], grid: Grid,
-                delta: float | None = None, tol: float = 1e-9,
-                point_filter=None) -> CheckReport:
+                delta: float | None = None, tol: float = 1e-9) -> CheckReport:
     """For each eps: USC surrogate of the clipped dilation and of its adherence.
 
     The first family of children carries the plain w-property, the second the
@@ -242,12 +241,10 @@ def check_w_usc(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float], grid: Gri
     children = []
     for eps in eps_list:
         tv = t_upper(t, eps, d)
-        children.append(check_usc(tv, grid, delta, tol, point_filter,
-                                  property_name=f"w-usc@eps={eps:g}"))
+        children.append(check_usc(tv, grid, delta, tol, property_name=f"w-usc@eps={eps:g}"))
         tv_bar = adherence(tv)
-        rep = check_usc(tv_bar, grid, delta, tol, point_filter,
-                        property_name=f"almost-w-usc@eps={eps:g}")
-        holes = _empty_points(tv_bar, grid, point_filter)
+        rep = check_usc(tv_bar, grid, delta, tol, property_name=f"almost-w-usc@eps={eps:g}")
+        holes = _empty_points(tv_bar, grid)
         rep.parameters["adherence_nonempty_everywhere"] = not holes
         if holes:
             rep.parameters["adherence_empty_points"] = holes
@@ -259,7 +256,6 @@ def check_w_usc(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float], grid: Gri
 def check_dual_w_usc(t1: PiecewiseMap, t2: PiecewiseMap, d: BoxSet,
                      eps_list: Sequence[float], grid: Grid,
                      delta: float | None = None, tol: float = 1e-9,
-                     point_filter=None,
                      property_name: str = "dual-w-usc-family") -> CheckReport:
     """Dual variant: adherence of ``(T1 + V) cap T2 cap D`` checked per eps.
 
@@ -271,14 +267,13 @@ def check_dual_w_usc(t1: PiecewiseMap, t2: PiecewiseMap, d: BoxSet,
     children = []
     for eps in eps_list:
         composite = intersect_maps(t_upper(t1, eps, d), t2)
-        holes = _empty_points(composite, grid, point_filter)
+        holes = _empty_points(composite, grid)
         composite_bar = adherence(composite)
-        rep = check_usc(composite_bar, grid, delta, tol, point_filter,
-                        property_name=f"dual-w-usc@eps={eps:g}")
+        rep = check_usc(composite_bar, grid, delta, tol, property_name=f"dual-w-usc@eps={eps:g}")
         rep.parameters["pre_adherence_empty_points"] = holes
         rep.parameters["pre_adherence_nonempty_everywhere"] = not holes
         children.append(rep)
-        lsc = check_usc(composite_bar, grid, delta, tol, point_filter,
+        lsc = check_usc(composite_bar, grid, delta, tol,
                         property_name=f"dual-lsc-surrogate@eps={eps:g}", direction="lsc")
         lsc.parameters["informational"] = True
         children.append(lsc)

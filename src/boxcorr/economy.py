@@ -35,7 +35,8 @@ from .checks import (
     scan_points,
 )
 from .fixedpoint import check_grid_covers_targets
-from .intervals import Box, BoxSet, Grid, box_closure, box_contains, box_is_all_closed
+from .intervals import (Box, BoxSet, Grid, box_closure, box_contains, box_intersect,
+                        box_is_all_closed)
 from .maps import (
     DomainError,
     PiecewiseMap,
@@ -224,7 +225,7 @@ def verify_equilibrium(e: AbstractEconomy, x: Sequence[float]) -> EquilibriumCer
         xb = tuple(x[j] for j in blk)
         bbar = e.adherent_b(i)
         piece_idx, _ = bbar.piece_at(x)
-        bval = bbar.evaluate(x)
+        bval = bbar.value_on(piece_idx, x)
         hval = e.conflict_map(i).evaluate(x)
         evidence.append(AgentEvidence(
             agent=i,
@@ -390,11 +391,11 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
     """Conditions of the dual variant.
 
     Differences from the first checker: preference values must sit in
-    the target set; the pair (A, P) restricted to the closed conflict
-    region must pass the dual USC surrogate; the dilated-A-cap-P map
-    (A+V) cap D cap P and the clipped dilation of B must have nonempty
-    convex adherent values; and irreflexivity moves to the adherent
-    preference map.
+    the target set; the pair (A, P) restricted to the closure of each
+    conflict-region box within X must pass the dual USC surrogate; the
+    dilated-A-cap-P map (A+V) cap D cap P and the clipped dilation of B
+    must have nonempty convex adherent values; and irreflexivity moves to
+    the adherent preference map.
     """
     agent_reports = []
     for i in range(len(e.agents)):
@@ -417,11 +418,13 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
 
         conds.append(_openness_condition(e, i, f"agent{i}.cond3-open-conflict-region"))
 
-        # (4): dual property of (A,P) on the closed conflict region; B as before
+        # (4): dual property of (A,P) on each conflict box closed within X; B as before
+        cl_boxes = [box_intersect(box_closure(w_box), e.domain)
+                    for w_box in e.conflict_region(i).boxes]
         c4_children = [
             check_dual_w_usc(restrict(ag.a_map, cl_box), restrict(ag.p_map, cl_box), ag.d_set,
                              eps_list, grid, delta, tol, property_name=f"agent{i}.dual@clW{k}")
-            for k, cl_box in enumerate(map(box_closure, e.conflict_region(i).boxes))
+            for k, cl_box in enumerate(cl_boxes)
         ] or [_vacuous(i)]
         c4_children.extend(_almost_w_usc_children(
             ag.b_map, ag.d_set, eps_list, grid, delta, tol,

@@ -203,7 +203,7 @@ def box_sort_key(box: Box) -> tuple:
 # Canonicalization machinery
 # ---------------------------------------------------------------------------
 
-def _atoms_from_cuts(cuts: Sequence[float]) -> list[FlaggedInterval]:
+def atoms_from_cuts(cuts: Sequence[float]) -> list[FlaggedInterval]:
     """Point atoms and open gap atoms over the sorted cut values."""
     atoms: list[FlaggedInterval] = []
     for i, v in enumerate(cuts):
@@ -224,6 +224,15 @@ def _atom_indices_in(atoms: list[FlaggedInterval], iv: FlaggedInterval) -> list[
             if iv.lo <= a.lo and a.hi <= iv.hi:
                 out.append(i)
     return out
+
+
+def cells_in(atom_lists: list[list[FlaggedInterval]], box: Box) -> Iterator[tuple[int, ...]]:
+    """The atomic cells (tuples of atom indices) that make up ``box``.
+
+    Every endpoint of ``box`` must be a cut of its axis, so each atom lies
+    either inside the box's interval or outside it.
+    """
+    return itertools.product(*(_atom_indices_in(atoms, iv) for atoms, iv in zip(atom_lists, box)))
 
 
 def _run_to_interval(atoms: list[FlaggedInterval], i0: int, i1: int) -> FlaggedInterval:
@@ -273,16 +282,11 @@ def canonical_boxes(dim: int, boxes: Iterable[Box]) -> tuple[Box, ...]:
         return ()
     if len(boxes) == 1:
         return (boxes[0],)
-    atom_lists: list[list[FlaggedInterval]] = []
-    covers: list[list[list[int]]] = []  # per dim, per box, atom indices
-    for d in range(dim):
-        cuts = sorted({v for b in boxes for v in (b[d].lo, b[d].hi)})
-        atoms = _atoms_from_cuts(cuts)
-        atom_lists.append(atoms)
-        covers.append([_atom_indices_in(atoms, b[d]) for b in boxes])
+    atom_lists = [atoms_from_cuts(sorted({v for b in boxes for v in (b[d].lo, b[d].hi)}))
+                  for d in range(dim)]
     cells: set[tuple[int, ...]] = set()
-    for bi in range(len(boxes)):
-        cells.update(itertools.product(*(covers[d][bi] for d in range(dim))))
+    for b in boxes:
+        cells.update(cells_in(atom_lists, b))
     return tuple(merge_cells(atom_lists, cells))
 
 
@@ -446,22 +450,12 @@ class BoxSet:
                 for be2 in b_ends[i + 1:]:
                     candidates.add((be2 - be) / 2.0)
         ordered = sorted(candidates)
-
-        def covered(r: float) -> bool:
-            if r == 0.0:
-                return a.subset_within(b, 0.0)
-            grown = BoxSet.of(
-                b.dim,
-                [tuple(FlaggedInterval(iv.lo - r, iv.hi + r, True, True) for iv in bx) for bx in b.boxes],
-            )
-            return a.intersect(grown) == a
-
         lo, hi = 0, len(ordered) - 1
-        if not covered(ordered[hi]):  # pragma: no cover - candidate set is sufficient
+        if not a.subset_within(b, ordered[hi]):  # pragma: no cover - candidate set is sufficient
             raise AssertionError("excess candidate search failed to cover")
         while lo < hi:
             mid = (lo + hi) // 2
-            if covered(ordered[mid]):
+            if a.subset_within(b, ordered[mid]):
                 hi = mid
             else:
                 lo = mid + 1

@@ -13,9 +13,8 @@ on two or more variables with indefinite sign) raise
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .affine import (
     AffForm,
@@ -32,7 +31,7 @@ from .intervals import (
     Box,
     BoxSet,
     DimensionMismatchError,
-    FlaggedInterval,
+    atoms_from_cuts,
     box_contains,
     box_closure,
     box_corners,
@@ -40,6 +39,7 @@ from .intervals import (
     box_sort_key,
     boxes_difference,
     canonical_boxes,
+    cells_in,
     merge_cells,
 )
 
@@ -82,7 +82,7 @@ class PiecewiseMap:
     domain: Box
     codomain_dim: int
     pieces: tuple[Piece, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _constant_values: dict[int, BoxSet] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ddim = len(self.domain)
@@ -119,20 +119,27 @@ class PiecewiseMap:
                 return i, p
         raise DomainError(f"point {tuple(x)} outside map domain")
 
-    def evaluate(self, x: Sequence[float]) -> BoxSet:
-        key = tuple(x)
-        hit = self._cache.get(key)
+    def value_on(self, i: int, x: Sequence[float]) -> BoxSet:
+        """The value of piece ``i`` at a point ``x`` of its region.
+
+        A piece whose endpoints are all constant (the empty value included)
+        has one value on its whole region; it is built once and kept, keyed
+        by the piece index, so the map holds at most one value per piece.
+        Affine pieces are instantiated at ``x`` on every call.
+        """
+        hit = self._constant_values.get(i)
         if hit is not None:
             return hit
-        _, p = self.piece_at(key)
-        boxes = []
-        for b in p.value:
-            inst = instantiate_box(b, key)
-            if inst is not None:
-                boxes.append(inst)
-        out = BoxSet.of(self.codomain_dim, boxes)
-        self._cache[key] = out
+        value = self.pieces[i].value
+        out = BoxSet.of(self.codomain_dim,
+                        [inst for b in value if (inst := instantiate_box(b, x)) is not None])
+        if all(ai.is_constant for b in value for ai in b):
+            self._constant_values[i] = out
         return out
+
+    def evaluate(self, x: Sequence[float]) -> BoxSet:
+        """The value at ``x``: the value of the piece whose region holds ``x``."""
+        return self.value_on(self.piece_at(x)[0], x)
 
     def max_slope(self) -> float:
         worst = 0.0
@@ -224,20 +231,10 @@ def _validate_width(region: Box, ai: AffineInterval) -> None:
 # Domain refinement
 # ---------------------------------------------------------------------------
 
-def _axis_atoms(iv: FlaggedInterval, cuts: set[float]) -> list[FlaggedInterval]:
-    inner = sorted(c for c in cuts if iv.contains(c))
-    atoms: list[FlaggedInterval] = []
-    lo, lc = iv.lo, iv.lo_closed
-    for c in inner:
-        seg = FlaggedInterval.make(lo, c, lc, False)
-        if seg is not None:
-            atoms.append(seg)
-        atoms.append(FlaggedInterval.point(c))
-        lo, lc = c, False
-    seg = FlaggedInterval.make(lo, iv.hi, lc, iv.hi_closed)
-    if seg is not None:
-        atoms.append(seg)
-    return atoms
+def _region_cuts(*maps: PiecewiseMap) -> dict[int, set[float]]:
+    """Per axis, every piece region endpoint of the given maps."""
+    return {d: {v for m in maps for p in m.pieces for v in (p.region[d].lo, p.region[d].hi)}
+            for d in range(maps[0].domain_dim)}
 
 
 def _add_root_cut(cuts: dict[int, set[float]], region: Box, f: AffForm) -> None:
@@ -258,14 +255,22 @@ def _atom_in_closed_box(atom: Box, closed: Box) -> bool:
 
 
 def _rebuild(domain: Box, codomain_dim: int, cuts: dict[int, set[float]],
-             value_at: Callable[[Box, tuple[float, ...]], PieceValue]) -> PiecewiseMap:
-    """Atomize the domain at the cuts, compute a value per atom, merge by value."""
-    atom_lists = [_axis_atoms(domain[d], cuts.get(d, set())) for d in range(len(domain))]
+             parts: Iterable[tuple[Box, Any]],
+             value_at: Callable[[Any, Box], PieceValue]) -> PiecewiseMap:
+    """Atomize the domain at the cuts, value every atom, merge atoms by value.
+
+    ``cuts`` holds, per axis, every region endpoint of ``parts`` and every
+    crossing root. ``parts`` is a list of ``(region, ctx)`` pairs whose
+    regions partition the domain; each part walks only its own atoms, each
+    valued as ``value_at(ctx, atom)``, so no atom searches for its part
+    and a point atom at an open end of the domain is never valued.
+    """
+    atom_lists = [atoms_from_cuts(sorted(cuts[d])) for d in range(len(domain))]
     groups: dict[PieceValue, list[tuple[int, ...]]] = {}
-    for idx in itertools.product(*(range(len(al)) for al in atom_lists)):
-        atom = tuple(atom_lists[d][i] for d, i in enumerate(idx))
-        rep = _region_rep(atom)
-        groups.setdefault(value_at(atom, rep), []).append(idx)
+    for region, ctx in parts:
+        for idx in cells_in(atom_lists, region):
+            atom = tuple(atom_lists[d][i] for d, i in enumerate(idx))
+            groups.setdefault(value_at(ctx, atom), []).append(idx)
     pieces: list[Piece] = []
     for value, cells in groups.items():
         for box in merge_cells(atom_lists, cells):
@@ -353,10 +358,8 @@ def t_upper(t: PiecewiseMap, eps: float, d: BoxSet) -> PiecewiseMap:
     ddim = t.domain_dim
     d_affine = [affine_box_constant(b, ddim) for b in d.boxes]
 
-    cuts: dict[int, set[float]] = {}
+    cuts = _region_cuts(t)
     for p in t.pieces:
-        for d_ax in range(ddim):
-            cuts.setdefault(d_ax, set()).update((p.region[d_ax].lo, p.region[d_ax].hi))
         for vb in p.value:
             dil = _dilate_affine_box(vb, eps)
             for db in d_affine:
@@ -364,8 +367,7 @@ def t_upper(t: PiecewiseMap, eps: float, d: BoxSet) -> PiecewiseMap:
                     for f in _pair_cut_forms(dil[k], db[k]):
                         _add_root_cut(cuts, p.region, f)
 
-    def value_at(atom: Box, rep: tuple[float, ...]) -> PieceValue:
-        _, p = t.piece_at(rep)
+    def value_at(p: Piece, atom: Box) -> PieceValue:
         if not p.value:
             return ()
         out = []
@@ -377,7 +379,7 @@ def t_upper(t: PiecewiseMap, eps: float, d: BoxSet) -> PiecewiseMap:
                     out.append(r)
         return normalize_value(out, ddim)
 
-    return _rebuild(t.domain, t.codomain_dim, cuts, value_at)
+    return _rebuild(t.domain, t.codomain_dim, cuts, [(p.region, p) for p in t.pieces], value_at)
 
 
 def adherence(t: PiecewiseMap) -> PiecewiseMap:
@@ -388,21 +390,17 @@ def adherence(t: PiecewiseMap) -> PiecewiseMap:
     ``closure(evaluate(t, x)) subseteq evaluate(adherence(t), x)`` pointwise.
     """
     ddim = t.domain_dim
-    cuts: dict[int, set[float]] = {}
-    for p in t.pieces:
-        for d_ax in range(ddim):
-            cuts.setdefault(d_ax, set()).update((p.region[d_ax].lo, p.region[d_ax].hi))
     contributors = [(box_closure(p.region), tuple(affine_box_closure(b) for b in p.value))
                     for p in t.pieces if p.value]
 
-    def value_at(atom: Box, rep: tuple[float, ...]) -> PieceValue:
+    def value_at(_: None, atom: Box) -> PieceValue:
         out: list[AffineBox] = []
         for creg, cval in contributors:
             if _atom_in_closed_box(atom, creg):
                 out.extend(cval)
         return normalize_value(out, ddim)
 
-    return _rebuild(t.domain, t.codomain_dim, cuts, value_at)
+    return _rebuild(t.domain, t.codomain_dim, _region_cuts(t), [(t.domain, None)], value_at)
 
 
 def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
@@ -412,25 +410,22 @@ def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
     if a.codomain_dim != b.codomain_dim:
         raise DimensionMismatchError("codomain dimensions differ")
     ddim = a.domain_dim
-    cuts: dict[int, set[float]] = {}
-    for m in (a, b):
-        for p in m.pieces:
-            for d_ax in range(ddim):
-                cuts.setdefault(d_ax, set()).update((p.region[d_ax].lo, p.region[d_ax].hi))
+    cuts = _region_cuts(a, b)
+    parts: list[tuple[Box, tuple[Piece, Piece]]] = []
     for pa in a.pieces:
         for pb in b.pieces:
             overlap = box_intersect(pa.region, pb.region)
             if overlap is None:
                 continue
+            parts.append((overlap, (pa, pb)))
             for ba in pa.value:
                 for bb in pb.value:
                     for k in range(a.codomain_dim):
                         for f in _pair_cut_forms(ba[k], bb[k]):
                             _add_root_cut(cuts, overlap, f)
 
-    def value_at(atom: Box, rep: tuple[float, ...]) -> PieceValue:
-        _, pa = a.piece_at(rep)
-        _, pb = b.piece_at(rep)
+    def value_at(pair: tuple[Piece, Piece], atom: Box) -> PieceValue:
+        pa, pb = pair
         if not pa.value or not pb.value:
             return ()
         out = []
@@ -441,7 +436,7 @@ def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
                     out.append(r)
         return normalize_value(out, ddim)
 
-    return _rebuild(a.domain, a.codomain_dim, cuts, value_at)
+    return _rebuild(a.domain, a.codomain_dim, cuts, parts, value_at)
 
 
 def restrict(t: PiecewiseMap, sub: Box) -> PiecewiseMap:

@@ -352,7 +352,7 @@ class AssociatedEconomy:
         return True
 
     def clause_b(self, i: int, bundle: Sequence[float],
-                 p: tuple[float, ...], tol_eq: float = 0.0) -> tuple[bool, bool]:
+                 p: tuple[float, ...]) -> tuple[bool, bool]:
         """Both closure readings of the budget+measurability constraint.
 
         Returns (in cl(budget cap info), in cl(budget) cap cl(info)). The
@@ -362,7 +362,7 @@ class AssociatedEconomy:
         """
         bud = self.budget(i, p)
         inf = self.information(i, p)
-        meas = inf.contains(bundle, tol_eq)
+        meas = inf.contains(bundle)
         split = bud.closure_contains(bundle) and meas
         joint = split and not bud.is_empty
         return joint, split
@@ -384,8 +384,8 @@ class AssociatedEconomy:
         z = self.excess(allocation)
         return max(z) <= _dot(p, z) + 0.0
 
-    def verify(self, allocation: Sequence[Sequence[float]], p: tuple[float, ...],
-               tol_eq: float = 0.0, tol_simplex: float = 1e-9) -> AssociatedCertificate:
+    def verify(self, allocation: Sequence[Sequence[float]],
+               p: tuple[float, ...]) -> AssociatedCertificate:
         allocation = tuple(tuple(b) for b in allocation)
         if len(allocation) != self.n:
             raise ValueError("one bundle per agent required")
@@ -394,15 +394,14 @@ class AssociatedEconomy:
                 raise ValueError("bundle outside the truncated consumption box")
         agents = []
         for i in range(self.n):
-            joint, split = self.clause_b(i, allocation[i], p, tol_eq)
+            joint, split = self.clause_b(i, allocation[i], p)
             agents.append(AgentClauses(
                 agent=i,
                 in_closed_budget_info=joint,
                 in_closed_budget_and_closed_info=split,
                 conflict_empty=self.conflict_empty(i, allocation, p),
             ))
-        in_simplex = all(c >= -tol_simplex for c in p) and \
-            abs(sum(p) - 1.0) <= tol_simplex
+        in_simplex = all(c >= -1e-9 for c in p) and abs(sum(p) - 1.0) <= 1e-9
         price_ok = self.price_conflict_empty(allocation, p)
         valid = in_simplex and price_ok and all(a.ok for a in agents)
         return AssociatedCertificate(allocation, p, tuple(agents), in_simplex,
@@ -549,22 +548,20 @@ def verify_market_clearing(assoc: AssociatedEconomy, cert: AssociatedCertificate
 # Structural inclusion sampling
 # ---------------------------------------------------------------------------
 
-def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float,
-                         simplex: PriceSimplex | None = None,
-                         n_allocations: int = 40, n_plans: int = 12,
-                         seed: int = 20240817) -> CheckReport:
+_INCLUSION_SEED = 20240817
+
+
+def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckReport:
     """Sampled check that constrained-preferred bundles satisfy both
     constraints: membership in budget and preferred-measurable implies
     membership in budget-measurable.
 
-    Prices run over the full simplex grid; allocations are a seeded
-    subsample of the step grid (the full product grid is astronomically
+    Prices run over the economy's full simplex grid; allocations are 40
+    seeded draws from the step grid (the full product grid is astronomically
     large); candidate bundles per (x, p) mix structured points (origin,
-    endowment, own bundle, truncation corner) with seeded grid draws.
+    endowment, own bundle, truncation corner) with 12 seeded grid draws.
     """
-    if simplex is None:
-        simplex = assoc.simplex
-    rng = random.Random(seed)
+    rng = random.Random(_INCLUSION_SEED)
     d = assoc.info.bundle_dim
     axis = []
     v = 0.0
@@ -575,11 +572,11 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float,
         return tuple(rng.choice(axis) for _ in range(d))
 
     allocations = [tuple(draw_bundle() for _ in range(assoc.n))
-                   for _ in range(n_allocations)]
+                   for _ in range(40)]
     checked = 0
     antecedent_hits = 0
     wit = []
-    for p in simplex.points():
+    for p in assoc.simplex.points():
         for x in allocations:
             for i in range(assoc.n):
                 bud = assoc.budget(i, p)
@@ -591,7 +588,7 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float,
                     x[i],
                     tuple(assoc.truncation for _ in range(d)),
                 ]
-                candidates += [draw_bundle() for _ in range(n_plans)]
+                candidates += [draw_bundle() for _ in range(12)]
                 candidates += _measurable_corners(pref, inf, limit=4)
                 for y in candidates:
                     checked += 1
@@ -607,12 +604,12 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float,
     return CheckReport(
         "constraint-inclusion", PASS if not wit else FAIL, tuple(wit[:32]),
         {
-            "prices": simplex.point_count(),
+            "prices": assoc.simplex.point_count(),
             "allocations": len(allocations),
             "candidates_checked": checked,
             "antecedent_hits": antecedent_hits,
             "alloc_step": alloc_step,
-            "seed": seed,
+            "seed": _INCLUSION_SEED,
         },
         ("antecedent_hits counts candidates that were affordable and "
          "preferred-measurable; each must satisfy both constraints",),

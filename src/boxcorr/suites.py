@@ -140,28 +140,27 @@ def golden_example_4_1(step: float = 0.125,
                             "runtime_s": time.perf_counter() - t0})
 
 
-def golden_theorem_4_3(step: float = 1 / 16,
-                       eps_list: Sequence[float] = (0.5, 2.0),
-                       tol: float = 1e-9) -> CheckReport:
-    """Selection-based hypotheses on the two-agent example, checked on a
-    grid interior to the conflict region (see the x=0 caveat in the
-    economy module tests)."""
+def golden_theorem_4_3(step: float = 1 / 16, tol: float = 1e-9) -> CheckReport:
+    """Selection-based hypotheses on the two-agent example at eps 0.5 and 2,
+    checked on a grid interior to the conflict region (see the x=0 caveat
+    in the economy module tests)."""
     e = ex4_1(2)
     sel = ex4_1_selection(2)
     grid = Grid(2, (step, step), (1.0 - step, 1.0 - step), step)
-    return check_theorem_4_3_hypotheses(e, eps_list, [sel, sel], grid, tol=tol)
+    return check_theorem_4_3_hypotheses(e, (0.5, 2.0), [sel, sel], grid, tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # Fixed-point scheme on the built-ins
 # ---------------------------------------------------------------------------
 
-def theorem_3_1_suite(step: float = 1 / 64) -> CheckReport:
+def theorem_3_1_suite() -> CheckReport:
     """Chain intersections on the built-ins: the single-factor instances
     collapse to the known fixed points and the two-agent construction
     keeps a certified point next to the known equilibrium; nesting is
     exact everywhere."""
     t0 = time.perf_counter()
+    step = 1 / 64
     children = []
 
     t1, d = ex2_1()
@@ -403,17 +402,17 @@ def lemma_2_2_suite(count: int = 50, seed: int = DEFAULT_SEED,
 # ---------------------------------------------------------------------------
 
 def radner_suite(alloc_step: float = 0.125, simplex_resolution: int = 8,
-                 search_axis: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
                  tol: float = 1e-9) -> CheckReport:
     """Constraint inclusion on sampled points, market clearing of every
-    certificate the coarse search produces, and the autarky certificate."""
+    certificate the coarse search (bundle axis 0, 0.5, ..., 2) produces,
+    and the autarky certificate."""
     t0 = time.perf_counter()
     toy = radner_toy()
     assoc = to_abstract_economy(toy, PriceSimplex(toy.bundle_dim,
                                                   simplex_resolution))
     incl = remark_4_3_inclusion(assoc, alloc_step)
 
-    certs = assoc.search(tuple(search_axis))
+    certs = assoc.search((0.0, 0.5, 1.0, 1.5, 2.0))
     bad = []
     for c in certs:
         rep = verify_market_clearing(assoc, c, tol=tol)
@@ -440,7 +439,7 @@ def radner_suite(alloc_step: float = 0.125, simplex_resolution: int = 8,
 # ---------------------------------------------------------------------------
 
 def reproduce_paper(step: float | None = None, eps_chain: Sequence[float] | None = None,
-                    tol: float = 1e-9, seed: int = DEFAULT_SEED) -> CheckReport:
+                    tol: float = 1e-9) -> CheckReport:
     """Run every golden check and property suite in one report.
 
     ``step`` overrides the example grids (it must divide 1/2 so the
@@ -464,10 +463,10 @@ def reproduce_paper(step: float | None = None, eps_chain: Sequence[float] | None
         golden_example_4_1(coarse, tol=tol),
         golden_theorem_4_3(wstep, tol=tol),
         theorem_3_1_suite(),
-        lemma_2_1_suite(seed=seed, tol=tol),
-        lemma_2_2_suite(seed=seed, chain=chain),
+        lemma_2_1_suite(tol=tol),
+        lemma_2_2_suite(chain=chain),
         radner_suite(tol=tol),
     ]
     return combine_reports("golden-suite", parts,
-                           {"step": step, "tol": tol, "seed": seed,
+                           {"step": step, "tol": tol, "seed": DEFAULT_SEED,
                             "runtime_s": time.perf_counter() - t0})

@@ -69,6 +69,16 @@ def test_missing_path_does_not_fall_back_to_bundled_document(runner, tmp_path):
     assert "no such document" in r.output
 
 
+def test_4_2_on_an_open_edged_conflict_region_gives_a_verdict(runner, tmp_path):
+    from test_economy import open_edge_economy
+
+    doc = tmp_path / "open_edge.econ"
+    io.save(open_edge_economy().to_doc(), str(doc))
+    r = invoke(runner, "check-hypotheses", doc, "--which", "4.2", "--step", "0.125")
+    assert r.exit_code in (0, 1), r.output
+    assert "escapes the domain" not in r.output
+
+
 def test_malformed_document_is_input_error(runner, tmp_path):
     bad = tmp_path / "bad.map"
     bad.write_text('{"kind": "map"}')

@@ -118,6 +118,36 @@ def test_hypotheses_4_2_pattern_on_dual_pair_economy():
     assert by_name["cond6-irreflexive"] is False
 
 
+def open_edge_economy():
+    """One agent choosing in (0,2] whose conflict region (0,1) reaches the open edge."""
+    x = (I(0, 2, False, True),)
+    a = PiecewiseMap(x, 1, (
+        Piece((I.open(0, 1),), ((AffineInterval(AffForm.constant(1.5, 1),
+                                                AffForm.constant(2.0, 1)),),)),
+        Piece((I.closed(1, 2),), ((AffineInterval(AffForm.constant(0.0, 1),
+                                                  AffForm.constant(0.5, 1)),),)),
+    ))
+    return AbstractEconomy((AgentSpec(
+        x_box=x,
+        d_set=BoxSet.of(1, [(I.closed(1, 2),)]),
+        a_map=a,
+        p_map=constant_map(x, BoxSet.of(1, [(I.closed(1.75, 2),)])),
+        b_map=constant_map(x, BoxSet.of(1, [(I.closed(0, 2),)])),
+    ),))
+
+
+def test_hypotheses_4_2_close_the_conflict_region_within_the_choice_box():
+    e = open_edge_economy()
+    grid = Grid(1, (0.125,), (2.0,), 0.125)
+    assert check_theorem_4_1_hypotheses(e, (0.5,), grid).verdict == "pass"
+    rep = check_theorem_4_2_hypotheses(e, (0.5,), grid)
+    cond4 = next(c for c in rep.children[0].children
+                 if c.property_name == "agent0.cond4-dual-and-b")
+    dual = next(c for c in cond4.children if c.property_name == "agent0.dual@clW0")
+    # the closure of W = (0,1) within X = (0,2] is (0,1]: no grid point left of 0
+    assert [c.parameters["points_checked"] for c in dual.children] == [8, 8]
+
+
 def test_hypotheses_4_3_pass_with_interior_grid_and_selection():
     e = ex4_1(2)
     sel = ex4_1_selection(2)

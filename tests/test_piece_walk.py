@@ -1,0 +1,437 @@
+"""Piece walks against frozen copies of the per-point lookups they replaced.
+
+Map rebuilds, canonicalization and the USC scan now walk each piece's own
+atoms or grid points (``intervals.cells_in``), and a constant piece's value
+is built once per map (``PiecewiseMap.value_on``). The ``seed_*`` functions
+below are the implementations these replaced: the rebuild values every
+atom of the full cut product and finds its piece with ``piece_at`` at a
+representative point, and the scan collects the in-domain grid points and
+looks up each point's piece. They stay here as the oracle; every map and
+every report must come out equal.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Piece,
+                     PiecewiseMap, adherence, check_usc, constant_map, intersect_maps,
+                     restrict, t_upper)
+from boxcorr import checks as _checks
+from boxcorr import suites
+from boxcorr.affine import affine_box_closure, affine_box_constant
+from boxcorr.gallery import (ex2_1, ex2_1_variant, ex2_2, ex2_2_composite, ex2_2_economy,
+                             ex4_1, ex4_1_selection, theorem_4_1_construction)
+from boxcorr.intervals import (box_closure, box_contains, box_intersect, box_sort_key,
+                               canonical_boxes, merge_cells)
+from boxcorr.maps import (_add_root_cut, _atom_in_closed_box, _dilate_affine_box,
+                          _intersect_affine_boxes, _pair_cut_forms, _region_rep,
+                          normalize_value)
+
+I = FlaggedInterval
+
+
+# ---------------------------------------------------------------------------
+# Frozen atomizers and rebuilds
+# ---------------------------------------------------------------------------
+
+def seed_axis_atoms(iv, cuts):
+    inner = sorted(c for c in cuts if iv.contains(c))
+    atoms = []
+    lo, lc = iv.lo, iv.lo_closed
+    for c in inner:
+        seg = I.make(lo, c, lc, False)
+        if seg is not None:
+            atoms.append(seg)
+        atoms.append(I.point(c))
+        lo, lc = c, False
+    seg = I.make(lo, iv.hi, lc, iv.hi_closed)
+    if seg is not None:
+        atoms.append(seg)
+    return atoms
+
+
+def seed_rebuild(domain, codomain_dim, cuts, value_at):
+    atom_lists = [seed_axis_atoms(domain[d], cuts.get(d, set())) for d in range(len(domain))]
+    groups = {}
+    for idx in itertools.product(*(range(len(al)) for al in atom_lists)):
+        atom = tuple(atom_lists[d][i] for d, i in enumerate(idx))
+        groups.setdefault(value_at(atom, _region_rep(atom)), []).append(idx)
+    pieces = []
+    for value, cells in groups.items():
+        for box in merge_cells(atom_lists, cells):
+            pieces.append(Piece(box, value))
+    pieces.sort(key=lambda p: box_sort_key(p.region))
+    return PiecewiseMap(domain, codomain_dim, tuple(pieces))
+
+
+def _seed_region_cuts(maps):
+    cuts = {}
+    for m in maps:
+        for p in m.pieces:
+            for d_ax in range(m.domain_dim):
+                cuts.setdefault(d_ax, set()).update((p.region[d_ax].lo, p.region[d_ax].hi))
+    return cuts
+
+
+def seed_t_upper(t, eps, d):
+    ddim = t.domain_dim
+    d_affine = [affine_box_constant(b, ddim) for b in d.boxes]
+    cuts = _seed_region_cuts([t])
+    for p in t.pieces:
+        for vb in p.value:
+            dil = _dilate_affine_box(vb, eps)
+            for db in d_affine:
+                for k in range(t.codomain_dim):
+                    for f in _pair_cut_forms(dil[k], db[k]):
+                        _add_root_cut(cuts, p.region, f)
+
+    def value_at(atom, rep):
+        _, p = t.piece_at(rep)
+        if not p.value:
+            return ()
+        out = []
+        for vb in p.value:
+            dil = _dilate_affine_box(vb, eps)
+            for db in d_affine:
+                r = _intersect_affine_boxes(atom, dil, db)
+                if r is not None:
+                    out.append(r)
+        return normalize_value(out, ddim)
+
+    return seed_rebuild(t.domain, t.codomain_dim, cuts, value_at)
+
+
+def seed_adherence(t):
+    ddim = t.domain_dim
+    contributors = [(box_closure(p.region), tuple(affine_box_closure(b) for b in p.value))
+                    for p in t.pieces if p.value]
+
+    def value_at(atom, rep):
+        out = []
+        for creg, cval in contributors:
+            if _atom_in_closed_box(atom, creg):
+                out.extend(cval)
+        return normalize_value(out, ddim)
+
+    return seed_rebuild(t.domain, t.codomain_dim, _seed_region_cuts([t]), value_at)
+
+
+def seed_intersect_maps(a, b):
+    ddim = a.domain_dim
+    cuts = _seed_region_cuts([a, b])
+    for pa in a.pieces:
+        for pb in b.pieces:
+            overlap = box_intersect(pa.region, pb.region)
+            if overlap is None:
+                continue
+            for ba in pa.value:
+                for bb in pb.value:
+                    for k in range(a.codomain_dim):
+                        for f in _pair_cut_forms(ba[k], bb[k]):
+                            _add_root_cut(cuts, overlap, f)
+
+    def value_at(atom, rep):
+        _, pa = a.piece_at(rep)
+        _, pb = b.piece_at(rep)
+        if not pa.value or not pb.value:
+            return ()
+        out = []
+        for ba in pa.value:
+            for bb in pb.value:
+                r = _intersect_affine_boxes(atom, ba, bb)
+                if r is not None:
+                    out.append(r)
+        return normalize_value(out, ddim)
+
+    return seed_rebuild(a.domain, a.codomain_dim, cuts, value_at)
+
+
+def seed_canonical_boxes(dim, boxes):
+    boxes = list(boxes)
+    if not boxes:
+        return ()
+    if len(boxes) == 1:
+        return (boxes[0],)
+
+    def atoms_of(cuts):
+        atoms = []
+        for i, v in enumerate(cuts):
+            atoms.append(I.point(v))
+            if i + 1 < len(cuts):
+                atoms.append(I.open(v, cuts[i + 1]))
+        return atoms
+
+    def indices_in(atoms, iv):
+        return [i for i, a in enumerate(atoms)
+                if (iv.contains(a.lo) if a.is_point else iv.lo <= a.lo and a.hi <= iv.hi)]
+
+    atom_lists, covers = [], []
+    for d in range(dim):
+        atoms = atoms_of(sorted({v for b in boxes for v in (b[d].lo, b[d].hi)}))
+        atom_lists.append(atoms)
+        covers.append([indices_in(atoms, b[d]) for b in boxes])
+    cells = set()
+    for bi in range(len(boxes)):
+        cells.update(itertools.product(*(covers[d][bi] for d in range(dim))))
+    return tuple(merge_cells(atom_lists, cells))
+
+
+# ---------------------------------------------------------------------------
+# Frozen point lookup of the USC scan
+# ---------------------------------------------------------------------------
+
+def seed_closed_values(t, grid, point_filter=None):
+    pts = {}
+    for idx, p in grid.indexed_points():
+        if box_contains(t.domain, p) and (point_filter is None or point_filter(p)):
+            pts[idx] = p
+    constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
+    shared, values, const_piece = {}, {}, {}
+    for idx, p in pts.items():
+        i, _ = t.piece_at(p)
+        if not constant[i]:
+            values[idx] = t.evaluate(p).closure()
+            const_piece[idx] = None
+            continue
+        if i not in shared:
+            shared[i] = t.evaluate(p).closure()
+        values[idx] = shared[i]
+        const_piece[idx] = i
+    return pts, values, const_piece
+
+
+def assert_same_scan(t, grid, point_filter=None):
+    got = _checks._closed_values(t, grid, point_filter)
+    want = seed_closed_values(t, grid, point_filter)
+    assert got == want
+    for opts in ({}, {"direction": "lsc"}, {"delta": 2 * grid.step}):
+        rep = check_usc(t, grid, point_filter=point_filter, **opts)
+        pts, values, const_piece = want
+        delta = opts.get("delta", grid.step)
+        radius = int(delta / grid.step + 1e-9)
+        witnesses, truncated = _checks._excess_scan(
+            values, const_piece, pts, _checks._neighbor_offsets(grid.dim, radius),
+            rep.parameters["bound"], opts.get("direction", "usc"))
+        assert rep.witnesses == tuple(witnesses)
+        assert repr(rep.witnesses) == repr(tuple(witnesses))
+        assert ("witness list truncated" in rep.notes) == truncated
+        assert rep.parameters["points_checked"] == len(pts)
+
+
+def assert_same_map(got, want):
+    assert got == want
+    assert [p.region for p in got.pieces] == [p.region for p in want.pieces]
+    assert repr(got.pieces) == repr(want.pieces)
+
+
+def assert_same_rebuilds(t, d, eps_list, other=None):
+    """t_upper, adherence and intersect_maps of ``t`` equal the frozen rebuilds."""
+    assert_same_map(adherence(t), seed_adherence(t))
+    for eps in eps_list:
+        tv = t_upper(t, eps, d)
+        assert_same_map(tv, seed_t_upper(t, eps, d))
+        assert_same_map(adherence(tv), seed_adherence(tv))
+        assert_same_map(intersect_maps(tv, t), seed_intersect_maps(tv, t))
+    if other is not None:
+        assert_same_map(intersect_maps(t, other), seed_intersect_maps(t, other))
+        assert_same_map(intersect_maps(other, t), seed_intersect_maps(other, t))
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+def _gallery_cases():
+    t1, d1 = ex2_1()
+    tv, dv = ex2_1_variant()
+    a, b, d2 = ex2_2()
+    e = ex4_1(2)
+    e22 = ex2_2_economy()
+    cases = [("ex2_1", t1, d1, None), ("ex2_1_variant", tv, dv, t1),
+             ("ex2_2_a", a, d2, b), ("ex2_2_b", b, d2, a),
+             ("ex2_2_composite", ex2_2_composite(), d2, None),
+             ("ex4_1_selection", ex4_1_selection(2), e.agents[0].d_set, None)]
+    for econ, tag in ((e, "ex4_1"), (e22, "ex2_2_economy")):
+        for i, ag in enumerate(econ.agents):
+            cases += [(f"{tag}.a{i}", ag.a_map, ag.d_set, ag.p_map),
+                      (f"{tag}.b{i}", ag.b_map, ag.d_set, None),
+                      (f"{tag}.conflict{i}", econ.conflict_map(i), ag.d_set, ag.b_map)]
+    return cases
+
+
+GALLERY = _gallery_cases()
+
+
+def _grid_over(t, step):
+    return Grid(t.domain_dim, tuple(iv.lo for iv in t.domain), tuple(iv.hi for iv in t.domain),
+                step)
+
+
+def open_edged(t):
+    """``t`` restricted to its domain with the lower end of axis 0 and the
+    upper end of the last axis opened."""
+    dom = list(t.domain)
+    dom[0] = I(dom[0].lo, dom[0].hi, False, dom[0].hi_closed)
+    dom[-1] = I(dom[-1].lo, dom[-1].hi, dom[-1].lo_closed, False)
+    return restrict(t, tuple(dom))
+
+
+def random_cases(seed):
+    """A ``suites._random_piecewise`` map and its open-edged restriction."""
+    t, d, grid = suites._random_piecewise(random.Random(seed))
+    return [(t, d, grid), (open_edged(t), d, grid)]
+
+
+# ---------------------------------------------------------------------------
+# Rebuilds equal the frozen full-product rebuilds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,t,d,other", GALLERY, ids=[c[0] for c in GALLERY])
+def test_gallery_rebuilds_match_oracle(name, t, d, other):
+    assert_same_rebuilds(t, d, (0.5, 0.25), other)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_theorem_4_1_construction_rebuilds_match_oracle(n):
+    pm = theorem_4_1_construction(ex4_1(n))
+    for f, d in zip(pm.factors, pm.d_sets):
+        for eps in (0.5, 0.125):
+            tv = t_upper(f, eps, d)
+            assert_same_map(tv, seed_t_upper(f, eps, d))
+            assert_same_map(adherence(tv), seed_adherence(tv))
+        assert_same_map(intersect_maps(f, pm.factors[0]), seed_intersect_maps(f, pm.factors[0]))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_rebuilds_match_oracle(seed):
+    for t, d, _ in random_cases(seed):
+        assert_same_rebuilds(t, d, (0.5, 0.125), constant_map(t.domain, d))
+
+
+def test_open_domains_keep_their_open_ends():
+    t, d, _ = random_cases(3)[1]
+    for m in (adherence(t), t_upper(t, 0.5, d), intersect_maps(t, t)):
+        assert m.domain == t.domain
+        assert not m.domain[0].lo_closed
+
+
+# ---------------------------------------------------------------------------
+# The USC scan's piece walk equals the frozen point lookup
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,t,d,other", GALLERY, ids=[c[0] for c in GALLERY])
+def test_gallery_scans_match_oracle(name, t, d, other):
+    step = 0.25 if t.domain_dim > 1 else 0.0625
+    for m in (t, adherence(t_upper(t, 0.5, d))):
+        assert_same_scan(m, _grid_over(m, step))
+        assert_same_scan(m, _grid_over(m, step), lambda p: sum(p) <= 1.5)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_scans_match_oracle(seed):
+    for t, d, grid in random_cases(seed):
+        mid = sum(iv.lo + iv.hi for iv in t.domain) / 2
+        for m in (t, adherence(t_upper(t, 0.5, d))):
+            assert_same_scan(m, grid)
+            assert_same_scan(m, grid, lambda p: sum(p) <= mid)
+
+
+def test_scan_skips_grid_points_outside_the_domain():
+    t, d, grid = random_cases(5)[1]
+    wide = Grid(grid.dim, tuple(v - grid.step for v in grid.lo),
+                tuple(v + grid.step for v in grid.hi), grid.step)
+    assert_same_scan(t, wide)
+
+
+def test_scan_rejects_a_grid_of_another_dimension():
+    t, _ = ex2_1()
+    with pytest.raises(ValueError):
+        check_usc(t, Grid(2, (0.5, 0.5), (1.5, 1.5), 0.5))
+
+
+# ---------------------------------------------------------------------------
+# canonical_boxes equals the frozen copy
+# ---------------------------------------------------------------------------
+
+@st.composite
+def flagged_boxes(draw):
+    dim = draw(st.integers(min_value=1, max_value=5))
+    # few distinct endpoints keep 5-D atomizations small
+    ends = st.integers(min_value=0, max_value=4 if dim <= 3 else 2).map(lambda k: k / 2)
+    n = draw(st.integers(min_value=0, max_value=5 if dim <= 3 else 3))
+    boxes = []
+    for _ in range(n):
+        box = []
+        for _ in range(dim):
+            lo = draw(ends)
+            hi = draw(ends.filter(lambda h: h >= lo))
+            if lo == hi:
+                box.append(I.point(lo))
+            else:
+                box.append(I(lo, hi, draw(st.booleans()), draw(st.booleans())))
+        boxes.append(tuple(box))
+    return dim, boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(flagged_boxes())
+def test_canonical_boxes_match_frozen_copy(case):
+    dim, boxes = case
+    assert canonical_boxes(dim, boxes) == seed_canonical_boxes(dim, boxes)
+
+
+# ---------------------------------------------------------------------------
+# One value per constant piece
+# ---------------------------------------------------------------------------
+
+def _mixed_map():
+    dom = (I.closed(0, 2),)
+    ramp = ((AffineInterval(AffForm(0.0, (1.0,)), AffForm(1.0, (1.0,))),),)
+    const = ((AffineInterval(AffForm.constant(0.5, 1), AffForm.constant(1.5, 1)),),)
+    return PiecewiseMap(dom, 1, (
+        Piece((I(0, 1, True, False),), const),
+        Piece((I.closed(1, 1.5),), ramp),
+        Piece((I(1.5, 2, False, True),), ()),
+    ))
+
+
+def test_constant_piece_value_is_built_once():
+    t = _mixed_map()
+    first = t.evaluate((0.25,))
+    assert t.evaluate((0.75,)) is first
+    assert first == BoxSet.of(1, [(I.closed(0.5, 1.5),)])
+    assert t.evaluate((1.75,)) is t.evaluate((2.0,))
+    assert t.evaluate((2.0,)).is_empty
+
+
+def test_affine_pieces_are_valued_fresh_at_every_point():
+    t = _mixed_map()
+    for x in (1.0, 1.25, 1.5, 1.25):
+        assert t.evaluate((x,)) == BoxSet.of(1, [(I.closed(x, x + 1),)])
+    assert 1 not in t._constant_values
+    assert t.value_on(1, (1.125,)) == BoxSet.of(1, [(I.closed(1.125, 2.125),)])
+
+
+def test_value_memo_holds_at_most_one_value_per_piece():
+    for t in (_mixed_map(), ex4_1(2).conflict_map(0),
+              adherence(t_upper(ex4_1(2).agents[1].b_map, 0.5, ex4_1(2).agents[1].d_set))):
+        grid = _grid_over(t, 0.125)
+        check_usc(t, grid)
+        for p in grid.points():
+            if box_contains(t.domain, p):
+                t.evaluate(p)
+        assert 0 < len(t._constant_values) <= len(t.pieces)
+        assert all(0 <= i < len(t.pieces) for i in t._constant_values)
+
+
+def test_memo_is_not_part_of_map_equality():
+    t = _mixed_map()
+    t.evaluate((0.5,))
+    assert t == _mixed_map()
+    assert hash(t) == hash(_mixed_map())
