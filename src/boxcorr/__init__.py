@@ -49,8 +49,6 @@ from .radner import (
     AssociatedEconomy,
     InfoEconomy,
     PriceSimplex,
-    budget_set,
-    information_set,
     radner_toy,
     remark_4_3_inclusion,
     to_abstract_economy,
@@ -64,12 +62,12 @@ __all__ = [
     "DocumentError", "DomainError", "EquilibriumCertificate", "FAIL",
     "FlaggedInterval", "Grid", "InfoEconomy", "NonAxisAlignedSplitError",
     "PASS", "Piece", "PiecewiseMap", "PriceSimplex", "ProductMap", "QvSet",
-    "UNVERIFIED", "Witness", "adherence", "budget_set",
-    "certify_fixed_points", "check_dual_w_usc", "check_e_uscs",
+    "UNVERIFIED", "Witness", "adherence", "certify_fixed_points",
+    "check_dual_w_usc", "check_e_uscs",
     "check_theorem_4_1_hypotheses", "check_theorem_4_2_hypotheses",
     "check_theorem_4_3_hypotheses", "check_usc", "check_w_usc",
-    "closure_values", "combine_reports", "constant_map",
-    "information_set", "intersect_maps", "intersect_qv_chain", "radner_toy",
+    "closure_values", "combine_reports", "constant_map", "intersect_maps",
+    "intersect_qv_chain", "radner_toy",
     "remark_4_3_inclusion", "reproduce_paper", "restrict", "search_equilibria",
     "select_by_region", "t_upper", "to_abstract_economy",
     "verify_equilibrium", "verify_market_clearing",

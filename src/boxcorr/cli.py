@@ -20,7 +20,7 @@ import click
 
 from . import io as _io
 from . import suites
-from .checks import (PASS, CheckReport, check_dual_w_usc, check_e_uscs,
+from .checks import (FAIL, PASS, CheckReport, check_dual_w_usc, check_e_uscs,
                      check_usc, check_w_usc, combine_reports)
 from .economy import (check_theorem_4_1_hypotheses, check_theorem_4_2_hypotheses,
                       check_theorem_4_3_hypotheses, economy_from_doc,
@@ -370,7 +370,7 @@ def cmd_build_radner(document, step, eps_chain, tol, delta, out, fmt):
         bad = sum(1 for c in certs
                   if not verify_market_clearing(assoc, c, tol=tol).children[0].passed)
         clearing = CheckReport(
-            "certificates-clear", PASS if bad == 0 else "fail", (),
+            "certificates-clear", PASS if bad == 0 else FAIL, (),
             {"certificates": len(certs), "failing": bad, "axis": list(axis)})
         rep = combine_reports("info-economy-build", [incl, clearing], {
             "agents": info.n_agents, "goods": info.n_goods,

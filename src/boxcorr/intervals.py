@@ -314,10 +314,6 @@ class BoxSet:
         return BoxSet(dim, ())
 
     @staticmethod
-    def from_interval(iv: FlaggedInterval) -> "BoxSet":
-        return BoxSet(1, ((iv,),))
-
-    @staticmethod
     def single(box: Box) -> "BoxSet":
         return BoxSet(len(box), (box,))
 

@@ -153,9 +153,6 @@ class PiecewiseMap:
         """Union of piece regions carrying a nonempty value."""
         return BoxSet.of(self.domain_dim, [p.region for p in self.pieces if p.value])
 
-    def domain_set(self) -> BoxSet:
-        return BoxSet.single(self.domain)
-
 
 def constant_map(domain: Box, value: BoxSet) -> PiecewiseMap:
     dd = len(domain)

@@ -7,12 +7,12 @@ the unit simplex. An agent's signal classifies states at each price;
 consumption must be equal across states the signal cannot distinguish.
 
 Budget and information sets are polytopes and subspaces, not box
-unions, so the associated (n+1)-agent economy carries them as exact
-linear predicates; boxes appear only as over-approximations handed to
-grid enumeration. Emptiness of "cheaper affordable preferred bundle"
-sets is decided exactly by minimizing the price form over each value
-box with the measurability classes collapsed (all coefficients are
-nonnegative, so the minimum sits at the collapsed lower corner).
+unions, so the associated (n+1)-agent economy builds them as exact
+linear predicates over the truncated consumption box [0, M]^d; it alone
+decides M. Emptiness of "cheaper affordable preferred bundle" sets is
+decided exactly by minimizing the price form over each value box with
+the measurability classes collapsed (all coefficients are nonnegative,
+so the minimum sits at the collapsed lower corner).
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from . import io as _io
 from .checks import FAIL, PASS, CheckReport, Witness, combine_reports
 from .intervals import Box, BoxSet, FlaggedInterval
 from .maps import PiecewiseMap
-
-SIGNAL_PRESETS = ("pooled", "revealing")
 
 
 def _signal_label(name: str, p: tuple[float, ...], state: int) -> int:
@@ -86,15 +84,6 @@ class InfoEconomy:
     def aggregate_endowment(self) -> tuple[float, ...]:
         return tuple(sum(e[k] for e in self.endowments) for k in range(self.bundle_dim))
 
-    def default_truncation(self) -> float:
-        if self.truncation is not None:
-            return self.truncation
-        return 2.0 * max(self.aggregate_endowment)
-
-    def state_coords(self, state: int) -> tuple[int, ...]:
-        base = 1 + state * self.n_goods
-        return tuple(range(base, base + self.n_goods))
-
     def signal_classes(self, i: int, p: tuple[float, ...]) -> tuple[tuple[int, ...], ...]:
         """Partition of states by indistinguishability at price p."""
         groups: dict[int, list[int]] = {}
@@ -140,12 +129,14 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return sum(x * y for x, y in zip(a, b))
 
 
-def budget_set(e: InfoEconomy, i: int, p: tuple[float, ...],
-               truncation: float | None = None) -> "BudgetSet":
-    m = e.default_truncation() if truncation is None else truncation
-    if m < max(e.aggregate_endowment):
-        raise ValueError("truncation too small")
-    return BudgetSet(p, _dot(p, e.endowments[i]), m, e.bundle_dim)
+def _in_box(x: Sequence[float], truncation: float) -> bool:
+    """Membership in the truncated consumption box [0, truncation]^d."""
+    return all(0 <= c <= truncation for c in x)
+
+
+def _class_coords(cls: tuple[int, ...], good: int, n_goods: int) -> tuple[int, ...]:
+    """The coordinates of ``good`` in the states of one signal class."""
+    return tuple(1 + s * n_goods + good for s in cls)
 
 
 @dataclass(frozen=True)
@@ -160,40 +151,17 @@ class BudgetSet:
     def contains(self, x: Sequence[float]) -> bool:
         if len(x) != self.dim:
             raise ValueError("bundle dimension mismatch")
-        if any(c < 0 or c > self.truncation for c in x):
-            return False
-        return _dot(self.p, x) < self.wealth
+        return _in_box(x, self.truncation) and _dot(self.p, x) < self.wealth
 
     def closure_contains(self, x: Sequence[float]) -> bool:
         """Membership in the closure; empty when no bundle is affordable."""
-        if self.is_empty:
-            return False
-        if any(c < 0 or c > self.truncation for c in x):
-            return False
-        return _dot(self.p, x) <= self.wealth
+        return (not self.is_empty and _in_box(x, self.truncation)
+                and _dot(self.p, x) <= self.wealth)
 
     @property
     def is_empty(self) -> bool:
         # x = 0 is feasible iff 0 < wealth
         return not self.wealth > 0
-
-    def boxset(self) -> BoxSet:
-        """Bounding-box over-approximation; exactness lives in contains()."""
-        if self.is_empty:
-            return BoxSet.of(self.dim, [])
-        ivs = []
-        for j in range(self.dim):
-            if self.p[j] > 0 and self.wealth / self.p[j] <= self.truncation:
-                ivs.append(FlaggedInterval(0.0, self.wealth / self.p[j], True, False))
-            else:
-                ivs.append(FlaggedInterval.closed(0.0, self.truncation))
-        return BoxSet.of(self.dim, [tuple(ivs)])
-
-
-def information_set(e: InfoEconomy, i: int, p: tuple[float, ...],
-                    truncation: float | None = None) -> "InformationSet":
-    m = e.default_truncation() if truncation is None else truncation
-    return InformationSet(e.signal_classes(i, p), e.n_goods, m, e.bundle_dim)
 
 
 @dataclass(frozen=True)
@@ -202,26 +170,17 @@ class InformationSet:
 
     classes: tuple[tuple[int, ...], ...]
     n_goods: int
-    truncation: float
     dim: int
-
-    def _class_coords(self, cls: tuple[int, ...], good: int) -> tuple[int, ...]:
-        return tuple(1 + s * self.n_goods + good for s in cls)
 
     def contains(self, x: Sequence[float], tol_eq: float = 0.0) -> bool:
         if len(x) != self.dim:
             raise ValueError("bundle dimension mismatch")
         for cls in self.classes:
             for g in range(self.n_goods):
-                coords = self._class_coords(cls, g)
-                vals = [x[c] for c in coords]
+                vals = [x[c] for c in _class_coords(cls, g, self.n_goods)]
                 if max(vals) - min(vals) > tol_eq:
                     return False
         return True
-
-    def boxset(self) -> BoxSet:
-        box = tuple(FlaggedInterval.closed(0.0, self.truncation) for _ in range(self.dim))
-        return BoxSet.of(self.dim, [box])
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +200,7 @@ def _collapsed_min(box: Box, p: tuple[float, ...],
     total = box[0].lo * p[0]
     for cls in classes:
         for g in range(n_goods):
-            coords = [1 + s * n_goods + g for s in cls]
+            coords = _class_coords(cls, g, n_goods)
             iv = box[coords[0]]
             for c in coords[1:]:
                 iv = iv.intersect(box[c])
@@ -272,25 +231,6 @@ class AssociatedCertificate:
     price_conflict_empty: bool
     valid: bool
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": "associated-certificate",
-            "allocation": [list(b) for b in self.allocation],
-            "price": list(self.price),
-            "valid": self.valid,
-            "agents": [
-                {
-                    "agent": a.agent,
-                    "in_closed_budget_info": a.in_closed_budget_info,
-                    "in_closed_budget_and_closed_info": a.in_closed_budget_and_closed_info,
-                    "conflict_empty": a.conflict_empty,
-                }
-                for a in self.agents
-            ],
-            "price_in_simplex": self.price_in_simplex,
-            "price_conflict_empty": self.price_conflict_empty,
-        }
-
 
 @dataclass(frozen=True)
 class AssociatedEconomy:
@@ -300,7 +240,8 @@ class AssociatedEconomy:
     preference = preferred cap measurable, second constraint = budget
     cap measurable. Agent n is the price player on the simplex, who
     prefers prices raising the value of aggregate excess demand.
-    Everything is predicate-backed; boxes are over-approximations.
+    Budget and information sets are exact predicates over the truncated
+    box [0, truncation]^d, built here from the agent and the price.
     """
 
     info: InfoEconomy
@@ -318,13 +259,12 @@ class AssociatedEconomy:
         return self.info.n_agents
 
     def budget(self, i: int, p: tuple[float, ...]) -> BudgetSet:
-        return budget_set(self.info, i, p, self.truncation)
+        return BudgetSet(p, _dot(p, self.info.endowments[i]), self.truncation,
+                         self.info.bundle_dim)
 
     def information(self, i: int, p: tuple[float, ...]) -> InformationSet:
-        return information_set(self.info, i, p, self.truncation)
-
-    def _in_box(self, bundle: Sequence[float]) -> bool:
-        return all(0 <= c <= self.truncation for c in bundle)
+        return InformationSet(self.info.signal_classes(i, p), self.info.n_goods,
+                              self.info.bundle_dim)
 
     def preferred_value(self, i: int, allocation: Sequence[Sequence[float]]) -> BoxSet:
         flat = tuple(c for b in allocation for c in b)
@@ -390,7 +330,7 @@ class AssociatedEconomy:
         if len(allocation) != self.n:
             raise ValueError("one bundle per agent required")
         for b in allocation:
-            if len(b) != self.info.bundle_dim or not self._in_box(b):
+            if len(b) != self.info.bundle_dim or not _in_box(b, self.truncation):
                 raise ValueError("bundle outside the truncated consumption box")
         agents = []
         for i in range(self.n):
@@ -415,25 +355,28 @@ class AssociatedEconomy:
         already satisfying the information constraint are visited. Results
         in deterministic (price-major) order.
         """
+        n_goods, ends = self.info.n_goods, self.info.endowments
         found: list[AssociatedCertificate] = []
         for p in self.simplex.points():
             per_agent: list[list[tuple[float, ...]]] = []
             for i in range(self.n):
                 classes = self.info.signal_classes(i, p)
-                n_free = 1 + len(classes) * self.info.n_goods
+                n_free = 1 + len(classes) * n_goods
                 bundles = []
                 for combo in itertools.product(axis_values, repeat=n_free):
                     bundle = [combo[0]] + [0.0] * (self.info.bundle_dim - 1)
                     at = 1
                     for cls in classes:
-                        for g in range(self.info.n_goods):
-                            for s in cls:
-                                bundle[1 + s * self.info.n_goods + g] = combo[at]
+                        for g in range(n_goods):
+                            for c in _class_coords(cls, g, n_goods):
+                                bundle[c] = combo[at]
                             at += 1
                     bundle = tuple(bundle)
-                    joint, _ = self.clause_b(i, bundle, p)
-                    if joint and self.conflict_empty(
-                            i, self._solo_allocation(i, bundle), p):
+                    if not self.clause_b(i, bundle, p)[0]:
+                        continue
+                    # the others hold their endowments; the preference maps
+                    # searched here read only the agent's own bundle
+                    if self.conflict_empty(i, ends[:i] + (bundle,) + ends[i + 1:], p):
                         bundles.append(bundle)
                 per_agent.append(bundles)
             for alloc in itertools.product(*per_agent):
@@ -442,18 +385,15 @@ class AssociatedEconomy:
                     found.append(cert)
         return found
 
-    def _solo_allocation(self, i: int, bundle: tuple[float, ...]):
-        """Allocation placeholder for own-bundle-only preference maps."""
-        return tuple(bundle if j == i else self.info.endowments[j]
-                     for j in range(self.n))
-
 
 def to_abstract_economy(e: InfoEconomy, simplex: PriceSimplex,
                         truncation: float | None = None) -> AssociatedEconomy:
-    m = e.default_truncation() if truncation is None else truncation
-    if m < max(e.aggregate_endowment):
-        raise ValueError("truncation too small")
-    return AssociatedEconomy(e, m, simplex)
+    """The associated economy; ``truncation`` defaults to the economy's own,
+    or to twice the largest aggregate endowment component when it has none."""
+    if truncation is None:
+        truncation = e.truncation if e.truncation is not None \
+            else 2.0 * max(e.aggregate_endowment)
+    return AssociatedEconomy(e, truncation, simplex)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +415,7 @@ def _measurable_corners(value: BoxSet, info: InformationSet,
             adjusted = list(corner)
             for cls in info.classes:
                 for g in range(info.n_goods):
-                    coords = info._class_coords(cls, g)
+                    coords = _class_coords(cls, g, info.n_goods)
                     mx = max(adjusted[c] for c in coords)
                     for c in coords:
                         adjusted[c] = mx

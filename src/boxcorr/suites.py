@@ -10,13 +10,15 @@ indicates an implementation bug rather than sampling noise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import time
 from typing import Sequence
 
 from .affine import AffForm, AffineInterval
-from .checks import FAIL, PASS, CheckReport, Witness, check_usc, combine_reports
+from .checks import (FAIL, PASS, CheckReport, Witness, check_usc, combine_reports,
+                     scan_points)
 from .economy import (check_theorem_4_1_hypotheses, check_theorem_4_3_hypotheses,
                       search_equilibria, verify_equilibrium)
 from .fixedpoint import ProductMap, intersect_qv_chain
@@ -43,14 +45,14 @@ def _constant_target(v: float) -> BoxSet:
 
 
 def _value_scan(t: PiecewiseMap, grid: Grid, target: BoxSet, name: str) -> CheckReport:
-    bad = []
-    for x in grid.points():
+    def probe(x):
         got = t.evaluate(x)
         if got != target:
             ex = math.inf if got.is_empty else got.hausdorff_upper(target)
-            bad.append(Witness(x, None, ex, "value differs from the stated one"))
-    return CheckReport(name, PASS if not bad else FAIL, tuple(bad[:8]),
-                       {"grid_points": grid.point_count()})
+            yield Witness(x, None, ex, "value differs from the stated one")
+
+    rep = scan_points(name, grid.points(), probe, {"grid_points": grid.point_count()})
+    return dataclasses.replace(rep, witnesses=rep.witnesses[:8])
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +339,7 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
     land inside the (radius-padded) adherence of the reference clipped to
     the (radius-padded) target set; radius 0 demands exact containment."""
     bar = adherence(reference)
+    pad = clip.dilate(radius).closure() if clip is not None and radius > 0 else clip
     wit = []
     nonempty = 0
     for x in grid.points():
@@ -347,8 +350,7 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
             continue
         nonempty += 1
         tv = bar.evaluate(x)
-        if clip is not None:
-            pad = clip.dilate(radius).closure() if radius > 0 else clip
+        if pad is not None:
             tv = tv.intersect(pad)
         if radius > 0:
             tv = tv.dilate(radius).closure()

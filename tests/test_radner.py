@@ -8,8 +8,7 @@ import math
 
 import pytest
 
-from boxcorr import (InfoEconomy, PriceSimplex, budget_set,
-                     information_set, radner_toy, remark_4_3_inclusion,
+from boxcorr import (InfoEconomy, PriceSimplex, radner_toy, remark_4_3_inclusion,
                      to_abstract_economy, verify_market_clearing)
 from boxcorr.radner import _measurable_corners
 
@@ -28,6 +27,10 @@ def richer_toy():
 # Budget sets
 # ---------------------------------------------------------------------------
 
+def associated(e, truncation=None):
+    return to_abstract_economy(e, PriceSimplex(e.bundle_dim, 8), truncation)
+
+
 def two_state_economy(e0, signal="pooled"):
     base = toy()
     return dataclasses.replace(base, endowments=(tuple(e0), base.endowments[1]),
@@ -39,7 +42,7 @@ def test_budget_membership_is_strict():
     prefs = toy().preferences  # reuse a valid preference pair, 6-dim is fine
     e = InfoEconomy(2, 1, 2, ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
                     ("pooled", "pooled"), prefs, truncation=4.0)
-    b = budget_set(e, 0, (0.5, 0.25, 0.25))
+    b = associated(e).budget(0, (0.5, 0.25, 0.25))
     assert b.contains((0.5, 0.5, 0.5))
     assert not b.contains((1.0, 1.0, 1.0))  # cost equals wealth: excluded
     assert b.closure_contains((1.0, 1.0, 1.0))
@@ -47,16 +50,15 @@ def test_budget_membership_is_strict():
 
 def test_budget_empty_at_zero_wealth():
     e = two_state_economy((0.0, 0.0, 0.0))
-    b = budget_set(e, 0, (1.0, 0.0, 0.0))
+    b = associated(e).budget(0, (1.0, 0.0, 0.0))
     assert b.is_empty
     assert not b.contains((0.0, 0.0, 0.0))
-    assert b.boxset().is_empty
 
 
 def test_budget_dot_product_example():
     e = two_state_economy((1.0, 2.0, 3.0))
     third = (1 / 3, 1 / 3, 1 / 3)
-    b = budget_set(e, 0, third, truncation=6.0)
+    b = associated(e, 6.0).budget(0, third)
     # px = 1 and pe = 2
     assert b.contains((1.0, 1.0, 1.0))
     assert b.wealth == pytest.approx(2.0)
@@ -65,16 +67,7 @@ def test_budget_dot_product_example():
 def test_budget_truncation_must_cover_aggregate():
     e = toy()
     with pytest.raises(ValueError, match="truncation too small"):
-        budget_set(e, 0, (1 / 3, 1 / 3, 1 / 3), truncation=0.5)
-
-
-def test_budget_boxset_overapproximates_membership():
-    e = toy()
-    b = budget_set(e, 0, (0.5, 0.25, 0.25))
-    box = b.boxset()
-    for pt in [(0.1, 0.1, 0.1), (0.4, 0.4, 0.4), (1.9, 1.9, 1.9)]:
-        if b.contains(pt):
-            assert box.contains(pt)
+        associated(e, 0.5).budget(0, (1 / 3, 1 / 3, 1 / 3))
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +76,13 @@ def test_budget_boxset_overapproximates_membership():
 
 def test_revealing_signal_imposes_no_constraint():
     e = two_state_economy((0.5, 0.5, 0.5), signal="revealing")
-    info = information_set(e, 0, (1 / 3, 1 / 3, 1 / 3))
+    info = associated(e).information(0, (1 / 3, 1 / 3, 1 / 3))
     assert info.contains((0.3, 0.1, 1.9))
-    assert info.boxset().contains((0.3, 0.1, 1.9))
 
 
 def test_pooled_signal_equalizes_states():
     e = toy()
-    info = information_set(e, 0, (1 / 3, 1 / 3, 1 / 3))
+    info = associated(e).information(0, (1 / 3, 1 / 3, 1 / 3))
     assert info.contains((0.7, 0.4, 0.4))
     assert not info.contains((0.7, 0.4, 0.5))
     assert info.contains((0.7, 0.4, 0.5), tol_eq=0.25)
@@ -110,7 +102,7 @@ def test_three_state_partial_pooling():
                     ("threshold:0:2", "revealing"), (pref, pref),
                     truncation=2.0)
     # threshold never exceeded on the simplex: states 1,2,3 all pool to 0
-    info = information_set(e, 0, (0.25, 0.25, 0.25, 0.25))
+    info = associated(e).information(0, (0.25, 0.25, 0.25, 0.25))
     assert not info.contains((0.1, 0.3, 0.3, 0.4))
     assert info.contains((0.1, 0.3, 0.3, 0.3))
 
@@ -118,8 +110,8 @@ def test_three_state_partial_pooling():
 def test_threshold_signal_depends_on_price():
     base = toy()
     e = dataclasses.replace(base, signals=("threshold:1:0.4", "pooled"))
-    low = information_set(e, 0, (0.8, 0.1, 0.1))
-    high = information_set(e, 0, (0.2, 0.5, 0.3))
+    low = associated(e).information(0, (0.8, 0.1, 0.1))
+    high = associated(e).information(0, (0.2, 0.5, 0.3))
     # low price on coordinate 1: both states pooled
     assert not low.contains((0.5, 0.3, 0.4))
     # high price: state 1 separates, no equality constraint binds
@@ -127,10 +119,10 @@ def test_threshold_signal_depends_on_price():
 
 
 def test_refining_a_signal_grows_the_information_set():
-    pooled = information_set(toy(), 0, (1 / 3, 1 / 3, 1 / 3))
-    refined = information_set(
-        dataclasses.replace(toy(), signals=("revealing", "pooled")),
-        0, (1 / 3, 1 / 3, 1 / 3))
+    pooled = associated(toy()).information(0, (1 / 3, 1 / 3, 1 / 3))
+    refined = associated(
+        dataclasses.replace(toy(), signals=("revealing", "pooled"))
+    ).information(0, (1 / 3, 1 / 3, 1 / 3))
     for pt in itertools.product((0.0, 0.5, 1.5), repeat=3):
         if pooled.contains(pt):
             assert refined.contains(pt)
