@@ -326,18 +326,22 @@ def _openness_condition(e: AbstractEconomy, i: int, name: str) -> CheckReport:
                        {"w_boxes": len(w.boxes)})
 
 
-def _almost_w_usc_children(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float],
+def _approximations(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float]) -> list[PiecewiseMap]:
+    """``adherence(t_upper(t, eps, d))`` for each eps."""
+    return [adherence(t_upper(t, eps, d)) for eps in eps_list]
+
+
+def _almost_w_usc_children(bars: Sequence[PiecewiseMap], eps_list: Sequence[float],
                            grid: Grid, delta: float | None, tol: float,
                            label: str, require_nonempty_convex: bool) -> list[CheckReport]:
-    """USC of adherence(t_upper(...)) per eps, plus value-shape scans."""
+    """USC of each per-eps approximation ``bars[k]``, plus value-shape scans."""
     children = []
-    for eps in eps_list:
-        bar = adherence(t_upper(t, eps, d))
+    for eps, bar in zip(eps_list, bars):
         children.append(check_usc(bar, grid, delta, tol,
                                   property_name=f"{label}.almost-w-usc@eps={eps:g}"))
         if require_nonempty_convex:
             children.append(scan_points(f"{label}.values@eps={eps:g}",
-                                        domain_points(t.domain, grid), _value_shape(bar),
+                                        domain_points(bar.domain, grid), _value_shape(bar),
                                         {"eps": eps}))
     return children
 
@@ -369,14 +373,15 @@ def check_theorem_4_1_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         for k, w_box in enumerate(w.boxes):
             h_w = restrict(e.conflict_map(i), w_box)
             c4_children.extend(_almost_w_usc_children(
-                h_w, ag.d_set, eps_list, grid, delta, tol,
+                _approximations(h_w, ag.d_set, eps_list), eps_list, grid, delta, tol,
                 f"agent{i}.conflict@W{k}", require_nonempty_convex=True))
         conds.append(combine_reports(f"agent{i}.cond4-conflict-almost-w-usc",
                                      c4_children or [_vacuous(i)]))
         conds.append(combine_reports(
             f"agent{i}.cond5-b-almost-w-usc",
-            _almost_w_usc_children(ag.b_map, ag.d_set, eps_list, grid, delta, tol,
-                                   f"agent{i}.b", require_nonempty_convex=True)))
+            _almost_w_usc_children(_approximations(ag.b_map, ag.d_set, eps_list), eps_list,
+                                   grid, delta, tol, f"agent{i}.b",
+                                   require_nonempty_convex=True)))
         # (6): block point never in the adherent conflict value
         conds.append(_irreflexive(e, i, e.adherent_conflict(i), grid, "conflict"))
         agent_reports.append(combine_reports(f"agent{i}", conds))
@@ -426,17 +431,16 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
                              eps_list, grid, delta, tol, property_name=f"agent{i}.dual@clW{k}")
             for k, cl_box in enumerate(cl_boxes)
         ] or [_vacuous(i)]
+        b_bars = _approximations(ag.b_map, ag.d_set, eps_list)
         c4_children.extend(_almost_w_usc_children(
-            ag.b_map, ag.d_set, eps_list, grid, delta, tol,
-            f"agent{i}.b", require_nonempty_convex=False))
+            b_bars, eps_list, grid, delta, tol, f"agent{i}.b", require_nonempty_convex=False))
         conds.append(combine_reports(f"agent{i}.cond4-dual-and-b", c4_children))
 
         # (5): nonempty convex adherent values of (A+V) cap D cap P and of B^V
         c5_children = []
-        for eps in eps_list:
+        for eps, b_bar in zip(eps_list, b_bars):
             t_iv = intersect_maps(t_upper(ag.a_map, eps, ag.d_set), ag.p_map)
-            pairs = ((f"agent{i}.t-iv", adherence(t_iv)),
-                     (f"agent{i}.b-v", adherence(t_upper(ag.b_map, eps, ag.d_set))))
+            pairs = ((f"agent{i}.t-iv", adherence(t_iv)), (f"agent{i}.b-v", b_bar))
             c5_children += [scan_points(f"{label}@eps={eps:g}", domain_points(e.domain, grid),
                                         _value_shape(bar), {"eps": eps})
                             for label, bar in pairs]

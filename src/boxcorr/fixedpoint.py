@@ -157,23 +157,19 @@ def certify_fixed_points(
     pm: ProductMap,
     points: tuple[tuple[float, ...], ...],
     radius: float = 0.0,
-    roundtrip: bool = True,
 ) -> tuple[list[tuple[float, ...]], list[tuple[tuple[float, ...], int]]]:
     """Split candidates into certified points and (point, factor) failures.
 
     A point is certified when, for every factor, its block lies in the
     target set and in the adherence of the raw factor, the latter
-    thickened by ``radius`` when positive. With ``roundtrip`` the factors
-    and targets are serialized and reparsed first.
+    thickened by ``radius`` when positive. The factors and targets are
+    serialized and reparsed first.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    factors = pm.factors
-    d_sets = pm.d_sets
-    if roundtrip:
-        factors = tuple(_io.roundtrip_map(f) for f in factors)
-        d_sets = tuple(_io.boxset_from_doc(_io.loads(_io.dumps(_io.boxset_to_doc(d))))
-                       for d in d_sets)
+    factors = tuple(_io.roundtrip_map(f) for f in pm.factors)
+    d_sets = tuple(_io.boxset_from_doc(_io.loads(_io.dumps(_io.boxset_to_doc(d))))
+                   for d in pm.d_sets)
     bars = tuple(adherence(f) for f in factors)
     certified: list[tuple[float, ...]] = []
     failures: list[tuple[tuple[float, ...], int]] = []

@@ -5,10 +5,11 @@ carrying a finite union of affine-endpoint interval boxes (possibly the
 empty value).  The partition is validated symbolically at construction:
 pieces are pairwise disjoint and cover the domain exactly.
 
-Derived maps (`t_upper`, `adherence`, `intersect_maps`) are computed exactly
-by refining the domain at axis-aligned crossing loci of the affine endpoint
-forms.  Crossings that are not axis-aligned (endpoint differences depending
-on two or more variables with indefinite sign) raise
+Derived maps (`adherence`, `intersect_maps`) are computed exactly by refining
+the domain at axis-aligned crossing loci of the affine endpoint forms;
+`t_upper` is `intersect_maps` of the dilated map with the constant map D.
+Crossings that are not axis-aligned (endpoint differences depending on two
+or more variables with indefinite sign) raise
 :class:`NonAxisAlignedSplitError`; boxes are the only region language here.
 """
 from __future__ import annotations
@@ -280,8 +281,10 @@ def _rebuild(domain: Box, codomain_dim: int, cuts: dict[int, set[float]],
 # Affine interval intersection on a sign-stable region
 # ---------------------------------------------------------------------------
 
-def _sup_form(region: Box, a: AffForm, a_closed: bool, b: AffForm, b_closed: bool) -> tuple[AffForm, bool]:
-    s = _effective_sign(region, a.sub(b))
+def _tighter(region: Box, a: AffForm, a_closed: bool, b: AffForm, b_closed: bool,
+             pick: int) -> tuple[AffForm, bool]:
+    """The larger (pick=1) or smaller (pick=-1) endpoint; a tie is closed only if both are."""
+    s = _effective_sign(region, a.sub(b)) * pick
     if s > 0:
         return a, a_closed
     if s < 0:
@@ -290,21 +293,14 @@ def _sup_form(region: Box, a: AffForm, a_closed: bool, b: AffForm, b_closed: boo
 
 
 def _intersect_affine_intervals(region: Box, a: AffineInterval, b: AffineInterval) -> AffineInterval | None:
-    lo, lc = _sup_form(region, a.lo, a.lo_closed, b.lo, b.lo_closed)
-    s = _effective_sign(region, a.hi.sub(b.hi))
-    if s < 0:
-        hi_form, hc = a.hi, a.hi_closed
-    elif s > 0:
-        hi_form, hc = b.hi, b.hi_closed
-    else:
-        hi_form, hc = a.hi, (a.hi_closed and b.hi_closed)
-    w = hi_form.sub(lo)
-    sw = _effective_sign(region, w)
+    lo, lc = _tighter(region, a.lo, a.lo_closed, b.lo, b.lo_closed, 1)
+    hi, hc = _tighter(region, a.hi, a.hi_closed, b.hi, b.hi_closed, -1)
+    sw = _effective_sign(region, hi.sub(lo))
     if sw < 0:
         return None
     if sw == 0 and not (lc and hc):
         return None
-    return AffineInterval(lo, hi_form, lc, hc)
+    return AffineInterval(lo, hi, lc, hc)
 
 
 def _intersect_affine_boxes(region: Box, a: AffineBox, b: AffineBox) -> AffineBox | None:
@@ -341,8 +337,9 @@ def _dilate_affine_box(b: AffineBox, eps: float) -> AffineBox:
 def t_upper(t: PiecewiseMap, eps: float, d: BoxSet) -> PiecewiseMap:
     """The compact-clipped dilation ``x -> (T(x) + (-eps, eps)^k) intersect D``.
 
-    ``D`` must be all-closed (compact); pieces whose clipped value comes out
-    empty are kept with the empty value.
+    That is ``intersect_maps`` of ``t`` with each value box dilated (same
+    regions) and the constant map ``D``. ``D`` must be all-closed (compact);
+    pieces whose clipped value comes out empty are kept with the empty value.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -352,31 +349,9 @@ def t_upper(t: PiecewiseMap, eps: float, d: BoxSet) -> PiecewiseMap:
         for iv in b:
             if not (iv.lo_closed and iv.hi_closed):
                 raise ValueError("D must be compact")
-    ddim = t.domain_dim
-    d_affine = [affine_box_constant(b, ddim) for b in d.boxes]
-
-    cuts = _region_cuts(t)
-    for p in t.pieces:
-        for vb in p.value:
-            dil = _dilate_affine_box(vb, eps)
-            for db in d_affine:
-                for k in range(t.codomain_dim):
-                    for f in _pair_cut_forms(dil[k], db[k]):
-                        _add_root_cut(cuts, p.region, f)
-
-    def value_at(p: Piece, atom: Box) -> PieceValue:
-        if not p.value:
-            return ()
-        out = []
-        for vb in p.value:
-            dil = _dilate_affine_box(vb, eps)
-            for db in d_affine:
-                r = _intersect_affine_boxes(atom, dil, db)
-                if r is not None:
-                    out.append(r)
-        return normalize_value(out, ddim)
-
-    return _rebuild(t.domain, t.codomain_dim, cuts, [(p.region, p) for p in t.pieces], value_at)
+    dilated = PiecewiseMap(t.domain, t.codomain_dim, tuple(
+        Piece(p.region, tuple(_dilate_affine_box(b, eps) for b in p.value)) for p in t.pieces))
+    return intersect_maps(dilated, constant_map(t.domain, d))
 
 
 def adherence(t: PiecewiseMap) -> PiecewiseMap:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -249,7 +250,10 @@ class AssociatedEconomy:
     simplex: PriceSimplex
 
     def __post_init__(self) -> None:
-        if self.truncation < max(self.info.aggregate_endowment):
+        t = self.truncation
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
+            raise ValueError(f"truncation must be a finite number, got {t!r}")
+        if t < max(self.info.aggregate_endowment):
             raise ValueError("truncation too small")
         if self.simplex.dim != self.info.bundle_dim:
             raise ValueError("price dimension must equal the bundle dimension")

@@ -190,6 +190,18 @@ def test_build_radner_toy(runner):
     assert "certificates-clear" in r.output
 
 
+@pytest.mark.parametrize("truncation", ["NaN", '"2"', "true"])
+def test_build_radner_rejects_a_bad_truncation(runner, tmp_path, truncation):
+    text = (EXAMPLES / "radner_toy.econ").read_text()
+    assert '"truncation": 2.0' in text
+    doc = tmp_path / "bad_truncation.econ"
+    doc.write_text(text.replace('"truncation": 2.0', f'"truncation": {truncation}'))
+    r = invoke(runner, "build-radner", doc)
+    assert r.exit_code == 2, r.output
+    assert "truncation must be a finite number" in r.output
+    assert "Traceback" not in r.output
+
+
 def test_records_format_is_line_delimited_json(runner):
     r = invoke(runner, "check-map", "--property", "usc", "--format", "records",
                EXAMPLES / "ex2_1.map")

@@ -191,3 +191,18 @@ def test_jumpy_b_graph_closure_is_strictly_larger():
 def test_dual_pair_economy_unique_equilibrium():
     found = search_equilibria(ex2_2_economy(), Grid(1, (0.0,), (2.0,), 0.125))
     assert [c.point for c in found] == [(1.0,)]
+
+
+def test_hypotheses_4_2_build_each_b_approximation_once(monkeypatch):
+    from boxcorr import economy
+
+    calls = {"t_upper": 0, "adherence": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(economy, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(economy, name, counted)
+    check_theorem_4_2_hypotheses(ex4_1(2), (0.5, 2.0, 4.0), Grid(2, (0.0, 0.0), (4.0, 4.0), 0.25))
+    # per agent and eps: one B approximation shared by cond4 and cond5, one for A cap P
+    assert calls["t_upper"] == 2 * 3 * 2
+    assert calls["adherence"] == 2 * (3 * 2 + 1)

@@ -165,7 +165,7 @@ def test_uncertified_survivors_and_radius():
 def test_certification_reads_serialized_maps():
     t1, d = ex2_1()
     pm = ProductMap.single(t1, d)
-    cert, fail = certify_fixed_points(pm, ((1.0,), (0.25,)), roundtrip=True)
+    cert, fail = certify_fixed_points(pm, ((1.0,), (0.25,)))
     assert cert == [(1.0,)]
     assert fail == [((0.25,), 0)]
 

@@ -6,8 +6,11 @@ is built once per map (``PiecewiseMap.value_on``). The ``seed_*`` functions
 below are the implementations these replaced: the rebuild values every
 atom of the full cut product and finds its piece with ``piece_at`` at a
 representative point, and the scan collects the in-domain grid points and
-looks up each point's piece. They stay here as the oracle; every map and
-every report must come out equal.
+looks up each point's piece. ``seed_t_upper`` is also the rebuild loop
+``t_upper`` had before it became ``intersect_maps`` of the dilated map with
+D, and ``seed_intersect_affine_intervals`` picks each endpoint by its own
+rule. They stay here as the oracle; every map and every report must come
+out equal.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from boxcorr.gallery import (ex2_1, ex2_1_variant, ex2_2, ex2_2_composite, ex2_2
 from boxcorr.intervals import (box_closure, box_contains, box_intersect, box_sort_key,
                                canonical_boxes, merge_cells)
 from boxcorr.maps import (_add_root_cut, _atom_in_closed_box, _dilate_affine_box,
-                          _intersect_affine_boxes, _pair_cut_forms, _region_rep,
+                          _effective_sign, _intersect_affine_boxes,
+                          _intersect_affine_intervals, _pair_cut_forms, _region_rep,
                           normalize_value)
 
 I = FlaggedInterval
@@ -105,6 +109,33 @@ def seed_t_upper(t, eps, d):
         return normalize_value(out, ddim)
 
     return seed_rebuild(t.domain, t.codomain_dim, cuts, value_at)
+
+
+def seed_sup_form(region, a, a_closed, b, b_closed):
+    s = _effective_sign(region, a.sub(b))
+    if s > 0:
+        return a, a_closed
+    if s < 0:
+        return b, b_closed
+    return a, (a_closed and b_closed)
+
+
+def seed_intersect_affine_intervals(region, a, b):
+    lo, lc = seed_sup_form(region, a.lo, a.lo_closed, b.lo, b.lo_closed)
+    s = _effective_sign(region, a.hi.sub(b.hi))
+    if s < 0:
+        hi_form, hc = a.hi, a.hi_closed
+    elif s > 0:
+        hi_form, hc = b.hi, b.hi_closed
+    else:
+        hi_form, hc = a.hi, (a.hi_closed and b.hi_closed)
+    w = hi_form.sub(lo)
+    sw = _effective_sign(region, w)
+    if sw < 0:
+        return None
+    if sw == 0 and not (lc and hc):
+        return None
+    return AffineInterval(lo, hi_form, lc, hc)
 
 
 def seed_adherence(t):
@@ -319,6 +350,91 @@ def test_open_domains_keep_their_open_ends():
     for m in (adherence(t), t_upper(t, 0.5, d), intersect_maps(t, t)):
         assert m.domain == t.domain
         assert not m.domain[0].lo_closed
+
+
+# ---------------------------------------------------------------------------
+# Multi-box and missing targets, open-flag values
+# ---------------------------------------------------------------------------
+
+def opened(t, rng):
+    """``t`` with every value interval's upper endpoint raised by 1/2 (so no
+    slice degenerates) and both flags drawn at random."""
+    def open_box(b):
+        return tuple(AffineInterval(ai.lo, ai.hi.shift(0.5), rng.random() < 0.5,
+                                    rng.random() < 0.5) for ai in b)
+    return PiecewiseMap(t.domain, t.codomain_dim, tuple(
+        Piece(p.region, normalize_value([open_box(b) for b in p.value], t.domain_dim))
+        for p in t.pieces))
+
+
+def _cube(cod, lo, hi):
+    return tuple(I.closed(lo, hi) for _ in range(cod))
+
+
+def extra_targets(cod):
+    """Two disjoint boxes, two boxes a quarter apart (a dilated value meets
+    both at eps 1/2), and a box that misses every value. Two touching closed
+    boxes are no case of their own: their canonical union is one box in one
+    dimension and holds a half-open box, which t_upper rejects, in two."""
+    return {"disjoint": BoxSet.of(cod, [_cube(cod, -1.0, -0.25), _cube(cod, 0.5, 1.5)]),
+            "near": BoxSet.of(cod, [_cube(cod, -1.0, 0.25), _cube(cod, 0.5, 2.0)]),
+            "missing": BoxSet.of(cod, [_cube(cod, 1000.0, 1001.0)])}
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_multi_box_and_missing_targets_match_oracle(seed):
+    rng = random.Random(seed)
+    for t, _, _ in random_cases(seed):
+        for m in (t, opened(t, rng)):
+            for name, d in extra_targets(m.codomain_dim).items():
+                assert_same_rebuilds(m, d, (0.5, 0.125), constant_map(m.domain, d))
+                if name == "missing":
+                    assert all(not p.value for p in t_upper(m, 0.5, d).pieces)
+                else:
+                    assert len(d.boxes) == 2
+
+
+@st.composite
+def interval_pairs(draw):
+    """A flagged region in dims 1-4 and two affine intervals whose endpoints
+    are constant or depend on one variable; endpoints tie often."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    ends = st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0))
+    region = []
+    for _ in range(dim):
+        lo = draw(ends)
+        hi = draw(ends.filter(lambda h: h >= lo))
+        region.append(I.point(lo) if lo == hi else I(lo, hi, draw(st.booleans()),
+                                                         draw(st.booleans())))
+
+    def form():
+        coeffs = [0.0] * dim
+        if draw(st.booleans()):
+            coeffs[draw(st.integers(min_value=0, max_value=dim - 1))] = \
+                draw(st.sampled_from((-1.0, -0.5, 0.5, 1.0)))
+        return AffForm(draw(ends), tuple(coeffs))
+
+    a = AffineInterval(form(), form(), draw(st.booleans()), draw(st.booleans()))
+    b_lo = a.lo if draw(st.booleans()) else form()
+    b_hi = a.hi if draw(st.booleans()) else form()
+    b = AffineInterval(b_lo, b_hi, draw(st.booleans()), draw(st.booleans()))
+    return tuple(region), a, b
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the same exception type and message count as equal
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(interval_pairs())
+def test_intersect_affine_intervals_matches_frozen_copy(case):
+    region, a, b = case
+    for x, y in ((a, b), (b, a)):
+        assert _outcome(_intersect_affine_intervals, region, x, y) == \
+            _outcome(seed_intersect_affine_intervals, region, x, y)
 
 
 # ---------------------------------------------------------------------------

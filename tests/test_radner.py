@@ -279,3 +279,11 @@ def test_associated_economy_validates_dimensions():
         to_abstract_economy(e, PriceSimplex(4, 8))
     with pytest.raises(ValueError, match="truncation too small"):
         to_abstract_economy(e, PriceSimplex(3, 8), truncation=0.25)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2", True])
+def test_truncation_must_be_a_finite_number(bad):
+    with pytest.raises(ValueError, match="truncation must be a finite number"):
+        to_abstract_economy(toy(), PriceSimplex(3, 8), truncation=bad)
+    with pytest.raises(ValueError, match="truncation must be a finite number"):
+        associated(dataclasses.replace(toy(), truncation=bad))
