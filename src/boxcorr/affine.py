@@ -43,6 +43,24 @@ class AffForm:
     def __call__(self, x: Sequence[float]) -> float:
         return self.const + sum(c * v for c, v in zip(self.coeffs, x) if c != 0.0)
 
+    def bounds(self, box: Box) -> tuple[float, float]:
+        """Min and max over the closure of ``box``.
+
+        Each term is the product ``__call__`` computes, summed in the same
+        order, so each bound is the value at the minimizing (maximizing) corner.
+        """
+        terms = [(c * iv.lo, c * iv.hi) for c, iv in zip(self.coeffs, box) if c != 0.0]
+        return (self.const + sum(min(t) for t in terms),
+                self.const + sum(max(t) for t in terms))
+
+    def root(self) -> tuple[int, float] | None:
+        """``(j, x_j)`` where a form in the one variable ``x_j`` vanishes; else ``None``."""
+        active = self.active_vars()
+        if len(active) != 1:
+            return None
+        j = active[0]
+        return j, -self.const / self.coeffs[j]
+
     def shift(self, delta: float) -> "AffForm":
         return AffForm(self.const + delta, self.coeffs)
 

@@ -261,8 +261,8 @@ def _sets_condition(e: AbstractEconomy, i: int, name: str,
     problems = []
     if require_compact_x and not box_is_all_closed(ag.x_box):
         problems.append("choice box is not all-closed")
-    if not all(box_is_all_closed(b) for b in ag.d_set.boxes):
-        problems.append("target set is not all-closed")
+    if ag.d_set.closure() != ag.d_set:
+        problems.append("target set is not closed")
     if not _convex(ag.d_set):
         problems.append("target set is not a single box")
     wit = tuple(Witness((), None, 0.0, "structure", msg) for msg in problems)

@@ -186,11 +186,6 @@ def boxes_difference(boxes: Iterable[Box], minus: Iterable[Box]) -> list[Box]:
     return work
 
 
-def box_corners(box: Box) -> Iterator[tuple[float, ...]]:
-    """Corners of the closure of a box."""
-    return itertools.product(*((iv.lo,) if iv.is_point else (iv.lo, iv.hi) for iv in box))
-
-
 def box_is_all_closed(box: Box) -> bool:
     return all(iv.lo_closed and iv.hi_closed for iv in box)
 

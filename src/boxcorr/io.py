@@ -23,6 +23,7 @@ Top-level documents carry a ``kind`` field: ``boxset``, ``grid``,
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .affine import AffForm, AffineBox, AffineInterval, PieceValue
@@ -37,6 +38,8 @@ class DocumentError(ValueError):
 def _as_number(x: Any, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise DocumentError(f"{where}: expected a number, got {x!r}")
+    if not math.isfinite(x):
+        raise DocumentError(f"{where}: expected a finite number, got {x!r}")
     return x
 
 

@@ -35,7 +35,6 @@ from .intervals import (
     atoms_from_cuts,
     box_contains,
     box_closure,
-    box_corners,
     box_intersect,
     box_sort_key,
     boxes_difference,
@@ -165,64 +164,43 @@ def constant_map(domain: Box, value: BoxSet) -> PiecewiseMap:
 # Sign analysis of affine forms over regions
 # ---------------------------------------------------------------------------
 
-def _region_rep(region: Box) -> tuple[float, ...]:
-    return tuple(iv.lo if iv.is_point else (iv.lo + iv.hi) / 2.0 for iv in region)
-
-
 def _effective_sign(region: Box, f: AffForm) -> int:
     """Sign of ``f`` on the region: +1, -1, or 0 (identically zero).
 
     Weak signs are sharpened when the zero locus misses the region (the
-    single-variable root lies on an excluded boundary).  Raises when the
-    sign genuinely changes inside the region.
+    single-variable root lies on an excluded boundary); the value at the
+    region's midpoint, the mean of the extremes, then gives the sign.
+    Raises when the sign genuinely changes inside the region.
     """
-    vals = [f(c) for c in box_corners(region)]
-    mn, mx = min(vals), max(vals)
+    mn, mx = f.bounds(region)
     if mn > 0:
         return 1
     if mx < 0:
         return -1
     if mn == 0 and mx == 0:
         return 0
-    active = f.active_vars()
-    if len(active) == 1:
-        j = active[0]
-        root = -f.const / f.coeffs[j]
-        if not region[j].contains(root):
-            v = f(_region_rep(region))
-            if v > 0:
-                return 1
-            if v < 0:
-                return -1
-            raise AssertionError("degenerate sign sample")
+    root = f.root()
+    if root is None:
+        raise NonAxisAlignedSplitError(
+            "affine comparison changes sign inside a region along a non-axis-aligned locus"
+        )
+    if region[root[0]].contains(root[1]):
         raise AssertionError("single-variable crossing inside an unrefined region")
-    raise NonAxisAlignedSplitError(
-        "affine comparison changes sign inside a region along a non-axis-aligned locus"
-    )
+    return 1 if mn + mx > 0 else -1
 
 
 def _validate_width(region: Box, ai: AffineInterval) -> None:
     w = ai.width_form()
-    vals = [w(c) for c in box_corners(region)]
-    mn = min(vals)
+    mn, mx = w.bounds(region)
     if mn < 0:
         raise ValueError("value endpoints out of order on the piece region")
     if ai.lo_closed and ai.hi_closed:
         return
     # open flags: the slice must be nonempty (positive width) on the region itself
-    active = w.active_vars()
-    if not active:
-        if w.const <= 0:
-            raise ValueError("open-flag value with empty slices; encode the empty value instead")
-        return
-    if len(active) == 1:
-        j = active[0]
-        root = -w.const / w.coeffs[j]
-        if region[j].contains(root) or w(_region_rep(region)) <= 0:
-            raise ValueError("open-flag value degenerates inside its region")
-        return
-    if mn <= 0:
-        raise ValueError("open-flag value may degenerate inside its region")
+    root = w.root()
+    if (mn <= 0) if root is None else (mx <= 0 or region[root[0]].contains(root[1])):
+        raise ValueError("open-flag value may degenerate inside its region; "
+                         "encode the empty value instead")
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +214,9 @@ def _region_cuts(*maps: PiecewiseMap) -> dict[int, set[float]]:
 
 
 def _add_root_cut(cuts: dict[int, set[float]], region: Box, f: AffForm) -> None:
-    active = f.active_vars()
-    if len(active) != 1:
-        return
-    j = active[0]
-    root = -f.const / f.coeffs[j]
-    if region[j].contains(root):
-        cuts.setdefault(j, set()).add(root)
+    root = f.root()
+    if root is not None and region[root[0]].contains(root[1]):
+        cuts.setdefault(root[0], set()).add(root[1])
 
 
 def _atom_in_closed_box(atom: Box, closed: Box) -> bool:
@@ -338,17 +312,16 @@ def t_upper(t: PiecewiseMap, eps: float, d: BoxSet) -> PiecewiseMap:
     """The compact-clipped dilation ``x -> (T(x) + (-eps, eps)^k) intersect D``.
 
     That is ``intersect_maps`` of ``t`` with each value box dilated (same
-    regions) and the constant map ``D``. ``D`` must be all-closed (compact);
-    pieces whose clipped value comes out empty are kept with the empty value.
+    regions) and the constant map ``D``. ``D`` must be closed (compact) as a
+    union, whatever its boxes' flags; pieces whose clipped value comes out
+    empty are kept with the empty value.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if d.dim != t.codomain_dim:
         raise DimensionMismatchError("D dimension does not match the codomain")
-    for b in d.boxes:
-        for iv in b:
-            if not (iv.lo_closed and iv.hi_closed):
-                raise ValueError("D must be compact")
+    if d.closure() != d:
+        raise ValueError("D must be compact")
     dilated = PiecewiseMap(t.domain, t.codomain_dim, tuple(
         Piece(p.region, tuple(_dilate_affine_box(b, eps) for b in p.value)) for p in t.pieces))
     return intersect_maps(dilated, constant_map(t.domain, d))

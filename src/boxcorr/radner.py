@@ -32,13 +32,20 @@ from .maps import PiecewiseMap
 
 def _signal_label(name: str, p: tuple[float, ...], state: int) -> int:
     """Resolve a signal preset at a price. Thresholds model price learning."""
+    if not isinstance(name, str):
+        raise ValueError(f"signal preset must be a string, got {name!r}")
     if name == "pooled":
         return 0
     if name == "revealing":
         return state
     if name.startswith("threshold:"):
         _, coord, cut = name.split(":")
-        return state if p[int(coord)] > float(cut) else 0
+        k, c = int(coord), float(cut)
+        if not 0 <= k < len(p):
+            raise ValueError(f"signal preset {name!r}: coordinate {k} is outside the bundle")
+        if not math.isfinite(c):
+            raise ValueError(f"signal preset {name!r}: the cut must be a finite number")
+        return state if p[k] > c else 0
     raise ValueError(f"unknown signal preset {name!r}")
 
 
@@ -585,7 +592,10 @@ def info_economy_from_doc(doc: Any) -> InfoEconomy:
             n_agents=doc["n_agents"],
             n_goods=doc["n_goods"],
             n_states=doc["n_states"],
-            endowments=tuple(tuple(v) for v in doc["endowments"]),
+            endowments=tuple(
+                tuple(_io._as_number(c, f"endowments[{i}]")
+                      for c in _io._as_list(v, f"endowments[{i}]"))
+                for i, v in enumerate(_io._as_list(doc["endowments"], "endowments"))),
             signals=tuple(doc["signals"]),
             preferences=tuple(_io.map_from_doc(q) for q in doc["preferences"]),
             truncation=doc.get("truncation"),

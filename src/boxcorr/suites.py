@@ -211,14 +211,6 @@ def theorem_3_1_suite() -> CheckReport:
 # Random generators
 # ---------------------------------------------------------------------------
 
-def _affine_range(form: AffForm, domain: Box) -> tuple[float, float]:
-    lo = hi = form.const
-    for c, iv in zip(form.coeffs, domain):
-        lo += min(c * iv.lo, c * iv.hi)
-        hi += max(c * iv.lo, c * iv.hi)
-    return lo, hi
-
-
 def _random_sum_intersection(rng: random.Random) -> tuple[PiecewiseMap, PiecewiseMap, Grid]:
     """A continuous affine box map S, one closed box C, and one closed box
     K chosen to meet S(x)+C over the whole domain; returns (S, (S+C) cap K,
@@ -247,8 +239,8 @@ def _random_sum_intersection(rng: random.Random) -> tuple[PiecewiseMap, Piecewis
         sc_lo = AffForm(const + c_lo, coeffs)
         sc_hi = AffForm(const + width + c_hi, coeffs)
         sc_boxes.append(AffineInterval(sc_lo, sc_hi, True, True))
-        min_hi = _affine_range(sc_hi, domain)[0]
-        max_lo = _affine_range(sc_lo, domain)[1]
+        min_hi = sc_hi.bounds(domain)[0]
+        max_lo = sc_lo.bounds(domain)[1]
         k_lo = min_hi - rng.choice((0.0, 0.5, 1.0))
         k_hi = max(max_lo + rng.choice((0.0, 0.5, 1.0)), k_lo)
         k_box.append(FlaggedInterval.closed(k_lo, k_hi))

@@ -90,6 +90,19 @@ def test_malformed_document_is_input_error(runner, tmp_path):
     assert invoke(runner, "check-map", worse).exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["check-map", "find-fixed-points"])
+def test_nonfinite_document_number_is_input_error(runner, tmp_path, command):
+    d = BoxSet.of(1, [(I.closed(0, 1),)])
+    doc = io.map_to_doc(constant_map((I(0, float("inf"), True, False),), d), d)
+    path = tmp_path / "unbounded.map"
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text()
+    r = invoke(runner, command, path)
+    assert r.exit_code == 2, r.output
+    assert "expected a finite number" in r.output
+    assert "Traceback" not in r.output
+
+
 def test_wrong_kind_for_property_is_input_error(runner):
     r = invoke(runner, "check-map", "--property", "dual", EXAMPLES / "ex2_1.map")
     assert r.exit_code == 2
@@ -199,6 +212,24 @@ def test_build_radner_rejects_a_bad_truncation(runner, tmp_path, truncation):
     r = invoke(runner, "build-radner", doc)
     assert r.exit_code == 2, r.output
     assert "truncation must be a finite number" in r.output
+    assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("endowments", [[float("nan"), 0.5, 0.5], [0.5, 0.5, 0.5]], "expected a finite number"),
+    ("signals", [3, "pooled"], "must be a string"),
+    ("signals", ["threshold:9:0.5", "pooled"], "outside the bundle"),
+    ("signals", ["threshold:0:nan", "pooled"], "cut must be a finite number"),
+])
+def test_build_radner_rejects_malformed_endowments_and_signals(runner, tmp_path, field,
+                                                               value, message):
+    doc = json.loads((EXAMPLES / "radner_toy.econ").read_text())
+    doc[field] = value
+    path = tmp_path / "bad.econ"
+    path.write_text(json.dumps(doc))
+    r = invoke(runner, "build-radner", path)
+    assert r.exit_code == 2, r.output
+    assert message in r.output
     assert "Traceback" not in r.output
 
 

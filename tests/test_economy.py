@@ -11,6 +11,7 @@ from boxcorr import (AbstractEconomy, AgentSpec, BoxSet, FlaggedInterval, Grid,
                      verify_equilibrium)
 from boxcorr.affine import AffForm, AffineInterval
 from boxcorr.gallery import ex2_2_economy, ex4_1, ex4_1_selection
+from boxcorr.economy import _sets_condition
 from boxcorr.maps import DomainError
 
 I = FlaggedInterval
@@ -206,3 +207,19 @@ def test_hypotheses_4_2_build_each_b_approximation_once(monkeypatch):
     # per agent and eps: one B approximation shared by cond4 and cond5, one for A cap P
     assert calls["t_upper"] == 2 * 3 * 2
     assert calls["adherence"] == 2 * (3 * 2 + 1)
+
+
+def test_sets_condition_reads_closedness_of_the_union():
+    x_box = (I.closed(-1, 2), I.closed(-1, 1))
+
+    def problems(d):
+        m = constant_map(x_box, d)
+        rep = _sets_condition(AbstractEconomy((AgentSpec(x_box, d, m, m, m),)), 0, "sets")
+        return [w.detail for w in rep.witnesses]
+
+    touching = BoxSet.of(2, [(I.closed(-1, 0.5), I.closed(-1, 0.5)),
+                             (I.closed(0.5, 2), I.closed(-1, 1))])
+    open_edge = BoxSet.of(2, [(I(-1, 2, True, False), I.closed(-1, 1))])
+    assert problems(touching) == ["target set is not a single box"]
+    assert problems(open_edge) == ["target set is not closed"]
+    assert problems(BoxSet.single(x_box)) == []

@@ -99,6 +99,20 @@ def test_doc_validation_rejects_bad_interval():
                             "boxes": [[[2.0, 1.0, True, True]]]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_documents_reject_nonfinite_numbers(bad):
+    t1, d = ex2_1()
+    domain_end = io.map_to_doc(t1, d)
+    domain_end["domain"][0][1] = bad
+    coeff = io.map_to_doc(t1, d)
+    coeff["pieces"][0]["value"][0][0][0][1][0] = bad
+    for doc in (domain_end, coeff):
+        with pytest.raises(DocumentError, match="expected a finite number"):
+            io.map_from_doc(doc)
+    with pytest.raises(DocumentError, match="expected a finite number"):
+        io.grid_from_doc(dict(io.grid_to_doc(Grid(1, (0.0,), (1.0,), 0.25)), step=bad))
+
+
 def test_dumps_rejects_nonfinite():
     with pytest.raises(ValueError):
         io.dumps({"kind": "x", "v": float("inf")})

@@ -126,6 +126,31 @@ def test_t_upper_clip_is_exact_at_target_boundary():
     assert v.is_empty
 
 
+def test_t_upper_reads_compactness_of_the_union():
+    # two touching closed boxes whose union is not one box: its canonical
+    # form holds a half-open box, yet the union is compact
+    split_left = BoxSet.of(2, [(I.closed(-1, 0.5), I.closed(-1, 0.5)),
+                               (I.closed(0.5, 2), I.closed(-1, 1))])
+    split_low = BoxSet.of(2, [(I.closed(-1, 2), I.closed(-1, 0.5)),
+                              (I.closed(0.5, 2), I.closed(0.5, 1))])
+    assert split_left == split_low
+    assert not all(iv.lo_closed and iv.hi_closed for b in split_left.boxes for iv in b)
+    dom = (I.closed(0, 1),)
+    ramp = ((AffineInterval(AffForm(-1.0, (2.0,)), AffForm(-0.5, (2.0,))),
+             AffineInterval(AffForm.constant(0.25, 1), AffForm.constant(0.75, 1))),)
+    t = PiecewiseMap(dom, 2, (Piece(dom, ramp),))
+    tu = t_upper(t, 0.25, split_left)
+    assert tu == t_upper(t, 0.25, split_low)
+    for x in Grid(1, (0.0,), (1.0,), 0.125).points():
+        dilated = BoxSet.of(2, [(I(2 * x[0] - 1.25, 2 * x[0] - 0.25, False, False),
+                                 I(0.0, 1.0, False, False))])
+        assert tu.evaluate(x) == dilated.intersect(split_left)
+    open_edge = BoxSet.of(2, [(I.closed(-1, 0.5), I.closed(-1, 0.5)),
+                              (I(0.5, 2, True, False), I.closed(-1, 1))])
+    with pytest.raises(ValueError, match="D must be compact"):
+        t_upper(t, 0.25, open_edge)
+
+
 def test_intersect_maps_pointwise(step_map):
     other = constant_map(step_map.domain, BoxSet.of(1, [(I.closed(0.5, 2),)]))
     both = intersect_maps(step_map, other)

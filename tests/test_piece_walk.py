@@ -34,8 +34,7 @@ from boxcorr.intervals import (box_closure, box_contains, box_intersect, box_sor
                                canonical_boxes, merge_cells)
 from boxcorr.maps import (_add_root_cut, _atom_in_closed_box, _dilate_affine_box,
                           _effective_sign, _intersect_affine_boxes,
-                          _intersect_affine_intervals, _pair_cut_forms, _region_rep,
-                          normalize_value)
+                          _intersect_affine_intervals, _pair_cut_forms, normalize_value)
 
 I = FlaggedInterval
 
@@ -60,12 +59,16 @@ def seed_axis_atoms(iv, cuts):
     return atoms
 
 
+def seed_region_rep(region):
+    return tuple(iv.lo if iv.is_point else (iv.lo + iv.hi) / 2.0 for iv in region)
+
+
 def seed_rebuild(domain, codomain_dim, cuts, value_at):
     atom_lists = [seed_axis_atoms(domain[d], cuts.get(d, set())) for d in range(len(domain))]
     groups = {}
     for idx in itertools.product(*(range(len(al)) for al in atom_lists)):
         atom = tuple(atom_lists[d][i] for d, i in enumerate(idx))
-        groups.setdefault(value_at(atom, _region_rep(atom)), []).append(idx)
+        groups.setdefault(value_at(atom, seed_region_rep(atom)), []).append(idx)
     pieces = []
     for value, cells in groups.items():
         for box in merge_cells(atom_lists, cells):

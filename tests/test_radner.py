@@ -8,9 +8,9 @@ import math
 
 import pytest
 
-from boxcorr import (InfoEconomy, PriceSimplex, radner_toy, remark_4_3_inclusion,
-                     to_abstract_economy, verify_market_clearing)
-from boxcorr.radner import _measurable_corners
+from boxcorr import (DocumentError, InfoEconomy, PriceSimplex, radner_toy,
+                     remark_4_3_inclusion, to_abstract_economy, verify_market_clearing)
+from boxcorr.radner import _measurable_corners, info_economy_from_doc, info_economy_to_doc
 
 
 def toy():
@@ -287,3 +287,23 @@ def test_truncation_must_be_a_finite_number(bad):
         to_abstract_economy(toy(), PriceSimplex(3, 8), truncation=bad)
     with pytest.raises(ValueError, match="truncation must be a finite number"):
         associated(dataclasses.replace(toy(), truncation=bad))
+
+
+@pytest.mark.parametrize("signal,message", [
+    (3, "must be a string"),
+    ("threshold:9:0.5", "outside the bundle"),
+    ("threshold:-1:0.5", "outside the bundle"),
+    ("threshold:0:nan", "cut must be a finite number"),
+    ("threshold:0:inf", "cut must be a finite number"),
+])
+def test_bad_signal_presets_are_rejected(signal, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(toy(), signals=(signal, "pooled"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "1", True])
+def test_info_economy_document_endowments_must_be_finite_numbers(bad):
+    doc = info_economy_to_doc(toy())
+    doc["endowments"][0][1] = bad
+    with pytest.raises(DocumentError, match="endowments\\[0\\]: expected a"):
+        info_economy_from_doc(doc)
