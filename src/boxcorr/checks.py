@@ -12,8 +12,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .intervals import Box, BoxSet, DimensionMismatchError, Grid, box_contains
-from .maps import PiecewiseMap, adherence, constant_map, intersect_maps, t_upper
+from .intervals import BoxSet, DimensionMismatchError, Grid, box_contains
+from .maps import (DomainError, PiecewiseMap, adherence, constant_map, intersect_maps,
+                   t_upper)
 
 PASS = "pass"
 FAIL = "fail"
@@ -67,24 +68,52 @@ def combine_reports(property_name: str, children: Sequence[CheckReport],
 # Grid scans
 # ---------------------------------------------------------------------------
 
-def domain_points(domain: Box, grid: Grid,
-                  point_filter: Callable[[tuple[float, ...]], bool] | None = None):
-    """The grid points inside ``domain`` (and passing ``point_filter``), in
-    lexicographic order."""
-    for p in grid.points():
-        if box_contains(domain, p) and (point_filter is None or point_filter(p)):
-            yield p
+def grid_values(maps: Sequence[PiecewiseMap], grid: Grid,
+                point_filter: Callable[[tuple[float, ...]], bool] | None = None):
+    """``(index, point, pieces)`` for the grid points in ``maps[0]``'s domain
+    that pass ``point_filter``, in lexicographic order; ``pieces[k]`` is the
+    piece of ``maps[k]`` holding the point, and a point outside a later
+    map's domain raises ``DomainError``.
+
+    Each map's pieces are walked once: per axis, a piece's grid indices are
+    the axis values its region's interval contains. The piece index goes
+    into one list slot per grid point, in row-major order.
+    """
+    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    strides = [math.prod(map(len, axes[d + 1:])) for d in range(grid.dim)]
+    slots = []
+    for t in maps:
+        if t.domain_dim != grid.dim:
+            raise DimensionMismatchError(f"point of dim {grid.dim} vs box of dim {t.domain_dim}")
+        slot: list[int | None] = [None] * math.prod(map(len, axes))
+        for i, piece in enumerate(t.pieces):
+            own = [[k * stride for k, v in enumerate(ax) if iv.contains(v)]
+                   for ax, iv, stride in zip(axes, piece.region, strides)]
+            for offsets in itertools.product(*own):
+                slot[sum(offsets)] = i
+        slots.append(slot)
+    indices = itertools.product(*(range(len(ax)) for ax in axes))
+    for idx, x, pieces in zip(indices, itertools.product(*axes), zip(*slots)):
+        if pieces[0] is None or (point_filter is not None and not point_filter(x)):
+            continue
+        if None in pieces:
+            raise DomainError(f"point {x} outside map domain")
+        yield idx, x, pieces
 
 
-def scan_points(name: str, points, probe: Callable[[tuple[float, ...]], Iterable[Witness]],
-                parameters: dict | None = None) -> CheckReport:
-    """Per-point verdict: fail iff ``probe(x)`` yields a witness at some point.
+def scan_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
+                probe: Callable[..., Iterable[Witness]], parameters: dict | None = None,
+                point_filter: Callable[[tuple[float, ...]], bool] | None = None) -> CheckReport:
+    """Per-point verdict: fail iff ``probe(x, *values)`` yields a witness at
+    some point of ``grid_values(maps, grid, point_filter)``, where
+    ``values[k]`` is the value of ``maps[k]`` at ``x``.
 
     The scan stops once ``_MAX_WITNESSES`` witnesses are found and keeps
     the first ``_MAX_WITNESSES`` in point order.
     """
-    witnesses = tuple(itertools.islice(
-        itertools.chain.from_iterable(map(probe, points)), _MAX_WITNESSES))
+    found = (probe(x, *(m.value_on(i, x) for m, i in zip(maps, pieces)))
+             for _, x, pieces in grid_values(maps, grid, point_filter))
+    witnesses = tuple(itertools.islice(itertools.chain.from_iterable(found), _MAX_WITNESSES))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
 
@@ -98,38 +127,26 @@ def _closed_values(t: PiecewiseMap, grid: Grid,
     """The in-domain grid points passing ``point_filter``, their closed
     values, and each point's piece index if that piece is constant.
 
-    The walk goes piece by piece: per axis, a piece's grid points are the
-    indices whose axis value lies in its region's interval, so no point
-    searches for its piece. A piece whose affine endpoints are all
-    constant (the empty value included) has one value, which is closed
-    once; points on affine pieces are valued one by one and get ``None``
-    as their constant piece. All three results are keyed by grid index.
+    A piece whose affine endpoints are all constant (the empty value
+    included) has one value, which is closed once; points on affine pieces
+    are valued one by one and get ``None`` as their constant piece. All
+    three results are keyed by grid index, in lexicographic order.
     """
-    if grid.dim != t.domain_dim:
-        raise DimensionMismatchError(f"point of dim {grid.dim} vs box of dim {t.domain_dim}")
-    axes = [grid.axis_values(d) for d in range(grid.dim)]
-    pts: dict[tuple[int, ...], tuple[float, ...]] = {}
-    values: dict[tuple[int, ...], BoxSet] = {}
-    const_piece: dict[tuple[int, ...], int | None] = {}
-    for i, piece in enumerate(t.pieces):
-        constant = all(ai.is_constant for b in piece.value for ai in b)
-        shared = None
-        own = [[k for k, v in enumerate(ax) if iv.contains(v)] for ax, iv in zip(axes, piece.region)]
-        for idx in itertools.product(*own):
-            x = tuple(ax[k] for ax, k in zip(axes, idx))
-            if point_filter is not None and not point_filter(x):
-                continue
-            pts[idx] = x
-            if shared is None or not constant:
-                shared = t.value_on(i, x).closure()
-            values[idx] = shared
-            const_piece[idx] = i if constant else None
+    constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
+    pts, values, const_piece, closed = {}, {}, {}, {}
+    for idx, x, (i,) in grid_values((t,), grid, point_filter):
+        pts[idx] = x
+        const_piece[idx] = i if constant[i] else None
+        if not constant[i] or i not in closed:
+            closed[i] = t.value_on(i, x).closure()
+        values[idx] = closed[i]
     return pts, values, const_piece
 
 
 def _excess_scan(values: dict, const_piece: dict, pts: dict, offsets, bound: float,
                  direction: str):
     """Ordered-pair excess scan; direction 'usc' compares T(x') against T(x).
+    Centers are taken in the order of ``pts``, which is lexicographic.
 
     Pairs whose two points lie on constant pieces take their excess from a
     memo keyed by the oriented pair of piece indices, so each such piece
@@ -138,8 +155,7 @@ def _excess_scan(values: dict, const_piece: dict, pts: dict, offsets, bound: flo
     witnesses: list[Witness] = []
     truncated = False
     piece_excess: dict[tuple[int, int], float] = {}
-    for idx in sorted(pts):
-        x = pts[idx]
+    for idx, x in pts.items():
         for off in offsets:
             nidx = tuple(map(operator.add, idx, off))
             if nidx not in pts:
@@ -220,10 +236,10 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     )
 
 
-def _empty_points(t: PiecewiseMap, grid: Grid, point_filter=None) -> list[tuple[float, ...]]:
+def _empty_points(t: PiecewiseMap, grid: Grid) -> list[tuple[float, ...]]:
     """The first eight in-domain grid points where ``t`` has the empty value."""
-    return list(itertools.islice((p for p in domain_points(t.domain, grid, point_filter)
-                                  if t.evaluate(p).is_empty), 8))
+    return list(itertools.islice((x for _, x, (i,) in grid_values((t,), grid)
+                                  if t.value_on(i, x).is_empty), 8))
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +316,17 @@ def _largest_box(s: BoxSet):
 def propose_constant_selection(t: PiecewiseMap, k_region, eps: float, grid: Grid) -> PiecewiseMap | None:
     """Constant-selection heuristic: a box inside every dilated value over K."""
     inter: BoxSet | None = None
-    for p in domain_points(t.domain, grid, lambda p: box_contains(k_region, p)):
-        val = t.evaluate(p)
+    for _, x, (i,) in grid_values((t,), grid, lambda p: box_contains(k_region, p)):
+        val = t.value_on(i, x)
         if val.is_empty:
             return None
         dil = val.dilate(eps)
         inter = dil if inter is None else inter.intersect(dil)
         if inter.is_empty:
             return None
-    if inter is None or inter.is_empty:
+    if inter is None:
         return None
-    box = _largest_box(inter)
-    return constant_map(t.domain, BoxSet.single(box))
+    return constant_map(t.domain, BoxSet.single(_largest_box(inter)))
 
 
 def check_e_uscs(t: PiecewiseMap, k_region, candidate: PiecewiseMap | None,
@@ -341,28 +356,24 @@ def check_e_uscs(t: PiecewiseMap, k_region, candidate: PiecewiseMap | None,
     in_k = lambda p: box_contains(k_region, p)
     usc_rep = check_usc(candidate, grid, delta, tol, in_k, property_name="selection-usc")
 
-    values = {p: candidate.evaluate(p) for p in domain_points(t.domain, grid, in_k)}
-
-    def nonconvex(p):
-        n = len(values[p].boxes)
+    def nonconvex(x, _, value):
+        n = len(value.boxes)
         if n != 1:
-            yield Witness(p, None, math.inf, "nonconvex", f"{n} canonical boxes")
+            yield Witness(x, None, math.inf, "nonconvex", f"{n} canonical boxes")
 
-    def escapes(p):
-        target = t.evaluate(p)
-        if target.is_empty or not values[p].subset_within(target.dilate(eps), tol):
-            yield Witness(p, None, math.inf, "escapes dilation")
+    def escapes(x, target, value):
+        if target.is_empty or not value.subset_within(target.dilate(eps), tol):
+            yield Witness(x, None, math.inf, "escapes dilation")
 
-    def contains_base(p):
-        if values[p].closure().contains(tuple(p[j] for j in block)):
-            yield Witness(p, None, 0.0, "contains base point")
+    def contains_base(x, _, value):
+        if value.closure().contains(tuple(x[j] for j in block)):
+            yield Witness(x, None, 0.0, "contains base point")
 
-    children = [
-        usc_rep,
-        scan_points("selection-convex", values, nonconvex),
-        scan_points("selection-inside-dilation", values, escapes, {"eps": eps, "tol": tol}),
-        scan_points("selection-avoids-base-point", values, contains_base, {"block": list(block)}),
-    ]
+    clauses = (("selection-convex", nonconvex, None),
+               ("selection-inside-dilation", escapes, {"eps": eps, "tol": tol}),
+               ("selection-avoids-base-point", contains_base, {"block": list(block)}))
+    children = [usc_rep] + [scan_points(name, (t, candidate), grid, probe, params, in_k)
+                            for name, probe, params in clauses]
     rep = combine_reports(property_name, children, {
         "eps": eps, "candidate": "heuristic" if proposed else "supplied"})
     if proposed and rep.verdict == FAIL:

@@ -31,7 +31,6 @@ from .checks import (
     check_e_uscs,
     check_usc,
     combine_reports,
-    domain_points,
     scan_points,
 )
 from .fixedpoint import check_grid_covers_targets
@@ -242,7 +241,7 @@ def verify_equilibrium(e: AbstractEconomy, x: Sequence[float]) -> EquilibriumCer
 def search_equilibria(e: AbstractEconomy, grid: Grid) -> list[EquilibriumCertificate]:
     """Valid certificates at every grid point of X, lexicographic order."""
     check_grid_covers_targets(grid, e.dim, tuple(ag.d_set for ag in e.agents), e.blocks)
-    certs = (verify_equilibrium(e, x) for x in domain_points(e.domain, grid))
+    certs = (verify_equilibrium(e, x) for x in grid.points() if box_contains(e.domain, x))
     return [c for c in certs if c.valid]
 
 
@@ -272,32 +271,27 @@ def _sets_condition(e: AbstractEconomy, i: int, name: str,
 def _values_condition_4_1(e: AbstractEconomy, i: int, grid: Grid, name: str) -> CheckReport:
     """Convex A/P values, nonempty convex B values, conflict inside B."""
     ag = e.agents[i]
-    h = e.conflict_map(i)
 
-    def probe(x):
-        if not _convex(ag.a_map.evaluate(x)):
+    def probe(x, aval, pval, bval, hval):
+        if not _convex(aval):
             yield Witness(x, None, 0.0, "nonconvex", "constraint map value")
-        if not _convex(ag.p_map.evaluate(x)):
+        if not _convex(pval):
             yield Witness(x, None, 0.0, "nonconvex", "preference map value")
-        bval = ag.b_map.evaluate(x)
         if bval.is_empty or not _convex(bval):
             yield Witness(x, None, 0.0, "bad value", "second constraint map value")
-        if not h.evaluate(x).subset_within(bval, 0.0):
+        if not hval.subset_within(bval, 0.0):
             yield Witness(x, None, 0.0, "inclusion", "conflict value escapes B")
 
-    return scan_points(name, domain_points(e.domain, grid), probe,
+    return scan_points(name, (ag.a_map, ag.p_map, ag.b_map, e.conflict_map(i)), grid, probe,
                        {"points_checked": grid.point_count()})
 
 
-def _value_shape(t: PiecewiseMap):
-    """Probe: a witness wherever the value of ``t`` is empty or not one box."""
-    def probe(x):
-        val = t.evaluate(x)
-        if val.is_empty:
-            yield Witness(x, None, math.inf, "empty value")
-        elif not _convex(val):
-            yield Witness(x, None, 0.0, "nonconvex")
-    return probe
+def _value_shape(x, val):
+    """Probe: a witness wherever the value is empty or not one box."""
+    if val.is_empty:
+        yield Witness(x, None, math.inf, "empty value")
+    elif not _convex(val):
+        yield Witness(x, None, 0.0, "nonconvex")
 
 
 def _irreflexive(e: AbstractEconomy, i: int, bar: PiecewiseMap, grid: Grid,
@@ -305,11 +299,11 @@ def _irreflexive(e: AbstractEconomy, i: int, bar: PiecewiseMap, grid: Grid,
     """Condition 6: agent i's block point never lies in the value of ``bar``."""
     blk = e.blocks[i]
 
-    def probe(x):
-        if bar.evaluate(x).contains(tuple(x[j] for j in blk)):
+    def probe(x, val):
+        if val.contains(tuple(x[j] for j in blk)):
             yield Witness(x, None, 0.0, "reflexive", f"block point inside adherent {what} value")
 
-    return scan_points(f"agent{i}.cond6-irreflexive", domain_points(e.domain, grid), probe)
+    return scan_points(f"agent{i}.cond6-irreflexive", (bar,), grid, probe)
 
 
 def _vacuous(i: int) -> CheckReport:
@@ -340,9 +334,8 @@ def _almost_w_usc_children(bars: Sequence[PiecewiseMap], eps_list: Sequence[floa
         children.append(check_usc(bar, grid, delta, tol,
                                   property_name=f"{label}.almost-w-usc@eps={eps:g}"))
         if require_nonempty_convex:
-            children.append(scan_points(f"{label}.values@eps={eps:g}",
-                                        domain_points(bar.domain, grid), _value_shape(bar),
-                                        {"eps": eps}))
+            children.append(scan_points(f"{label}.values@eps={eps:g}", (bar,), grid,
+                                        _value_shape, {"eps": eps}))
     return children
 
 
@@ -407,19 +400,16 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         ag = e.agents[i]
         conds = [_sets_condition(e, i, f"agent{i}.cond1-sets")]
 
-        h = e.conflict_map(i)
-
-        def values(x):
-            if not ag.p_map.evaluate(x).subset_within(ag.d_set, 0.0):
+        def values(x, pval, bval, hval):
+            if not pval.subset_within(ag.d_set, 0.0):
                 yield Witness(x, None, 0.0, "inclusion", "preference value escapes target set")
-            bval = ag.b_map.evaluate(x)
             if bval.is_empty:
                 yield Witness(x, None, math.inf, "empty value", "B empty")
-            if not h.evaluate(x).subset_within(bval, 0.0):
+            if not hval.subset_within(bval, 0.0):
                 yield Witness(x, None, 0.0, "inclusion", "conflict value escapes B")
 
-        conds.append(scan_points(f"agent{i}.cond2-values", domain_points(e.domain, grid),
-                                 values))
+        conds.append(scan_points(f"agent{i}.cond2-values",
+                                 (ag.p_map, ag.b_map, e.conflict_map(i)), grid, values))
 
         conds.append(_openness_condition(e, i, f"agent{i}.cond3-open-conflict-region"))
 
@@ -441,8 +431,8 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         for eps, b_bar in zip(eps_list, b_bars):
             t_iv = intersect_maps(t_upper(ag.a_map, eps, ag.d_set), ag.p_map)
             pairs = ((f"agent{i}.t-iv", adherence(t_iv)), (f"agent{i}.b-v", b_bar))
-            c5_children += [scan_points(f"{label}@eps={eps:g}", domain_points(e.domain, grid),
-                                        _value_shape(bar), {"eps": eps})
+            c5_children += [scan_points(f"{label}@eps={eps:g}", (bar,), grid, _value_shape,
+                                        {"eps": eps})
                             for label, bar in pairs]
         conds.append(combine_reports(f"agent{i}.cond5-approx-values", c5_children))
 
@@ -478,8 +468,7 @@ def check_theorem_4_3_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         b_closed = closure_values(ag.b_map)
         conds.append(combine_reports(f"agent{i}.cond2-cl-b", [
             check_usc(b_closed, grid, delta, tol, property_name=f"agent{i}.cl-b-usc"),
-            scan_points(f"agent{i}.cl-b-values", domain_points(e.domain, grid),
-                        _value_shape(b_closed)),
+            scan_points(f"agent{i}.cl-b-values", (b_closed,), grid, _value_shape),
         ]))
 
         conds.append(_openness_condition(e, i, f"agent{i}.cond3-open-conflict-region"))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import io as _io
-from .checks import domain_points
+from .checks import grid_values
 from .intervals import BoxSet, Grid
 from .maps import PiecewiseMap, adherence, t_upper
 
@@ -140,16 +140,9 @@ def fixed_points_of_approximation(pm: ProductMap, eps: float, grid: Grid) -> QvS
         raise ValueError("eps must be positive")
     check_grid_covers_targets(grid, pm.dim, pm.d_sets, pm.blocks)
     approx = approximation_maps(pm, eps)
-    kept: list[tuple[float, ...]] = []
-    for x in domain_points(pm.domain, grid):
-        ok = True
-        for m, blk in zip(approx, pm.blocks):
-            xb = tuple(x[j] for j in blk)
-            if not m.evaluate(x).contains(xb):
-                ok = False
-                break
-        if ok:
-            kept.append(x)
+    kept = (x for _, x, pieces in grid_values(approx, grid)
+            if all(m.value_on(i, x).contains(tuple(x[j] for j in blk))
+                   for m, i, blk in zip(approx, pieces, pm.blocks)))
     return QvSet(eps, tuple(kept))
 
 

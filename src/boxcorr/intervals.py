@@ -478,6 +478,8 @@ class Grid:
         for l, h in zip(self.lo, self.hi):
             if l > h:
                 raise ValueError("grid bounds out of order")
+            if not math.isfinite((h - l) / self.step):
+                raise ValueError(f"grid extent [{l}, {h}] at step {self.step} is not finite")
 
     @staticmethod
     def over_box(box: Box, step: float) -> "Grid":

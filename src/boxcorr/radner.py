@@ -67,6 +67,10 @@ class InfoEconomy:
     truncation: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_agents", "n_goods", "n_states"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if min(self.n_agents, self.n_goods, self.n_states) < 1:
             raise ValueError("need at least one agent, good, and state")
         d = self.bundle_dim

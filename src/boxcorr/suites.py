@@ -45,13 +45,12 @@ def _constant_target(v: float) -> BoxSet:
 
 
 def _value_scan(t: PiecewiseMap, grid: Grid, target: BoxSet, name: str) -> CheckReport:
-    def probe(x):
-        got = t.evaluate(x)
+    def probe(x, got):
         if got != target:
             ex = math.inf if got.is_empty else got.hausdorff_upper(target)
             yield Witness(x, None, ex, "value differs from the stated one")
 
-    rep = scan_points(name, grid.points(), probe, {"grid_points": grid.point_count()})
+    rep = scan_points(name, (t,), grid, probe, {"grid_points": grid.point_count()})
     return dataclasses.replace(rep, witnesses=rep.witnesses[:8])
 
 

@@ -103,6 +103,18 @@ def test_nonfinite_document_number_is_input_error(runner, tmp_path, command):
     assert "Traceback" not in r.output
 
 
+@pytest.mark.parametrize("command", ["check-map", "find-fixed-points"])
+def test_domain_too_wide_for_a_grid_is_input_error(runner, tmp_path, command):
+    d = BoxSet.of(1, [(I.closed(0, 1),)])
+    doc = io.map_to_doc(constant_map((I(-1e308, 1e308, True, False),), d), d)
+    path = tmp_path / "wide.map"
+    path.write_text(json.dumps(doc))
+    r = invoke(runner, command, path)
+    assert r.exit_code == 2, r.output
+    assert "not finite" in r.output
+    assert "Traceback" not in r.output
+
+
 def test_wrong_kind_for_property_is_input_error(runner):
     r = invoke(runner, "check-map", "--property", "dual", EXAMPLES / "ex2_1.map")
     assert r.exit_code == 2
@@ -212,6 +224,19 @@ def test_build_radner_rejects_a_bad_truncation(runner, tmp_path, truncation):
     r = invoke(runner, "build-radner", doc)
     assert r.exit_code == 2, r.output
     assert "truncation must be a finite number" in r.output
+    assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("field,value", [("n_goods", True), ("n_agents", 2.0),
+                                         ("n_states", "2"), ("n_agents", None)])
+def test_build_radner_rejects_counts_that_are_not_integers(runner, tmp_path, field, value):
+    doc = json.loads((EXAMPLES / "radner_toy.econ").read_text())
+    doc[field] = value
+    path = tmp_path / "bad_count.econ"
+    path.write_text(json.dumps(doc))
+    r = invoke(runner, "build-radner", path)
+    assert r.exit_code == 2, r.output
+    assert f"{field} must be an integer" in r.output
     assert "Traceback" not in r.output
 
 

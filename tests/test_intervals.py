@@ -149,3 +149,11 @@ def test_grid_axis_values_exact():
     g = Grid(1, (0.0,), (1.0,), 0.125)
     vals = g.axis_values(0)
     assert vals[0] == 0.0 and vals[-1] == 1.0 and len(vals) == 9
+
+
+@pytest.mark.parametrize("lo,hi,step", [(-1e308, 1e308, 0.25), (0.0, 1e308, 1e-300)])
+def test_grid_rejects_an_extent_that_overflows(lo, hi, step):
+    with pytest.raises(ValueError, match="not finite"):
+        Grid(1, (lo,), (hi,), step)
+    with pytest.raises(ValueError, match="not finite"):
+        Grid(2, (0.0, lo), (1.0, hi), step)

@@ -244,6 +244,8 @@ def assert_same_scan(t, grid, point_filter=None):
     got = _checks._closed_values(t, grid, point_filter)
     want = seed_closed_values(t, grid, point_filter)
     assert got == want
+    walk = [(idx, x) for idx, x, _ in _checks.grid_values((t,), grid, point_filter)]
+    assert walk == sorted(want[0].items())
     for opts in ({}, {"direction": "lsc"}, {"delta": 2 * grid.step}):
         rep = check_usc(t, grid, point_filter=point_filter, **opts)
         pts, values, const_piece = want
@@ -554,3 +556,36 @@ def test_memo_is_not_part_of_map_equality():
     t.evaluate((0.5,))
     assert t == _mixed_map()
     assert hash(t) == hash(_mixed_map())
+
+
+# ---------------------------------------------------------------------------
+# Empty, affine and constant pieces side by side
+# ---------------------------------------------------------------------------
+
+def _square_map():
+    """[0, 2]^2 with a constant, an affine and an empty piece side by side."""
+    dom = (I.closed(0, 2), I.closed(0, 2))
+    const = ((AffineInterval(AffForm.constant(0.5, 2), AffForm.constant(1.5, 2)),),)
+    ramp = ((AffineInterval(AffForm(0.0, (0.0, 1.0)), AffForm(1.0, (0.0, 1.0))),),)
+    return PiecewiseMap(dom, 1, (
+        Piece((I(0, 1, True, False), I.closed(0, 2)), const),
+        Piece((I.closed(1, 2), I.closed(0, 1)), ramp),
+        Piece((I.closed(1, 2), I(1, 2, False, True)), ()),
+    ))
+
+
+@pytest.mark.parametrize("t,step,drop_affine,drop_empty", [
+    (_mixed_map(), 0.125, lambda p: not 1 <= p[0] <= 1.5, lambda p: p[0] <= 1.5),
+    (_square_map(), 0.25, lambda p: p[0] < 1 or p[1] > 1, lambda p: p[0] < 1 or p[1] <= 1),
+], ids=["line", "square"])
+def test_mixed_piece_scans_match_oracle(t, step, drop_affine, drop_empty):
+    """Empty next to nonempty and affine next to constant pieces, and filters
+    that remove every grid point of the affine or of the empty piece."""
+    grid = _grid_over(t, step)
+    for m in (t, adherence(t), adherence(t_upper(t, 0.5, BoxSet.single((I.closed(0, 2),))))):
+        for point_filter in (None, drop_affine, drop_empty):
+            assert_same_scan(m, grid, point_filter)
+    for point_filter, piece in ((drop_affine, 1), (drop_empty, 2)):
+        kept = [x for x in grid.points() if point_filter(x)]
+        assert not any(box_contains(t.pieces[piece].region, x) for x in kept)
+        assert any(box_contains(t.pieces[piece].region, x) for x in grid.points())

@@ -289,6 +289,17 @@ def test_truncation_must_be_a_finite_number(bad):
         associated(dataclasses.replace(toy(), truncation=bad))
 
 
+@pytest.mark.parametrize("field", ["n_agents", "n_goods", "n_states"])
+@pytest.mark.parametrize("bad", [True, 2.0, "2", None])
+def test_counts_must_be_integers(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        dataclasses.replace(toy(), **{field: bad})
+    doc = info_economy_to_doc(toy())
+    doc[field] = bad
+    with pytest.raises(DocumentError, match=f"{field} must be an integer"):
+        info_economy_from_doc(doc)
+
+
 @pytest.mark.parametrize("signal,message", [
     (3, "must be a string"),
     ("threshold:9:0.5", "outside the bundle"),

@@ -1,10 +1,12 @@
 """The shared witness scan against frozen copies of the per-point loops it replaced.
 
 ``scan_points`` is the one loop behind every per-point verdict: it walks
-the points in order, collects the witnesses each probe yields, stops once
-``_MAX_WITNESSES`` are found and keeps the first ``_MAX_WITNESSES``. The
-``seed_*`` functions below are the hand-written loops the hypothesis
-checkers and ``check_e_uscs`` used before; they stay here as the oracle,
+the grid points ``grid_values`` reads off the maps' pieces, in order,
+collects the witnesses each probe yields from the point and the maps'
+values there, stops once ``_MAX_WITNESSES`` are found and keeps the first
+``_MAX_WITNESSES``. The ``seed_*`` functions below are the hand-written
+loops the hypothesis checkers and ``check_e_uscs`` used before, each
+finding a point's value with ``evaluate``; they stay here as the oracle,
 and every report built on the helper must equal theirs, witness for
 witness, parameters included.
 """
@@ -16,16 +18,16 @@ import random
 
 import pytest
 
-from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Piece,
-                     PiecewiseMap, adherence, check_dual_w_usc, check_theorem_4_1_hypotheses,
+from boxcorr import (AffForm, AffineInterval, BoxSet, DomainError, FlaggedInterval, Grid,
+                     Piece, PiecewiseMap, adherence, check_dual_w_usc, check_theorem_4_1_hypotheses,
                      check_theorem_4_2_hypotheses, check_theorem_4_3_hypotheses,
                      check_w_usc, closure_values, constant_map, intersect_maps, restrict,
                      t_upper)
 from boxcorr import checks as _checks
-from boxcorr.checks import FAIL, PASS, UNVERIFIED, Witness, domain_points, scan_points
+from boxcorr.checks import FAIL, PASS, UNVERIFIED, Witness, grid_values, scan_points
 from boxcorr.economy import AbstractEconomy, AgentSpec
 from boxcorr.gallery import ex2_2_economy, ex4_1, ex4_1_selection
-from boxcorr.intervals import box_closure, box_contains
+from boxcorr.intervals import DimensionMismatchError, box_closure, box_contains
 
 I = FlaggedInterval
 CAP = _checks._MAX_WITNESSES
@@ -287,30 +289,62 @@ def _capped_mid_point(raw):
 
 
 # ---------------------------------------------------------------------------
-# scan_points and domain_points
+# scan_points and grid_values
 # ---------------------------------------------------------------------------
+
+def _line(n):
+    """A one-piece map on [0, n - 1], as a one-map tuple, and the grid of its
+    integer points."""
+    t = constant_map((I.closed(0, n - 1),), BoxSet.single((I.closed(0, 1),)))
+    return (t,), Grid(1, (0.0,), (float(n - 1),), 1.0)
+
 
 def _counting(probe):
     calls = []
 
-    def wrapped(x):
+    def wrapped(x, *values):
         calls.append(x)
-        return probe(x)
+        return probe(x, *values)
     return wrapped, calls
 
 
+def _const(v, dd):
+    return ((AffineInterval(AffForm.constant(v, dd), AffForm.constant(v, dd)),),)
+
+
+def _two_rows():
+    """[0, 2]^2 split at x1 = 1, the upper piece listed first."""
+    dom = (I.closed(0, 2), I.closed(0, 2))
+    return PiecewiseMap(dom, 1, (Piece((I.closed(0, 2), I(1, 2, False, True)), _const(1.0, 2)),
+                                 Piece((I.closed(0, 2), I.closed(0, 1)), _const(0.0, 2))))
+
+
 def test_witnesses_come_in_point_order():
-    points = [(3.0,), (1.0,), (2.0,)]
-    rep = scan_points("order", points, lambda x: [Witness(x, None, 0.0, "hit")])
-    assert [w.point for w in rep.witnesses] == points
+    t = _two_rows()
+    grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 1.0)
+    rep = scan_points("order", (t,), grid,
+                      lambda x, v: [Witness(x, None, v.boxes[0][0].lo, "hit")])
+    assert [w.point for w in rep.witnesses] == list(grid.points())
+    assert [w.excess for w in rep.witnesses] == [float(x[1] > 1) for x in grid.points()]
     assert rep.verdict == FAIL
     assert rep.property_name == "order"
 
 
+def test_probe_gets_one_value_per_map():
+    t = _two_rows()
+    grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 1.0)
+    seen = []
+    scan_points("values", (t, adherence(t), t), grid, lambda x, *v: seen.append((x, v)) or ())
+    assert [x for x, _ in seen] == list(grid.points())
+    for x, values in seen:
+        assert values == (t.evaluate(x), adherence(t).evaluate(x), t.evaluate(x))
+
+
 def test_cap_keeps_the_first_witnesses_and_stops_early():
-    points = [(float(k),) for k in range(100)]
-    probe, calls = _counting(lambda x: [Witness(x, None, 0.0, "hit")] if x[0] >= 10 else [])
-    rep = scan_points("cap", points, probe)
+    maps, grid = _line(100)
+    points = list(grid.points())
+    probe, calls = _counting(lambda x, v: [Witness(x, None, 0.0, "hit")] if x[0] >= 10 else [])
+    rep = scan_points("cap", maps, grid, probe)
     assert len(rep.witnesses) == CAP
     assert [w.point for w in rep.witnesses] == points[10:10 + CAP]
     # the scan stops at the point that brings the count to the cap
@@ -318,10 +352,11 @@ def test_cap_keeps_the_first_witnesses_and_stops_early():
 
 
 def test_cap_can_fall_inside_one_point():
-    points = [(float(k),) for k in range(20)]
+    maps, grid = _line(20)
+    points = list(grid.points())
     probe, calls = _counting(
-        lambda x: [Witness(x, None, float(j), "hit") for j in range(3)])
-    rep = scan_points("mid", points, probe)
+        lambda x, v: [Witness(x, None, float(j), "hit") for j in range(3)])
+    rep = scan_points("mid", maps, grid, probe)
     full, rest = divmod(CAP, 3)
     assert rest, "the cap must not be a multiple of the per-point count"
     assert len(rep.witnesses) == CAP
@@ -333,33 +368,74 @@ def test_cap_can_fall_inside_one_point():
 def test_generator_probe_is_not_run_past_the_cap():
     seen = []
 
-    def probe(x):
+    def probe(x, v):
         for j in range(3):
             seen.append((x, j))
             yield Witness(x, None, float(j), "hit")
 
-    scan_points("lazy", [(float(k),) for k in range(20)], probe)
+    scan_points("lazy", *_line(20), probe)
     assert len(seen) == CAP
 
 
 def test_empty_scan_passes_with_its_parameters():
     params = {"eps": 0.5, "tol": 1e-9}
-    rep = scan_points("clean", [(0.0,), (1.0,)], lambda x: (), params)
+    rep = scan_points("clean", *_line(2), lambda x, v: (), params)
     assert rep.verdict == PASS
     assert rep.witnesses == ()
     assert rep.parameters == params
-    assert scan_points("none", [], lambda x: ()).parameters == {}
-    assert scan_points("none", [], lambda x: ()).verdict == PASS
+    none = scan_points("none", *_line(2), lambda x, v: [Witness(x, None, 0.0, "hit")],
+                       point_filter=lambda p: False)
+    assert none.parameters == {}
+    assert none.verdict == PASS
 
 
-def test_domain_points_in_lexicographic_order_inside_the_domain():
+def _open_edged_square():
+    """(0, 1] x [0, 1] in two pieces, split at x1 = 1/2."""
+    dom = (I(0, 1, False, True), I.closed(0, 1))
+    return PiecewiseMap(dom, 1, (Piece((dom[0], I(0.5, 1, False, True)), _const(1.0, 2)),
+                                 Piece((dom[0], I.closed(0, 0.5)), _const(0.0, 2))))
+
+
+def test_grid_values_in_lexicographic_order_inside_the_domain():
+    t = _open_edged_square()
     grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
-    domain = (I(0, 1, False, True), I.closed(0, 1))
-    pts = list(domain_points(domain, grid))
+    got = list(grid_values((t,), grid))
+    pts = [x for _, x, _ in got]
     assert pts == [(a, b) for a in (0.5, 1.0) for b in (0.0, 0.5, 1.0)]
     assert pts == sorted(pts)
-    assert list(domain_points(domain, grid, lambda p: p[1] > 0)) == [
+    assert [idx for idx, _, _ in got] == [(a, b) for a in (1, 2) for b in (0, 1, 2)]
+    assert [pieces for _, _, pieces in got] == [(1,), (1,), (0,)] * 2
+
+
+def test_grid_values_applies_the_point_filter():
+    t = _open_edged_square()
+    grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
+    assert [x for _, x, _ in grid_values((t,), grid, lambda p: p[1] > 0)] == [
         (0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)]
+    # the filter removes every point of piece 0, and sees only in-domain points
+    seen = []
+    got = list(grid_values((t,), grid, lambda p: seen.append(p) or p[1] <= 0.5))
+    assert {pieces for _, _, pieces in got} == {(1,)}
+    assert seen == [x for _, x, _ in grid_values((t,), grid)]
+
+
+def test_grid_values_raises_outside_a_later_domain():
+    t = _open_edged_square()
+    grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
+    lower = restrict(t, (I(0, 1, False, True), I.closed(0, 0.5)))
+    assert [p for _, _, p in grid_values((lower, t), grid)] == [(0, 1), (0, 1)] * 2
+    with pytest.raises(DomainError, match=r"\(0\.5, 1\.0\)"):
+        list(grid_values((t, lower), grid))
+    assert len(list(grid_values((t, lower), grid, lambda p: p[1] <= 0.5))) == 4
+
+
+def test_grid_values_rejects_a_grid_of_another_dimension():
+    t = _open_edged_square()
+    line = Grid(1, (0.0,), (1.0,), 0.5)
+    with pytest.raises(DimensionMismatchError):
+        list(grid_values((t,), line))
+    with pytest.raises(DimensionMismatchError):
+        list(grid_values((t, *_line(2)[0]), Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +531,89 @@ def test_seeded_economy_splits_a_point_at_the_cap():
     assert any(_capped_mid_point(r) for r in raws)
 
 
+def _affine_box(lo, slope, width, dd):
+    coeffs = (slope,) + (0.0,) * (dd - 1)
+    return (AffineInterval(AffForm(lo, coeffs), AffForm(lo + width, coeffs), True, True),)
+
+
+# piece kinds along axis 0: the empty piece sits at one end, so it borders a
+# nonempty piece and the affine and constant pieces border each other
+_KIND_ORDERS = (("empty", "constant", "affine"), ("affine", "constant", "empty"),
+                ("constant", "affine", "empty"), ("empty", "affine", "constant"))
+
+
+def _mixed_map(rng, domain):
+    """Empty, constant and affine pieces side by side along axis 0.
+
+    Affine values move with x0 at slope +-1/2 and stay inside [0, 2.5];
+    constant values are one box or two disjoint boxes.
+    """
+    dd = len(domain)
+    edges = [0.0, *sorted(rng.sample((0.5, 1.0, 1.5), 2)), 2.0]
+    pieces = []
+    for k, kind in enumerate(rng.choice(_KIND_ORDERS)):
+        region = (I(edges[k], edges[k + 1], k == 0, True),) + domain[1:]
+        if kind == "empty":
+            value = ()
+        elif kind == "constant":
+            value = rng.choice(((_const_box(rng.choice((0.0, 0.5, 1.0)), 1.0, dd),),
+                                (_const_box(0.0, 0.5, dd), _const_box(1.5, 0.5, dd))))
+        else:
+            slope = rng.choice((0.5, -0.5))
+            lo = rng.choice((0.0, 0.5)) if slope > 0 else rng.choice((1.0, 1.5))
+            value = (_affine_box(lo, slope, rng.choice((0.5, 1.0)), dd),)
+        pieces.append(Piece(region, value))
+    return PiecewiseMap(domain, 1, tuple(pieces))
+
+
+def mixed_economy(seed: int) -> AbstractEconomy:
+    """One or two agents choosing in [0, 2], every map built by ``_mixed_map``."""
+    rng = random.Random(seed)
+    x_box = (I.closed(0.0, 2.0),)
+    n = rng.choice((1, 2))
+    domain = x_box * n
+    agents = []
+    for _ in range(n):
+        lo = rng.choice((0.5, 1.0))
+        d = BoxSet.of(1, [(I.closed(lo, lo + 1.0),)])
+        agents.append(AgentSpec(x_box, d, _mixed_map(rng, domain), _mixed_map(rng, domain),
+                                _mixed_map(rng, domain)))
+    return AbstractEconomy(tuple(agents))
+
+
+def _filters_out_a_piece(t, box, grid):
+    """Some piece of ``t`` has grid points, none of them inside ``box``."""
+    for p in t.pieces:
+        pts = [x for x in grid.points() if box_contains(p.region, x)]
+        if pts and not any(box_contains(box, x) for x in pts):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mixed_economies_match_oracle(seed):
+    e = mixed_economy(seed)
+    compare_with_oracle(e, _grid_for(e), (0.25, 1.0))
+
+
+def test_mixed_economies_cover_the_three_map_shapes():
+    """Empty next to nonempty and affine next to constant pieces, and an
+    e-uscs region whose filter removes every grid point of one piece."""
+    filtered = False
+    for seed in range(8):
+        e = mixed_economy(seed)
+        for i in range(len(e.agents)):
+            h_closed = closure_values(e.conflict_map(i))
+            filtered |= any(_filters_out_a_piece(h_closed, w_box, _grid_for(e))
+                            for w_box in e.conflict_region(i).boxes)
+    assert filtered
+    for m in (mixed_economy(0).agents[0].a_map, mixed_economy(1).agents[0].b_map):
+        kinds = ["empty" if not p.value else
+                 "constant" if all(ai.is_constant for b in p.value for ai in b) else "affine"
+                 for p in m.pieces]
+        assert len(set(kinds)) == 3
+
+
 # ---------------------------------------------------------------------------
 # The first empty points
 # ---------------------------------------------------------------------------
@@ -465,11 +624,10 @@ def test_empty_points_are_the_first_eight_holes(seed):
     grid = _grid_for(e)
     for ag in e.agents:
         for t in (ag.a_map, ag.b_map, intersect_maps(ag.a_map, ag.p_map)):
-            for point_filter in (None, lambda p: p[0] >= 0.5):
-                ne, holes = seed_nonempty_everywhere(t, grid, point_filter)
-                got = _checks._empty_points(t, grid, point_filter)
-                assert got == holes[:8]
-                assert (not got) is ne
+            ne, holes = seed_nonempty_everywhere(t, grid)
+            got = _checks._empty_points(t, grid)
+            assert got == holes[:8]
+            assert (not got) is ne
 
 
 def test_family_reports_record_the_same_holes():
