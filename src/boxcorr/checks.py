@@ -125,14 +125,21 @@ def _neighbor_offsets(dim: int, radius: int):
 def _closed_values(t: PiecewiseMap, grid: Grid,
                    point_filter: Callable[[tuple[float, ...]], bool] | None):
     """The in-domain grid points passing ``point_filter``, their closed
-    values, and each point's piece index if that piece is constant.
+    values, each point's piece index if that piece is constant, and the
+    pieces those points lie on.
 
     A piece whose affine endpoints are all constant (the empty value
     included) has one value, which is closed once; points on affine pieces
-    are valued one by one and get ``None`` as their constant piece. All
+    are valued one by one and get ``None`` as their constant piece. These
     three results are keyed by grid index, in lexicographic order.
+
+    The fourth maps each piece holding a point to ``(lo, hi, value)``: the
+    least and greatest grid index per axis over its points, and its closed
+    value if it is constant, else ``None``. Only the piece-level pass of
+    ``check_usc`` reads it, so it is empty when no piece is constant.
     """
     constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
+    members = [[] for _ in t.pieces] if any(constant) else None
     pts, values, const_piece, closed = {}, {}, {}, {}
     for idx, x, (i,) in grid_values((t,), grid, point_filter):
         pts[idx] = x
@@ -140,22 +147,71 @@ def _closed_values(t: PiecewiseMap, grid: Grid,
         if not constant[i] or i not in closed:
             closed[i] = t.value_on(i, x).closure()
         values[idx] = closed[i]
-    return pts, values, const_piece
+        if members is not None:
+            members[i].append(idx)
+    pieces = {}
+    for i, own in enumerate(members or ()):
+        if own:
+            axes = list(zip(*own))
+            pieces[i] = (tuple(map(min, axes)), tuple(map(max, axes)),
+                         closed[i] if constant[i] else None)
+    return pts, values, const_piece, pieces
+
+
+def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
+                 piece_excess: dict) -> set[int]:
+    """The constant pieces on which no scan centre can yield a witness.
+
+    Piece Q is a neighbour of piece P when P's index range, widened by
+    ``radius`` on every axis, meets Q's: every grid neighbour of a point of
+    P lies on such a Q, P itself included. P is safe when each neighbour Q
+    passes the test of the scan's direction, where an affine Q never does:
+    for 'usc', Q's value is empty, or P's is nonempty and the excess of Q's
+    value over P's is at most ``bound``; for 'lsc', P's value is empty, or
+    Q's is nonempty and the excess of P's value over Q's is at most
+    ``bound``. Each excess is computed once into ``piece_excess``, keyed by
+    the oriented pair of piece indices as in ``_excess_scan``.
+    """
+    def near(p, q):
+        (plo, phi, _), (qlo, qhi, _) = pieces[p], pieces[q]
+        return all(ql - ph <= radius and pl - qh <= radius
+                   for pl, ph, ql, qh in zip(plo, phi, qlo, qhi))
+
+    def within(ia, ib):
+        h = piece_excess.get((ia, ib))
+        if h is None:
+            h = piece_excess[ia, ib] = pieces[ia][2].hausdorff_upper(pieces[ib][2])
+        return h <= bound
+
+    def passes(p, q):
+        vp, vq = pieces[p][2], pieces[q][2]
+        if direction == "usc":
+            return vq is not None and (vq.is_empty or (not vp.is_empty and within(q, p)))
+        return vp.is_empty or (vq is not None and not vq.is_empty and within(p, q))
+
+    return {p for p, (_, _, value) in pieces.items()
+            if value is not None and all(passes(p, q) for q in pieces if near(p, q))}
 
 
 def _excess_scan(values: dict, const_piece: dict, pts: dict, offsets, bound: float,
-                 direction: str):
+                 direction: str, safe: set[int], piece_excess: dict):
     """Ordered-pair excess scan; direction 'usc' compares T(x') against T(x).
     Centers are taken in the order of ``pts``, which is lexicographic.
 
-    Pairs whose two points lie on constant pieces take their excess from a
-    memo keyed by the oriented pair of piece indices, so each such piece
-    pair costs one ``hausdorff_upper`` call however many grid pairs it has.
+    Centers on the constant pieces in ``safe`` are skipped: by
+    ``_safe_pieces`` no neighbor pair of theirs yields a witness, so the
+    witnesses, their order and the truncation flag are those of the full
+    scan. Pairs whose two points lie on constant pieces take their excess
+    from ``piece_excess``, keyed by the oriented pair of piece indices, so
+    each such piece pair costs one ``hausdorff_upper`` call however many
+    grid pairs it has.
     """
     witnesses: list[Witness] = []
     truncated = False
-    piece_excess: dict[tuple[int, int], float] = {}
-    for idx, x in pts.items():
+    centers = pts.items()
+    if safe:
+        centers = [(idx, x) for idx, x in centers if const_piece[idx] not in safe]
+    for idx, x in centers:
         for off in offsets:
             nidx = tuple(map(operator.add, idx, off))
             if nidx not in pts:
@@ -200,10 +256,16 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     it (``ValueError``).
 
     The scan works piece by piece: each piece's grid points are read off
-    its region, a constant piece's value is evaluated and closed once, and
-    the excess between two constant pieces is
-    computed once per oriented piece pair; only pairs that touch an affine
-    piece are compared point by point.
+    its region, and a constant piece's value is evaluated and closed once.
+    Before any point is visited, each constant piece is decided against the
+    pieces that can hold its grid neighbors (``_safe_pieces``): it is safe
+    when, for each such piece, the compared pair has an empty source value,
+    or two constant values with a nonempty target and an excess of at most
+    the bound. Grid points on safe pieces are not scanned as centers; they
+    cannot yield a witness, so the witnesses, their order and the
+    truncation note are those of the full point-pair scan. The excess
+    between two constant pieces is computed once per oriented piece pair;
+    only pairs that touch an affine piece are compared point by point.
     """
     if delta is None:
         delta = grid.step
@@ -211,11 +273,14 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     if radius < 1:
         raise ValueError(f"delta {delta} is below the grid step {grid.step}: "
                          "no grid neighbor lies within it")
-    pts, values, const_piece = _closed_values(t, grid, point_filter)
+    pts, values, const_piece, pieces = _closed_values(t, grid, point_filter)
     slope = t.max_slope()
     bound = tol + slope * delta
-    offsets = _neighbor_offsets(grid.dim, radius)
-    witnesses, truncated = _excess_scan(values, const_piece, pts, offsets, bound, direction)
+    piece_excess: dict[tuple[int, int], float] = {}
+    safe = _safe_pieces(pieces, radius, bound, direction, piece_excess)
+    witnesses, truncated = _excess_scan(values, const_piece, pts,
+                                        _neighbor_offsets(grid.dim, radius), bound, direction,
+                                        safe, piece_excess)
     notes = ["values closed before comparison"]
     if truncated:
         notes.append("witness list truncated")

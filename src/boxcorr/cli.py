@@ -37,6 +37,9 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 
+# A grid with more points than this is refused as an input error.
+MAX_GRID_POINTS = 10**8
+
 
 class InputError(click.ClickException):
     exit_code = EXIT_INPUT
@@ -78,9 +81,20 @@ def _grid_for(domain: Box, step: float) -> Grid:
     lo = tuple(iv.lo if iv.lo_closed else iv.lo + step for iv in domain)
     hi = tuple(iv.hi if iv.hi_closed else iv.hi - step for iv in domain)
     try:
-        return Grid(len(domain), lo, hi, step)
+        grid = Grid(len(domain), lo, hi, step)
     except ValueError as exc:
         raise InputError(f"step {step} does not fit the domain: {exc}") from exc
+    return _sized(grid)
+
+
+def _sized(grid: Grid) -> Grid:
+    """``grid``, unless it has more than ``MAX_GRID_POINTS`` points: every
+    scan visits each point, so such a grid would not finish."""
+    n = grid.point_count()
+    if n > MAX_GRID_POINTS:
+        raise InputError(f"step {grid.step} gives {n} grid points, more than "
+                         f"the limit of {MAX_GRID_POINTS}")
+    return grid
 
 
 def _check_ranges(step: float | None, tol: float, delta: float | None,
@@ -305,7 +319,7 @@ def cmd_find_equilibria(document, step, eps_chain, tol, delta, out, fmt):
             for iv in bb:
                 lo.append(iv.lo)
                 hi.append(iv.hi)
-        grid = Grid(e.dim, tuple(lo), tuple(hi), step)
+        grid = _sized(Grid(e.dim, tuple(lo), tuple(hi), step))
         found = search_equilibria(e, grid)
     except (_io.DocumentError, ValueError) as exc:
         raise InputError(str(exc)) from exc

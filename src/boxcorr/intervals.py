@@ -485,9 +485,11 @@ class Grid:
     def over_box(box: Box, step: float) -> "Grid":
         return Grid(len(box), tuple(iv.lo for iv in box), tuple(iv.hi for iv in box), step)
 
+    def _axis_count(self, d: int) -> int:
+        return int(math.floor((self.hi[d] - self.lo[d]) / self.step + 1e-9)) + 1
+
     def axis_values(self, d: int) -> list[float]:
-        n = int(math.floor((self.hi[d] - self.lo[d]) / self.step + 1e-9)) + 1
-        return [self.lo[d] + i * self.step for i in range(n)]
+        return [self.lo[d] + i * self.step for i in range(self._axis_count(d))]
 
     def points(self) -> Iterator[tuple[float, ...]]:
         axes = [self.axis_values(d) for d in range(self.dim)]
@@ -500,7 +502,4 @@ class Grid:
             yield idx, tuple(axes[d][i] for d, i in enumerate(idx))
 
     def point_count(self) -> int:
-        n = 1
-        for d in range(self.dim):
-            n *= len(self.axis_values(d))
-        return n
+        return math.prod(self._axis_count(d) for d in range(self.dim))

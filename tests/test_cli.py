@@ -115,6 +115,23 @@ def test_domain_too_wide_for_a_grid_is_input_error(runner, tmp_path, command):
     assert "Traceback" not in r.output
 
 
+def test_grid_too_large_is_input_error(runner, tmp_path):
+    """A grid of more than 10^8 points exits 2 before it is built: a wide
+    finite domain at the default step, or a bundled document at a tiny
+    step."""
+    d = BoxSet.of(1, [(I.closed(0, 1),)])
+    doc = io.map_to_doc(constant_map((I(0, 1e12, True, False),), d), d)
+    path = tmp_path / "huge.map"
+    path.write_text(json.dumps(doc))
+    for args in (("check-map", path), ("find-fixed-points", path),
+                 ("check-map", "--step", "1e-9", EXAMPLES / "ex2_1.map"),
+                 ("find-equilibria", "--step", "1e-5", EXAMPLES / "ex4_1_n2.econ")):
+        r = invoke(runner, *args)
+        assert r.exit_code == 2, r.output
+        assert "grid points, more than the limit of 100000000" in r.output
+        assert "Traceback" not in r.output
+
+
 def test_wrong_kind_for_property_is_input_error(runner):
     r = invoke(runner, "check-map", "--property", "dual", EXAMPLES / "ex2_1.map")
     assert r.exit_code == 2

@@ -145,6 +145,18 @@ def test_grid_covers_boxset():
     assert g.point_count() == 9
 
 
+@pytest.mark.parametrize("lo,hi,step", [((0.0,), (2.0,), 0.25), ((0.0, 0.1), (1.0, 0.95), 0.125),
+                                         ((-1.0, 0.0, 0.5), (1.0, 0.0, 1.75), 1 / 3)])
+def test_grid_point_count_matches_its_points(lo, hi, step):
+    g = Grid(len(lo), lo, hi, step)
+    assert g.point_count() == len(list(g.points()))
+
+
+def test_grid_point_count_builds_no_axis():
+    g = Grid(2, (0.0, 0.0), (1e12, 1e12), 1 / 64)
+    assert g.point_count() == (64 * 10**12 + 1) ** 2
+
+
 def test_grid_axis_values_exact():
     g = Grid(1, (0.0,), (1.0,), 0.125)
     vals = g.axis_values(0)

@@ -240,20 +240,40 @@ def seed_closed_values(t, grid, point_filter=None):
     return pts, values, const_piece
 
 
+def seed_piece_spans(t, pts, values):
+    """Each piece's least and greatest grid index per axis over ``pts``, and
+    its closed value if it is constant; empty when no piece is constant."""
+    constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
+    if not any(constant):
+        return {}
+    spans = {}
+    for idx, p in pts.items():
+        i, _ = t.piece_at(p)
+        lo, hi, value = spans.get(i, (idx, idx, values[idx] if constant[i] else None))
+        spans[i] = (tuple(map(min, lo, idx)), tuple(map(max, hi, idx)), value)
+    return spans
+
+
 def assert_same_scan(t, grid, point_filter=None):
+    """The walk equals the frozen lookup, and every report equals the full
+    point-pair scan over the lookup's values (no center skipped), in both
+    directions, at one, two and three grid steps of delta and at tol=0."""
     got = _checks._closed_values(t, grid, point_filter)
     want = seed_closed_values(t, grid, point_filter)
-    assert got == want
+    assert got[:3] == want
+    assert got[3] == seed_piece_spans(t, *want[:2])
     walk = [(idx, x) for idx, x, _ in _checks.grid_values((t,), grid, point_filter)]
     assert walk == sorted(want[0].items())
-    for opts in ({}, {"direction": "lsc"}, {"delta": 2 * grid.step}):
+    for opts in ({}, {"direction": "lsc"}, {"delta": 2 * grid.step},
+                 {"direction": "lsc", "delta": 2 * grid.step}, {"delta": 3 * grid.step},
+                 {"tol": 0.0}):
         rep = check_usc(t, grid, point_filter=point_filter, **opts)
         pts, values, const_piece = want
         delta = opts.get("delta", grid.step)
         radius = int(delta / grid.step + 1e-9)
         witnesses, truncated = _checks._excess_scan(
             values, const_piece, pts, _checks._neighbor_offsets(grid.dim, radius),
-            rep.parameters["bound"], opts.get("direction", "usc"))
+            rep.parameters["bound"], opts.get("direction", "usc"), set(), {})
         assert rep.witnesses == tuple(witnesses)
         assert repr(rep.witnesses) == repr(tuple(witnesses))
         assert ("witness list truncated" in rep.notes) == truncated
@@ -574,13 +594,32 @@ def _square_map():
     ))
 
 
+def _thin_map():
+    """[0, 2] with a one-point constant piece at 1 between a wider constant
+    value and an empty piece, and an affine piece beyond."""
+    dom = (I.closed(0, 2),)
+    ramp = ((AffineInterval(AffForm(0.0, (1.0,)), AffForm(1.0, (1.0,))),),)
+
+    def const(lo, hi):
+        return ((AffineInterval(AffForm.constant(lo, 1), AffForm.constant(hi, 1)),),)
+
+    return PiecewiseMap(dom, 1, (
+        Piece((I(0, 1, True, False),), const(0, 2)),
+        Piece((I.closed(1.5, 2),), ramp),
+        Piece((I(1, 1.5, False, False),), ()),
+        Piece((I.point(1),), const(0, 1)),
+    ))
+
+
 @pytest.mark.parametrize("t,step,drop_affine,drop_empty", [
     (_mixed_map(), 0.125, lambda p: not 1 <= p[0] <= 1.5, lambda p: p[0] <= 1.5),
     (_square_map(), 0.25, lambda p: p[0] < 1 or p[1] > 1, lambda p: p[0] < 1 or p[1] <= 1),
-], ids=["line", "square"])
+    (_thin_map(), 0.125, lambda p: p[0] < 1.5, lambda p: not 1 < p[0] < 1.5),
+], ids=["line", "square", "thin"])
 def test_mixed_piece_scans_match_oracle(t, step, drop_affine, drop_empty):
-    """Empty next to nonempty and affine next to constant pieces, and filters
-    that remove every grid point of the affine or of the empty piece."""
+    """Empty next to nonempty and affine next to constant pieces, a one-point
+    piece whose two sides are two grid steps apart, and filters that remove
+    every grid point of the affine or of the empty piece."""
     grid = _grid_over(t, step)
     for m in (t, adherence(t), adherence(t_upper(t, 0.5, BoxSet.single((I.closed(0, 2),))))):
         for point_filter in (None, drop_affine, drop_empty):

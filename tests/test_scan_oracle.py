@@ -10,6 +10,7 @@ witness for witness.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -159,9 +160,11 @@ def assert_same_report(t, grid, **kwargs):
 
 
 def _variants(grid):
-    """The default scan, the lsc direction, a two-step delta and a point filter."""
+    """Both directions at one, two and three grid steps of delta, tol=0, and
+    a point filter."""
     return [{}, {"direction": "lsc"}, {"delta": 2 * grid.step},
-            {"point_filter": lambda p: sum(p) <= 1.5}]
+            {"direction": "lsc", "delta": 2 * grid.step}, {"delta": 3 * grid.step},
+            {"tol": 0.0}, {"point_filter": lambda p: sum(p) <= 1.5}]
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +271,11 @@ def test_truncated_witness_list_matches_oracle():
         Piece((I.closed(2, 4), I.closed(0, 4)),
               ((AffineInterval(AffForm.constant(0.0, 2), AffForm.constant(1.0, 2)),),)),
     ))
-    rep = assert_same_report(t, Grid(2, (0.0, 0.0), (4.0, 4.0), 0.0625))
-    assert "witness list truncated" in rep.notes
-    assert len(rep.witnesses) == _checks._MAX_WITNESSES
+    grid = Grid(2, (0.0, 0.0), (4.0, 4.0), 0.0625)
+    for opts in ({}, {"direction": "lsc"}, {"delta": 3 * grid.step}):
+        rep = assert_same_report(t, grid, **opts)
+        assert "witness list truncated" in rep.notes
+        assert len(rep.witnesses) == _checks._MAX_WITNESSES
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +315,155 @@ def test_excess_calls_bounded_by_piece_pairs(monkeypatch):
         counts.append(calls[0])
     assert counts[0] == counts[1]
     assert 0 < counts[0] <= k * k
+
+
+# ---------------------------------------------------------------------------
+# Constant pieces decided before the point scan
+# ---------------------------------------------------------------------------
+
+def _const(lo, hi, ddim=1):
+    return ((AffineInterval(AffForm.constant(lo, ddim), AffForm.constant(hi, ddim)),),)
+
+
+# pairwise excesses of 0, 1/16, 1/2 and 1, most of them in one orientation only
+_CONSTANTS = ((0.0, 1.0), (0.0, 1.0625), (0.5, 1.0), (0.0, 2.0))
+
+
+def _axis_cells(rng: random.Random):
+    """[0, 2] cut at two or three points; each cut closes the cell on its
+    left, or on its right, or is a one-point cell of its own."""
+    cuts = sorted(rng.sample((0.5, 0.75, 1.0, 1.25, 1.5), rng.choice((2, 3))))
+    cells, lo, lo_closed = [], 0.0, True
+    for c in cuts:
+        side = rng.choice(("left", "right", "point"))
+        cells.append(I(lo, c, lo_closed, side == "left"))
+        if side == "point":
+            cells.append(I.point(c))
+        lo, lo_closed = c, side == "right"
+    cells.append(I(lo, 2.0, lo_closed, True))
+    return cells
+
+
+def piece_pair_map(seed: int) -> PiecewiseMap:
+    """A map on [0, 2]^2 over a product of axis cells; each cell carries the
+    empty value, one of ``_CONSTANTS`` or an affine value of slope 1/2."""
+    rng = random.Random(seed)
+    ramp = AffForm(0.0, (0.5, 0.0))
+    pieces = []
+    for region in itertools.product(_axis_cells(rng), _axis_cells(rng)):
+        kind = rng.choice(("empty", "constant", "constant", "constant", "affine"))
+        if kind == "empty":
+            value = ()
+        elif kind == "constant":
+            value = _const(*rng.choice(_CONSTANTS), ddim=2)
+        else:
+            value = ((AffineInterval(ramp, ramp.shift(1.0)),),)
+        pieces.append(Piece(region, value))
+    return PiecewiseMap((I.closed(0, 2), I.closed(0, 2)), 1, tuple(pieces))
+
+
+PIECE_PAIR_GRID = Grid(2, (0.0, 0.0), (2.0, 2.0), 0.25)
+
+
+def _held_pieces(t, grid):
+    return [p for p in t.pieces if any(box_contains(p.region, x) for x in grid.points())]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_piece_pair_maps_match_oracle(seed):
+    t = piece_pair_map(seed)
+    grid = PIECE_PAIR_GRID
+    for opts in _variants(grid) + [{"direction": "lsc", "delta": 3 * grid.step, "tol": 0.0}]:
+        assert_same_report(t, grid, **opts)
+    # every grid point of one nonempty piece filtered out
+    region = next(p.region for p in _held_pieces(t, grid) if p.value)
+    for direction in ("usc", "lsc"):
+        assert_same_report(t, grid, direction=direction,
+                           point_filter=lambda x: not box_contains(region, x))
+
+
+def test_piece_pair_maps_cover_every_piece_level_case():
+    """Across the seeds, both directions find safe and unsafe constant
+    pieces, and the maps put empty next to nonempty and affine next to
+    constant pieces."""
+    grid = PIECE_PAIR_GRID
+    seen = set()
+    for seed in range(12):
+        t = piece_pair_map(seed)
+        pts, values, const_piece, pieces = _checks._closed_values(t, grid, None)
+        bound = 1e-9 + t.max_slope() * grid.step
+        for direction in ("usc", "lsc"):
+            safe = _checks._safe_pieces(pieces, 1, bound, direction, {})
+            constant = {i for i, (_, _, v) in pieces.items() if v is not None}
+            if safe:
+                seen.add((direction, "safe"))
+            if constant - safe:
+                seen.add((direction, "unsafe"))
+        for idx, x in pts.items():
+            for off in _checks._neighbor_offsets(2, 1):
+                nidx = tuple(i + o for i, o in zip(idx, off))
+                if nidx in pts:
+                    a, b = const_piece[idx], const_piece[nidx]
+                    if values[idx].is_empty and not values[nidx].is_empty:
+                        seen.add("empty next to nonempty")
+                    if a is not None and b is None:
+                        seen.add("affine next to constant")
+    assert seen == {("usc", "safe"), ("usc", "unsafe"), ("lsc", "safe"), ("lsc", "unsafe"),
+                    "empty next to nonempty", "affine next to constant"}
+
+
+def _line_map(*values):
+    """[0, 2] cut into [0, 1), {1} and (1, 2] with the given values."""
+    regions = ((I(0, 1, True, False),), (I.point(1),), (I(1, 2, False, True),))
+    return PiecewiseMap((I.closed(0, 2),), 1, tuple(
+        Piece(r, v) for r, v in zip(regions, values)))
+
+
+@pytest.mark.parametrize("t", [
+    # the outer pieces are two grid steps apart across the one-point piece
+    _line_map(_const(0, 1), _const(0, 1), _const(0, 2)),
+    _line_map(_const(0, 2), _const(0, 2), _const(0, 1)),
+    # excess 1 one way and 0 the other
+    _line_map(_const(0, 2), _const(0, 2), _const(0, 2)),
+    _line_map(_const(0, 2), _const(0, 1), _const(0, 1)),
+    # an empty value next to, and two grid steps from, a nonempty one
+    _line_map((), _const(0, 1), _const(0, 1)),
+    _line_map(_const(0, 1), (), _const(0, 1)),
+], ids=["thin-grows", "thin-shrinks", "flat", "one-way", "empty-left", "empty-middle"])
+def test_piece_level_cases_match_oracle(t):
+    grid = Grid(1, (0.0,), (2.0,), 0.25)
+    for opts in _variants(grid):
+        assert_same_report(t, grid, **opts)
+
+
+def test_safe_pieces_cost_one_excess_per_piece_pair_and_no_point_pair(monkeypatch):
+    """Four constant pieces in a row whose values are within tol of each
+    other: every center is skipped, and each oriented pair of neighbouring
+    pieces, a piece and itself included, costs one excess."""
+    dom = (I.closed(0, 2),)
+    t = PiecewiseMap(dom, 1, (
+        Piece((I(0, 0.5, True, False),), _const(0, 1)),
+        Piece((I.closed(0.5, 1),), _const(0, 1.0625)),
+        Piece((I(1, 1.5, False, False),), _const(0.5, 1)),
+        Piece((I.closed(1.5, 2),), _const(0, 1)),
+    ))
+    grid = Grid(1, (0.0,), (2.0,), 1 / 8)
+    calls = _count_excess(monkeypatch)
+    centers = [0]
+    offsets = _checks._neighbor_offsets
+
+    class CountedOffsets(list):
+        def __iter__(self):
+            centers[0] += 1
+            return super().__iter__()
+
+    monkeypatch.setattr(_checks, "_neighbor_offsets",
+                        lambda dim, radius: CountedOffsets(offsets(dim, radius)))
+    for direction in ("usc", "lsc"):
+        calls[0] = 0
+        assert check_usc(t, grid, tol=0.5, direction=direction).passed
+        assert calls[0] == 4 + 2 * 3
+        assert centers[0] == 0
 
 
 # ---------------------------------------------------------------------------
