@@ -124,29 +124,27 @@ def _neighbor_offsets(dim: int, radius: int):
 
 def _closed_values(t: PiecewiseMap, grid: Grid,
                    point_filter: Callable[[tuple[float, ...]], bool] | None):
-    """The in-domain grid points passing ``point_filter``, their closed
-    values, each point's piece index if that piece is constant, and the
-    pieces those points lie on.
+    """The in-domain grid points passing ``point_filter``, each with its
+    closed value and constant piece, and the pieces those points lie on.
 
     A piece whose affine endpoints are all constant (the empty value
     included) has one value, which is closed once; points on affine pieces
-    are valued one by one and get ``None`` as their constant piece. These
-    three results are keyed by grid index, in lexicographic order.
+    are valued one by one and get ``None`` as their constant piece. The
+    first result maps each grid index to ``(point, closed value, constant
+    piece)``, in lexicographic order.
 
-    The fourth maps each piece holding a point to ``(lo, hi, value)``: the
+    The second maps each piece holding a point to ``(lo, hi, value)``: the
     least and greatest grid index per axis over its points, and its closed
     value if it is constant, else ``None``. Only the piece-level pass of
     ``check_usc`` reads it, so it is empty when no piece is constant.
     """
     constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
     members = [[] for _ in t.pieces] if any(constant) else None
-    pts, values, const_piece, closed = {}, {}, {}, {}
+    points, closed = {}, {}
     for idx, x, (i,) in grid_values((t,), grid, point_filter):
-        pts[idx] = x
-        const_piece[idx] = i if constant[i] else None
         if not constant[i] or i not in closed:
             closed[i] = t.value_on(i, x).closure()
-        values[idx] = closed[i]
+        points[idx] = (x, closed[i], i if constant[i] else None)
         if members is not None:
             members[i].append(idx)
     pieces = {}
@@ -155,7 +153,7 @@ def _closed_values(t: PiecewiseMap, grid: Grid,
             axes = list(zip(*own))
             pieces[i] = (tuple(map(min, axes)), tuple(map(max, axes)),
                          closed[i] if constant[i] else None)
-    return pts, values, const_piece, pieces
+    return points, pieces
 
 
 def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
@@ -170,7 +168,7 @@ def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
     value over P's is at most ``bound``; for 'lsc', P's value is empty, or
     Q's is nonempty and the excess of P's value over Q's is at most
     ``bound``. Each excess is computed once into ``piece_excess``, keyed by
-    the oriented pair of piece indices as in ``_excess_scan``.
+    the oriented pair of piece indices as in ``_excess_witnesses``.
     """
     def near(p, q):
         (plo, phi, _), (qlo, qhi, _) = pieces[p], pieces[q]
@@ -193,54 +191,43 @@ def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
             if value is not None and all(passes(p, q) for q in pieces if near(p, q))}
 
 
-def _excess_scan(values: dict, const_piece: dict, pts: dict, offsets, bound: float,
-                 direction: str, safe: set[int], piece_excess: dict):
-    """Ordered-pair excess scan; direction 'usc' compares T(x') against T(x).
-    Centers are taken in the order of ``pts``, which is lexicographic.
+def _excess_witnesses(points: dict, offsets, bound: float, direction: str,
+                      safe: set[int], piece_excess: dict):
+    """Ordered-pair excess scan, yielding witnesses lazily; direction 'usc'
+    compares T(x') against T(x). Centers are taken in the order of
+    ``points``, the records of ``_closed_values``, which is lexicographic.
 
     Centers on the constant pieces in ``safe`` are skipped: by
     ``_safe_pieces`` no neighbor pair of theirs yields a witness, so the
-    witnesses, their order and the truncation flag are those of the full
-    scan. Pairs whose two points lie on constant pieces take their excess
-    from ``piece_excess``, keyed by the oriented pair of piece indices, so
-    each such piece pair costs one ``hausdorff_upper`` call however many
-    grid pairs it has.
+    witnesses and their order are those of the full scan. Pairs whose two
+    points lie on constant pieces take their excess from ``piece_excess``,
+    keyed by the oriented pair of piece indices, so each such piece pair
+    costs one ``hausdorff_upper`` call however many grid pairs it has.
     """
-    witnesses: list[Witness] = []
-    truncated = False
-    centers = pts.items()
-    if safe:
-        centers = [(idx, x) for idx, x in centers if const_piece[idx] not in safe]
-    for idx, x in centers:
+    for idx, center in points.items():
+        x, _, piece = center
+        if piece in safe:
+            continue
         for off in offsets:
-            nidx = tuple(map(operator.add, idx, off))
-            if nidx not in pts:
+            near = points.get(tuple(map(operator.add, idx, off)))
+            if near is None:
                 continue
-            xn = pts[nidx]
-            ia, ib = (nidx, idx) if direction == "usc" else (idx, nidx)
-            a, b = values[ia], values[ib]
+            xn = near[0]
+            (_, a, ia), (_, b, ib) = (near, center) if direction == "usc" else (center, near)
             if a.is_empty:
                 continue
             if b.is_empty:
-                if len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append(Witness(x, xn, math.inf, "empty value",
-                                             "nonempty value jumps against an empty one"))
-                else:
-                    truncated = True
+                yield Witness(x, xn, math.inf, "empty value",
+                              "nonempty value jumps against an empty one")
                 continue
-            key = (const_piece[ia], const_piece[ib])
-            if None in key:
+            if ia is None or ib is None:
                 h = a.hausdorff_upper(b)
             else:
-                h = piece_excess.get(key)
+                h = piece_excess.get((ia, ib))
                 if h is None:
-                    h = piece_excess[key] = a.hausdorff_upper(b)
+                    h = piece_excess[ia, ib] = a.hausdorff_upper(b)
             if h > bound:
-                if len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append(Witness(x, xn, h, "excess"))
-                else:
-                    truncated = True
-    return witnesses, truncated
+                yield Witness(x, xn, h, "excess")
 
 
 def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: float = 1e-9,
@@ -266,6 +253,8 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     truncation note are those of the full point-pair scan. The excess
     between two constant pieces is computed once per oriented piece pair;
     only pairs that touch an affine piece are compared point by point.
+    The scan keeps the first ``_MAX_WITNESSES`` witnesses and stops at the
+    next one, which adds the note "witness list truncated".
     """
     if delta is None:
         delta = grid.step
@@ -273,28 +262,29 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     if radius < 1:
         raise ValueError(f"delta {delta} is below the grid step {grid.step}: "
                          "no grid neighbor lies within it")
-    pts, values, const_piece, pieces = _closed_values(t, grid, point_filter)
+    points, pieces = _closed_values(t, grid, point_filter)
     slope = t.max_slope()
     bound = tol + slope * delta
     piece_excess: dict[tuple[int, int], float] = {}
     safe = _safe_pieces(pieces, radius, bound, direction, piece_excess)
-    witnesses, truncated = _excess_scan(values, const_piece, pts,
-                                        _neighbor_offsets(grid.dim, radius), bound, direction,
-                                        safe, piece_excess)
+    found = _excess_witnesses(points, _neighbor_offsets(grid.dim, radius), bound, direction,
+                              safe, piece_excess)
+    witnesses = tuple(itertools.islice(found, _MAX_WITNESSES + 1))
     notes = ["values closed before comparison"]
-    if truncated:
+    if len(witnesses) > _MAX_WITNESSES:
+        witnesses = witnesses[:_MAX_WITNESSES]
         notes.append("witness list truncated")
     return CheckReport(
         property_name,
         PASS if not witnesses else FAIL,
-        tuple(witnesses),
+        witnesses,
         {
             "grid_step": grid.step,
             "delta": delta,
             "tol": tol,
             "modulus_slope": slope,
             "bound": bound,
-            "points_checked": len(pts),
+            "points_checked": len(points),
             "direction": direction,
         },
         tuple(notes),

@@ -31,6 +31,7 @@ from .checks import (
     check_e_uscs,
     check_usc,
     combine_reports,
+    grid_values,
     scan_points,
 )
 from .fixedpoint import check_grid_covers_targets
@@ -214,23 +215,23 @@ class EquilibriumCertificate:
         }
 
 
-def verify_equilibrium(e: AbstractEconomy, x: Sequence[float]) -> EquilibriumCertificate:
-    """Exact per-agent equilibrium clauses at a single point of X."""
-    x = tuple(x)
-    if not box_contains(e.domain, x):
-        raise DomainError(f"point {x} outside the product choice box")
+def _equilibrium_maps(e: AbstractEconomy) -> tuple[PiecewiseMap, ...]:
+    return tuple(m for i in range(len(e.agents)) for m in (e.adherent_b(i), e.conflict_map(i)))
+
+
+def _certificate(e: AbstractEconomy, x: tuple[float, ...], maps: Sequence[PiecewiseMap],
+                 pieces: Sequence[int]) -> EquilibriumCertificate:
+    """Per-agent clauses at ``x``; ``pieces[k]`` is the piece of ``maps[k]`` holding it."""
     evidence = []
     for i, blk in enumerate(e.blocks):
         xb = tuple(x[j] for j in blk)
-        bbar = e.adherent_b(i)
-        piece_idx, _ = bbar.piece_at(x)
-        bval = bbar.value_on(piece_idx, x)
-        hval = e.conflict_map(i).evaluate(x)
+        bval = maps[2 * i].value_on(pieces[2 * i], x)
+        hval = maps[2 * i + 1].value_on(pieces[2 * i + 1], x)
         evidence.append(AgentEvidence(
             agent=i,
             block_point=xb,
             in_adherent_b=bval.contains(xb),
-            b_piece=piece_idx,
+            b_piece=pieces[2 * i],
             b_value=bval,
             conflict_empty=hval.is_empty,
             conflict_value=hval,
@@ -238,10 +239,21 @@ def verify_equilibrium(e: AbstractEconomy, x: Sequence[float]) -> EquilibriumCer
     return EquilibriumCertificate(x, tuple(evidence), all(ev.ok for ev in evidence))
 
 
+def verify_equilibrium(e: AbstractEconomy, x: Sequence[float]) -> EquilibriumCertificate:
+    """Exact per-agent equilibrium clauses at a single point of X."""
+    x = tuple(x)
+    if not box_contains(e.domain, x):
+        raise DomainError(f"point {x} outside the product choice box")
+    maps = _equilibrium_maps(e)
+    return _certificate(e, x, maps, [m.piece_at(x)[0] for m in maps])
+
+
 def search_equilibria(e: AbstractEconomy, grid: Grid) -> list[EquilibriumCertificate]:
-    """Valid certificates at every grid point of X, lexicographic order."""
+    """Valid certificates at every grid point of X, lexicographic order, as
+    ``verify_equilibrium`` gives them, read off one ``grid_values`` walk."""
     check_grid_covers_targets(grid, e.dim, tuple(ag.d_set for ag in e.agents), e.blocks)
-    certs = (verify_equilibrium(e, x) for x in grid.points() if box_contains(e.domain, x))
+    maps = _equilibrium_maps(e)
+    certs = (_certificate(e, x, maps, pieces) for _, x, pieces in grid_values(maps, grid))
     return [c for c in certs if c.valid]
 
 

@@ -495,11 +495,5 @@ class Grid:
         axes = [self.axis_values(d) for d in range(self.dim)]
         return itertools.product(*axes)
 
-    def indexed_points(self) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
-        axes = [self.axis_values(d) for d in range(self.dim)]
-        ranges = [range(len(ax)) for ax in axes]
-        for idx in itertools.product(*ranges):
-            yield idx, tuple(axes[d][i] for d, i in enumerate(idx))
-
     def point_count(self) -> int:
         return math.prod(self._axis_count(d) for d in range(self.dim))

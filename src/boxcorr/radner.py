@@ -184,13 +184,13 @@ class InformationSet:
     n_goods: int
     dim: int
 
-    def contains(self, x: Sequence[float], tol_eq: float = 0.0) -> bool:
+    def contains(self, x: Sequence[float]) -> bool:
         if len(x) != self.dim:
             raise ValueError("bundle dimension mismatch")
         for cls in self.classes:
             for g in range(self.n_goods):
                 vals = [x[c] for c in _class_coords(cls, g, self.n_goods)]
-                if max(vals) - min(vals) > tol_eq:
+                if max(vals) != min(vals):
                     return False
         return True
 
@@ -528,15 +528,15 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
 
     allocations = [tuple(draw_bundle() for _ in range(assoc.n))
                    for _ in range(40)]
+    preferred = [[assoc.preferred_value(i, x) for i in range(assoc.n)] for x in allocations]
     checked = 0
     antecedent_hits = 0
     wit = []
     for p in assoc.simplex.points():
-        for x in allocations:
-            for i in range(assoc.n):
+        for x, prefs in zip(allocations, preferred):
+            for i, pref in enumerate(prefs):
                 bud = assoc.budget(i, p)
                 inf = assoc.information(i, p)
-                pref = assoc.preferred_value(i, x)
                 candidates = [
                     tuple(0.0 for _ in range(d)),
                     assoc.info.endowments[i],

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .affine import AffForm, AffineInterval
 from .checks import (FAIL, PASS, CheckReport, Witness, check_usc, combine_reports,
-                     scan_points)
+                     grid_values, scan_points)
 from .economy import (check_theorem_4_1_hypotheses, check_theorem_4_3_hypotheses,
                       search_equilibria, verify_equilibrium)
 from .fixedpoint import ProductMap, intersect_qv_chain
@@ -328,19 +328,21 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
                        grid: Grid, radius: float) -> CheckReport:
     """At every grid point, the intersection of the dilated-map values must
     land inside the (radius-padded) adherence of the reference clipped to
-    the (radius-padded) target set; radius 0 demands exact containment."""
+    the (radius-padded) target set; radius 0 demands exact containment.
+    One ``grid_values`` walk reads every map; the adherence is valued only
+    where the intersection is nonempty, and ``nonempty_points`` counts those."""
     bar = adherence(reference)
     pad = clip.dilate(radius).closure() if clip is not None and radius > 0 else clip
     wit = []
     nonempty = 0
-    for x in grid.points():
-        inter = dilated[0].evaluate(x)
-        for tm in dilated[1:]:
-            inter = inter.intersect(tm.evaluate(x))
+    for _, x, pieces in grid_values((*dilated, bar), grid):
+        inter = dilated[0].value_on(pieces[0], x)
+        for tm, i in zip(dilated[1:], pieces[1:-1]):
+            inter = inter.intersect(tm.value_on(i, x))
         if inter.is_empty:
             continue
         nonempty += 1
-        tv = bar.evaluate(x)
+        tv = bar.value_on(pieces[-1], x)
         if pad is not None:
             tv = tv.intersect(pad)
         if radius > 0:

@@ -36,6 +36,8 @@ from boxcorr.maps import (_add_root_cut, _atom_in_closed_box, _dilate_affine_box
                           _effective_sign, _intersect_affine_boxes,
                           _intersect_affine_intervals, _pair_cut_forms, normalize_value)
 
+from test_scan_oracle import indexed_points
+
 I = FlaggedInterval
 
 
@@ -222,7 +224,7 @@ def seed_canonical_boxes(dim, boxes):
 
 def seed_closed_values(t, grid, point_filter=None):
     pts = {}
-    for idx, p in grid.indexed_points():
+    for idx, p in indexed_points(grid):
         if box_contains(t.domain, p) and (point_filter is None or point_filter(p)):
             pts[idx] = p
     constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
@@ -256,27 +258,28 @@ def seed_piece_spans(t, pts, values):
 
 def assert_same_scan(t, grid, point_filter=None):
     """The walk equals the frozen lookup, and every report equals the full
-    point-pair scan over the lookup's values (no center skipped), in both
-    directions, at one, two and three grid steps of delta and at tol=0."""
-    got = _checks._closed_values(t, grid, point_filter)
-    want = seed_closed_values(t, grid, point_filter)
-    assert got[:3] == want
-    assert got[3] == seed_piece_spans(t, *want[:2])
+    point-pair scan over the lookup's values (no center skipped, no cap), in
+    both directions, at one, two and three grid steps of delta and at tol=0."""
+    points, spans = _checks._closed_values(t, grid, point_filter)
+    pts, values, const_piece = seed_closed_values(t, grid, point_filter)
+    records = {idx: (x, values[idx], const_piece[idx]) for idx, x in pts.items()}
+    assert list(points.items()) == list(records.items())
+    assert spans == seed_piece_spans(t, pts, values)
     walk = [(idx, x) for idx, x, _ in _checks.grid_values((t,), grid, point_filter)]
-    assert walk == sorted(want[0].items())
+    assert walk == sorted(pts.items())
     for opts in ({}, {"direction": "lsc"}, {"delta": 2 * grid.step},
                  {"direction": "lsc", "delta": 2 * grid.step}, {"delta": 3 * grid.step},
                  {"tol": 0.0}):
         rep = check_usc(t, grid, point_filter=point_filter, **opts)
-        pts, values, const_piece = want
         delta = opts.get("delta", grid.step)
         radius = int(delta / grid.step + 1e-9)
-        witnesses, truncated = _checks._excess_scan(
-            values, const_piece, pts, _checks._neighbor_offsets(grid.dim, radius),
-            rep.parameters["bound"], opts.get("direction", "usc"), set(), {})
-        assert rep.witnesses == tuple(witnesses)
-        assert repr(rep.witnesses) == repr(tuple(witnesses))
-        assert ("witness list truncated" in rep.notes) == truncated
+        found = list(_checks._excess_witnesses(
+            records, _checks._neighbor_offsets(grid.dim, radius),
+            rep.parameters["bound"], opts.get("direction", "usc"), set(), {}))
+        witnesses = tuple(found[:_checks._MAX_WITNESSES])
+        assert rep.witnesses == witnesses
+        assert repr(rep.witnesses) == repr(witnesses)
+        assert ("witness list truncated" in rep.notes) == (len(found) > _checks._MAX_WITNESSES)
         assert rep.parameters["points_checked"] == len(pts)
 
 

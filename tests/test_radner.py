@@ -85,7 +85,6 @@ def test_pooled_signal_equalizes_states():
     info = associated(e).information(0, (1 / 3, 1 / 3, 1 / 3))
     assert info.contains((0.7, 0.4, 0.4))
     assert not info.contains((0.7, 0.4, 0.5))
-    assert info.contains((0.7, 0.4, 0.5), tol_eq=0.25)
 
 
 def test_three_state_partial_pooling():

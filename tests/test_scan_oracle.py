@@ -33,6 +33,15 @@ I = FlaggedInterval
 # Frozen point-pair implementations
 # ---------------------------------------------------------------------------
 
+def indexed_points(grid):
+    """Every grid point with its index per axis, in lexicographic order: the
+    enumeration the frozen scans here and in the other oracle modules use."""
+    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    ranges = [range(len(ax)) for ax in axes]
+    for idx in itertools.product(*ranges):
+        yield idx, tuple(axes[d][i] for d, i in enumerate(idx))
+
+
 def seed_closure(s: BoxSet) -> BoxSet:
     return BoxSet.of(s.dim, [box_closure(b) for b in s.boxes])
 
@@ -128,7 +137,7 @@ def seed_check_usc(t, grid, delta=None, tol=1e-9, point_filter=None,
     if delta is None:
         delta = grid.step
     radius = max(1, int(math.floor(delta / grid.step + 1e-9)))
-    pts = {idx: p for idx, p in grid.indexed_points()
+    pts = {idx: p for idx, p in indexed_points(grid)
            if box_contains(t.domain, p) and (point_filter is None or point_filter(p))}
     values = {idx: seed_closure(t.evaluate(p)) for idx, p in pts.items()}
     slope = t.max_slope()
@@ -390,7 +399,7 @@ def test_piece_pair_maps_cover_every_piece_level_case():
     seen = set()
     for seed in range(12):
         t = piece_pair_map(seed)
-        pts, values, const_piece, pieces = _checks._closed_values(t, grid, None)
+        points, pieces = _checks._closed_values(t, grid, None)
         bound = 1e-9 + t.max_slope() * grid.step
         for direction in ("usc", "lsc"):
             safe = _checks._safe_pieces(pieces, 1, bound, direction, {})
@@ -399,14 +408,14 @@ def test_piece_pair_maps_cover_every_piece_level_case():
                 seen.add((direction, "safe"))
             if constant - safe:
                 seen.add((direction, "unsafe"))
-        for idx, x in pts.items():
+        for idx, (_, value, piece) in points.items():
             for off in _checks._neighbor_offsets(2, 1):
-                nidx = tuple(i + o for i, o in zip(idx, off))
-                if nidx in pts:
-                    a, b = const_piece[idx], const_piece[nidx]
-                    if values[idx].is_empty and not values[nidx].is_empty:
+                near = points.get(tuple(i + o for i, o in zip(idx, off)))
+                if near is not None:
+                    _, near_value, near_piece = near
+                    if value.is_empty and not near_value.is_empty:
                         seen.add("empty next to nonempty")
-                    if a is not None and b is None:
+                    if piece is not None and near_piece is None:
                         seen.add("affine next to constant")
     assert seen == {("usc", "safe"), ("usc", "unsafe"), ("lsc", "safe"), ("lsc", "unsafe"),
                     "empty next to nonempty", "affine next to constant"}
@@ -436,6 +445,21 @@ def test_piece_level_cases_match_oracle(t):
         assert_same_report(t, grid, **opts)
 
 
+def _count_centers(monkeypatch):
+    """Count the scan centres: each centre walks the neighbor offsets once."""
+    centers = [0]
+    offsets = _checks._neighbor_offsets
+
+    class CountedOffsets(list):
+        def __iter__(self):
+            centers[0] += 1
+            return super().__iter__()
+
+    monkeypatch.setattr(_checks, "_neighbor_offsets",
+                        lambda dim, radius: CountedOffsets(offsets(dim, radius)))
+    return centers
+
+
 def test_safe_pieces_cost_one_excess_per_piece_pair_and_no_point_pair(monkeypatch):
     """Four constant pieces in a row whose values are within tol of each
     other: every center is skipped, and each oriented pair of neighbouring
@@ -449,21 +473,37 @@ def test_safe_pieces_cost_one_excess_per_piece_pair_and_no_point_pair(monkeypatc
     ))
     grid = Grid(1, (0.0,), (2.0,), 1 / 8)
     calls = _count_excess(monkeypatch)
-    centers = [0]
-    offsets = _checks._neighbor_offsets
-
-    class CountedOffsets(list):
-        def __iter__(self):
-            centers[0] += 1
-            return super().__iter__()
-
-    monkeypatch.setattr(_checks, "_neighbor_offsets",
-                        lambda dim, radius: CountedOffsets(offsets(dim, radius)))
+    centers = _count_centers(monkeypatch)
     for direction in ("usc", "lsc"):
         calls[0] = 0
         assert check_usc(t, grid, tol=0.5, direction=direction).passed
         assert calls[0] == 4 + 2 * 3
         assert centers[0] == 0
+
+
+def test_failing_scan_stops_at_the_witness_past_the_cap(monkeypatch):
+    """ex2_1 at delta 1/4 has more witnesses than the cap: the report equals
+    the oracle's, and the scan visits fewer centres than the full scan."""
+    t, _ = ex2_1()
+    step = 1 / 64
+    grid = Grid(1, (step,), (2.0 - step,), step)
+    rep = assert_same_report(t, grid, delta=0.25)
+    assert len(rep.witnesses) == _checks._MAX_WITNESSES
+    assert "witness list truncated" in rep.notes
+
+    centers = _count_centers(monkeypatch)
+    check_usc(t, grid, delta=0.25)
+    capped = centers[0]
+    centers[0] = 0
+    points, pieces = _checks._closed_values(t, grid, None)
+    bound = rep.parameters["bound"]
+    piece_excess = {}
+    safe = _checks._safe_pieces(pieces, 16, bound, "usc", piece_excess)
+    full = list(_checks._excess_witnesses(points, _checks._neighbor_offsets(1, 16), bound,
+                                          "usc", safe, piece_excess))
+    assert len(full) > _checks._MAX_WITNESSES
+    assert full[:_checks._MAX_WITNESSES] == list(rep.witnesses)
+    assert 0 < capped < centers[0]
 
 
 # ---------------------------------------------------------------------------

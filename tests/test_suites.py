@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from boxcorr import suites
+from boxcorr.checks import FAIL, PASS, CheckReport, Witness
+from boxcorr.maps import adherence
 
 
 def verdicts(rep):
@@ -82,6 +86,60 @@ def test_chain_containment_suite():
         assert c.parameters["radius"] == 0.0
     for c in rep.children[3:]:
         assert c.parameters["radius"] > 0.0
+
+
+def seed_chain_containment(name, dilated, reference, clip, grid, radius):
+    """The chain containment as a per-point loop: every map is valued with
+    ``evaluate`` at every grid point."""
+    bar = adherence(reference)
+    pad = clip.dilate(radius).closure() if clip is not None and radius > 0 else clip
+    wit = []
+    nonempty = 0
+    for x in grid.points():
+        inter = dilated[0].evaluate(x)
+        for tm in dilated[1:]:
+            inter = inter.intersect(tm.evaluate(x))
+        if inter.is_empty:
+            continue
+        nonempty += 1
+        tv = bar.evaluate(x)
+        if pad is not None:
+            tv = tv.intersect(pad)
+        if radius > 0:
+            tv = tv.dilate(radius).closure()
+        if not inter.subset_within(tv, 0.0):
+            ex = math.inf if tv.is_empty else inter.hausdorff_upper(tv)
+            wit.append(Witness(x, None, ex, "chain value escapes the reference"))
+    return CheckReport(name, PASS if not wit else FAIL, tuple(wit[:8]),
+                       {"radius": radius, "grid_points": grid.point_count(),
+                        "nonempty_points": nonempty})
+
+
+def test_chain_containment_matches_frozen_loop(monkeypatch):
+    """Every containment of the suite, built-ins and seeded random maps,
+    equals the per-point loop; the random maps are also compared at radius
+    0, where the finite chain's fuzz yields witnesses."""
+    walk = suites._chain_containment
+    names, failed = [], 0
+
+    def same(*args):
+        got, want = walk(*args), seed_chain_containment(*args)
+        assert got == want
+        assert repr(got) == repr(want)
+        return got
+
+    def compared(name, dilated, reference, clip, grid, radius):
+        nonlocal failed
+        names.append(name)
+        if radius:
+            failed += same(name, dilated, reference, clip, grid, 0.0).verdict == FAIL
+        return same(name, dilated, reference, clip, grid, radius)
+
+    monkeypatch.setattr(suites, "_chain_containment", compared)
+    assert suites.lemma_2_2_suite().passed
+    assert names == ["builtin-first", "builtin-variant", "builtin-composite"] + \
+        [f"random{k}" for k in range(50)]
+    assert failed >= 5
 
 
 def test_radner_pipeline_suite():

@@ -25,9 +25,13 @@ from boxcorr import (AffForm, AffineInterval, BoxSet, DomainError, FlaggedInterv
                      t_upper)
 from boxcorr import checks as _checks
 from boxcorr.checks import FAIL, PASS, UNVERIFIED, Witness, grid_values, scan_points
-from boxcorr.economy import AbstractEconomy, AgentSpec
+from boxcorr.economy import (AbstractEconomy, AgentEvidence, AgentSpec, EquilibriumCertificate,
+                             search_equilibria, verify_equilibrium)
+from boxcorr.fixedpoint import check_grid_covers_targets
 from boxcorr.gallery import ex2_2_economy, ex4_1, ex4_1_selection
 from boxcorr.intervals import DimensionMismatchError, box_closure, box_contains
+
+from test_scan_oracle import indexed_points
 
 I = FlaggedInterval
 CAP = _checks._MAX_WITNESSES
@@ -105,7 +109,7 @@ def seed_value_shape(bar, points):
 
 def seed_map_points(t, grid):
     """The point walk of the almost-w-usc value scans: the map's own domain."""
-    for _, p in grid.indexed_points():
+    for _, p in indexed_points(grid):
         if box_contains(t.domain, p):
             yield p
 
@@ -125,7 +129,7 @@ def seed_irreflexive(e, i, bar, grid, what):
 
 def seed_nonempty_everywhere(t, grid, point_filter=None):
     holes = []
-    for _, p in grid.indexed_points():
+    for _, p in indexed_points(grid):
         if not box_contains(t.domain, p) or (point_filter is not None and not point_filter(p)):
             continue
         if t.evaluate(p).is_empty:
@@ -145,7 +149,7 @@ def _largest_box(s):
 
 def seed_propose_constant_selection(t, k_region, eps, grid):
     inter = None
-    for _, p in grid.indexed_points():
+    for _, p in indexed_points(grid):
         if not box_contains(t.domain, p) or not box_contains(k_region, p):
             continue
         val = t.evaluate(p)
@@ -164,7 +168,7 @@ def seed_e_uscs_lists(t, k_region, candidate, eps, grid, tol, block):
     convex_wit = []
     inside_wit = []
     avoid_wit = []
-    for _, p in grid.indexed_points():
+    for _, p in indexed_points(grid):
         if not box_contains(t.domain, p) or not box_contains(k_region, p):
             continue
         cand_val = candidate.evaluate(p)
@@ -612,6 +616,71 @@ def test_mixed_economies_cover_the_three_map_shapes():
                  "constant" if all(ai.is_constant for b in p.value for ai in b) else "affine"
                  for p in m.pieces]
         assert len(set(kinds)) == 3
+
+
+# ---------------------------------------------------------------------------
+# The equilibrium search equals the frozen per-point search
+# ---------------------------------------------------------------------------
+
+def seed_verify_equilibrium(e, x):
+    """The certificate at an in-domain ``x``, each map's piece found with ``piece_at``."""
+    evidence = []
+    for i, blk in enumerate(e.blocks):
+        xb = tuple(x[j] for j in blk)
+        bbar = e.adherent_b(i)
+        piece_idx, _ = bbar.piece_at(x)
+        bval = bbar.value_on(piece_idx, x)
+        hval = e.conflict_map(i).evaluate(x)
+        evidence.append(AgentEvidence(
+            agent=i,
+            block_point=xb,
+            in_adherent_b=bval.contains(xb),
+            b_piece=piece_idx,
+            b_value=bval,
+            conflict_empty=hval.is_empty,
+            conflict_value=hval,
+        ))
+    return EquilibriumCertificate(x, tuple(evidence), all(ev.ok for ev in evidence))
+
+
+def seed_search_equilibria(e, grid):
+    """The valid certificates at the grid points inside X, one point at a time."""
+    check_grid_covers_targets(grid, e.dim, tuple(ag.d_set for ag in e.agents), e.blocks)
+    certs = (seed_verify_equilibrium(e, x) for x in grid.points() if box_contains(e.domain, x))
+    return [c for c in certs if c.valid]
+
+
+def assert_same_search(e, grid):
+    """The search and ``verify_equilibrium`` at every grid point inside X
+    give the frozen certificates."""
+    got = search_equilibria(e, grid)
+    want = seed_search_equilibria(e, grid)
+    assert got == want
+    assert [c.to_doc() for c in got] == [c.to_doc() for c in want]
+    for x in grid.points():
+        if box_contains(e.domain, x):
+            assert verify_equilibrium(e, x).to_doc() == seed_verify_equilibrium(e, x).to_doc()
+    return got
+
+
+@pytest.mark.parametrize("n,step", [(1, 0.0625), (2, 0.125), (3, 0.25)])
+def test_ex4_1_search_matches_oracle(n, step):
+    e = ex4_1(n)
+    assert assert_same_search(e, Grid.over_box(e.domain, step))
+
+
+def test_ex2_2_economy_search_matches_oracle():
+    e = ex2_2_economy()
+    assert assert_same_search(e, Grid.over_box(e.domain, 0.0625))
+
+
+def test_seeded_economy_searches_match_oracle():
+    """The grids also sample points left of X, which both searches skip."""
+    found = 0
+    for e in [random_economy(seed) for seed in range(12)] + \
+             [mixed_economy(seed) for seed in range(8)]:
+        found += len(assert_same_search(e, _grid_for(e)))
+    assert found
 
 
 # ---------------------------------------------------------------------------
