@@ -240,7 +240,9 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     at most ``tol + L * delta`` where L is the map's own maximal endpoint
     slope.  Values are closed before comparison.  ``delta`` defaults to the
     grid step and must be at least that step, or no neighbor lies within
-    it (``ValueError``).
+    it (``ValueError``). A delta wider than the grid compares every pair
+    of grid points: the neighbor radius is capped at the widest axis's
+    point count minus one.
 
     The scan works piece by piece: each piece's grid points are read off
     its region, and a constant piece's value is evaluated and closed once.
@@ -262,6 +264,9 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     if radius < 1:
         raise ValueError(f"delta {delta} is below the grid step {grid.step}: "
                          "no grid neighbor lies within it")
+    # a longer offset reaches no grid point, and at this radius every piece
+    # pair is already near in _safe_pieces, so the cap changes no result
+    radius = min(radius, max(len(grid.axis_values(d)) for d in range(grid.dim)) - 1)
     points, pieces = _closed_values(t, grid, point_filter)
     slope = t.max_slope()
     bound = tol + slope * delta

@@ -5,14 +5,17 @@ block of ``n_goods`` coordinates per state, so bundles live in
 ``R_+^{goods*states + 1}``. Prices use the same layout, normalized to
 the unit simplex. An agent's signal classifies states at each price;
 consumption must be equal across states the signal cannot distinguish.
+That measurability constraint is one list, ``InfoEconomy.coordinate_groups``:
+the groups of bundle coordinates the agent must hold equal at a price,
+and every reader of measurability walks it.
 
 Budget and information sets are polytopes and subspaces, not box
 unions, so the associated (n+1)-agent economy builds them as exact
 linear predicates over the truncated consumption box [0, M]^d; it alone
 decides M. Emptiness of "cheaper affordable preferred bundle" sets is
 decided exactly by minimizing the price form over each value box with
-the measurability classes collapsed (all coefficients are nonnegative,
-so the minimum sits at the collapsed lower corner).
+each coordinate group collapsed to one variable (all coefficients are
+nonnegative, so the minimum sits at the collapsed lower corner).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Any, Iterable, Sequence
 
 from . import io as _io
 from .checks import FAIL, PASS, CheckReport, Witness, combine_reports
-from .intervals import Box, BoxSet, FlaggedInterval
+from .intervals import Box, BoxSet, FlaggedInterval, box_intersect
 from .maps import PiecewiseMap
 
 
@@ -96,12 +99,17 @@ class InfoEconomy:
     def aggregate_endowment(self) -> tuple[float, ...]:
         return tuple(sum(e[k] for e in self.endowments) for k in range(self.bundle_dim))
 
-    def signal_classes(self, i: int, p: tuple[float, ...]) -> tuple[tuple[int, ...], ...]:
-        """Partition of states by indistinguishability at price p."""
-        groups: dict[int, list[int]] = {}
+    def coordinate_groups(self, i: int, p: tuple[float, ...]) -> tuple[tuple[int, ...], ...]:
+        """The groups of bundle coordinates agent ``i`` must hold equal at
+        price ``p``: ``(0,)`` for the period-0 coordinate, then one group
+        per signal class (states given one label at ``p``, by label) and
+        good, class-major and good-minor."""
+        classes: dict[int, list[int]] = {}
         for s in range(self.n_states):
-            groups.setdefault(_signal_label(self.signals[i], p, s), []).append(s)
-        return tuple(tuple(g) for _, g in sorted(groups.items()))
+            classes.setdefault(_signal_label(self.signals[i], p, s), []).append(s)
+        return ((0,),) + tuple(tuple(1 + s * self.n_goods + g for s in cls)
+                               for _, cls in sorted(classes.items())
+                               for g in range(self.n_goods))
 
 
 @dataclass(frozen=True)
@@ -146,11 +154,6 @@ def _in_box(x: Sequence[float], truncation: float) -> bool:
     return all(0 <= c <= truncation for c in x)
 
 
-def _class_coords(cls: tuple[int, ...], good: int, n_goods: int) -> tuple[int, ...]:
-    """The coordinates of ``good`` in the states of one signal class."""
-    return tuple(1 + s * n_goods + good for s in cls)
-
-
 @dataclass(frozen=True)
 class BudgetSet:
     """Strictly affordable truncated bundles {x in [0,M]^d : px < pe}."""
@@ -178,20 +181,19 @@ class BudgetSet:
 
 @dataclass(frozen=True)
 class InformationSet:
-    """Bundles measurable w.r.t. a signal: equal across pooled states."""
+    """Bundles measurable w.r.t. a signal: equal on each coordinate group
+    of ``InfoEconomy.coordinate_groups``."""
 
-    classes: tuple[tuple[int, ...], ...]
-    n_goods: int
+    groups: tuple[tuple[int, ...], ...]
     dim: int
 
     def contains(self, x: Sequence[float]) -> bool:
         if len(x) != self.dim:
             raise ValueError("bundle dimension mismatch")
-        for cls in self.classes:
-            for g in range(self.n_goods):
-                vals = [x[c] for c in _class_coords(cls, g, self.n_goods)]
-                if max(vals) != min(vals):
-                    return False
+        for g in self.groups:
+            vals = [x[c] for c in g]
+            if max(vals) != min(vals):
+                return False
         return True
 
 
@@ -200,25 +202,23 @@ class InformationSet:
 # ---------------------------------------------------------------------------
 
 def _collapsed_min(box: Box, p: tuple[float, ...],
-                   classes: tuple[tuple[int, ...], ...], n_goods: int) -> float | None:
+                   groups: tuple[tuple[int, ...], ...]) -> float | None:
     """Exact min of p over a value box intersected with the measurability
     subspace, or None when that intersection is empty.
 
-    Collapsing every class/good coordinate group to one variable turns the
+    Collapsing every coordinate group to one variable turns the
     constrained minimum into a lower-corner evaluation: each group's range
     is the flagged intersection of its interval factors and its price
     coefficient is the (nonnegative) sum of the group's price entries.
     """
-    total = box[0].lo * p[0]
-    for cls in classes:
-        for g in range(n_goods):
-            coords = _class_coords(cls, g, n_goods)
-            iv = box[coords[0]]
-            for c in coords[1:]:
-                iv = iv.intersect(box[c])
-                if iv is None:
-                    return None
-            total += iv.lo * sum(p[c] for c in coords)
+    total = 0.0
+    for g in groups:
+        iv = box[g[0]]
+        for c in g[1:]:
+            iv = iv.intersect(box[c])
+            if iv is None:
+                return None
+        total += iv.lo * sum(p[c] for c in g)
     return total
 
 
@@ -278,8 +278,7 @@ class AssociatedEconomy:
                          self.info.bundle_dim)
 
     def information(self, i: int, p: tuple[float, ...]) -> InformationSet:
-        return InformationSet(self.info.signal_classes(i, p), self.info.n_goods,
-                              self.info.bundle_dim)
+        return InformationSet(self.info.coordinate_groups(i, p), self.info.bundle_dim)
 
     def preferred_value(self, i: int, allocation: Sequence[Sequence[float]]) -> BoxSet:
         flat = tuple(c for b in allocation for c in b)
@@ -289,19 +288,13 @@ class AssociatedEconomy:
                        p: tuple[float, ...]) -> bool:
         """Exactly decides budget cap preferred cap measurable = empty."""
         wealth = _dot(p, self.info.endowments[i])
-        classes = self.info.signal_classes(i, p)
-        value = self.preferred_value(i, allocation)
-        for b in value.boxes:
-            clipped = []
-            for iv in b:
-                cut = iv.intersect(FlaggedInterval.closed(0.0, self.truncation))
-                if cut is None:
-                    clipped = None
-                    break
-                clipped.append(cut)
+        groups = self.info.coordinate_groups(i, p)
+        consumption = (FlaggedInterval.closed(0.0, self.truncation),) * self.info.bundle_dim
+        for b in self.preferred_value(i, allocation).boxes:
+            clipped = box_intersect(b, consumption)
             if clipped is None:
                 continue
-            lo = _collapsed_min(tuple(clipped), p, classes, self.info.n_goods)
+            lo = _collapsed_min(clipped, p, groups)
             if lo is not None and lo < wealth:
                 return False
         return True
@@ -313,7 +306,8 @@ class AssociatedEconomy:
         Returns (in cl(budget cap info), in cl(budget) cap cl(info)). The
         origin is measurable and affordable whenever anything is, so the
         strict polytope is dense in the nonstrict one and the readings
-        coincide; both are still evaluated and reported separately.
+        coincide: the first is the second and a nonempty budget, which
+        ``BudgetSet.closure_contains`` already requires.
         """
         bud = self.budget(i, p)
         inf = self.information(i, p)
@@ -365,27 +359,23 @@ class AssociatedEconomy:
     def search(self, axis_values: Sequence[float]) -> list[AssociatedCertificate]:
         """Exhaustive scan over measurable grid bundles and simplex prices.
 
-        Bundles are generated per agent from ``axis_values`` on the reduced
-        coordinates (one value per measurability class), so only bundles
-        already satisfying the information constraint are visited. Results
-        in deterministic (price-major) order.
+        Bundles are generated per agent from ``axis_values``, one value per
+        coordinate group, so only bundles already satisfying the
+        information constraint are visited. Results in deterministic
+        (price-major) order.
         """
-        n_goods, ends = self.info.n_goods, self.info.endowments
+        ends = self.info.endowments
         found: list[AssociatedCertificate] = []
         for p in self.simplex.points():
             per_agent: list[list[tuple[float, ...]]] = []
             for i in range(self.n):
-                classes = self.info.signal_classes(i, p)
-                n_free = 1 + len(classes) * n_goods
+                groups = self.info.coordinate_groups(i, p)
                 bundles = []
-                for combo in itertools.product(axis_values, repeat=n_free):
-                    bundle = [combo[0]] + [0.0] * (self.info.bundle_dim - 1)
-                    at = 1
-                    for cls in classes:
-                        for g in range(n_goods):
-                            for c in _class_coords(cls, g, n_goods):
-                                bundle[c] = combo[at]
-                            at += 1
+                for combo in itertools.product(axis_values, repeat=len(groups)):
+                    bundle = [0.0] * self.info.bundle_dim
+                    for g, v in zip(groups, combo):
+                        for c in g:
+                            bundle[c] = v
                     bundle = tuple(bundle)
                     if not self.clause_b(i, bundle, p)[0]:
                         continue
@@ -425,15 +415,13 @@ def _measurable_corners(value: BoxSet, info: InformationSet,
             cs = [iv.lo, iv.hi] if iv.hi > iv.lo else [iv.lo]
             per_coord.append(cs)
         for corner in itertools.product(*per_coord):
-            # equalize within classes by taking the max (stays in box for
-            # identical per-class intervals, the only case exercised)
+            # equalize within groups by taking the max (stays in box for
+            # identical per-group intervals, the only case exercised)
             adjusted = list(corner)
-            for cls in info.classes:
-                for g in range(info.n_goods):
-                    coords = _class_coords(cls, g, info.n_goods)
-                    mx = max(adjusted[c] for c in coords)
-                    for c in coords:
-                        adjusted[c] = mx
+            for g in info.groups:
+                mx = max(adjusted[c] for c in g)
+                for c in g:
+                    adjusted[c] = mx
             cand = tuple(adjusted)
             if info.contains(cand) and all(
                     b[k].closure().contains(cand[k]) for k in range(len(b))):

@@ -444,8 +444,8 @@ def reproduce_paper(step: float | None = None, eps_chain: Sequence[float] | None
     results and stay fixed.
     """
     if step is not None:
-        ratio = 0.5 / step
-        if step <= 0 or abs(ratio - round(ratio)) > 1e-9:
+        ratio = 0.5 / step if math.isfinite(step) and step > 0 else math.nan
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("step must divide 1/2")
     fine = step if step is not None else 1 / 64
     coarse = step if step is not None else 0.125

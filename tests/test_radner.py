@@ -8,8 +8,12 @@ import math
 
 import pytest
 
-from boxcorr import (DocumentError, InfoEconomy, PriceSimplex, radner_toy,
-                     remark_4_3_inclusion, to_abstract_economy, verify_market_clearing)
+from boxcorr import (AffForm, AffineInterval, AssociatedEconomy, DocumentError,
+                     FlaggedInterval, InfoEconomy, Piece, PiecewiseMap, PriceSimplex,
+                     radner_toy, remark_4_3_inclusion, to_abstract_economy,
+                     verify_market_clearing)
+from boxcorr import radner as _radner
+from boxcorr.intervals import boxes_difference
 from boxcorr.radner import _measurable_corners, info_economy_from_doc, info_economy_to_doc
 
 
@@ -317,3 +321,238 @@ def test_info_economy_document_endowments_must_be_finite_numbers(bad):
     doc["endowments"][0][1] = bad
     with pytest.raises(DocumentError, match="endowments\\[0\\]: expected a"):
         info_economy_from_doc(doc)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate groups against the frozen class-by-good implementation
+# ---------------------------------------------------------------------------
+#
+# ``seed_signal_classes``, ``seed_class_coords``, ``SeedInformationSet``,
+# ``seed_collapsed_min``, ``seed_measurable_corners`` and
+# ``SeedAssociatedEconomy`` are the implementation that walked signal
+# classes and goods in nested loops and handled the period-0 coordinate
+# apart. They stay here as the oracle for ``InfoEconomy.coordinate_groups``.
+
+def seed_signal_classes(info, i, p):
+    groups = {}
+    for s in range(info.n_states):
+        groups.setdefault(_radner._signal_label(info.signals[i], p, s), []).append(s)
+    return tuple(tuple(g) for _, g in sorted(groups.items()))
+
+
+def seed_class_coords(cls, good, n_goods):
+    return tuple(1 + s * n_goods + good for s in cls)
+
+
+@dataclasses.dataclass(frozen=True)
+class SeedInformationSet:
+    classes: tuple
+    n_goods: int
+    dim: int
+
+    def contains(self, x):
+        if len(x) != self.dim:
+            raise ValueError("bundle dimension mismatch")
+        for cls in self.classes:
+            for g in range(self.n_goods):
+                vals = [x[c] for c in seed_class_coords(cls, g, self.n_goods)]
+                if max(vals) != min(vals):
+                    return False
+        return True
+
+
+def seed_collapsed_min(box, p, classes, n_goods):
+    total = box[0].lo * p[0]
+    for cls in classes:
+        for g in range(n_goods):
+            coords = seed_class_coords(cls, g, n_goods)
+            iv = box[coords[0]]
+            for c in coords[1:]:
+                iv = iv.intersect(box[c])
+                if iv is None:
+                    return None
+            total += iv.lo * sum(p[c] for c in coords)
+    return total
+
+
+def seed_measurable_corners(value, info, limit=16):
+    out = []
+    for b in value.boxes:
+        per_coord = []
+        for iv in b:
+            cs = [iv.lo, iv.hi] if iv.hi > iv.lo else [iv.lo]
+            per_coord.append(cs)
+        for corner in itertools.product(*per_coord):
+            adjusted = list(corner)
+            for cls in info.classes:
+                for g in range(info.n_goods):
+                    coords = seed_class_coords(cls, g, info.n_goods)
+                    mx = max(adjusted[c] for c in coords)
+                    for c in coords:
+                        adjusted[c] = mx
+            cand = tuple(adjusted)
+            if info.contains(cand) and all(
+                    b[k].closure().contains(cand[k]) for k in range(len(b))):
+                if cand not in out:
+                    out.append(cand)
+            if len(out) >= limit:
+                return out
+    return out
+
+
+class SeedAssociatedEconomy(AssociatedEconomy):
+    """``verify`` and ``clause_b`` are inherited and call these methods."""
+
+    def information(self, i, p):
+        return SeedInformationSet(seed_signal_classes(self.info, i, p), self.info.n_goods,
+                                  self.info.bundle_dim)
+
+    def conflict_empty(self, i, allocation, p):
+        wealth = _radner._dot(p, self.info.endowments[i])
+        classes = seed_signal_classes(self.info, i, p)
+        value = self.preferred_value(i, allocation)
+        for b in value.boxes:
+            clipped = []
+            for iv in b:
+                cut = iv.intersect(FlaggedInterval.closed(0.0, self.truncation))
+                if cut is None:
+                    clipped = None
+                    break
+                clipped.append(cut)
+            if clipped is None:
+                continue
+            lo = seed_collapsed_min(tuple(clipped), p, classes, self.info.n_goods)
+            if lo is not None and lo < wealth:
+                return False
+        return True
+
+    def search(self, axis_values):
+        n_goods, ends = self.info.n_goods, self.info.endowments
+        found = []
+        for p in self.simplex.points():
+            per_agent = []
+            for i in range(self.n):
+                classes = seed_signal_classes(self.info, i, p)
+                n_free = 1 + len(classes) * n_goods
+                bundles = []
+                for combo in itertools.product(axis_values, repeat=n_free):
+                    bundle = [combo[0]] + [0.0] * (self.info.bundle_dim - 1)
+                    at = 1
+                    for cls in classes:
+                        for g in range(n_goods):
+                            for c in seed_class_coords(cls, g, n_goods):
+                                bundle[c] = combo[at]
+                            at += 1
+                    bundle = tuple(bundle)
+                    if not self.clause_b(i, bundle, p)[0]:
+                        continue
+                    if self.conflict_empty(i, ends[:i] + (bundle,) + ends[i + 1:], p):
+                        bundles.append(bundle)
+                per_agent.append(bundles)
+            for alloc in itertools.product(*per_agent):
+                cert = self.verify(alloc, p)
+                if cert.valid:
+                    found.append(cert)
+        return found
+
+
+def two_good_economy():
+    """Two agents, two goods, three states (bundle dim 7), and threshold
+    signals that pool all three states unless the price of the agent's
+    watched coordinate exceeds 1/2, which reveals them.
+
+    Each agent is sated (empty preferred set) once its coordinates 0, 1
+    and 3 reach 1/2. Below 1/2 in coordinate 0 it prefers the box of
+    bundles above its own by more than half its bundle plus 1/2, up to 3;
+    otherwise a constant box whose coordinate 1 ([-1, 1/4]) misses its
+    coordinates 3 and 5 ([1, 2]), so the box has no point measurable for a
+    pooled signal. Both boxes reach outside the truncated box [0, 2]^7.
+    """
+    n, d, m = 2, 7, 2.0
+    total = n * d
+    full = FlaggedInterval.closed(0, m)
+    domain = (full,) * total
+    prefs = []
+    for i in range(n):
+        def region(cuts):
+            return tuple(cuts.get(k - i * d, full) for k in range(total))
+        half_up = FlaggedInterval.closed(0.5, m)
+        poor = region({0: FlaggedInterval(0, 0.5, True, False)})
+        rich = region({0: half_up})
+        sated = region({0: half_up, 1: half_up, 3: half_up})
+        rising = tuple(
+            AffineInterval(AffForm(0.5, tuple(0.5 if j == i * d + k else 0.0
+                                              for j in range(total))),
+                           AffForm.constant(m + 1, total), False, True)
+            for k in range(d))
+        apart = tuple(AffineInterval.constant(FlaggedInterval.closed(-1, 0.25) if k == 1
+                                              else FlaggedInterval.closed(1, 2), total)
+                      for k in range(d))
+        pieces = [Piece(sated, ()), Piece(poor, (rising,))]
+        pieces += [Piece(r, (apart,)) for r in boxes_difference([rich], [sated])]
+        prefs.append(PiecewiseMap(domain, d, tuple(pieces)))
+    return InfoEconomy(n, 2, 3, ((1.0,) * d, (0.5,) * d),
+                       ("threshold:1:0.5", "threshold:4:0.5"), tuple(prefs), truncation=m)
+
+
+def _both_economies(resolution):
+    e = two_good_economy()
+    simplex = PriceSimplex(e.bundle_dim, resolution)
+    return AssociatedEconomy(e, 2.0, simplex), SeedAssociatedEconomy(e, 2.0, simplex)
+
+
+def test_coordinate_groups_are_the_class_coords_in_class_major_order():
+    e = two_good_economy()
+    for p in PriceSimplex(e.bundle_dim, 3).points():
+        for i in range(e.n_agents):
+            want = ((0,),) + tuple(seed_class_coords(cls, g, e.n_goods)
+                                   for cls in seed_signal_classes(e, i, p)
+                                   for g in range(e.n_goods))
+            assert e.coordinate_groups(i, p) == want
+    assert e.coordinate_groups(0, (0.0,) * 7) == ((0,), (1, 3, 5), (2, 4, 6))
+    assert e.coordinate_groups(0, (0.0, 1.0) + (0.0,) * 5) == tuple((k,) for k in range(7))
+
+
+def test_information_and_conflict_match_frozen_loops():
+    assoc, seed = _both_economies(3)
+    e = assoc.info
+    grid = list(itertools.product((0.0, 1.0, 2.0), repeat=e.bundle_dim))
+    allocations = [e.endowments, ((0.0,) * 7, (2.0,) * 7),
+                   ((1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0), (0.0, 1.0) * 3 + (1.0,)),
+                   ((0.25, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0))]
+    prices = list(assoc.simplex.points())
+    revealed = 0
+    for p in prices[::7] + [(0.0, 1.0) + (0.0,) * 5, (0.0,) * 4 + (1.0, 0.0, 0.0)]:
+        for i in range(e.n_agents):
+            new, old = assoc.information(i, p), seed.information(i, p)
+            revealed += len(new.groups) > 3
+            assert [new.contains(x) for x in grid] == [old.contains(x) for x in grid]
+            for x in allocations:
+                assert assoc.conflict_empty(i, x, p) == seed.conflict_empty(i, x, p)
+                value = assoc.preferred_value(i, x)
+                for limit in (16, 4):
+                    assert _measurable_corners(value, new, limit) == \
+                        seed_measurable_corners(value, old, limit)
+                for b in value.boxes:
+                    assert _radner._collapsed_min(b, p, new.groups) == \
+                        seed_collapsed_min(b, p, old.classes, e.n_goods)
+    assert revealed
+
+
+def test_search_certificates_match_frozen_loop():
+    assoc, seed = _both_economies(3)
+    got = assoc.search((0.0, 1.0))
+    want = seed.search((0.0, 1.0))
+    assert got == want
+    assert len(got) > 1
+    assert any(len(assoc.information(i, c.price).groups) > 3
+               for c in got for i in range(assoc.n))
+
+
+def test_inclusion_report_matches_frozen_loop(monkeypatch):
+    assoc, seed = _both_economies(2)
+    got = remark_4_3_inclusion(assoc, 0.5)
+    monkeypatch.setattr(_radner, "_measurable_corners", seed_measurable_corners)
+    want = remark_4_3_inclusion(seed, 0.5)
+    assert repr(got) == repr(want)
+    assert got.parameters["antecedent_hits"] > 0

@@ -534,6 +534,46 @@ def test_cli_delta_below_step_exits_with_input_error():
 
 
 # ---------------------------------------------------------------------------
+# delta wider than the grid
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,t", [
+    ("ex2_1", ex2_1()[0]),
+    ("thin-grows", _line_map(_const(0, 1), _const(0, 1), _const(0, 2))),
+    ("empty-middle", _line_map(_const(0, 1), (), _const(0, 1))),
+    ("ramp", PiecewiseMap((I.closed(0, 2),), 1, (Piece((I.closed(0, 2),), (
+        (AffineInterval(AffForm.coordinate(0, 1), AffForm.constant(2.0, 1)),),)),))),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_delta_many_grid_widths_wide_matches_oracle(name, t):
+    """The oracle's uncapped offset list stays small on a 1-D grid."""
+    grid = Grid(1, (0.0,), (2.0,), 0.125)
+    for direction in ("usc", "lsc"):
+        for delta in (2.0, 64.0):
+            assert_same_report(t, grid, delta=delta, direction=direction)
+
+
+def test_neighbor_radius_is_capped_at_the_widest_axis(monkeypatch):
+    radii = []
+    offsets = _checks._neighbor_offsets
+    monkeypatch.setattr(_checks, "_neighbor_offsets",
+                        lambda dim, radius: radii.append(radius) or offsets(dim, radius))
+    grid = Grid(2, (0.0, 0.0), (2.0, 1.0), 0.25)  # 9 and 5 points per axis
+    for delta in (0.25, 1.0, 2.0, 3.0, 1e9):
+        check_usc(piece_pair_map(0), grid, delta=delta)
+    assert radii == [1, 4, 8, 8, 8]
+
+
+def test_delta_of_1e9_on_a_33_by_33_grid_returns():
+    t = ex4_1(2).conflict_map(0)
+    grid = Grid(2, (0.0, 0.0), (4.0, 4.0), 0.125)
+    wide = check_usc(t, grid, delta=1e9)
+    whole = check_usc(t, grid, delta=4.0)
+    assert t.max_slope() == 0
+    assert (wide.verdict, wide.witnesses, wide.notes) == \
+        (whole.verdict, whole.witnesses, whole.notes)
+
+
+# ---------------------------------------------------------------------------
 # closure and hausdorff_upper against the frozen copies
 # ---------------------------------------------------------------------------
 

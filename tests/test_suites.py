@@ -155,6 +155,12 @@ def test_reproduce_paper_step_guard():
         suites.reproduce_paper(step=0.3)
 
 
+@pytest.mark.parametrize("step", [0, -0.25, math.inf, math.nan])
+def test_reproduce_paper_rejects_a_step_that_is_not_finite_and_positive(step):
+    with pytest.raises(ValueError, match="step must divide 1/2"):
+        suites.reproduce_paper(step=step)
+
+
 def test_reproduce_paper_coarse_step():
     rep = suites.reproduce_paper(step=0.5)
     assert rep.passed
