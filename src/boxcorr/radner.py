@@ -136,10 +136,6 @@ class PriceSimplex:
     def point_count(self) -> int:
         return math.comb(self.resolution + self.dim - 1, self.dim - 1)
 
-    def vertices(self) -> Iterable[tuple[float, ...]]:
-        for j in range(self.dim):
-            yield tuple(1.0 if k == j else 0.0 for k in range(self.dim))
-
 
 # ---------------------------------------------------------------------------
 # Primitive sets
@@ -226,7 +222,6 @@ def _collapsed_min(box: Box, p: tuple[float, ...],
 class AgentClauses:
     agent: int
     in_closed_budget_info: bool
-    in_closed_budget_and_closed_info: bool
     conflict_empty: bool
 
     @property
@@ -299,22 +294,16 @@ class AssociatedEconomy:
                 return False
         return True
 
-    def clause_b(self, i: int, bundle: Sequence[float],
-                 p: tuple[float, ...]) -> tuple[bool, bool]:
-        """Both closure readings of the budget+measurability constraint.
+    def clause_b(self, i: int, bundle: Sequence[float], p: tuple[float, ...]) -> bool:
+        """Membership in cl(budget) cap measurable, the closed constraint B.
 
-        Returns (in cl(budget cap info), in cl(budget) cap cl(info)). The
-        origin is measurable and affordable whenever anything is, so the
-        strict polytope is dense in the nonstrict one and the readings
-        coincide: the first is the second and a nonempty budget, which
-        ``BudgetSet.closure_contains`` already requires.
+        The measurable set is a closed subspace holding the origin, which
+        is affordable whenever anything is, so this is also the closure of
+        budget cap measurable; ``BudgetSet.closure_contains`` is false on
+        an empty budget.
         """
-        bud = self.budget(i, p)
-        inf = self.information(i, p)
-        meas = inf.contains(bundle)
-        split = bud.closure_contains(bundle) and meas
-        joint = split and not bud.is_empty
-        return joint, split
+        return (self.budget(i, p).closure_contains(bundle)
+                and self.information(i, p).contains(bundle))
 
     def excess(self, allocation: Sequence[Sequence[float]]) -> tuple[float, ...]:
         agg = self.info.aggregate_endowment
@@ -343,11 +332,9 @@ class AssociatedEconomy:
                 raise ValueError("bundle outside the truncated consumption box")
         agents = []
         for i in range(self.n):
-            joint, split = self.clause_b(i, allocation[i], p)
             agents.append(AgentClauses(
                 agent=i,
-                in_closed_budget_info=joint,
-                in_closed_budget_and_closed_info=split,
+                in_closed_budget_info=self.clause_b(i, allocation[i], p),
                 conflict_empty=self.conflict_empty(i, allocation, p),
             ))
         in_simplex = all(c >= -1e-9 for c in p) and abs(sum(p) - 1.0) <= 1e-9
@@ -360,8 +347,8 @@ class AssociatedEconomy:
         """Exhaustive scan over measurable grid bundles and simplex prices.
 
         Bundles are generated per agent from ``axis_values``, one value per
-        coordinate group, so only bundles already satisfying the
-        information constraint are visited. Results in deterministic
+        coordinate group, so only measurable bundles are visited and the
+        filter reads the closed budget alone. Results in deterministic
         (price-major) order.
         """
         ends = self.info.endowments
@@ -370,6 +357,7 @@ class AssociatedEconomy:
             per_agent: list[list[tuple[float, ...]]] = []
             for i in range(self.n):
                 groups = self.info.coordinate_groups(i, p)
+                bud = self.budget(i, p)
                 bundles = []
                 for combo in itertools.product(axis_values, repeat=len(groups)):
                     bundle = [0.0] * self.info.bundle_dim
@@ -377,7 +365,7 @@ class AssociatedEconomy:
                         for c in g:
                             bundle[c] = v
                     bundle = tuple(bundle)
-                    if not self.clause_b(i, bundle, p)[0]:
+                    if not bud.closure_contains(bundle):
                         continue
                     # the others hold their endowments; the preference maps
                     # searched here read only the agent's own bundle
@@ -415,16 +403,16 @@ def _measurable_corners(value: BoxSet, info: InformationSet,
             cs = [iv.lo, iv.hi] if iv.hi > iv.lo else [iv.lo]
             per_coord.append(cs)
         for corner in itertools.product(*per_coord):
-            # equalize within groups by taking the max (stays in box for
-            # identical per-group intervals, the only case exercised)
+            # equalize within groups by taking the max, which makes the
+            # candidate measurable (stays in box for identical per-group
+            # intervals, the only case exercised)
             adjusted = list(corner)
             for g in info.groups:
                 mx = max(adjusted[c] for c in g)
                 for c in g:
                     adjusted[c] = mx
             cand = tuple(adjusted)
-            if info.contains(cand) and all(
-                    b[k].closure().contains(cand[k]) for k in range(len(b))):
+            if all(b[k].closure().contains(cand[k]) for k in range(len(b))):
                 if cand not in out:
                     out.append(cand)
             if len(out) >= limit:
@@ -437,33 +425,25 @@ def verify_market_clearing(assoc: AssociatedEconomy, cert: AssociatedCertificate
     """Re-derive the exchange-equilibrium clauses from a certificate.
 
     Clause 1: aggregate consumption does not exceed aggregate endowment,
-    checked componentwise and re-derived through canonical-basis price
-    vertices. Clause 2: each bundle lies in the closed budget cap
-    measurable set (both closure readings). Clause 3: sampled preferred
-    measurable bundles are unaffordable (strictly outside the budget).
+    checked componentwise. Clause 2: each bundle lies in the closed budget
+    cap measurable set (``AssociatedEconomy.clause_b``). Clause 3: sampled
+    preferred measurable bundles are unaffordable (strictly outside the
+    budget).
     """
     z = assoc.excess(cert.allocation)
-    direct_bad = [k for k, v in enumerate(z) if v > tol]
-    vertex_bad = []
-    for j, q in enumerate(assoc.simplex.vertices()):
-        if _dot(q, z) > tol:
-            vertex_bad.append(j)
+    bad = [k for k, v in enumerate(z) if v > tol]
     c1 = CheckReport(
-        "clearing-aggregate", PASS if not direct_bad and not vertex_bad else FAIL,
+        "clearing-aggregate", PASS if not bad else FAIL,
         tuple(Witness(cert.price, None, z[k], "excess supply violated",
-                      f"component {k}") for k in (direct_bad + vertex_bad)[:8]),
+                      f"component {k}") for k in bad[:8]),
         {"excess": list(z), "tol": tol},
     )
 
     c2_wit = []
     for i in range(assoc.n):
-        joint, split = assoc.clause_b(i, cert.allocation[i], cert.price)
-        if not joint:
+        if not assoc.clause_b(i, cert.allocation[i], cert.price):
             c2_wit.append(Witness(cert.allocation[i], None, 0.0,
                                   "outside cl(budget cap info)", f"agent {i}"))
-        if not split:
-            c2_wit.append(Witness(cert.allocation[i], None, 0.0,
-                                  "outside cl budget cap cl info", f"agent {i}"))
     c2 = CheckReport("clearing-budget-info", PASS if not c2_wit else FAIL,
                      tuple(c2_wit))
 
@@ -497,7 +477,7 @@ _INCLUSION_SEED = 20240817
 def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckReport:
     """Sampled check that constrained-preferred bundles satisfy both
     constraints: membership in budget and preferred-measurable implies
-    membership in budget-measurable.
+    membership in the economy's closed constraint ``clause_b``.
 
     Prices run over the economy's full simplex grid; allocations are 40
     seeded draws from the step grid (the full product grid is astronomically
@@ -521,10 +501,10 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
     antecedent_hits = 0
     wit = []
     for p in assoc.simplex.points():
+        sets = [(assoc.budget(i, p), assoc.information(i, p)) for i in range(assoc.n)]
         for x, prefs in zip(allocations, preferred):
             for i, pref in enumerate(prefs):
-                bud = assoc.budget(i, p)
-                inf = assoc.information(i, p)
+                bud, inf = sets[i]
                 candidates = [
                     tuple(0.0 for _ in range(d)),
                     assoc.info.endowments[i],
@@ -540,8 +520,7 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
                         and inf.contains(y)
                     if in_a and in_p:
                         antecedent_hits += 1
-                        in_b = bud.contains(y) and inf.contains(y)
-                        if not in_b:
+                        if not assoc.clause_b(i, y, p):
                             wit.append(Witness(y, None, 0.0, "inclusion violated",
                                                f"agent {i} at p={p}"))
     return CheckReport(

@@ -115,14 +115,19 @@ def golden_example_2_2(step: float = 1 / 64,
                             "runtime_s": time.perf_counter() - t0})
 
 
+def largest_grid(step: float) -> Grid:
+    """The largest grid ``reproduce_paper(step)`` walks: the one of
+    Example 4.1's hypothesis check, over [0, 4]^2."""
+    return Grid(2, (0.0, 0.0), (4.0, 4.0), step)
+
+
 def golden_example_4_1(step: float = 0.125,
                        eps_list: Sequence[float] = (0.5, 2.0, 4.0),
                        tol: float = 1e-9) -> CheckReport:
     """Full hypothesis check, the known equilibrium, and the grid search."""
     t0 = time.perf_counter()
     e = ex4_1(2)
-    hyp = check_theorem_4_1_hypotheses(
-        e, eps_list, Grid(2, (0.0, 0.0), (4.0, 4.0), step), tol=tol)
+    hyp = check_theorem_4_1_hypotheses(e, eps_list, largest_grid(step), tol=tol)
     cert = verify_equilibrium(e, (1.5, 1.5))
     eq = CheckReport("equilibrium-at-known-point",
                      PASS if cert.valid else FAIL, (),
@@ -398,9 +403,9 @@ def lemma_2_2_suite(count: int = 50, seed: int = DEFAULT_SEED,
 
 def radner_suite(alloc_step: float = 0.125, simplex_resolution: int = 8,
                  tol: float = 1e-9) -> CheckReport:
-    """Constraint inclusion on sampled points, market clearing of every
+    """Constraint inclusion on sampled points, aggregate clearing of every
     certificate the coarse search (bundle axis 0, 0.5, ..., 2) produces,
-    and the autarky certificate."""
+    and market clearing of the autarky certificate."""
     t0 = time.perf_counter()
     toy = radner_toy()
     assoc = to_abstract_economy(toy, PriceSimplex(toy.bundle_dim,
@@ -410,8 +415,7 @@ def radner_suite(alloc_step: float = 0.125, simplex_resolution: int = 8,
     certs = assoc.search((0.0, 0.5, 1.0, 1.5, 2.0))
     bad = []
     for c in certs:
-        rep = verify_market_clearing(assoc, c, tol=tol)
-        if not rep.children[0].passed:
+        if max(assoc.excess(c.allocation)) > tol:
             bad.append(Witness(c.price, None, 0.0, "certificate fails clearing",
                                str(c.allocation)))
     clause1 = CheckReport("certificates-clear", PASS if not bad else FAIL,

@@ -118,18 +118,29 @@ def test_domain_too_wide_for_a_grid_is_input_error(runner, tmp_path, command):
 def test_grid_too_large_is_input_error(runner, tmp_path):
     """A grid of more than 10^8 points exits 2 before it is built: a wide
     finite domain at the default step, or a bundled document at a tiny
-    step."""
+    step. For build-radner the grid is the price simplex; for
+    reproduce-paper it is Example 4.1's hypothesis grid, its largest."""
     d = BoxSet.of(1, [(I.closed(0, 1),)])
     doc = io.map_to_doc(constant_map((I(0, 1e12, True, False),), d), d)
     path = tmp_path / "huge.map"
     path.write_text(json.dumps(doc))
     for args in (("check-map", path), ("find-fixed-points", path),
                  ("check-map", "--step", "1e-9", EXAMPLES / "ex2_1.map"),
-                 ("find-equilibria", "--step", "1e-5", EXAMPLES / "ex4_1_n2.econ")):
+                 ("find-equilibria", "--step", "1e-5", EXAMPLES / "ex4_1_n2.econ"),
+                 ("build-radner", "--step", "1e-9", EXAMPLES / "radner_toy.econ"),
+                 # 2^-12 divides 1/2, so only the size rule refuses it
+                 ("reproduce-paper", "--step", 2.0 ** -12)):
         r = invoke(runner, *args)
         assert r.exit_code == 2, r.output
         assert "grid points, more than the limit of 100000000" in r.output
         assert "Traceback" not in r.output
+
+
+def test_build_radner_step_without_a_finite_inverse_is_input_error(runner):
+    r = invoke(runner, "build-radner", "--step", "5e-324", EXAMPLES / "radner_toy.econ")
+    assert r.exit_code == 2, r.output
+    assert "1/step is not finite" in r.output
+    assert "Traceback" not in r.output
 
 
 def test_wrong_kind_for_property_is_input_error(runner):

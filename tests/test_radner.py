@@ -12,6 +12,7 @@ from boxcorr import (AffForm, AffineInterval, AssociatedEconomy, DocumentError,
                      FlaggedInterval, InfoEconomy, Piece, PiecewiseMap, PriceSimplex,
                      radner_toy, remark_4_3_inclusion, to_abstract_economy,
                      verify_market_clearing)
+from boxcorr.checks import FAIL, PASS, CheckReport, Witness, combine_reports
 from boxcorr import radner as _radner
 from boxcorr.intervals import boxes_difference
 from boxcorr.radner import _measurable_corners, info_economy_from_doc, info_economy_to_doc
@@ -147,7 +148,6 @@ def test_simplex_points_sum_to_one():
     for p in pts:
         assert sum(p) == pytest.approx(1.0)
         assert all(c >= 0 for c in p)
-    assert set(s.vertices()) <= set(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +227,6 @@ def test_verify_rejects_overconsumption():
     assert aggregate.witnesses
 
 
-def test_clause_b_readings_coincide_on_toy():
-    e = toy()
-    assoc = to_abstract_economy(e, PriceSimplex(3, 8))
-    for p in [(1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.5, 0.5, 0.0)]:
-        for pt in itertools.product((0.0, 0.25, 0.5), repeat=3):
-            joint, split = assoc.clause_b(0, pt, p)
-            assert joint == split or (split and not joint)
-
-
 def test_search_finds_autarky():
     e = toy()
     assoc = to_abstract_economy(e, PriceSimplex(3, 8))
@@ -261,6 +252,17 @@ def test_inclusion_exercised_on_richer_endowment():
     rep = remark_4_3_inclusion(assoc, 0.125)
     assert rep.passed
     assert rep.parameters["antecedent_hits"] > 0
+
+
+def test_inclusion_reads_the_economys_clause_b(monkeypatch):
+    """Each antecedent hit is tested against ``clause_b`` itself, so a
+    constraint B that rejects every bundle fails the report once per hit."""
+    monkeypatch.setattr(AssociatedEconomy, "clause_b", lambda self, i, bundle, p: False)
+    assoc = to_abstract_economy(richer_toy(), PriceSimplex(3, 8))
+    rep = remark_4_3_inclusion(assoc, 0.125)
+    assert rep.parameters["antecedent_hits"] == 6
+    assert not rep.passed
+    assert len(rep.witnesses) == 6
 
 
 def test_measurable_corners_respect_flags_and_classes():
@@ -444,7 +446,7 @@ class SeedAssociatedEconomy(AssociatedEconomy):
                                 bundle[c] = combo[at]
                             at += 1
                     bundle = tuple(bundle)
-                    if not self.clause_b(i, bundle, p)[0]:
+                    if not self.clause_b(i, bundle, p):
                         continue
                     if self.conflict_empty(i, ends[:i] + (bundle,) + ends[i + 1:], p):
                         bundles.append(bundle)
@@ -556,3 +558,208 @@ def test_inclusion_report_matches_frozen_loop(monkeypatch):
     want = remark_4_3_inclusion(seed, 0.5)
     assert repr(got) == repr(want)
     assert got.parameters["antecedent_hits"] > 0
+
+
+# ---------------------------------------------------------------------------
+# One reading per clause against the frozen two-reading implementation
+# ---------------------------------------------------------------------------
+#
+# ``seed_clause_b``, ``seed_verify_market_clearing`` (with
+# ``seed_group_corners``) and ``seed_search`` are the implementation that
+# decided the closed constraint B in two readings, re-derived aggregate
+# clearing through the simplex vertices, re-tested measurability of the
+# corners it had just equalized, and filtered search bundles by both
+# constraints. They stay here as the oracle for the one-reading clauses.
+
+def seed_clause_b(assoc, i, bundle, p):
+    bud = assoc.budget(i, p)
+    inf = assoc.information(i, p)
+    meas = inf.contains(bundle)
+    split = bud.closure_contains(bundle) and meas
+    joint = split and not bud.is_empty
+    return joint, split
+
+
+def seed_vertices(dim):
+    for j in range(dim):
+        yield tuple(1.0 if k == j else 0.0 for k in range(dim))
+
+
+def seed_group_corners(value, info, limit=16):
+    out = []
+    for b in value.boxes:
+        per_coord = []
+        for iv in b:
+            cs = [iv.lo, iv.hi] if iv.hi > iv.lo else [iv.lo]
+            per_coord.append(cs)
+        for corner in itertools.product(*per_coord):
+            adjusted = list(corner)
+            for g in info.groups:
+                mx = max(adjusted[c] for c in g)
+                for c in g:
+                    adjusted[c] = mx
+            cand = tuple(adjusted)
+            if info.contains(cand) and all(
+                    b[k].closure().contains(cand[k]) for k in range(len(b))):
+                if cand not in out:
+                    out.append(cand)
+            if len(out) >= limit:
+                return out
+    return out
+
+
+def seed_verify_market_clearing(assoc, cert, tol=1e-9):
+    z = assoc.excess(cert.allocation)
+    direct_bad = [k for k, v in enumerate(z) if v > tol]
+    vertex_bad = []
+    for j, q in enumerate(seed_vertices(assoc.simplex.dim)):
+        if _radner._dot(q, z) > tol:
+            vertex_bad.append(j)
+    c1 = CheckReport(
+        "clearing-aggregate", PASS if not direct_bad and not vertex_bad else FAIL,
+        tuple(Witness(cert.price, None, z[k], "excess supply violated",
+                      f"component {k}") for k in (direct_bad + vertex_bad)[:8]),
+        {"excess": list(z), "tol": tol},
+    )
+    c2_wit = []
+    for i in range(assoc.n):
+        joint, split = seed_clause_b(assoc, i, cert.allocation[i], cert.price)
+        if not joint:
+            c2_wit.append(Witness(cert.allocation[i], None, 0.0,
+                                  "outside cl(budget cap info)", f"agent {i}"))
+        if not split:
+            c2_wit.append(Witness(cert.allocation[i], None, 0.0,
+                                  "outside cl budget cap cl info", f"agent {i}"))
+    c2 = CheckReport("clearing-budget-info", PASS if not c2_wit else FAIL,
+                     tuple(c2_wit))
+    c3_wit = []
+    sampled = 0
+    for i in range(assoc.n):
+        value = assoc.preferred_value(i, cert.allocation)
+        if value.is_empty:
+            continue
+        inf = assoc.information(i, cert.price)
+        bud = assoc.budget(i, cert.price)
+        for y in seed_group_corners(value, inf):
+            sampled += 1
+            if bud.contains(y):
+                c3_wit.append(Witness(y, None, _radner._dot(cert.price, y),
+                                      "preferred and affordable", f"agent {i}"))
+    c3 = CheckReport("clearing-no-affordable-preferred",
+                     PASS if not c3_wit else FAIL, tuple(c3_wit),
+                     {"sampled": sampled})
+    return combine_reports("market-clearing", [c1, c2, c3],
+                           {"price": list(cert.price), "tol": tol})
+
+
+def seed_search(assoc, axis_values):
+    ends = assoc.info.endowments
+    found = []
+    for p in assoc.simplex.points():
+        per_agent = []
+        for i in range(assoc.n):
+            groups = assoc.info.coordinate_groups(i, p)
+            bundles = []
+            for combo in itertools.product(axis_values, repeat=len(groups)):
+                bundle = [0.0] * assoc.info.bundle_dim
+                for g, v in zip(groups, combo):
+                    for c in g:
+                        bundle[c] = v
+                bundle = tuple(bundle)
+                if not seed_clause_b(assoc, i, bundle, p)[0]:
+                    continue
+                if assoc.conflict_empty(i, ends[:i] + (bundle,) + ends[i + 1:], p):
+                    bundles.append(bundle)
+            per_agent.append(bundles)
+        for alloc in itertools.product(*per_agent):
+            cert = assoc.verify(alloc, p)
+            if cert.valid:
+                found.append(cert)
+    return found
+
+
+def _first_per_place(witnesses):
+    """Witnesses in order, keeping the first at each (point, detail): the
+    two-reading code reported the same failure twice, under either reading's
+    category or twice through the vertex re-derivation."""
+    seen = set()
+    out = []
+    for w in witnesses:
+        if (w.point, w.detail) not in seen:
+            seen.add((w.point, w.detail))
+            out.append(w)
+    return tuple(out)
+
+
+def _assert_one_reading_matches(assoc, cert):
+    for i in range(assoc.n):
+        joint, split = seed_clause_b(assoc, i, cert.allocation[i], cert.price)
+        assert assoc.clause_b(i, cert.allocation[i], cert.price) == joint == split
+    got = verify_market_clearing(assoc, cert)
+    want = seed_verify_market_clearing(assoc, cert)
+    assert got.verdict == want.verdict
+    assert got.parameters == want.parameters
+    for new, old in zip(got.children, want.children, strict=True):
+        assert (new.property_name, new.verdict) == (old.property_name, old.verdict)
+        assert new.witnesses == _first_per_place(old.witnesses)
+        assert new.parameters == old.parameters
+    return got
+
+
+def _economy_variants():
+    """The toy under pooled, revealing and threshold signals, an agent with
+    zero wealth at some simplex prices, and the two-good economy."""
+    base = toy()
+    yield to_abstract_economy(base, PriceSimplex(3, 8))
+    for signals in (("revealing", "revealing"), ("threshold:1:0.4", "pooled")):
+        yield to_abstract_economy(dataclasses.replace(base, signals=signals),
+                                  PriceSimplex(3, 8))
+    yield to_abstract_economy(two_state_economy((1.0, 0.0, 0.0)), PriceSimplex(3, 8))
+    yield AssociatedEconomy(two_good_economy(), 2.0, PriceSimplex(7, 3))
+
+
+def test_one_reading_per_clause_matches_frozen_readings():
+    failing_children = set()
+    zero_wealth = 0
+    for assoc in _economy_variants():
+        d = assoc.info.bundle_dim
+        allocations = [assoc.info.endowments,                 # autarky
+                       ((2.0,) * d, (2.0,) * d),              # greedy over-consumption
+                       ((0.0,) * d, (1.0,) + (0.5,) * (d - 1)),
+                       ((1.0, 0.5) + (0.0,) * (d - 2), (0.25,) * d)]
+        prices = list(assoc.simplex.points())[::5] + [(0.0,) + (1 / (d - 1),) * (d - 1)]
+        for p in prices:
+            zero_wealth += any(not assoc.budget(i, p).wealth > 0 for i in range(assoc.n))
+            for x in allocations:
+                rep = _assert_one_reading_matches(assoc, assoc.verify(x, p))
+                failing_children.update(c.property_name for c in rep.children
+                                        if not c.passed)
+    assert zero_wealth
+    assert failing_children == {"clearing-aggregate", "clearing-budget-info",
+                                "clearing-no-affordable-preferred"}
+
+
+def test_zero_wealth_budget_is_the_empty_closed_constraint():
+    assoc = to_abstract_economy(two_state_economy((1.0, 0.0, 0.0)), PriceSimplex(3, 8))
+    p = (0.0, 0.5, 0.5)
+    assert assoc.budget(0, p).is_empty
+    for y in itertools.product((0.0, 0.5, 1.0), repeat=3):
+        assert not assoc.clause_b(0, y, p)
+        assert seed_clause_b(assoc, 0, y, p) == (False, False)
+    cert = assoc.verify(assoc.info.endowments, p)
+    rep = _assert_one_reading_matches(assoc, cert)
+    assert [w.detail for w in rep.children[1].witnesses] == ["agent 0"]
+
+
+@pytest.mark.parametrize("economy,resolution,axis", [
+    (toy, 8, (0.0, 0.5, 1.0, 1.5, 2.0)),
+    (two_good_economy, 3, (0.0, 1.0)),
+])
+def test_search_and_clearing_match_frozen_readings(economy, resolution, axis):
+    e = economy()
+    assoc = AssociatedEconomy(e, 2.0, PriceSimplex(e.bundle_dim, resolution))
+    certs = assoc.search(axis)
+    assert certs == seed_search(assoc, axis)
+    assert len(certs) > 1
+    for c in certs[::8]:
+        assert _assert_one_reading_matches(assoc, c).passed
