@@ -385,6 +385,10 @@ def cmd_build_radner(document, step, eps_chain, tol, delta, out, fmt):
             raise InputError(f"step {step} gives {n} price grid points, more than "
                              f"the limit of {MAX_GRID_POINTS}")
         assoc = to_abstract_economy(info, simplex)
+        points = assoc.truncation / step + 1
+        if points > MAX_GRID_POINTS:
+            raise InputError(f"truncation {assoc.truncation} at step {step} gives {points:.0f} "
+                             f"allocation grid points, more than the limit of {MAX_GRID_POINTS}")
         incl = remark_4_3_inclusion(assoc, step)
         axis = tuple(assoc.truncation * k / 4 for k in range(5))
         certs = assoc.search(axis)

@@ -347,11 +347,11 @@ class AssociatedEconomy:
         """Exhaustive scan over measurable grid bundles and simplex prices.
 
         Bundles are generated per agent from ``axis_values``, one value per
-        coordinate group, so only measurable bundles are visited and the
-        filter reads the closed budget alone. Results in deterministic
-        (price-major) order.
+        coordinate group, so only measurable bundles are visited; those in
+        the closed budget are kept. Each allocation of kept bundles that
+        passes the price player's clause goes to ``verify``, which decides
+        the rest. Results in deterministic (price-major) order.
         """
-        ends = self.info.endowments
         found: list[AssociatedCertificate] = []
         for p in self.simplex.points():
             per_agent: list[list[tuple[float, ...]]] = []
@@ -364,18 +364,14 @@ class AssociatedEconomy:
                     for g, v in zip(groups, combo):
                         for c in g:
                             bundle[c] = v
-                    bundle = tuple(bundle)
-                    if not bud.closure_contains(bundle):
-                        continue
-                    # the others hold their endowments; the preference maps
-                    # searched here read only the agent's own bundle
-                    if self.conflict_empty(i, ends[:i] + (bundle,) + ends[i + 1:], p):
-                        bundles.append(bundle)
+                    if bud.closure_contains(bundle):
+                        bundles.append(tuple(bundle))
                 per_agent.append(bundles)
             for alloc in itertools.product(*per_agent):
-                cert = self.verify(alloc, p)
-                if cert.valid:
-                    found.append(cert)
+                if self.price_conflict_empty(alloc, p):
+                    cert = self.verify(alloc, p)
+                    if cert.valid:
+                        found.append(cert)
         return found
 
 
@@ -516,8 +512,7 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
                 for y in candidates:
                     checked += 1
                     in_a = bud.contains(y)
-                    in_p = (not pref.is_empty) and pref.contains(y) \
-                        and inf.contains(y)
+                    in_p = pref.contains(y) and inf.contains(y)
                     if in_a and in_p:
                         antecedent_hits += 1
                         if not assoc.clause_b(i, y, p):

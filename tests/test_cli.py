@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from boxcorr import BoxSet, FlaggedInterval, constant_map
+from boxcorr import BoxSet, FlaggedInterval, InfoEconomy, Piece, PiecewiseMap, constant_map
 from boxcorr import io
 from boxcorr.cli import main
 from boxcorr.gallery import ex2_1, ex4_1
+from boxcorr.radner import info_economy_to_doc
 
 I = FlaggedInterval
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -118,16 +119,30 @@ def test_domain_too_wide_for_a_grid_is_input_error(runner, tmp_path, command):
 def test_grid_too_large_is_input_error(runner, tmp_path):
     """A grid of more than 10^8 points exits 2 before it is built: a wide
     finite domain at the default step, or a bundled document at a tiny
-    step. For build-radner the grid is the price simplex; for
-    reproduce-paper it is Example 4.1's hypothesis grid, its largest."""
+    step. For build-radner the grid is the price simplex or the inclusion
+    check's allocation axis of truncation/step + 1 points (a wide
+    truncation, or a one-good one-state economy whose 50,000,001-point
+    simplex passes at step 2e-8); for reproduce-paper it is Example 4.1's
+    hypothesis grid, its largest."""
     d = BoxSet.of(1, [(I.closed(0, 1),)])
     doc = io.map_to_doc(constant_map((I(0, 1e12, True, False),), d), d)
     path = tmp_path / "huge.map"
     path.write_text(json.dumps(doc))
+    wide = json.loads((EXAMPLES / "radner_toy.econ").read_text())
+    wide["truncation"] = 1e12
+    wide_path = tmp_path / "wide_truncation.econ"
+    wide_path.write_text(json.dumps(wide))
+    dom = (I.closed(0, 2),) * 2
+    small = InfoEconomy(1, 1, 1, ((1.0, 1.0),), ("pooled",),
+                        (PiecewiseMap(dom, 2, (Piece(dom, ()),)),), truncation=2.0)
+    small_path = tmp_path / "one_good.econ"
+    small_path.write_text(json.dumps(info_economy_to_doc(small)))
     for args in (("check-map", path), ("find-fixed-points", path),
                  ("check-map", "--step", "1e-9", EXAMPLES / "ex2_1.map"),
                  ("find-equilibria", "--step", "1e-5", EXAMPLES / "ex4_1_n2.econ"),
                  ("build-radner", "--step", "1e-9", EXAMPLES / "radner_toy.econ"),
+                 ("build-radner", wide_path),
+                 ("build-radner", "--step", "2e-8", small_path),
                  # 2^-12 divides 1/2, so only the size rule refuses it
                  ("reproduce-paper", "--step", 2.0 ** -12)):
         r = invoke(runner, *args)

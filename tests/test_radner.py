@@ -763,3 +763,83 @@ def test_search_and_clearing_match_frozen_readings(economy, resolution, axis):
     assert len(certs) > 1
     for c in certs[::8]:
         assert _assert_one_reading_matches(assoc, c).passed
+
+
+# ---------------------------------------------------------------------------
+# The search against verify on every allocation
+# ---------------------------------------------------------------------------
+#
+# ``brute_search`` runs ``verify`` on every allocation of measurable grid
+# bundles with no filter at all, so it is the oracle for economies whose
+# preference maps read other agents' bundles, where ``seed_search``'s
+# endowment-context filter drops valid certificates.
+
+def brute_search(assoc, axis_values):
+    found = []
+    for p in assoc.simplex.points():
+        per_agent = []
+        for i in range(assoc.n):
+            groups = assoc.info.coordinate_groups(i, p)
+            bundles = []
+            for combo in itertools.product(axis_values, repeat=len(groups)):
+                bundle = [0.0] * assoc.info.bundle_dim
+                for g, v in zip(groups, combo):
+                    for c in g:
+                        bundle[c] = v
+                bundles.append(tuple(bundle))
+            per_agent.append(bundles)
+        for alloc in itertools.product(*per_agent):
+            cert = assoc.verify(alloc, p)
+            if cert.valid:
+                found.append(cert)
+    return found
+
+
+def cross_agent_economy():
+    """Two agents, one good, two states, pooled signals, endowments
+    (1/2, 1/2, 1/2) and truncation 2. Agent 0 prefers the box [0, 1/4]^3
+    while agent 1's period-0 coordinate is below 3/4, and nothing once it
+    reaches 3/4; agent 1 prefers nothing."""
+    n, d, m = 2, 3, 2.0
+    total = n * d
+    full = FlaggedInterval.closed(0, m)
+    domain = (full,) * total
+    low = tuple(FlaggedInterval(0, 0.75, True, False) if k == d else full
+                for k in range(total))
+    high = tuple(FlaggedInterval.closed(0.75, m) if k == d else full for k in range(total))
+    cheap = tuple(AffineInterval.constant(FlaggedInterval.closed(0, 0.25), total)
+                  for _ in range(d))
+    prefs = (PiecewiseMap(domain, d, (Piece(low, (cheap,)), Piece(high, ()))),
+             PiecewiseMap(domain, d, (Piece(domain, ()),)))
+    return InfoEconomy(n, 1, 2, ((0.5,) * d, (0.5,) * d), ("pooled", "pooled"),
+                       prefs, truncation=m)
+
+
+def test_search_finds_certificates_that_read_another_agents_bundle():
+    assoc = AssociatedEconomy(cross_agent_economy(), 2.0, PriceSimplex(3, 4))
+    axis = (0.0, 0.5, 1.0)
+    certs = assoc.search(axis)
+    x, p = ((0.0, 0.5, 0.5), (1.0, 0.5, 0.5)), (0.0, 0.5, 0.5)
+    assert assoc.verify(x, p).valid
+    assert (x, p) in {(c.allocation, c.price) for c in certs}
+    assert len(certs) == 8
+    assert certs == brute_search(assoc, axis)
+
+
+def test_search_equals_brute_force_on_toy_variants():
+    for assoc in _economy_variants():
+        if assoc.info.bundle_dim != 3:
+            continue
+        assoc = dataclasses.replace(assoc, simplex=PriceSimplex(3, 4))
+        axis = (0.0, 1.0, 2.0)
+        assert assoc.search(axis) == brute_search(assoc, axis)
+
+
+def test_search_verifies_only_allocations_passing_the_price_clause(monkeypatch):
+    calls = []
+    verify = AssociatedEconomy.verify
+    monkeypatch.setattr(AssociatedEconomy, "verify",
+                        lambda self, x, p: calls.append(p) or verify(self, x, p))
+    assoc = to_abstract_economy(toy(), PriceSimplex(3, 8))
+    assert assoc.search((0.0, 0.5, 1.0, 1.5, 2.0))
+    assert len(calls) == 350
