@@ -8,6 +8,9 @@ pieces are pairwise disjoint and cover the domain exactly.
 Derived maps (`adherence`, `intersect_maps`) are computed exactly by refining
 the domain at axis-aligned crossing loci of the affine endpoint forms;
 `t_upper` is `intersect_maps` of the dilated map with the constant map D.
+A rebuild values each atom signature once: for `adherence` the set of pieces
+whose closed regions hold the atom; for `intersect_maps` one signature per
+part of constant or empty values, and the atom itself on any other part.
 Crossings that are not axis-aligned (endpoint differences depending on two
 or more variables with indefinite sign) raise
 :class:`NonAxisAlignedSplitError`; boxes are the only region language here.
@@ -15,7 +18,7 @@ or more variables with indefinite sign) raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .affine import (
     AffForm,
@@ -32,6 +35,7 @@ from .intervals import (
     Box,
     BoxSet,
     DimensionMismatchError,
+    FlaggedInterval,
     atoms_from_cuts,
     box_contains,
     box_closure,
@@ -219,30 +223,34 @@ def _add_root_cut(cuts: dict[int, set[float]], region: Box, f: AffForm) -> None:
         cuts.setdefault(root[0], set()).add(root[1])
 
 
-def _atom_in_closed_box(atom: Box, closed: Box) -> bool:
-    for a, c in zip(atom, closed):
-        if a.lo < c.lo or a.hi > c.hi:
-            return False
-    return True
-
-
-def _rebuild(domain: Box, codomain_dim: int, cuts: dict[int, set[float]],
+def _rebuild(domain: Box, codomain_dim: int, atom_lists: list[list[FlaggedInterval]],
              parts: Iterable[tuple[Box, Any]],
-             value_at: Callable[[Any, Box], PieceValue]) -> PiecewiseMap:
-    """Atomize the domain at the cuts, value every atom, merge atoms by value.
+             signature: Callable[[Any, tuple[int, ...]], Hashable],
+             value_at: Callable[[Any, Hashable, Box], PieceValue]) -> PiecewiseMap:
+    """Walk each part's atoms, value each signature once, merge atoms by value.
 
-    ``cuts`` holds, per axis, every region endpoint of ``parts`` and every
-    crossing root. ``parts`` is a list of ``(region, ctx)`` pairs whose
-    regions partition the domain; each part walks only its own atoms, each
-    valued as ``value_at(ctx, atom)``, so no atom searches for its part
-    and a point atom at an open end of the domain is never valued.
+    ``atom_lists`` holds, per axis, the atoms of every region endpoint of
+    ``parts`` and every crossing root. ``parts`` is a list of ``(region, ctx)``
+    pairs whose regions partition the domain; each part walks only its own
+    atoms, so a point atom at an open end of the domain is never valued.
+    ``signature(ctx, idx)``, at an atom's indices, is what its value can
+    depend on within its part; ``value_at(ctx, sig, atom)`` runs once per
+    ``(part index, signature)``, at its first atom in walk order. Keys of
+    equal value are joined before ``merge_cells``, a deterministic function
+    of the cell set, so the pieces are those of valuing every atom.
     """
-    atom_lists = [atoms_from_cuts(sorted(cuts[d])) for d in range(len(domain))]
-    groups: dict[PieceValue, list[tuple[int, ...]]] = {}
-    for region, ctx in parts:
+    keyed: dict[tuple[int, Hashable], tuple[PieceValue, list[tuple[int, ...]]]] = {}
+    for k, (region, ctx) in enumerate(parts):
         for idx in cells_in(atom_lists, region):
-            atom = tuple(atom_lists[d][i] for d, i in enumerate(idx))
-            groups.setdefault(value_at(ctx, atom), []).append(idx)
+            key = (k, signature(ctx, idx))
+            entry = keyed.get(key)
+            if entry is None:
+                atom = tuple(atom_lists[d][i] for d, i in enumerate(idx))
+                entry = keyed[key] = (value_at(ctx, key[1], atom), [])
+            entry[1].append(idx)
+    groups: dict[PieceValue, list[tuple[int, ...]]] = {}
+    for value, cells in keyed.values():
+        groups.setdefault(value, []).extend(cells)
     pieces: list[Piece] = []
     for value, cells in groups.items():
         for box in merge_cells(atom_lists, cells):
@@ -337,15 +345,24 @@ def adherence(t: PiecewiseMap) -> PiecewiseMap:
     ddim = t.domain_dim
     contributors = [(box_closure(p.region), tuple(affine_box_closure(b) for b in p.value))
                     for p in t.pieces if p.value]
+    cuts = _region_cuts(t)
+    atom_lists = [atoms_from_cuts(sorted(cuts[d])) for d in range(ddim)]
+    # bit c of masks[d][i]: contributor c's closed region holds atom i on axis d
+    masks = [[sum(1 << c for c, (creg, _) in enumerate(contributors)
+                  if creg[d].lo <= a.lo and a.hi <= creg[d].hi) for a in atoms]
+             for d, atoms in enumerate(atom_lists)]
 
-    def value_at(_: None, atom: Box) -> PieceValue:
-        out: list[AffineBox] = []
-        for creg, cval in contributors:
-            if _atom_in_closed_box(atom, creg):
-                out.extend(cval)
-        return normalize_value(out, ddim)
+    def signature(_: None, idx: tuple[int, ...]) -> int:
+        held = -1
+        for mask, i in zip(masks, idx):
+            held &= mask[i]
+        return held
 
-    return _rebuild(t.domain, t.codomain_dim, _region_cuts(t), [(t.domain, None)], value_at)
+    def value_at(_: None, held: int, atom: Box) -> PieceValue:
+        return normalize_value([b for c, (_, cval) in enumerate(contributors) if held >> c & 1
+                                for b in cval], ddim)
+
+    return _rebuild(t.domain, t.codomain_dim, atom_lists, [(t.domain, None)], signature, value_at)
 
 
 def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
@@ -356,21 +373,27 @@ def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
         raise DimensionMismatchError("codomain dimensions differ")
     ddim = a.domain_dim
     cuts = _region_cuts(a, b)
-    parts: list[tuple[Box, tuple[Piece, Piece]]] = []
+    parts: list[tuple[Box, tuple[Piece, Piece, bool]]] = []
     for pa in a.pieces:
         for pb in b.pieces:
             overlap = box_intersect(pa.region, pb.region)
             if overlap is None:
                 continue
-            parts.append((overlap, (pa, pb)))
+            # a value that cannot depend on the atom: one signature for the part
+            shared = (not pa.value or not pb.value
+                      or all(ai.is_constant for v in pa.value + pb.value for ai in v))
+            parts.append((overlap, (pa, pb, shared)))
             for ba in pa.value:
                 for bb in pb.value:
                     for k in range(a.codomain_dim):
                         for f in _pair_cut_forms(ba[k], bb[k]):
                             _add_root_cut(cuts, overlap, f)
 
-    def value_at(pair: tuple[Piece, Piece], atom: Box) -> PieceValue:
-        pa, pb = pair
+    def signature(part: tuple[Piece, Piece, bool], idx: tuple[int, ...]) -> Hashable:
+        return None if part[2] else idx
+
+    def value_at(part: tuple[Piece, Piece, bool], _: Hashable, atom: Box) -> PieceValue:
+        pa, pb, _ = part
         if not pa.value or not pb.value:
             return ()
         out = []
@@ -381,7 +404,8 @@ def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
                     out.append(r)
         return normalize_value(out, ddim)
 
-    return _rebuild(a.domain, a.codomain_dim, cuts, parts, value_at)
+    atom_lists = [atoms_from_cuts(sorted(cuts[d])) for d in range(ddim)]
+    return _rebuild(a.domain, a.codomain_dim, atom_lists, parts, signature, value_at)
 
 
 def restrict(t: PiecewiseMap, sub: Box) -> PiecewiseMap:

@@ -10,6 +10,7 @@ from boxcorr import (BoxSet, FlaggedInterval, Grid, NonAxisAlignedSplitError,
                      Piece, PiecewiseMap, adherence, closure_values,
                      constant_map, intersect_maps, restrict, select_by_region,
                      t_upper)
+from boxcorr import maps
 from boxcorr.affine import AffForm, AffineInterval
 from boxcorr.gallery import ex2_1, ex2_2, ex4_1_selection
 from boxcorr.maps import DomainError
@@ -172,15 +173,27 @@ def test_intersect_maps_splits_on_affine_crossing():
     assert got.evaluate((2.0,)) == BoxSet.of(1, [(I.closed(1, 2),)])
 
 
-def test_non_axis_aligned_split_refused():
+def test_non_axis_aligned_split_refused(monkeypatch):
     dom = (I.closed(0, 1), I.closed(0, 1))
     diag = AffForm(0.0, (1.0, 1.0))  # x + y, crosses 1 diagonally
     tilted = PiecewiseMap(dom, 1, (Piece(dom, (
         (AffineInterval(AffForm.constant(0, 2), diag, True, True),),
     )),))
     flat = constant_map(dom, BoxSet.of(1, [(I.closed(1, 3),)]))
-    with pytest.raises(NonAxisAlignedSplitError):
+    regions = []
+    sign = maps._effective_sign
+
+    def recorded_sign(region, f):
+        regions.append(region)
+        return sign(region, f)
+
+    monkeypatch.setattr(maps, "_effective_sign", recorded_sign)
+    with pytest.raises(NonAxisAlignedSplitError, match="non-axis-aligned locus"):
         intersect_maps(tilted, flat)
+    # an affine part is valued atom by atom in walk order: {0} x {0} passes,
+    # and {0} x (0, 1), where x + y - 1 has bounds -1 and 0, raises
+    assert regions[-1] == (I.point(0), I.open(0, 1))
+    assert len(regions) == 6
 
 
 def test_restrict_and_select_by_region(step_map):

@@ -2,10 +2,12 @@
 
 Map rebuilds, canonicalization and the USC scan now walk each piece's own
 atoms or grid points (``intervals.cells_in``), and a constant piece's value
-is built once per map (``PiecewiseMap.value_on``). The ``seed_*`` functions
-below are the implementations these replaced: the rebuild values every
-atom of the full cut product and finds its piece with ``piece_at`` at a
-representative point, and the scan collects the in-domain grid points and
+is built once per map (``PiecewiseMap.value_on``); a rebuild values each
+atom signature once. The ``seed_*`` functions below are the implementations
+these replaced: the rebuild values every atom of the full cut product and
+finds its piece with ``piece_at`` at a representative point (``adherence``
+tests each atom against each closed piece region with
+``_atom_in_closed_box``), and the scan collects the in-domain grid points and
 looks up each point's piece. ``seed_t_upper`` is also the rebuild loop
 ``t_upper`` had before it became ``intersect_maps`` of the dilated map with
 D, and ``seed_intersect_affine_intervals`` picks each endpoint by its own
@@ -24,17 +26,18 @@ from hypothesis import strategies as st
 
 from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Piece,
                      PiecewiseMap, adherence, check_usc, constant_map, intersect_maps,
-                     restrict, t_upper)
+                     intersect_qv_chain, restrict, t_upper)
 from boxcorr import checks as _checks
+from boxcorr import maps
 from boxcorr import suites
 from boxcorr.affine import affine_box_closure, affine_box_constant
 from boxcorr.gallery import (ex2_1, ex2_1_variant, ex2_2, ex2_2_composite, ex2_2_economy,
                              ex4_1, ex4_1_selection, theorem_4_1_construction)
-from boxcorr.intervals import (box_closure, box_contains, box_intersect, box_sort_key,
+from boxcorr.intervals import (Box, box_closure, box_contains, box_intersect, box_sort_key,
                                canonical_boxes, merge_cells)
-from boxcorr.maps import (_add_root_cut, _atom_in_closed_box, _dilate_affine_box,
-                          _effective_sign, _intersect_affine_boxes,
-                          _intersect_affine_intervals, _pair_cut_forms, normalize_value)
+from boxcorr.maps import (_add_root_cut, _dilate_affine_box, _effective_sign,
+                          _intersect_affine_boxes, _intersect_affine_intervals, _pair_cut_forms,
+                          normalize_value)
 
 from test_scan_oracle import indexed_points
 
@@ -141,6 +144,13 @@ def seed_intersect_affine_intervals(region, a, b):
     if sw == 0 and not (lc and hc):
         return None
     return AffineInterval(lo, hi_form, lc, hc)
+
+
+def _atom_in_closed_box(atom: Box, closed: Box) -> bool:
+    for a, c in zip(atom, closed):
+        if a.lo < c.lo or a.hi > c.hi:
+            return False
+    return True
 
 
 def seed_adherence(t):
@@ -356,15 +366,41 @@ def test_gallery_rebuilds_match_oracle(name, t, d, other):
     assert_same_rebuilds(t, d, (0.5, 0.25), other)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_theorem_4_1_construction_rebuilds_match_oracle(n):
+    """n = 4 is the construction the symbolic-n4 benchmark rebuilds; one eps
+    keeps its full-product oracle to a few seconds."""
     pm = theorem_4_1_construction(ex4_1(n))
     for f, d in zip(pm.factors, pm.d_sets):
-        for eps in (0.5, 0.125):
+        for eps in (0.5,) if n == 4 else (0.5, 0.125):
             tv = t_upper(f, eps, d)
             assert_same_map(tv, seed_t_upper(f, eps, d))
             assert_same_map(adherence(tv), seed_adherence(tv))
         assert_same_map(intersect_maps(f, pm.factors[0]), seed_intersect_maps(f, pm.factors[0]))
+
+
+def test_symbolic_n4_chain_values_each_signature_once(monkeypatch):
+    """The ex4_1(4) chain of the symbolic-n4 benchmark values each rebuild
+    signature once; valuing every atom would make 55,532 normalize_value and
+    38,416 _intersect_affine_boxes calls. The counts are deterministic."""
+    calls = {"normalize_value": 0, "_intersect_affine_boxes": 0}
+
+    def counted(name):
+        real = getattr(maps, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(maps, name, counted(name))
+    pm = theorem_4_1_construction(ex4_1(4))
+    res = intersect_qv_chain(pm, Grid(4, (0.0,) * 4, (2.0,) * 4, 0.5), (0.5, 0.25, 0.125))
+    assert calls == {"normalize_value": 4152, "_intersect_affine_boxes": 1340}
+    assert res.nested
+    assert len(res.intersection) == 624
+    assert len(res.certified) == 624
 
 
 @pytest.mark.parametrize("seed", range(16))
