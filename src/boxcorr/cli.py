@@ -14,7 +14,6 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 import click
 
@@ -62,9 +61,7 @@ def _read_document(name: str) -> dict:
         raise InputError(f"{name}: {exc}") from exc
 
 
-def _parse_eps(text: str | None, default: Sequence[float]) -> tuple[float, ...]:
-    if text is None:
-        return tuple(default)
+def _parse_eps(text: str) -> tuple[float, ...]:
     try:
         eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
@@ -97,20 +94,21 @@ def _sized(grid: Grid) -> Grid:
     return grid
 
 
-def _check_ranges(step: float | None, tol: float, delta: float | None,
+def _check_ranges(step: float | None, tol: float | None = None, delta: float | None = None,
                   eps_chain: str | None = None) -> tuple[float, ...] | None:
-    """Validate shared numeric options; returns the parsed eps chain."""
+    """Validate the shared numeric options a command reads (``None`` for
+    one it does not); returns the parsed eps chain."""
     for opt, v in (("--step", step), ("--tol", tol), ("--delta", delta)):
         if v is not None and not math.isfinite(v):
             raise InputError(f"{opt} must be finite")
     if step is not None and step <= 0:
         raise InputError("--step must be positive")
-    if tol < 0:
+    if tol is not None and tol < 0:
         raise InputError("--tol must be nonnegative")
     if delta is not None and delta <= 0:
         raise InputError("--delta must be positive")
     if eps_chain is not None:
-        return _parse_eps(eps_chain, ())
+        return _parse_eps(eps_chain)
     return None
 
 
@@ -189,21 +187,28 @@ def _finish_report(rep: CheckReport, out: str | None, fmt: str | None) -> None:
     sys.exit(EXIT_PASS if rep.passed else EXIT_FAIL)
 
 
-def _common_options(f):
-    for opt in reversed((
-        click.option("--step", type=float, default=None,
-                     help="grid step (default depends on the command)"),
-        click.option("--eps-chain", "eps_chain", default=None,
-                     help="comma-separated dilation radii"),
-        click.option("--tol", type=float, default=1e-9, help="comparison tolerance"),
-        click.option("--delta", type=float, default=None,
-                     help="neighbor distance for grid checks (default: step)"),
-        click.option("--out", default=None, help="write the report to this path"),
-        click.option("--format", "fmt", type=click.Choice(("text", "records")),
-                     default=None, help="report format (default text)"),
-    )):
-        f = opt(f)
-    return f
+_OPTIONS = {
+    "step": click.option("--step", type=float, default=None,
+                         help="grid step (default depends on the command)"),
+    "eps_chain": click.option("--eps-chain", "eps_chain", default=None,
+                              help="comma-separated dilation radii"),
+    "tol": click.option("--tol", type=float, default=1e-9, help="comparison tolerance"),
+    "delta": click.option("--delta", type=float, default=None,
+                          help="neighbor distance for grid checks (default: step)"),
+    "out": click.option("--out", default=None, help="write the report to this path"),
+    "fmt": click.option("--format", "fmt", type=click.Choice(("text", "records")),
+                        default=None, help="report format (default text)"),
+}
+
+
+def _options(*names: str):
+    """Attach the shared options a command reads, named as in ``_OPTIONS``;
+    every command reads ``out`` and ``fmt``."""
+    def attach(f):
+        for name in reversed(names + ("out", "fmt")):
+            f = _OPTIONS[name](f)
+        return f
+    return attach
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +226,7 @@ def main() -> None:
 @click.option("--property", "prop", default="usc",
               type=click.Choice(("usc", "w-usc", "almost-w-usc", "dual", "e-uscs")),
               help="which semicontinuity property to check")
-@_common_options
+@_options("step", "eps_chain", "tol", "delta")
 def cmd_check_map(document, prop, step, eps_chain, tol, delta, out, fmt):
     """Run a semicontinuity check on a map (or pair) document."""
     eps_user = _check_ranges(step, tol, delta, eps_chain)
@@ -263,11 +268,11 @@ def cmd_check_map(document, prop, step, eps_chain, tol, delta, out, fmt):
 
 @main.command("find-fixed-points")
 @click.argument("document")
-@_common_options
-def cmd_find_fixed_points(document, step, eps_chain, tol, delta, out, fmt):
+@_options("step", "eps_chain")
+def cmd_find_fixed_points(document, step, eps_chain, out, fmt):
     """Intersect the chain of approximation fixed-point sets of a map
     (with target set) or product document."""
-    eps_user = _check_ranges(step, tol, delta, eps_chain)
+    eps_user = _check_ranges(step, eps_chain=eps_chain)
     doc = _read_document(document)
     step = step if step is not None else 1 / 8
     chain = eps_user or DEFAULT_EPS_CHAIN
@@ -305,10 +310,10 @@ def cmd_find_fixed_points(document, step, eps_chain, tol, delta, out, fmt):
 
 @main.command("find-equilibria")
 @click.argument("document")
-@_common_options
-def cmd_find_equilibria(document, step, eps_chain, tol, delta, out, fmt):
+@_options("step")
+def cmd_find_equilibria(document, step, out, fmt):
     """Scan the target region of an economy document for equilibria."""
-    _check_ranges(step, tol, delta, eps_chain)
+    _check_ranges(step)
     doc = _read_document(document)
     step = step if step is not None else 1 / 8
     try:
@@ -336,7 +341,7 @@ def cmd_find_equilibria(document, step, eps_chain, tol, delta, out, fmt):
 @click.argument("document")
 @click.option("--which", default="4.1", type=click.Choice(("4.1", "4.2", "4.3")),
               help="which theorem's hypotheses to check")
-@_common_options
+@_options("step", "eps_chain", "tol", "delta")
 def cmd_check_hypotheses(document, which, step, eps_chain, tol, delta, out, fmt):
     """Check the hypotheses of one of the equilibrium existence theorems
     on an economy document.
@@ -366,12 +371,12 @@ def cmd_check_hypotheses(document, which, step, eps_chain, tol, delta, out, fmt)
 
 @main.command("build-radner")
 @click.argument("document")
-@_common_options
-def cmd_build_radner(document, step, eps_chain, tol, delta, out, fmt):
+@_options("step", "tol")
+def cmd_build_radner(document, step, tol, out, fmt):
     """Convert an information-economy document to its associated abstract
     economy, sample the constraint inclusion, and clear every certificate
     a coarse search finds. --step sets the sampling step (default 1/8)."""
-    _check_ranges(step, tol, delta, eps_chain)
+    _check_ranges(step, tol)
     doc = _read_document(document)
     step = step if step is not None else 0.125
     if not math.isfinite(1 / step):
@@ -407,12 +412,12 @@ def cmd_build_radner(document, step, eps_chain, tol, delta, out, fmt):
 
 
 @main.command("reproduce-paper")
-@_common_options
-def cmd_reproduce_paper(step, eps_chain, tol, delta, out, fmt):
+@_options("step", "eps_chain", "tol")
+def cmd_reproduce_paper(step, eps_chain, tol, out, fmt):
     """Recompute every documented example, scheme, and property suite and
     compare against the stated results. --step overrides the example
     grids and must divide 1/2."""
-    eps = _check_ranges(step, tol, delta, eps_chain)
+    eps = _check_ranges(step, tol, eps_chain=eps_chain)
     try:
         if step is not None:
             _sized(suites.largest_grid(step))

@@ -91,7 +91,7 @@ def boxset_to_doc(s: BoxSet) -> dict:
 def boxset_from_doc(doc: Any) -> BoxSet:
     body = _expect_kind(doc, "boxset")
     dim = body.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise DocumentError("boxset: 'dim' must be a positive integer")
     boxes = [box_from_list(b, f"boxset.boxes[{k}]")
              for k, b in enumerate(_as_list(body.get("boxes"), "boxset.boxes"))]
@@ -199,7 +199,7 @@ def map_from_doc(doc: Any) -> PiecewiseMap:
     body = _expect_kind(doc, "map")
     domain = box_from_list(body.get("domain"), "map.domain")
     cod = body.get("codomain_dim")
-    if not isinstance(cod, int) or cod < 1:
+    if isinstance(cod, bool) or not isinstance(cod, int) or cod < 1:
         raise DocumentError("map: 'codomain_dim' must be a positive integer")
     raw_pieces = _as_list(body.get("pieces"), "map.pieces")
     pieces = []
@@ -246,7 +246,7 @@ def product_from_doc(doc: Any) -> tuple[tuple[PiecewiseMap, ...], tuple[BoxSet, 
     for k, raw in enumerate(_as_list(body.get("blocks"), "product.blocks")):
         idxs = _as_list(raw, f"product.blocks[{k}]")
         for j in idxs:
-            if not isinstance(j, int) or j < 0:
+            if isinstance(j, bool) or not isinstance(j, int) or j < 0:
                 raise DocumentError(f"product.blocks[{k}]: bad coordinate index {j!r}")
         blocks.append(tuple(idxs))
     return factors, d_sets, tuple(blocks)

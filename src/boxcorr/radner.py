@@ -389,9 +389,50 @@ def to_abstract_economy(e: InfoEconomy, simplex: PriceSimplex,
 # Market clearing
 # ---------------------------------------------------------------------------
 
-def _measurable_corners(value: BoxSet, info: InformationSet,
-                        limit: int = 16) -> list[tuple[float, ...]]:
-    """Deterministic sample of measurable points from a value's closure."""
+def verify_market_clearing(assoc: AssociatedEconomy, cert: AssociatedCertificate,
+                           tol: float = 1e-9) -> CheckReport:
+    """Re-derive the exchange-equilibrium clauses from a certificate.
+
+    Clause 1: aggregate consumption does not exceed aggregate endowment,
+    checked componentwise. Clause 2: each bundle lies in the closed budget
+    cap measurable set (``AssociatedEconomy.clause_b``). Clause 3: no
+    preferred measurable bundle is strictly affordable, decided exactly by
+    ``AssociatedEconomy.conflict_empty``. Clauses 2 and 3 give one witness
+    per failing agent, at that agent's bundle.
+    """
+    z = assoc.excess(cert.allocation)
+    bad = [k for k, v in enumerate(z) if v > tol]
+    c1 = CheckReport(
+        "clearing-aggregate", PASS if not bad else FAIL,
+        tuple(Witness(cert.price, None, z[k], "excess supply violated",
+                      f"component {k}") for k in bad[:8]),
+        {"excess": list(z), "tol": tol},
+    )
+
+    def per_agent(name, category, holds):
+        wit = tuple(Witness(cert.allocation[i], None, 0.0, category, f"agent {i}")
+                    for i in range(assoc.n) if not holds(i))
+        return CheckReport(name, PASS if not wit else FAIL, wit)
+
+    c2 = per_agent("clearing-budget-info", "outside cl(budget cap info)",
+                   lambda i: assoc.clause_b(i, cert.allocation[i], cert.price))
+    c3 = per_agent("clearing-no-affordable-preferred",
+                   "budget cap preferred cap info nonempty",
+                   lambda i: assoc.conflict_empty(i, cert.allocation, cert.price))
+    return combine_reports("market-clearing", [c1, c2, c3],
+                           {"price": list(cert.price), "tol": tol})
+
+
+# ---------------------------------------------------------------------------
+# Structural inclusion sampling
+# ---------------------------------------------------------------------------
+
+_INCLUSION_SEED = 20240817
+
+
+def _measurable_corners(value: BoxSet, info: InformationSet) -> list[tuple[float, ...]]:
+    """Deterministic sample of up to four measurable points from a value's
+    closure: the structured candidates of ``remark_4_3_inclusion``."""
     out = []
     for b in value.boxes:
         per_coord: list[list[float]] = []
@@ -411,63 +452,9 @@ def _measurable_corners(value: BoxSet, info: InformationSet,
             if all(b[k].closure().contains(cand[k]) for k in range(len(b))):
                 if cand not in out:
                     out.append(cand)
-            if len(out) >= limit:
+            if len(out) >= 4:
                 return out
     return out
-
-
-def verify_market_clearing(assoc: AssociatedEconomy, cert: AssociatedCertificate,
-                           tol: float = 1e-9) -> CheckReport:
-    """Re-derive the exchange-equilibrium clauses from a certificate.
-
-    Clause 1: aggregate consumption does not exceed aggregate endowment,
-    checked componentwise. Clause 2: each bundle lies in the closed budget
-    cap measurable set (``AssociatedEconomy.clause_b``). Clause 3: sampled
-    preferred measurable bundles are unaffordable (strictly outside the
-    budget).
-    """
-    z = assoc.excess(cert.allocation)
-    bad = [k for k, v in enumerate(z) if v > tol]
-    c1 = CheckReport(
-        "clearing-aggregate", PASS if not bad else FAIL,
-        tuple(Witness(cert.price, None, z[k], "excess supply violated",
-                      f"component {k}") for k in bad[:8]),
-        {"excess": list(z), "tol": tol},
-    )
-
-    c2_wit = []
-    for i in range(assoc.n):
-        if not assoc.clause_b(i, cert.allocation[i], cert.price):
-            c2_wit.append(Witness(cert.allocation[i], None, 0.0,
-                                  "outside cl(budget cap info)", f"agent {i}"))
-    c2 = CheckReport("clearing-budget-info", PASS if not c2_wit else FAIL,
-                     tuple(c2_wit))
-
-    c3_wit = []
-    sampled = 0
-    for i in range(assoc.n):
-        value = assoc.preferred_value(i, cert.allocation)
-        if value.is_empty:
-            continue
-        inf = assoc.information(i, cert.price)
-        bud = assoc.budget(i, cert.price)
-        for y in _measurable_corners(value, inf):
-            sampled += 1
-            if bud.contains(y):
-                c3_wit.append(Witness(y, None, _dot(cert.price, y),
-                                      "preferred and affordable", f"agent {i}"))
-    c3 = CheckReport("clearing-no-affordable-preferred",
-                     PASS if not c3_wit else FAIL, tuple(c3_wit),
-                     {"sampled": sampled})
-    return combine_reports("market-clearing", [c1, c2, c3],
-                           {"price": list(cert.price), "tol": tol})
-
-
-# ---------------------------------------------------------------------------
-# Structural inclusion sampling
-# ---------------------------------------------------------------------------
-
-_INCLUSION_SEED = 20240817
 
 
 def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckReport:
@@ -508,7 +495,7 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
                     tuple(assoc.truncation for _ in range(d)),
                 ]
                 candidates += [draw_bundle() for _ in range(12)]
-                candidates += _measurable_corners(pref, inf, limit=4)
+                candidates += _measurable_corners(pref, inf)
                 for y in candidates:
                     checked += 1
                     in_a = bud.contains(y)

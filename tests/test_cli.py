@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from boxcorr import BoxSet, FlaggedInterval, InfoEconomy, Piece, PiecewiseMap, constant_map
 from boxcorr import io
 from boxcorr.cli import main
+from boxcorr.fixedpoint import ProductMap
 from boxcorr.gallery import ex2_1, ex4_1
 from boxcorr.radner import info_economy_to_doc
 
@@ -156,6 +157,48 @@ def test_build_radner_step_without_a_finite_inverse_is_input_error(runner):
     assert r.exit_code == 2, r.output
     assert "1/step is not finite" in r.output
     assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("field", ["dim", "codomain_dim", "blocks"])
+def test_boolean_integer_fields_are_input_errors(runner, tmp_path, field):
+    doc = ProductMap.single(*ex2_1()).to_doc()
+    if field == "dim":
+        doc["d_sets"][0]["dim"] = True
+    elif field == "codomain_dim":
+        doc["factors"][0]["codomain_dim"] = True
+    else:
+        doc["blocks"] = [[False]]
+    path = tmp_path / "bool.product"
+    path.write_text(json.dumps(doc))
+    r = invoke(runner, "find-fixed-points", path)
+    assert r.exit_code == 2, r.output
+    assert "Traceback" not in r.output
+
+
+def test_boolean_target_dim_is_input_error(runner, tmp_path):
+    doc = io.map_to_doc(*ex2_1())
+    doc["d"]["dim"] = True
+    path = tmp_path / "bool_dim.map"
+    path.write_text(json.dumps(doc))
+    r = invoke(runner, "check-map", "--property", "w-usc", path)
+    assert r.exit_code == 2, r.output
+    assert "'dim' must be a positive integer" in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ("find-fixed-points", "ex2_1.map", "--tol", "0.5"),
+    ("find-fixed-points", "ex2_1.map", "--delta", "0.5"),
+    ("find-equilibria", "ex4_1_n2.econ", "--delta", "0.5"),
+    ("find-equilibria", "ex4_1_n2.econ", "--eps-chain", "0.5"),
+    ("find-equilibria", "ex4_1_n2.econ", "--tol", "0.5"),
+    ("build-radner", "radner_toy.econ", "--eps-chain", "0.5"),
+    ("build-radner", "radner_toy.econ", "--delta", "0.5"),
+    ("reproduce-paper", "--delta", "0.5"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(runner, args):
+    r = invoke(runner, *args)
+    assert r.exit_code == 2, r.output
+    assert "No such option" in r.output and args[-2] in r.output
 
 
 def test_wrong_kind_for_property_is_input_error(runner):

@@ -99,6 +99,30 @@ def test_doc_validation_rejects_bad_interval():
                             "boxes": [[[2.0, 1.0, True, True]]]})
 
 
+# JSON true and false load as ints (bool subclasses int), so each integer
+# field must refuse them explicitly.
+
+def test_boxset_dim_rejects_booleans():
+    doc = io.boxset_to_doc(BoxSet.of(1, [(I.point(1),)]))
+    assert doc["dim"] == 1
+    with pytest.raises(DocumentError, match="'dim' must be a positive integer"):
+        io.boxset_from_doc(dict(doc, dim=True))
+
+
+def test_map_codomain_dim_rejects_booleans():
+    doc = io.map_to_doc(ex2_1()[0])
+    assert doc["codomain_dim"] == 1
+    with pytest.raises(DocumentError, match="'codomain_dim' must be a positive integer"):
+        io.map_from_doc(dict(doc, codomain_dim=True))
+
+
+def test_product_block_indices_reject_booleans():
+    doc = ProductMap.single(*ex2_1()).to_doc()
+    assert doc["blocks"] == [[0]]
+    with pytest.raises(DocumentError, match="bad coordinate index False"):
+        io.product_from_doc(dict(doc, blocks=[[False]]))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_documents_reject_nonfinite_numbers(bad):
     t1, d = ex2_1()

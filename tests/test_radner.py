@@ -532,9 +532,8 @@ def test_information_and_conflict_match_frozen_loops():
             for x in allocations:
                 assert assoc.conflict_empty(i, x, p) == seed.conflict_empty(i, x, p)
                 value = assoc.preferred_value(i, x)
-                for limit in (16, 4):
-                    assert _measurable_corners(value, new, limit) == \
-                        seed_measurable_corners(value, old, limit)
+                assert _measurable_corners(value, new) == \
+                    seed_measurable_corners(value, old, 4)
                 for b in value.boxes:
                     assert _radner._collapsed_min(b, p, new.groups) == \
                         seed_collapsed_min(b, p, old.classes, e.n_goods)
@@ -554,7 +553,8 @@ def test_search_certificates_match_frozen_loop():
 def test_inclusion_report_matches_frozen_loop(monkeypatch):
     assoc, seed = _both_economies(2)
     got = remark_4_3_inclusion(assoc, 0.5)
-    monkeypatch.setattr(_radner, "_measurable_corners", seed_measurable_corners)
+    monkeypatch.setattr(_radner, "_measurable_corners",
+                        lambda value, info: seed_measurable_corners(value, info, 4))
     want = remark_4_3_inclusion(seed, 0.5)
     assert repr(got) == repr(want)
     assert got.parameters["antecedent_hits"] > 0
@@ -692,17 +692,34 @@ def _first_per_place(witnesses):
 
 
 def _assert_one_reading_matches(assoc, cert):
+    """Clauses 1 and 2 equal the frozen readings. Clause 3 fails at exactly
+    the agents whose ``conflict_empty`` is False, with one witness at each
+    one's bundle; the frozen reading sampled closure corners, so only its
+    witnesses that lie in the preferred value itself must name such an
+    agent."""
     for i in range(assoc.n):
         joint, split = seed_clause_b(assoc, i, cert.allocation[i], cert.price)
         assert assoc.clause_b(i, cert.allocation[i], cert.price) == joint == split
     got = verify_market_clearing(assoc, cert)
     want = seed_verify_market_clearing(assoc, cert)
-    assert got.verdict == want.verdict
     assert got.parameters == want.parameters
-    for new, old in zip(got.children, want.children, strict=True):
-        assert (new.property_name, new.verdict) == (old.property_name, old.verdict)
+    assert [c.property_name for c in got.children] == \
+        [c.property_name for c in want.children]
+    for new, old in zip(got.children[:2], want.children[:2], strict=True):
+        assert new.verdict == old.verdict
         assert new.witnesses == _first_per_place(old.witnesses)
         assert new.parameters == old.parameters
+    failing = [i for i in range(assoc.n)
+               if not assoc.conflict_empty(i, cert.allocation, cert.price)]
+    clause3 = got.children[2]
+    assert clause3.passed == (not failing)
+    assert [(w.point, w.detail) for w in clause3.witnesses] == \
+        [(cert.allocation[i], f"agent {i}") for i in failing]
+    assert clause3.parameters == {}
+    for w in want.children[2].witnesses:
+        i = int(w.detail.removeprefix("agent "))
+        if assoc.preferred_value(i, cert.allocation).contains(w.point):
+            assert i in failing
     return got
 
 
@@ -718,15 +735,20 @@ def _economy_variants():
     yield AssociatedEconomy(two_good_economy(), 2.0, PriceSimplex(7, 3))
 
 
+def _test_allocations(assoc):
+    d = assoc.info.bundle_dim
+    return [assoc.info.endowments,                            # autarky
+            ((2.0,) * d, (2.0,) * d),                         # greedy over-consumption
+            ((0.0,) * d, (1.0,) + (0.5,) * (d - 1)),
+            ((1.0, 0.5) + (0.0,) * (d - 2), (0.25,) * d)]
+
+
 def test_one_reading_per_clause_matches_frozen_readings():
     failing_children = set()
     zero_wealth = 0
     for assoc in _economy_variants():
         d = assoc.info.bundle_dim
-        allocations = [assoc.info.endowments,                 # autarky
-                       ((2.0,) * d, (2.0,) * d),              # greedy over-consumption
-                       ((0.0,) * d, (1.0,) + (0.5,) * (d - 1)),
-                       ((1.0, 0.5) + (0.0,) * (d - 2), (0.25,) * d)]
+        allocations = _test_allocations(assoc)
         prices = list(assoc.simplex.points())[::5] + [(0.0,) + (1 / (d - 1),) * (d - 1)]
         for p in prices:
             zero_wealth += any(not assoc.budget(i, p).wealth > 0 for i in range(assoc.n))
@@ -763,6 +785,136 @@ def test_search_and_clearing_match_frozen_readings(economy, resolution, axis):
     assert len(certs) > 1
     for c in certs[::8]:
         assert _assert_one_reading_matches(assoc, c).passed
+
+
+# ---------------------------------------------------------------------------
+# Clause 3 of market clearing against the certificate and against membership
+# ---------------------------------------------------------------------------
+#
+# ``membership_conflict_empty`` decides the conflict set budget cap preferred
+# cap measurable by testing bundles with ``BudgetSet.contains``,
+# ``InformationSet.contains`` and ``BoxSet.contains`` alone, so it is an
+# oracle for the collapsed-minimum rule of ``conflict_empty``. Every group of
+# a candidate takes one endpoint of the value box's or the truncation's
+# intervals on the group's coordinates, exact or nudged by 2^-20 either way:
+# the collapsed group interval starts at one of those endpoints, and the
+# nudge steps inside it past an open end.
+
+NUDGE = 2.0 ** -20
+
+
+def membership_conflict_empty(assoc, i, allocation, p):
+    value = assoc.preferred_value(i, allocation)
+    bud, inf = assoc.budget(i, p), assoc.information(i, p)
+    for b in value.boxes:
+        per_group = []
+        for g in inf.groups:
+            ends = {e for c in g for e in (b[c].lo, b[c].hi, 0.0, assoc.truncation)}
+            per_group.append(sorted({e + s for e in ends for s in (-NUDGE, 0.0, NUDGE)}))
+        for combo in itertools.product(*per_group):
+            y = [0.0] * inf.dim
+            for g, v in zip(inf.groups, combo):
+                for c in g:
+                    y[c] = v
+            if bud.contains(y) and inf.contains(y) and value.contains(y):
+                return False
+    return True
+
+
+def constant_preference_economy(signal, boxes):
+    """Two agents, one good, two states, both with ``signal``, endowments
+    (1, 1, 1), truncation 2 and ``PriceSimplex(3, 3)``. Agent 0 prefers the
+    union of ``boxes`` at every allocation in [0, 2]^6; agent 1 prefers
+    nothing."""
+    n, d, m = 2, 3, 2.0
+    domain = (FlaggedInterval.closed(0, m),) * (n * d)
+    value = tuple(tuple(AffineInterval.constant(iv, n * d) for iv in b) for b in boxes)
+    prefs = (PiecewiseMap(domain, d, (Piece(domain, value),)),
+             PiecewiseMap(domain, d, (Piece(domain, ()),)))
+    e = InfoEconomy(n, 1, 2, ((1.0,) * d,) * n, (signal,) * n, prefs, truncation=m)
+    return AssociatedEconomy(e, m, PriceSimplex(d, 3))
+
+
+def closure_only_economy():
+    """Pooled signals and agent 0's value [0,2] x [0,1) x [1,2]: its states'
+    intervals meet only in their closures, so no preferred bundle is
+    measurable."""
+    I = FlaggedInterval
+    return constant_preference_economy(
+        "pooled", [(I.closed(0, 2), I(0, 1, True, False), I.closed(1, 2))])
+
+
+def late_cheap_box_economy():
+    """Revealing signals and a value whose two first boxes hold 16 corners
+    that cost at least the endowment, before a third box with cheap ones."""
+    c = FlaggedInterval.closed
+    return constant_preference_economy("revealing", [
+        (c(0, 0.25), c(1.5, 1.75), c(1.5, 2)),
+        (c(0.5, 0.75), c(1.75, 2), c(1.5, 2)),
+        (c(1, 1.25), c(0, 0.25), c(0, 0.25)),
+    ])
+
+
+def below_zero_economy():
+    """Revealing signals and a value reaching below 0: clipped to the
+    truncated box it costs the endowment, unclipped it would cost less."""
+    c = FlaggedInterval.closed
+    return constant_preference_economy("revealing", [(c(-1, 0.25), c(1.5, 2), c(1.5, 2))])
+
+
+def test_clause_3_passes_when_only_the_closure_is_affordable():
+    assoc = closure_only_economy()
+    cert = assoc.verify(assoc.info.endowments, (1 / 3,) * 3)
+    assert cert.valid
+    assert verify_market_clearing(assoc, cert).passed
+    # the frozen reading sampled the closure corner (0, 1, 1), which is
+    # affordable but not preferred
+    sampled = seed_verify_market_clearing(assoc, cert).children[2]
+    assert [w.point for w in sampled.witnesses] == [(0.0, 1.0, 1.0)]
+    assert not assoc.preferred_value(0, cert.allocation).contains((0.0, 1.0, 1.0))
+
+
+def test_clause_3_fails_on_a_preferred_bundle_past_sixteen_corners():
+    assoc = late_cheap_box_economy()
+    cert = assoc.verify(assoc.info.endowments, (1 / 3,) * 3)
+    assert not cert.valid
+    clause3 = verify_market_clearing(assoc, cert).children[2]
+    assert not clause3.passed
+    assert [(w.point, w.detail) for w in clause3.witnesses] == \
+        [((1.0, 1.0, 1.0), "agent 0")]
+    # the frozen reading stopped after 16 corners, none of them affordable
+    sampled = seed_verify_market_clearing(assoc, cert).children[2]
+    assert sampled.passed and sampled.parameters == {"sampled": 16}
+
+
+def test_clause_3_fails_exactly_when_the_certificate_has_a_nonempty_conflict():
+    certificates = sampled_disagrees = 0
+    for assoc in _economy_variants():
+        for p in assoc.simplex.points():
+            for x in _test_allocations(assoc):
+                cert = assoc.verify(x, p)
+                exact = verify_market_clearing(assoc, cert).children[2]
+                assert exact.passed == all(a.conflict_empty for a in cert.agents)
+                sampled = seed_verify_market_clearing(assoc, cert).children[2]
+                certificates += 1
+                sampled_disagrees += sampled.passed != exact.passed
+    assert (certificates, sampled_disagrees) == (1056, 7)
+
+
+def test_conflict_empty_matches_membership_oracle():
+    cases = [(assoc, x) for assoc in _economy_variants() if assoc.info.bundle_dim == 3
+             for x in _test_allocations(assoc)]
+    cases += [(assoc, assoc.info.endowments)
+              for assoc in (closure_only_economy(), late_cheap_box_economy(),
+                            below_zero_economy())]
+    outcomes = set()
+    for assoc, x in cases:
+        for p in assoc.simplex.points():
+            for i in range(assoc.n):
+                got = assoc.conflict_empty(i, x, p)
+                assert got == membership_conflict_empty(assoc, i, x, p), (x, p, i)
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
