@@ -3,14 +3,16 @@
 A :class:`PiecewiseMap` partitions a flagged-box domain into regions, each
 carrying a finite union of affine-endpoint interval boxes (possibly the
 empty value).  The partition is validated symbolically at construction:
-pieces are pairwise disjoint and cover the domain exactly.
+pieces are pairwise disjoint and cover the domain exactly, the cover decided
+by counting atoms on the grid of every region and domain endpoint.
 
 Derived maps (`adherence`, `intersect_maps`) are computed exactly by refining
 the domain at axis-aligned crossing loci of the affine endpoint forms;
 `t_upper` is `intersect_maps` of the dilated map with the constant map D.
 A rebuild values each atom signature once: for `adherence` the set of pieces
-whose closed regions hold the atom; for `intersect_maps` one signature per
-part of constant or empty values, and the atom itself on any other part.
+whose closed regions hold the atom, normalizing each distinct set of their
+value boxes once; for `intersect_maps` one signature per part of constant or
+empty values, and the atom itself on any other part.
 Crossings that are not axis-aligned (endpoint differences depending on two
 or more variables with indefinite sign) raise
 :class:`NonAxisAlignedSplitError`; boxes are the only region language here.
@@ -79,9 +81,31 @@ def normalize_value(boxes: Iterable[AffineBox], domain_dim: int) -> PieceValue:
     return tuple(sorted(uniq, key=affine_box_sort_key))
 
 
+def _atom_count(cut_index: list[dict[float, int]], box: Box) -> int:
+    """The number of atoms in ``box`` on a cut grid that holds its endpoints.
+
+    ``cut_index[d]`` maps each cut of axis ``d`` to its rank ``k``; the point
+    atom at that cut is atom ``2k`` and the gap after it atom ``2k + 1``, so
+    an open end starts or stops one atom inside its cut.
+    """
+    count = 1
+    for index, iv in zip(cut_index, box):
+        count *= 2 * (index[iv.hi] - index[iv.lo]) + 1 - (not iv.lo_closed) - (not iv.hi_closed)
+    return count
+
+
 @dataclass(frozen=True)
 class PiecewiseMap:
-    """A set-valued map given by a finite flagged-box partition of its domain."""
+    """A set-valued map given by a finite flagged-box partition of its domain.
+
+    Construction checks, in this order: each region has the domain's
+    dimension and lies in the domain; regions are pairwise disjoint; they
+    cover the domain; value boxes have the codomain's dimension and widths
+    valid on their region. Disjoint regions inside the domain cover it
+    exactly when their atom counts on the grid of every region and domain
+    endpoint add up to the domain's atom count, since each of them is a
+    union of atoms on that grid.
+    """
 
     domain: Box
     codomain_dim: int
@@ -100,7 +124,10 @@ class PiecewiseMap:
             for j in range(i + 1, len(regions)):
                 if box_intersect(regions[i], regions[j]) is not None:
                     raise ValueError(f"pieces {i} and {j} overlap")
-        if boxes_difference([self.domain], regions):
+        boxes = [self.domain, *regions]
+        cut_index = [{v: k for k, v in enumerate(sorted({e for b in boxes for e in (b[d].lo, b[d].hi)}))}
+                     for d in range(ddim)]
+        if sum(_atom_count(cut_index, r) for r in regions) != _atom_count(cut_index, self.domain):
             raise ValueError("pieces do not cover the domain")
         for p in self.pieces:
             for b in p.value:
@@ -341,6 +368,9 @@ def adherence(t: PiecewiseMap) -> PiecewiseMap:
     Exact for validated pieces: each piece's contribution at x in the closure
     of its region is its value with closed flags and closed region.  Satisfies
     ``closure(evaluate(t, x)) subseteq evaluate(adherence(t), x)`` pointwise.
+    Atoms are keyed by the contributors whose closed regions hold them, and
+    each distinct set of those contributors' value boxes is normalized once
+    per call.
     """
     ddim = t.domain_dim
     contributors = [(box_closure(p.region), tuple(affine_box_closure(b) for b in p.value))
@@ -358,9 +388,15 @@ def adherence(t: PiecewiseMap) -> PiecewiseMap:
             held &= mask[i]
         return held
 
+    values: dict[frozenset[AffineBox], PieceValue] = {}
+
     def value_at(_: None, held: int, atom: Box) -> PieceValue:
-        return normalize_value([b for c, (_, cval) in enumerate(contributors) if held >> c & 1
-                                for b in cval], ddim)
+        boxes = frozenset(b for c, (_, cval) in enumerate(contributors) if held >> c & 1
+                          for b in cval)
+        value = values.get(boxes)
+        if value is None:
+            value = values[boxes] = normalize_value(boxes, ddim)
+        return value
 
     return _rebuild(t.domain, t.codomain_dim, atom_lists, [(t.domain, None)], signature, value_at)
 

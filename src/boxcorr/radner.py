@@ -549,8 +549,9 @@ def info_economy_from_doc(doc: Any) -> InfoEconomy:
                 tuple(_io._as_number(c, f"endowments[{i}]")
                       for c in _io._as_list(v, f"endowments[{i}]"))
                 for i, v in enumerate(_io._as_list(doc["endowments"], "endowments"))),
-            signals=tuple(doc["signals"]),
-            preferences=tuple(_io.map_from_doc(q) for q in doc["preferences"]),
+            signals=tuple(_io._as_list(doc["signals"], "signals")),
+            preferences=tuple(_io.map_from_doc(q)
+                              for q in _io._as_list(doc["preferences"], "preferences")),
             truncation=doc.get("truncation"),
         )
     except (KeyError, TypeError, ValueError) as exc:

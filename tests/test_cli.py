@@ -344,6 +344,23 @@ def test_build_radner_rejects_malformed_endowments_and_signals(runner, tmp_path,
     assert "Traceback" not in r.output
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("signals", "po", "signals: expected a list, got str"),
+    ("signals", None, "signals: expected a list, got NoneType"),
+    ("preferences", {}, "preferences: expected a list, got dict"),
+])
+def test_build_radner_rejects_signals_and_preferences_that_are_not_lists(runner, tmp_path, field,
+                                                                         value, message):
+    doc = json.loads((EXAMPLES / "radner_toy.econ").read_text())
+    doc[field] = value
+    path = tmp_path / "not_a_list.econ"
+    path.write_text(json.dumps(doc))
+    r = invoke(runner, "build-radner", path)
+    assert r.exit_code == 2, r.output
+    assert message in r.output
+    assert "Traceback" not in r.output
+
+
 def test_records_format_is_line_delimited_json(runner):
     r = invoke(runner, "check-map", "--property", "usc", "--format", "records",
                EXAMPLES / "ex2_1.map")

@@ -28,6 +28,7 @@ from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Pie
                      PiecewiseMap, adherence, check_usc, constant_map, intersect_maps,
                      intersect_qv_chain, restrict, t_upper)
 from boxcorr import checks as _checks
+from boxcorr import fixedpoint
 from boxcorr import maps
 from boxcorr import suites
 from boxcorr.affine import affine_box_closure, affine_box_constant
@@ -381,8 +382,12 @@ def test_theorem_4_1_construction_rebuilds_match_oracle(n):
 
 def test_symbolic_n4_chain_values_each_signature_once(monkeypatch):
     """The ex4_1(4) chain of the symbolic-n4 benchmark values each rebuild
-    signature once; valuing every atom would make 55,532 normalize_value and
-    38,416 _intersect_affine_boxes calls. The counts are deterministic."""
+    signature once, and each adherence normalizes each distinct set of
+    contributor boxes once; valuing every atom would make 55,532
+    normalize_value and 38,416 _intersect_affine_boxes calls, and valuing
+    every adherence signature 4,152 normalize_value calls. Each of the 12
+    t_upper adherences normalizes at most 3 values and each of the 4
+    raw-factor adherences at most 4. The counts are deterministic."""
     calls = {"normalize_value": 0, "_intersect_affine_boxes": 0}
 
     def counted(name):
@@ -395,9 +400,27 @@ def test_symbolic_n4_chain_values_each_signature_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(maps, name, counted(name))
+    uppers = []
+    per_adherence = {"raw": [], "t_upper": []}
+
+    def kept_t_upper(*args):
+        uppers.append(t_upper(*args))
+        return uppers[-1]
+
+    def counted_adherence(t):
+        before = calls["normalize_value"]
+        out = adherence(t)
+        kind = "t_upper" if any(t is u for u in uppers) else "raw"
+        per_adherence[kind].append(calls["normalize_value"] - before)
+        return out
+
+    monkeypatch.setattr(fixedpoint, "t_upper", kept_t_upper)
+    monkeypatch.setattr(fixedpoint, "adherence", counted_adherence)
     pm = theorem_4_1_construction(ex4_1(4))
     res = intersect_qv_chain(pm, Grid(4, (0.0,) * 4, (2.0,) * 4, 0.5), (0.5, 0.25, 0.125))
-    assert calls == {"normalize_value": 4152, "_intersect_affine_boxes": 1340}
+    assert calls == {"normalize_value": 1404, "_intersect_affine_boxes": 1340}
+    assert len(per_adherence["t_upper"]) == 12 and max(per_adherence["t_upper"]) <= 3
+    assert len(per_adherence["raw"]) == 4 and max(per_adherence["raw"]) <= 4
     assert res.nested
     assert len(res.intersection) == 624
     assert len(res.certified) == 624
