@@ -9,12 +9,15 @@ is fixed to open boxes ``(-eps, eps)^dim``, which makes the one-sided excess
 ``subset_within(a, b, tol)``.
 
 Equality of :class:`BoxSet` values is decidable: construction canonicalizes
-the union (atomize every dimension at all endpoints, then merge runs
-dimension by dimension), and the canonical form depends only on the point
-set, not on how the union was written down.
+the union on an :class:`AtomGrid` (cut every dimension at all endpoints,
+take the atomic cells of each box, then merge runs dimension by dimension),
+and the canonical form depends only on the point set, not on how the union
+was written down.  The same grid serves map rebuilds and the partition
+check of :class:`~boxcorr.maps.PiecewiseMap`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -198,74 +201,74 @@ def box_sort_key(box: Box) -> tuple:
 # Canonicalization machinery
 # ---------------------------------------------------------------------------
 
-def atoms_from_cuts(cuts: Sequence[float]) -> list[FlaggedInterval]:
-    """Point atoms and open gap atoms over the sorted cut values."""
-    atoms: list[FlaggedInterval] = []
-    for i, v in enumerate(cuts):
-        atoms.append(FlaggedInterval.point(v))
-        if i + 1 < len(cuts):
-            atoms.append(FlaggedInterval.open(v, cuts[i + 1]))
-    return atoms
+class AtomGrid:
+    """The atoms of a cut grid, numbered per axis.
 
-
-def _atom_indices_in(atoms: list[FlaggedInterval], iv: FlaggedInterval) -> list[int]:
-    """Indices of atoms contained in ``iv`` (atoms never straddle a cut)."""
-    out = []
-    for i, a in enumerate(atoms):
-        if a.is_point:
-            if iv.contains(a.lo):
-                out.append(i)
-        else:
-            if iv.lo <= a.lo and a.hi <= iv.hi:
-                out.append(i)
-    return out
-
-
-def cells_in(atom_lists: list[list[FlaggedInterval]], box: Box) -> Iterator[tuple[int, ...]]:
-    """The atomic cells (tuples of atom indices) that make up ``box``.
-
-    Every endpoint of ``box`` must be a cut of its axis, so each atom lies
-    either inside the box's interval or outside it.
+    Built from per-axis cut values.  On each axis the point atom at the
+    ``k``-th smallest cut is atom ``2k`` and the open gap after it is atom
+    ``2k + 1``; a box whose endpoints are all cuts is the product of its
+    per-axis atom spans.  The atoms themselves are built on first use.
     """
-    return itertools.product(*(_atom_indices_in(atoms, iv) for atoms, iv in zip(atom_lists, box)))
 
+    def __init__(self, axes: Iterable[Iterable[float]]) -> None:
+        self.cuts = [sorted(set(axis)) for axis in axes]
+        self.rank = [{v: k for k, v in enumerate(cuts)} for cuts in self.cuts]
 
-def _run_to_interval(atoms: list[FlaggedInterval], i0: int, i1: int) -> FlaggedInterval:
-    """Merge the consecutive atom run ``atoms[i0..i1]`` into one interval."""
-    first, last = atoms[i0], atoms[i1]
-    return FlaggedInterval(first.lo, last.hi, first.lo_closed, last.hi_closed)
+    @functools.cached_property
+    def atoms(self) -> list[list[FlaggedInterval]]:
+        out = []
+        for cuts in self.cuts:
+            atoms = []
+            for v, w in zip(cuts, cuts[1:]):
+                atoms += (FlaggedInterval.point(v), FlaggedInterval.open(v, w))
+            out.append(atoms + [FlaggedInterval.point(v) for v in cuts[-1:]])
+        return out
 
+    def spans(self, box: Box) -> list[range]:
+        """Per axis, the atoms that make up ``box``; its endpoints must be cuts."""
+        return [range(2 * rank[iv.lo] + (not iv.lo_closed), 2 * rank[iv.hi] + iv.hi_closed)
+                for rank, iv in zip(self.rank, box)]
 
-def merge_cells(atom_lists: list[list[FlaggedInterval]], cells: Iterable[tuple[int, ...]]) -> list[Box]:
-    """Merge a set of atomic cells (tuples of atom indices) back into boxes.
+    def cells(self, box: Box) -> Iterator[tuple[int, ...]]:
+        """The atomic cells (tuples of atom indices) that make up ``box``."""
+        return itertools.product(*self.spans(box))
 
-    Runs of consecutive atoms are joined dimension by dimension in fixed
-    order; the output is a deterministic function of the cell set.
-    """
-    dim = len(atom_lists)
-    parts: list[tuple] = [tuple(c) for c in cells]
-    for d in range(dim):
-        groups: dict[tuple, list[tuple]] = {}
-        for part in parts:
-            key = part[:d] + part[d + 1:]
-            groups.setdefault(key, []).append(part)
-        nxt: list[tuple] = []
-        for key, members in groups.items():
-            idxs = sorted(p[d] for p in members)
-            start = prev = idxs[0]
-            runs: list[tuple[int, int]] = []
-            for i in idxs[1:]:
-                if i == prev + 1:
-                    prev = i
-                else:
-                    runs.append((start, prev))
-                    start = prev = i
-            runs.append((start, prev))
-            for i0, i1 in runs:
-                iv = _run_to_interval(atom_lists[d], i0, i1)
-                nxt.append(key[:d] + (iv,) + key[d:])
-        parts = nxt
-    return sorted((tuple(p) for p in parts), key=box_sort_key)
+    def count(self, box: Box) -> int:
+        return math.prod(len(span) for span in self.spans(box))
+
+    def atom(self, idx: tuple[int, ...]) -> Box:
+        return tuple(atoms[i] for atoms, i in zip(self.atoms, idx))
+
+    def merge(self, cells: Iterable[tuple[int, ...]]) -> list[Box]:
+        """Merge a set of atomic cells back into boxes.
+
+        Runs of consecutive atoms are joined dimension by dimension in fixed
+        order; the output is a deterministic function of the cell set.
+        """
+        parts: list[tuple] = [tuple(c) for c in cells]
+        for d, atoms in enumerate(self.atoms):
+            groups: dict[tuple, list[tuple]] = {}
+            for part in parts:
+                key = part[:d] + part[d + 1:]
+                groups.setdefault(key, []).append(part)
+            nxt: list[tuple] = []
+            for key, members in groups.items():
+                idxs = sorted(p[d] for p in members)
+                start = prev = idxs[0]
+                runs: list[tuple[int, int]] = []
+                for i in idxs[1:]:
+                    if i == prev + 1:
+                        prev = i
+                    else:
+                        runs.append((start, prev))
+                        start = prev = i
+                runs.append((start, prev))
+                for i0, i1 in runs:
+                    first, last = atoms[i0], atoms[i1]
+                    iv = FlaggedInterval(first.lo, last.hi, first.lo_closed, last.hi_closed)
+                    nxt.append(key[:d] + (iv,) + key[d:])
+            parts = nxt
+        return sorted((tuple(p) for p in parts), key=box_sort_key)
 
 
 def canonical_boxes(dim: int, boxes: Iterable[Box]) -> tuple[Box, ...]:
@@ -277,12 +280,11 @@ def canonical_boxes(dim: int, boxes: Iterable[Box]) -> tuple[Box, ...]:
         return ()
     if len(boxes) == 1:
         return (boxes[0],)
-    atom_lists = [atoms_from_cuts(sorted({v for b in boxes for v in (b[d].lo, b[d].hi)}))
-                  for d in range(dim)]
+    grid = AtomGrid([{v for b in boxes for v in (b[d].lo, b[d].hi)} for d in range(dim)])
     cells: set[tuple[int, ...]] = set()
     for b in boxes:
-        cells.update(cells_in(atom_lists, b))
-    return tuple(merge_cells(atom_lists, cells))
+        cells.update(grid.cells(b))
+    return tuple(grid.merge(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A :class:`PiecewiseMap` partitions a flagged-box domain into regions, each
 carrying a finite union of affine-endpoint interval boxes (possibly the
 empty value).  The partition is validated symbolically at construction:
-pieces are pairwise disjoint and cover the domain exactly, the cover decided
-by counting atoms on the grid of every region and domain endpoint.
+pieces are pairwise disjoint and cover the domain exactly, both decided on
+the atom spans of an :class:`~boxcorr.intervals.AtomGrid` over every region
+and domain endpoint.
 
 Derived maps (`adherence`, `intersect_maps`) are computed exactly by refining
 the domain at axis-aligned crossing loci of the affine endpoint forms;
@@ -34,19 +35,16 @@ from .affine import (
     instantiate_box,
 )
 from .intervals import (
+    AtomGrid,
     Box,
     BoxSet,
     DimensionMismatchError,
-    FlaggedInterval,
-    atoms_from_cuts,
     box_contains,
     box_closure,
     box_intersect,
     box_sort_key,
     boxes_difference,
     canonical_boxes,
-    cells_in,
-    merge_cells,
 )
 
 
@@ -81,19 +79,6 @@ def normalize_value(boxes: Iterable[AffineBox], domain_dim: int) -> PieceValue:
     return tuple(sorted(uniq, key=affine_box_sort_key))
 
 
-def _atom_count(cut_index: list[dict[float, int]], box: Box) -> int:
-    """The number of atoms in ``box`` on a cut grid that holds its endpoints.
-
-    ``cut_index[d]`` maps each cut of axis ``d`` to its rank ``k``; the point
-    atom at that cut is atom ``2k`` and the gap after it atom ``2k + 1``, so
-    an open end starts or stops one atom inside its cut.
-    """
-    count = 1
-    for index, iv in zip(cut_index, box):
-        count *= 2 * (index[iv.hi] - index[iv.lo]) + 1 - (not iv.lo_closed) - (not iv.hi_closed)
-    return count
-
-
 @dataclass(frozen=True)
 class PiecewiseMap:
     """A set-valued map given by a finite flagged-box partition of its domain.
@@ -101,10 +86,11 @@ class PiecewiseMap:
     Construction checks, in this order: each region has the domain's
     dimension and lies in the domain; regions are pairwise disjoint; they
     cover the domain; value boxes have the codomain's dimension and widths
-    valid on their region. Disjoint regions inside the domain cover it
-    exactly when their atom counts on the grid of every region and domain
-    endpoint add up to the domain's atom count, since each of them is a
-    union of atoms on that grid.
+    valid on their region. Overlap and cover are decided on the atom grid
+    of every region and domain endpoint, where each region inside the
+    domain is a union of atoms: two regions overlap exactly when their atom
+    spans overlap on every axis, and disjoint regions cover the domain
+    exactly when their atom counts add up to the domain's.
     """
 
     domain: Box
@@ -120,14 +106,14 @@ class PiecewiseMap:
                 raise DimensionMismatchError("piece region dimension does not match domain")
             if box_intersect(r, self.domain) != r:
                 raise ValueError("piece region escapes the domain")
-        for i in range(len(regions)):
-            for j in range(i + 1, len(regions)):
-                if box_intersect(regions[i], regions[j]) is not None:
+        grid = AtomGrid([{e for b in (self.domain, *regions) for e in (b[d].lo, b[d].hi)}
+                         for d in range(ddim)])
+        spans = [grid.spans(r) for r in regions]
+        for i in range(len(spans)):
+            for j in range(i + 1, len(spans)):
+                if all(a.start < b.stop and b.start < a.stop for a, b in zip(spans[i], spans[j])):
                     raise ValueError(f"pieces {i} and {j} overlap")
-        boxes = [self.domain, *regions]
-        cut_index = [{v: k for k, v in enumerate(sorted({e for b in boxes for e in (b[d].lo, b[d].hi)}))}
-                     for d in range(ddim)]
-        if sum(_atom_count(cut_index, r) for r in regions) != _atom_count(cut_index, self.domain):
+        if sum(grid.count(r) for r in regions) != grid.count(self.domain):
             raise ValueError("pieces do not cover the domain")
         for p in self.pieces:
             for b in p.value:
@@ -238,49 +224,48 @@ def _validate_width(region: Box, ai: AffineInterval) -> None:
 # Domain refinement
 # ---------------------------------------------------------------------------
 
-def _region_cuts(*maps: PiecewiseMap) -> dict[int, set[float]]:
+def _region_cuts(*maps: PiecewiseMap) -> list[set[float]]:
     """Per axis, every piece region endpoint of the given maps."""
-    return {d: {v for m in maps for p in m.pieces for v in (p.region[d].lo, p.region[d].hi)}
-            for d in range(maps[0].domain_dim)}
+    return [{v for m in maps for p in m.pieces for v in (p.region[d].lo, p.region[d].hi)}
+            for d in range(maps[0].domain_dim)]
 
 
-def _add_root_cut(cuts: dict[int, set[float]], region: Box, f: AffForm) -> None:
+def _add_root_cut(cuts: Sequence[set[float]], region: Box, f: AffForm) -> None:
     root = f.root()
     if root is not None and region[root[0]].contains(root[1]):
-        cuts.setdefault(root[0], set()).add(root[1])
+        cuts[root[0]].add(root[1])
 
 
-def _rebuild(domain: Box, codomain_dim: int, atom_lists: list[list[FlaggedInterval]],
+def _rebuild(domain: Box, codomain_dim: int, grid: AtomGrid,
              parts: Iterable[tuple[Box, Any]],
              signature: Callable[[Any, tuple[int, ...]], Hashable],
              value_at: Callable[[Any, Hashable, Box], PieceValue]) -> PiecewiseMap:
     """Walk each part's atoms, value each signature once, merge atoms by value.
 
-    ``atom_lists`` holds, per axis, the atoms of every region endpoint of
-    ``parts`` and every crossing root. ``parts`` is a list of ``(region, ctx)``
-    pairs whose regions partition the domain; each part walks only its own
-    atoms, so a point atom at an open end of the domain is never valued.
+    ``grid`` is cut at every region endpoint of ``parts`` and every crossing
+    root. ``parts`` is a list of ``(region, ctx)`` pairs whose regions
+    partition the domain; each part walks only its own atoms, so a point
+    atom at an open end of the domain is never valued.
     ``signature(ctx, idx)``, at an atom's indices, is what its value can
     depend on within its part; ``value_at(ctx, sig, atom)`` runs once per
     ``(part index, signature)``, at its first atom in walk order. Keys of
-    equal value are joined before ``merge_cells``, a deterministic function
+    equal value are joined before ``grid.merge``, a deterministic function
     of the cell set, so the pieces are those of valuing every atom.
     """
     keyed: dict[tuple[int, Hashable], tuple[PieceValue, list[tuple[int, ...]]]] = {}
     for k, (region, ctx) in enumerate(parts):
-        for idx in cells_in(atom_lists, region):
+        for idx in grid.cells(region):
             key = (k, signature(ctx, idx))
             entry = keyed.get(key)
             if entry is None:
-                atom = tuple(atom_lists[d][i] for d, i in enumerate(idx))
-                entry = keyed[key] = (value_at(ctx, key[1], atom), [])
+                entry = keyed[key] = (value_at(ctx, key[1], grid.atom(idx)), [])
             entry[1].append(idx)
     groups: dict[PieceValue, list[tuple[int, ...]]] = {}
     for value, cells in keyed.values():
         groups.setdefault(value, []).extend(cells)
     pieces: list[Piece] = []
     for value, cells in groups.items():
-        for box in merge_cells(atom_lists, cells):
+        for box in grid.merge(cells):
             pieces.append(Piece(box, value))
     pieces.sort(key=lambda p: box_sort_key(p.region))
     return PiecewiseMap(domain, codomain_dim, tuple(pieces))
@@ -375,12 +360,13 @@ def adherence(t: PiecewiseMap) -> PiecewiseMap:
     ddim = t.domain_dim
     contributors = [(box_closure(p.region), tuple(affine_box_closure(b) for b in p.value))
                     for p in t.pieces if p.value]
-    cuts = _region_cuts(t)
-    atom_lists = [atoms_from_cuts(sorted(cuts[d])) for d in range(ddim)]
+    grid = AtomGrid(_region_cuts(t))
     # bit c of masks[d][i]: contributor c's closed region holds atom i on axis d
-    masks = [[sum(1 << c for c, (creg, _) in enumerate(contributors)
-                  if creg[d].lo <= a.lo and a.hi <= creg[d].hi) for a in atoms]
-             for d, atoms in enumerate(atom_lists)]
+    masks = [[0] * len(atoms) for atoms in grid.atoms]
+    for c, (creg, _) in enumerate(contributors):
+        for mask, span in zip(masks, grid.spans(creg)):
+            for i in span:
+                mask[i] |= 1 << c
 
     def signature(_: None, idx: tuple[int, ...]) -> int:
         held = -1
@@ -398,7 +384,7 @@ def adherence(t: PiecewiseMap) -> PiecewiseMap:
             value = values[boxes] = normalize_value(boxes, ddim)
         return value
 
-    return _rebuild(t.domain, t.codomain_dim, atom_lists, [(t.domain, None)], signature, value_at)
+    return _rebuild(t.domain, t.codomain_dim, grid, [(t.domain, None)], signature, value_at)
 
 
 def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
@@ -440,8 +426,7 @@ def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
                     out.append(r)
         return normalize_value(out, ddim)
 
-    atom_lists = [atoms_from_cuts(sorted(cuts[d])) for d in range(ddim)]
-    return _rebuild(a.domain, a.codomain_dim, atom_lists, parts, signature, value_at)
+    return _rebuild(a.domain, a.codomain_dim, AtomGrid(cuts), parts, signature, value_at)
 
 
 def restrict(t: PiecewiseMap, sub: Box) -> PiecewiseMap:

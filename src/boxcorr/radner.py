@@ -42,8 +42,12 @@ def _signal_label(name: str, p: tuple[float, ...], state: int) -> int:
     if name == "revealing":
         return state
     if name.startswith("threshold:"):
-        _, coord, cut = name.split(":")
-        k, c = int(coord), float(cut)
+        try:
+            _, coord, cut = name.split(":")
+            k, c = int(coord), float(cut)
+        except ValueError:
+            raise ValueError(f"signal preset {name!r}: expected threshold:<coordinate>:<cut> "
+                             "with an integer coordinate and a numeric cut") from None
         if not 0 <= k < len(p):
             raise ValueError(f"signal preset {name!r}: coordinate {k} is outside the bundle")
         if not math.isfinite(c):
@@ -554,7 +558,9 @@ def info_economy_from_doc(doc: Any) -> InfoEconomy:
                               for q in _io._as_list(doc["preferences"], "preferences")),
             truncation=doc.get("truncation"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise _io.DocumentError(f"info-economy: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise _io.DocumentError(f"info-economy: {exc}") from exc
 
 

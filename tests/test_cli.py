@@ -331,6 +331,10 @@ def test_build_radner_rejects_counts_that_are_not_integers(runner, tmp_path, fie
     ("signals", [3, "pooled"], "must be a string"),
     ("signals", ["threshold:9:0.5", "pooled"], "outside the bundle"),
     ("signals", ["threshold:0:nan", "pooled"], "cut must be a finite number"),
+    ("signals", ["threshold:1", "pooled"], "expected threshold:<coordinate>:<cut>"),
+    ("signals", ["threshold:1:2:3", "pooled"], "expected threshold:<coordinate>:<cut>"),
+    ("signals", ["threshold:a:0", "pooled"], "expected threshold:<coordinate>:<cut>"),
+    ("signals", ["threshold:1e400:0", "pooled"], "expected threshold:<coordinate>:<cut>"),
 ])
 def test_build_radner_rejects_malformed_endowments_and_signals(runner, tmp_path, field,
                                                                value, message):
@@ -341,6 +345,19 @@ def test_build_radner_rejects_malformed_endowments_and_signals(runner, tmp_path,
     r = invoke(runner, "build-radner", path)
     assert r.exit_code == 2, r.output
     assert message in r.output
+    assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("field", ["n_agents", "n_goods", "n_states", "endowments", "signals",
+                                   "preferences"])
+def test_build_radner_names_a_missing_field(runner, tmp_path, field):
+    doc = json.loads((EXAMPLES / "radner_toy.econ").read_text())
+    del doc[field]
+    path = tmp_path / "missing.econ"
+    path.write_text(json.dumps(doc))
+    r = invoke(runner, "build-radner", path)
+    assert r.exit_code == 2, r.output
+    assert f"missing field '{field}'" in r.output
     assert "Traceback" not in r.output
 
 

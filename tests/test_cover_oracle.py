@@ -1,11 +1,13 @@
 """The map validator's cover test against a frozen copy of the one it replaced.
 
-``PiecewiseMap`` decides that its pairwise-disjoint regions cover the domain
-by counting atoms on the grid of every region and domain endpoint. Before,
-it subtracted every region from the domain with ``boxes_difference`` and
-asked whether anything was left. ``seed_validate`` below is that validator,
-checks and messages in their order; on every region list both must accept
-or reject alike, with the same first error.
+``PiecewiseMap`` decides overlap and cover on the atom grid of every region
+and domain endpoint: two regions overlap when their atom spans overlap on
+every axis, and pairwise-disjoint regions cover the domain when their atom
+counts add up to the domain's. Before, it intersected every pair of regions
+with ``box_intersect``, subtracted every region from the domain with
+``boxes_difference`` and asked whether anything was left. ``seed_validate``
+below is that validator, checks and messages in their order; on every region
+list both must accept or reject alike, with the same first error.
 """
 
 from __future__ import annotations
@@ -146,26 +148,54 @@ def test_random_region_lists_reach_every_outcome():
 
 def test_cover_counts_atoms_at_open_and_point_edges():
     domain = (I(0, 2, False, True),)
-    cases = {
-        ((I(0, 1, False, False),), (I.point(1),), (I(1, 2, False, True),)): None,
-        ((I(0, 1, False, False),), (I(1, 2, False, True),)): "pieces do not cover the domain",
-        ((I(0, 1, False, True),), (I(1, 2, True, True),)): "pieces 0 and 1 overlap",
-        ((I(0, 2, True, True),),): "piece region escapes the domain",
-        ((I(0, 1, False, True),), (I(1.5, 2, True, True),)): "pieces do not cover the domain",
-        (): "pieces do not cover the domain",
-    }
-    for regions, message in cases.items():
+    square = (I.closed(0, 2), I.closed(0, 1))
+    signed = (I.closed(-1, 1),)
+    cases = [
+        (domain, ((I(0, 1, False, False),), (I.point(1),), (I(1, 2, False, True),)), None),
+        (domain, ((I(0, 1, False, False),), (I(1, 2, False, True),)),
+         "pieces do not cover the domain"),
+        (domain, ((I(0, 1, False, True),), (I(1, 2, True, True),)), "pieces 0 and 1 overlap"),
+        (domain, ((I(0, 2, True, True),),), "piece region escapes the domain"),
+        (domain, ((I(0, 1, False, True),), (I(1.5, 2, True, True),)),
+         "pieces do not cover the domain"),
+        (domain, (), "pieces do not cover the domain"),
+        # two regions sharing a closed endpoint overlap at a point
+        (square, ((I.closed(0, 1), I.closed(0, 1)), (I.closed(1, 2), I.closed(0, 1))),
+         "pieces 0 and 1 overlap"),
+        # an endpoint that one side holds open is shared by no point
+        (square, ((I(0, 1, True, False), I.closed(0, 1)), (I.closed(1, 2), I.closed(0, 1))),
+         None),
+        (square, ((I.closed(1, 2), I.closed(0, 1)), (I(0, 1, True, False), I.closed(0, 1))),
+         None),
+        # a point region at another region's open end
+        (domain, ((I(1, 2, False, True),), (I(0, 1, False, False),), (I.point(1),)), None),
+        (domain, ((I(0, 1, False, False),), (I.point(1),), (I(1, 2, True, True),)),
+         "pieces 1 and 2 overlap"),
+        (square, ((I(0, 1, True, False), I.closed(0, 1)), (I.point(1), I.point(0)),
+                  (I(1, 2, False, True), I.closed(0, 1))), "pieces do not cover the domain"),
+        # -0.0 and 0.0 are one endpoint
+        (signed, ((I(-1, -0.0, True, False),), (I.closed(0.0, 1),)), None),
+        (signed, ((I.closed(-1, -0.0),), (I.closed(0.0, 1),)), "pieces 0 and 1 overlap"),
+        (signed, ((I.closed(-1, 0.0),), (I(-0.0, 1, False, True),)), None),
+        (signed, ((I(-1, 0.0, True, False),), (I(-0.0, 1, False, True),)),
+         "pieces do not cover the domain"),
+        ((I.closed(-0.0, 1),), ((I.point(0.0),), (I(-0.0, 1, False, True),)), None),
+    ]
+    for dom, regions, message in cases:
         pieces = tuple(Piece(r, ()) for r in regions)
-        got = _outcome(PiecewiseMap, domain, 1, pieces)
-        assert got == _outcome(seed_validate, domain, 1, pieces)
-        assert (got and got[1]) == message
+        got = _outcome(PiecewiseMap, dom, 1, pieces)
+        assert got == _outcome(seed_validate, dom, 1, pieces), (dom, regions)
+        assert (got and got[1]) == message, (dom, regions)
 
 
 def test_symbolic_n4_chain_validates_without_boxes_difference(monkeypatch):
     """Every map the ex4_1(4) chain builds is validated, and none of them
-    calls boxes_difference from the validator."""
+    calls boxes_difference from the validator. Its box_intersect calls are
+    the escape tests, one per region: the overlap test runs on atom spans."""
     real = maps.boxes_difference
+    real_intersect = maps.box_intersect
     from_validator = []
+    intersects = []
     validated = []
     real_post_init = PiecewiseMap.__post_init__
 
@@ -174,13 +204,20 @@ def test_symbolic_n4_chain_validates_without_boxes_difference(monkeypatch):
             from_validator.append(args)
         return real(*args)
 
+    def counted_intersect(*args):
+        if sys._getframe(1).f_code.co_name == "__post_init__":
+            intersects.append(args)
+        return real_intersect(*args)
+
     def post_init(self):
         validated.append(self)
         real_post_init(self)
 
     monkeypatch.setattr(maps, "boxes_difference", counted)
+    monkeypatch.setattr(maps, "box_intersect", counted_intersect)
     monkeypatch.setattr(PiecewiseMap, "__post_init__", post_init)
     pm = theorem_4_1_construction(ex4_1(4))
     res = intersect_qv_chain(pm, Grid(4, (0.0,) * 4, (2.0,) * 4, 0.5), (0.5, 0.25, 0.125))
     assert len(res.certified) == 624
     assert validated and not from_validator
+    assert len(intersects) == sum(len(m.pieces) for m in validated) == 1012

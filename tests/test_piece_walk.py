@@ -1,7 +1,7 @@
 """Piece walks against frozen copies of the per-point lookups they replaced.
 
 Map rebuilds, canonicalization and the USC scan now walk each piece's own
-atoms or grid points (``intervals.cells_in``), and a constant piece's value
+atoms (``intervals.AtomGrid.cells``) or grid points, and a constant piece's value
 is built once per map (``PiecewiseMap.value_on``); a rebuild values each
 atom signature once. The ``seed_*`` functions below are the implementations
 these replaced: the rebuild values every atom of the full cut product and
@@ -35,11 +35,12 @@ from boxcorr.affine import affine_box_closure, affine_box_constant
 from boxcorr.gallery import (ex2_1, ex2_1_variant, ex2_2, ex2_2_composite, ex2_2_economy,
                              ex4_1, ex4_1_selection, theorem_4_1_construction)
 from boxcorr.intervals import (Box, box_closure, box_contains, box_intersect, box_sort_key,
-                               canonical_boxes, merge_cells)
+                               canonical_boxes)
 from boxcorr.maps import (_add_root_cut, _dilate_affine_box, _effective_sign,
                           _intersect_affine_boxes, _intersect_affine_intervals, _pair_cut_forms,
                           normalize_value)
 
+from test_atom_grid import seed_merge_cells
 from test_scan_oracle import indexed_points
 
 I = FlaggedInterval
@@ -77,7 +78,7 @@ def seed_rebuild(domain, codomain_dim, cuts, value_at):
         groups.setdefault(value_at(atom, seed_region_rep(atom)), []).append(idx)
     pieces = []
     for value, cells in groups.items():
-        for box in merge_cells(atom_lists, cells):
+        for box in seed_merge_cells(atom_lists, cells):
             pieces.append(Piece(box, value))
     pieces.sort(key=lambda p: box_sort_key(p.region))
     return PiecewiseMap(domain, codomain_dim, tuple(pieces))
@@ -226,7 +227,7 @@ def seed_canonical_boxes(dim, boxes):
     cells = set()
     for bi in range(len(boxes)):
         cells.update(itertools.product(*(covers[d][bi] for d in range(dim))))
-    return tuple(merge_cells(atom_lists, cells))
+    return tuple(seed_merge_cells(atom_lists, cells))
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,10 @@ def test_counts_must_be_integers(field, bad):
     ("threshold:-1:0.5", "outside the bundle"),
     ("threshold:0:nan", "cut must be a finite number"),
     ("threshold:0:inf", "cut must be a finite number"),
+    ("threshold:1", "expected threshold:<coordinate>:<cut>"),
+    ("threshold:1:2:3", "expected threshold:<coordinate>:<cut>"),
+    ("threshold:a:0", "expected threshold:<coordinate>:<cut>"),
+    ("threshold:1e400:0", "expected threshold:<coordinate>:<cut>"),
 ])
 def test_bad_signal_presets_are_rejected(signal, message):
     with pytest.raises(ValueError, match=message):
