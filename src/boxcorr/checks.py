@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .intervals import BoxSet, DimensionMismatchError, Grid, box_contains
+from .intervals import Box, BoxSet, DimensionMismatchError, Grid, box_contains
 from .maps import (DomainError, PiecewiseMap, adherence, constant_map, intersect_maps,
                    t_upper)
 
@@ -68,12 +68,11 @@ def combine_reports(property_name: str, children: Sequence[CheckReport],
 # Grid scans
 # ---------------------------------------------------------------------------
 
-def grid_values(maps: Sequence[PiecewiseMap], grid: Grid,
-                point_filter: Callable[[tuple[float, ...]], bool] | None = None):
+def grid_values(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = None):
     """``(index, point, pieces)`` for the grid points in ``maps[0]``'s domain
-    that pass ``point_filter``, in lexicographic order; ``pieces[k]`` is the
-    piece of ``maps[k]`` holding the point, and a point outside a later
-    map's domain raises ``DomainError``.
+    and in the box ``within``, if given, in lexicographic order;
+    ``pieces[k]`` is the piece of ``maps[k]`` holding the point, and a point
+    outside a later map's domain raises ``DomainError``.
 
     Each map's pieces are walked once: per axis, a piece's grid indices are
     the axis values its region's interval contains. The piece index goes
@@ -94,7 +93,7 @@ def grid_values(maps: Sequence[PiecewiseMap], grid: Grid,
         slots.append(slot)
     indices = itertools.product(*(range(len(ax)) for ax in axes))
     for idx, x, pieces in zip(indices, itertools.product(*axes), zip(*slots)):
-        if pieces[0] is None or (point_filter is not None and not point_filter(x)):
+        if pieces[0] is None or (within is not None and not box_contains(within, x)):
             continue
         if None in pieces:
             raise DomainError(f"point {x} outside map domain")
@@ -103,16 +102,16 @@ def grid_values(maps: Sequence[PiecewiseMap], grid: Grid,
 
 def scan_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
                 probe: Callable[..., Iterable[Witness]], parameters: dict | None = None,
-                point_filter: Callable[[tuple[float, ...]], bool] | None = None) -> CheckReport:
+                within: Box | None = None) -> CheckReport:
     """Per-point verdict: fail iff ``probe(x, *values)`` yields a witness at
-    some point of ``grid_values(maps, grid, point_filter)``, where
+    some point of ``grid_values(maps, grid, within)``, where
     ``values[k]`` is the value of ``maps[k]`` at ``x``.
 
     The scan stops once ``_MAX_WITNESSES`` witnesses are found and keeps
     the first ``_MAX_WITNESSES`` in point order.
     """
     found = (probe(x, *(m.value_on(i, x) for m, i in zip(maps, pieces)))
-             for _, x, pieces in grid_values(maps, grid, point_filter))
+             for _, x, pieces in grid_values(maps, grid, within))
     witnesses = tuple(itertools.islice(itertools.chain.from_iterable(found), _MAX_WITNESSES))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
@@ -122,9 +121,8 @@ def _neighbor_offsets(dim: int, radius: int):
             if any(off)]
 
 
-def _closed_values(t: PiecewiseMap, grid: Grid,
-                   point_filter: Callable[[tuple[float, ...]], bool] | None):
-    """The in-domain grid points passing ``point_filter``, each with its
+def _closed_values(t: PiecewiseMap, grid: Grid, within: Box | None):
+    """The in-domain grid points in the box ``within``, each with its
     closed value and constant piece, and the pieces those points lie on.
 
     A piece whose affine endpoints are all constant (the empty value
@@ -141,7 +139,7 @@ def _closed_values(t: PiecewiseMap, grid: Grid,
     constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
     members = [[] for _ in t.pieces] if any(constant) else None
     points, closed = {}, {}
-    for idx, x, (i,) in grid_values((t,), grid, point_filter):
+    for idx, x, (i,) in grid_values((t,), grid, within):
         if not constant[i] or i not in closed:
             closed[i] = t.value_on(i, x).closure()
         points[idx] = (x, closed[i], i if constant[i] else None)
@@ -231,11 +229,12 @@ def _excess_witnesses(points: dict, offsets, bound: float, direction: str,
 
 
 def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: float = 1e-9,
-              point_filter: Callable[[tuple[float, ...]], bool] | None = None,
-              property_name: str = "usc", direction: str = "usc") -> CheckReport:
+              within: Box | None = None, property_name: str = "usc",
+              direction: str = "usc") -> CheckReport:
     """Discrete upper-semicontinuity surrogate.
 
-    Passes iff for every in-domain grid point x and grid neighbor x' with
+    Passes iff for every in-domain grid point x in the box ``within`` (every
+    in-domain grid point when it is ``None``) and grid neighbor x' with
     ``||x' - x||_inf <= delta``, the one-sided excess of T(x') over T(x) is
     at most ``tol + L * delta`` where L is the map's own maximal endpoint
     slope.  Values are closed before comparison.  ``delta`` defaults to the
@@ -267,7 +266,7 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     # a longer offset reaches no grid point, and at this radius every piece
     # pair is already near in _safe_pieces, so the cap changes no result
     radius = min(radius, max(len(grid.axis_values(d)) for d in range(grid.dim)) - 1)
-    points, pieces = _closed_values(t, grid, point_filter)
+    points, pieces = _closed_values(t, grid, within)
     slope = t.max_slope()
     bound = tol + slope * delta
     piece_excess: dict[tuple[int, int], float] = {}
@@ -376,7 +375,7 @@ def _largest_box(s: BoxSet):
 def propose_constant_selection(t: PiecewiseMap, k_region, eps: float, grid: Grid) -> PiecewiseMap | None:
     """Constant-selection heuristic: a box inside every dilated value over K."""
     inter: BoxSet | None = None
-    for _, x, (i,) in grid_values((t,), grid, lambda p: box_contains(k_region, p)):
+    for _, x, (i,) in grid_values((t,), grid, k_region):
         val = t.value_on(i, x)
         if val.is_empty:
             return None
@@ -389,7 +388,7 @@ def propose_constant_selection(t: PiecewiseMap, k_region, eps: float, grid: Grid
     return constant_map(t.domain, BoxSet.single(_largest_box(inter)))
 
 
-def check_e_uscs(t: PiecewiseMap, k_region, candidate: PiecewiseMap | None,
+def check_e_uscs(t: PiecewiseMap, k_region: Box, candidate: PiecewiseMap | None,
                  eps: float, grid: Grid, delta: float | None = None, tol: float = 1e-9,
                  block: tuple[int, ...] | None = None,
                  property_name: str = "e-uscs") -> CheckReport:
@@ -413,8 +412,7 @@ def check_e_uscs(t: PiecewiseMap, k_region, candidate: PiecewiseMap | None,
                 ("no constant selection exists inside the dilated values at this resolution",),
             )
 
-    in_k = lambda p: box_contains(k_region, p)
-    usc_rep = check_usc(candidate, grid, delta, tol, in_k, property_name="selection-usc")
+    usc_rep = check_usc(candidate, grid, delta, tol, k_region, property_name="selection-usc")
 
     def nonconvex(x, _, value):
         n = len(value.boxes)
@@ -432,7 +430,7 @@ def check_e_uscs(t: PiecewiseMap, k_region, candidate: PiecewiseMap | None,
     clauses = (("selection-convex", nonconvex, None),
                ("selection-inside-dilation", escapes, {"eps": eps, "tol": tol}),
                ("selection-avoids-base-point", contains_base, {"block": list(block)}))
-    children = [usc_rep] + [scan_points(name, (t, candidate), grid, probe, params, in_k)
+    children = [usc_rep] + [scan_points(name, (t, candidate), grid, probe, params, k_region)
                             for name, probe, params in clauses]
     rep = combine_reports(property_name, children, {
         "eps": eps, "candidate": "heuristic" if proposed else "supplied"})

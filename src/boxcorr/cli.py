@@ -285,8 +285,7 @@ def cmd_find_fixed_points(document, step, eps_chain, out, fmt):
                 raise InputError("document carries no target set 'd'")
             pm = ProductMap.single(t, d)
         elif kind == "product":
-            factors, d_sets, blocks = _io.product_from_doc(doc)
-            pm = ProductMap(factors, d_sets, blocks)
+            pm = ProductMap.from_doc(doc)
         else:
             raise InputError(f"cannot search a {kind!r} document for fixed points")
         grid = _grid_for(pm.domain, step)

@@ -62,7 +62,7 @@ class AgentSpec:
 @dataclass(frozen=True)
 class AbstractEconomy:
     agents: tuple[AgentSpec, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.agents:
@@ -157,10 +157,10 @@ def economy_from_doc(doc: Any) -> AbstractEconomy:
             raise _io.DocumentError(f"economy.agents[{k}]: expected an object")
         agents.append(AgentSpec(
             x_box=_io.box_from_list(raw.get("x_box"), f"agents[{k}].x_box"),
-            d_set=_io.boxset_from_doc(raw.get("d")),
-            a_map=_io.map_from_doc(raw.get("a")),
-            p_map=_io.map_from_doc(raw.get("p")),
-            b_map=_io.map_from_doc(raw.get("b")),
+            d_set=_io.boxset_from_doc(raw.get("d"), f"agents[{k}].d"),
+            a_map=_io.map_from_doc(raw.get("a"), f"agents[{k}].a"),
+            p_map=_io.map_from_doc(raw.get("p"), f"agents[{k}].p"),
+            b_map=_io.map_from_doc(raw.get("b"), f"agents[{k}].b"),
         ))
     try:
         return AbstractEconomy(tuple(agents))

@@ -88,16 +88,17 @@ def boxset_to_doc(s: BoxSet) -> dict:
     return {"kind": "boxset", "dim": s.dim, "boxes": [box_to_list(b) for b in s.boxes]}
 
 
-def boxset_from_doc(doc: Any) -> BoxSet:
-    body = _expect_kind(doc, "boxset")
+def boxset_from_doc(doc: Any, where: str = "") -> BoxSet:
+    body = _expect_kind(doc, "boxset", where)
+    at = where or "boxset"
     dim = body.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise DocumentError("boxset: 'dim' must be a positive integer")
-    boxes = [box_from_list(b, f"boxset.boxes[{k}]")
-             for k, b in enumerate(_as_list(body.get("boxes"), "boxset.boxes"))]
+        raise DocumentError(f"{at}: 'dim' must be a positive integer")
+    boxes = [box_from_list(b, f"{at}.boxes[{k}]")
+             for k, b in enumerate(_as_list(body.get("boxes"), f"{at}.boxes"))]
     for k, b in enumerate(boxes):
         if len(b) != dim:
-            raise DocumentError(f"boxset.boxes[{k}]: dimension {len(b)} != {dim}")
+            raise DocumentError(f"{at}.boxes[{k}]: dimension {len(b)} != {dim}")
     return BoxSet.of(dim, boxes)
 
 
@@ -192,28 +193,29 @@ def map_doc_target(doc: Any) -> BoxSet | None:
     """The optional compact target set stored alongside a map document."""
     body = _expect_kind(doc, "map")
     raw = body.get("d")
-    return None if raw is None else boxset_from_doc(raw)
+    return None if raw is None else boxset_from_doc(raw, "map.d")
 
 
-def map_from_doc(doc: Any) -> PiecewiseMap:
-    body = _expect_kind(doc, "map")
-    domain = box_from_list(body.get("domain"), "map.domain")
+def map_from_doc(doc: Any, where: str = "") -> PiecewiseMap:
+    body = _expect_kind(doc, "map", where)
+    at = where or "map"
+    domain = box_from_list(body.get("domain"), f"{at}.domain")
     cod = body.get("codomain_dim")
     if isinstance(cod, bool) or not isinstance(cod, int) or cod < 1:
-        raise DocumentError("map: 'codomain_dim' must be a positive integer")
-    raw_pieces = _as_list(body.get("pieces"), "map.pieces")
+        raise DocumentError(f"{at}: 'codomain_dim' must be a positive integer")
+    raw_pieces = _as_list(body.get("pieces"), f"{at}.pieces")
     pieces = []
     dim = len(domain)
     for k, raw in enumerate(raw_pieces):
         if not isinstance(raw, dict):
-            raise DocumentError(f"map.pieces[{k}]: expected an object")
-        region = box_from_list(raw.get("region"), f"map.pieces[{k}].region")
-        value = _value_from_list(raw.get("value"), dim, f"map.pieces[{k}].value")
+            raise DocumentError(f"{at}.pieces[{k}]: expected an object")
+        region = box_from_list(raw.get("region"), f"{at}.pieces[{k}].region")
+        value = _value_from_list(raw.get("value"), dim, f"{at}.pieces[{k}].value")
         pieces.append(Piece(region, value))
     try:
         return PiecewiseMap(domain, cod, tuple(pieces))
     except ValueError as exc:
-        raise DocumentError(f"map: {exc}") from exc
+        raise DocumentError(f"{at}: {exc}") from exc
 
 
 def pair_to_doc(t1: PiecewiseMap, t2: PiecewiseMap, d: BoxSet) -> dict:
@@ -223,8 +225,8 @@ def pair_to_doc(t1: PiecewiseMap, t2: PiecewiseMap, d: BoxSet) -> dict:
 
 def pair_from_doc(doc: Any) -> tuple[PiecewiseMap, PiecewiseMap, BoxSet]:
     body = _expect_kind(doc, "pair")
-    return (map_from_doc(body.get("t1")), map_from_doc(body.get("t2")),
-            boxset_from_doc(body.get("d")))
+    return (map_from_doc(body.get("t1"), "pair.t1"), map_from_doc(body.get("t2"), "pair.t2"),
+            boxset_from_doc(body.get("d"), "pair.d"))
 
 
 def product_to_doc(factors: tuple[PiecewiseMap, ...], d_sets: tuple[BoxSet, ...],
@@ -240,8 +242,10 @@ def product_to_doc(factors: tuple[PiecewiseMap, ...], d_sets: tuple[BoxSet, ...]
 def product_from_doc(doc: Any) -> tuple[tuple[PiecewiseMap, ...], tuple[BoxSet, ...],
                                         tuple[tuple[int, ...], ...]]:
     body = _expect_kind(doc, "product")
-    factors = tuple(map_from_doc(d) for d in _as_list(body.get("factors"), "product.factors"))
-    d_sets = tuple(boxset_from_doc(d) for d in _as_list(body.get("d_sets"), "product.d_sets"))
+    factors = tuple(map_from_doc(d, f"product.factors[{k}]")
+                    for k, d in enumerate(_as_list(body.get("factors"), "product.factors")))
+    d_sets = tuple(boxset_from_doc(d, f"product.d_sets[{k}]")
+                   for k, d in enumerate(_as_list(body.get("d_sets"), "product.d_sets")))
     blocks = []
     for k, raw in enumerate(_as_list(body.get("blocks"), "product.blocks")):
         idxs = _as_list(raw, f"product.blocks[{k}]")
@@ -254,12 +258,13 @@ def product_from_doc(doc: Any) -> tuple[tuple[PiecewiseMap, ...], tuple[BoxSet, 
 
 # -- top level -----------------------------------------------------------
 
-def _expect_kind(doc: Any, kind: str) -> dict:
+def _expect_kind(doc: Any, kind: str, where: str = "") -> dict:
+    at = f"{where}: " if where else ""
     if not isinstance(doc, dict):
-        raise DocumentError(f"expected a JSON object, got {type(doc).__name__}")
+        raise DocumentError(f"{at}expected a JSON object, got {type(doc).__name__}")
     got = doc.get("kind")
     if got != kind:
-        raise DocumentError(f"expected kind={kind!r}, got {got!r}")
+        raise DocumentError(f"{at}expected kind={kind!r}, got {got!r}")
     return doc
 
 

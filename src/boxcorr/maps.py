@@ -96,7 +96,8 @@ class PiecewiseMap:
     domain: Box
     codomain_dim: int
     pieces: tuple[Piece, ...]
-    _constant_values: dict[int, BoxSet] = field(default_factory=dict, compare=False, repr=False)
+    _constant_values: dict[int, BoxSet] = field(default_factory=dict, init=False, compare=False,
+                                                repr=False)
 
     def __post_init__(self) -> None:
         ddim = len(self.domain)

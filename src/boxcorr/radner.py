@@ -379,13 +379,10 @@ class AssociatedEconomy:
         return found
 
 
-def to_abstract_economy(e: InfoEconomy, simplex: PriceSimplex,
-                        truncation: float | None = None) -> AssociatedEconomy:
-    """The associated economy; ``truncation`` defaults to the economy's own,
-    or to twice the largest aggregate endowment component when it has none."""
-    if truncation is None:
-        truncation = e.truncation if e.truncation is not None \
-            else 2.0 * max(e.aggregate_endowment)
+def to_abstract_economy(e: InfoEconomy, simplex: PriceSimplex) -> AssociatedEconomy:
+    """The associated economy, truncated at the economy's own truncation, or
+    at twice the largest aggregate endowment component when it has none."""
+    truncation = e.truncation if e.truncation is not None else 2.0 * max(e.aggregate_endowment)
     return AssociatedEconomy(e, truncation, simplex)
 
 
@@ -554,8 +551,8 @@ def info_economy_from_doc(doc: Any) -> InfoEconomy:
                       for c in _io._as_list(v, f"endowments[{i}]"))
                 for i, v in enumerate(_io._as_list(doc["endowments"], "endowments"))),
             signals=tuple(_io._as_list(doc["signals"], "signals")),
-            preferences=tuple(_io.map_from_doc(q)
-                              for q in _io._as_list(doc["preferences"], "preferences")),
+            preferences=tuple(_io.map_from_doc(q, f"preferences[{k}]") for k, q
+                              in enumerate(_io._as_list(doc["preferences"], "preferences"))),
             truncation=doc.get("truncation"),
         )
     except KeyError as exc:

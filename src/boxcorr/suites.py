@@ -58,9 +58,7 @@ def _value_scan(t: PiecewiseMap, grid: Grid, target: BoxSet, name: str) -> Check
 # Golden examples
 # ---------------------------------------------------------------------------
 
-def golden_example_2_1(step: float = 1 / 64,
-                       eps_list: Sequence[float] = (0.1, 0.5, 1.0),
-                       tol: float = 1e-9) -> CheckReport:
+def golden_example_2_1(step: float = 1 / 64, tol: float = 1e-9) -> CheckReport:
     """The dilated-and-clipped map is constantly {1} and its adherence is
     USC with zero excess, while the base map fails the grid check at the
     jump point."""
@@ -68,6 +66,7 @@ def golden_example_2_1(step: float = 1 / 64,
     t1, d = ex2_1()
     grid = _open_interval_grid(step)
     target = _constant_target(1.0)
+    eps_list = (0.1, 0.5, 1.0)
     children = []
     for eps in eps_list:
         tv = t_upper(t1, eps, d)
@@ -88,8 +87,7 @@ def golden_example_2_1(step: float = 1 / 64,
                             "runtime_s": time.perf_counter() - t0})
 
 
-def golden_example_2_2(step: float = 1 / 64,
-                       eps_list: Sequence[float] = (0.5, 2.5)) -> CheckReport:
+def golden_example_2_2(step: float = 1 / 64) -> CheckReport:
     """Adherence of the dilated composite is constantly {2}; the value at
     x=1 before adherence is empty exactly when the dilation is too small
     to reach the clipped band."""
@@ -97,6 +95,7 @@ def golden_example_2_2(step: float = 1 / 64,
     t1, t2, d = ex2_2()
     grid = _open_interval_grid(step)
     target = _constant_target(2.0)
+    eps_list = (0.5, 2.5)
     children = []
     for eps in eps_list:
         comp = intersect_maps(t_upper(t1, eps, d), t2)
@@ -121,12 +120,11 @@ def largest_grid(step: float) -> Grid:
     return Grid(2, (0.0, 0.0), (4.0, 4.0), step)
 
 
-def golden_example_4_1(step: float = 0.125,
-                       eps_list: Sequence[float] = (0.5, 2.0, 4.0),
-                       tol: float = 1e-9) -> CheckReport:
+def golden_example_4_1(step: float = 0.125, tol: float = 1e-9) -> CheckReport:
     """Full hypothesis check, the known equilibrium, and the grid search."""
     t0 = time.perf_counter()
     e = ex4_1(2)
+    eps_list = (0.5, 2.0, 4.0)
     hyp = check_theorem_4_1_hypotheses(e, eps_list, largest_grid(step), tol=tol)
     cert = verify_equilibrium(e, (1.5, 1.5))
     eq = CheckReport("equilibrium-at-known-point",
@@ -310,11 +308,11 @@ def _random_piecewise(rng: random.Random) -> tuple[PiecewiseMap, BoxSet, Grid]:
 # Property suites
 # ---------------------------------------------------------------------------
 
-def lemma_2_1_suite(count: int = 20, seed: int = DEFAULT_SEED,
-                    tol: float = 1e-9) -> CheckReport:
+def lemma_2_1_suite(tol: float = 1e-9) -> CheckReport:
     """Sum-then-clip preserves the grid USC check: for continuous box maps
     S and closed boxes C, K, the map x -> (S(x)+C) cap K stays USC."""
     t0 = time.perf_counter()
+    count, seed = 20, DEFAULT_SEED
     rng = random.Random(seed)
     children = []
     for k in range(count):
@@ -360,12 +358,12 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
                         "nonempty_points": nonempty})
 
 
-def lemma_2_2_suite(count: int = 50, seed: int = DEFAULT_SEED,
-                    chain: Sequence[float] = (1.0, 0.5, 0.25, 0.125)) -> CheckReport:
+def lemma_2_2_suite(chain: Sequence[float] = (1.0, 0.5, 0.25, 0.125)) -> CheckReport:
     """Chain containments: exact (radius 0) on the three built-ins, and at
     radius min(chain)+step on random maps, where the finite chain leaves a
     min-dilation fuzz that an infinite intersection would remove."""
     t0 = time.perf_counter()
+    count, seed = 50, DEFAULT_SEED
     children = []
 
     t1, d1 = ex2_1()
@@ -401,12 +399,12 @@ def lemma_2_2_suite(count: int = 50, seed: int = DEFAULT_SEED,
 # Information-economy pipeline
 # ---------------------------------------------------------------------------
 
-def radner_suite(alloc_step: float = 0.125, simplex_resolution: int = 8,
-                 tol: float = 1e-9) -> CheckReport:
+def radner_suite(tol: float = 1e-9) -> CheckReport:
     """Constraint inclusion on sampled points, aggregate clearing of every
     certificate the coarse search (bundle axis 0, 0.5, ..., 2) produces,
     and market clearing of the autarky certificate."""
     t0 = time.perf_counter()
+    alloc_step, simplex_resolution = 0.125, 8
     toy = radner_toy()
     assoc = to_abstract_economy(toy, PriceSimplex(toy.bundle_dim,
                                                   simplex_resolution))

@@ -20,7 +20,7 @@ def report(name: str, ok: bool) -> None:
 
 def test_first_example_golden_under_one_second():
     t0 = time.perf_counter()
-    rep = suites.golden_example_2_1(step=1 / 64, eps_list=(0.1, 0.5, 1.0))
+    rep = suites.golden_example_2_1(step=1 / 64)
     elapsed = time.perf_counter() - t0
     ok = rep.passed and elapsed < 1.0
     report("dilated-clip values and their usc on the first bundled map", ok)
@@ -29,14 +29,14 @@ def test_first_example_golden_under_one_second():
 
 
 def test_second_example_golden():
-    rep = suites.golden_example_2_2(step=1 / 64, eps_list=(0.5, 2.5))
+    rep = suites.golden_example_2_2(step=1 / 64)
     report("dual-pair composite collapses to the constant {2}", rep.passed)
     assert rep.passed, [r.property_name for r in rep.walk() if not r.passed]
 
 
 def test_equilibrium_example_golden_under_ten_seconds():
     t0 = time.perf_counter()
-    rep = suites.golden_example_4_1(step=0.125, eps_list=(0.5, 2.0, 4.0))
+    rep = suites.golden_example_4_1(step=0.125)
     elapsed = time.perf_counter() - t0
     ok = rep.passed and elapsed < 10.0
     report("hypothesis check, certificate, and search on the bundled economy", ok)
@@ -45,7 +45,7 @@ def test_equilibrium_example_golden_under_ten_seconds():
 
 
 def test_chain_containment_suite():
-    rep = suites.lemma_2_2_suite(count=50, chain=(1.0, 0.5, 0.25, 0.125))
+    rep = suites.lemma_2_2_suite(chain=(1.0, 0.5, 0.25, 0.125))
     exact_builtins = all(c.parameters["radius"] == 0.0 for c in rep.children[:3])
     ok = rep.passed and exact_builtins
     report("chain intersections stay inside the adherent values (3 built-in "
@@ -55,7 +55,7 @@ def test_chain_containment_suite():
 
 
 def test_sum_intersection_usc_suite():
-    rep = suites.lemma_2_1_suite(count=20)
+    rep = suites.lemma_2_1_suite()
     report("clipped sums of 20 random usc maps stay usc", rep.passed)
     assert rep.passed, [r.property_name for r in rep.walk() if not r.passed]
 
@@ -102,7 +102,7 @@ def test_fixed_point_scheme_with_independent_oracle():
 
 
 def test_radner_pipeline():
-    rep = suites.radner_suite(alloc_step=0.125, simplex_resolution=8, tol=1e-9)
+    rep = suites.radner_suite(tol=1e-9)
     names = {c.property_name: c.passed for c in rep.children}
     ok = rep.passed and names["constraint-inclusion"] and names["certificates-clear"]
     report("information economy conversion: constraint inclusion and "

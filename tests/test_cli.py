@@ -185,6 +185,89 @@ def test_boolean_target_dim_is_input_error(runner, tmp_path):
     assert "'dim' must be a positive integer" in r.output
 
 
+def _nested_error(runner, tmp_path, command, source, edit, path, extra=()):
+    """Run ``command`` on ``source`` after ``edit``; it must exit 2 with a
+    message naming ``path`` and no traceback."""
+    doc = json.loads(source.read_text()) if isinstance(source, Path) else source
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    r = invoke(runner, command, *extra, bad)
+    assert r.exit_code == 2, r.output
+    assert f"{path}: " in r.output, r.output
+    assert "Traceback" not in r.output
+
+
+def _drop(*keys):
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        del doc[keys[-1]]
+    return edit
+
+
+def _set(value, *keys):
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return edit
+
+
+def _widen_first_region(doc):
+    region = doc["pieces"][0]["region"]
+    region.append(region[0])
+
+
+@pytest.mark.parametrize("edit,path", [
+    (_drop("agents", 0, "d"), "agents[0].d"),
+    (_drop("agents", 0, "a"), "agents[0].a"),
+    (_drop("agents", 1, "p"), "agents[1].p"),
+    (_drop("agents", 1, "b"), "agents[1].b"),
+    (_set(True, "agents", 0, "d", "dim"), "agents[0].d"),
+    (lambda doc: _widen_first_region(doc["agents"][0]["a"]), "agents[0].a"),
+], ids=["no-d", "no-a", "no-p", "no-b", "bad-d-dim", "a-region-dim"])
+def test_economy_document_errors_name_the_field(runner, tmp_path, edit, path):
+    _nested_error(runner, tmp_path, "find-equilibria", EXAMPLES / "ex4_1_n2.econ", edit, path)
+
+
+@pytest.mark.parametrize("edit,path", [
+    (_drop("t1"), "pair.t1"),
+    (_drop("t2"), "pair.t2"),
+    (_drop("d"), "pair.d"),
+    (lambda doc: _widen_first_region(doc["t2"]), "pair.t2"),
+], ids=["no-t1", "no-t2", "no-d", "t2-region-dim"])
+def test_pair_document_errors_name_the_field(runner, tmp_path, edit, path):
+    _nested_error(runner, tmp_path, "check-map", EXAMPLES / "ex2_2.pair", edit, path,
+                  ("--property", "dual"))
+
+
+@pytest.mark.parametrize("edit,path", [
+    (lambda doc: doc["factors"].append(3), "product.factors[1]"),
+    (_set(None, "d_sets", 0), "product.d_sets[0]"),
+    (_set(True, "factors", 0, "codomain_dim"), "product.factors[0]"),
+], ids=["int-factor", "null-d-set", "bool-codomain"])
+def test_product_document_errors_name_the_field(runner, tmp_path, edit, path):
+    _nested_error(runner, tmp_path, "find-fixed-points", ProductMap.single(*ex2_1()).to_doc(),
+                  edit, path)
+
+
+@pytest.mark.parametrize("edit,path", [
+    (_set(3, "d"), "map.d"),
+    (_set([], "d", "boxes", 0), "map.d.boxes[0]"),
+], ids=["int-d", "empty-d-box"])
+def test_map_document_errors_name_the_field(runner, tmp_path, edit, path):
+    _nested_error(runner, tmp_path, "find-fixed-points", EXAMPLES / "ex2_1.map", edit, path)
+
+
+@pytest.mark.parametrize("edit,path", [
+    (_set(None, "preferences", 1), "preferences[1]"),
+    (lambda doc: _widen_first_region(doc["preferences"][0]), "preferences[0]"),
+], ids=["null-preference", "preference-region-dim"])
+def test_info_economy_document_errors_name_the_field(runner, tmp_path, edit, path):
+    _nested_error(runner, tmp_path, "build-radner", EXAMPLES / "radner_toy.econ", edit, path)
+
+
 @pytest.mark.parametrize("args", [
     ("find-fixed-points", "ex2_1.map", "--tol", "0.5"),
     ("find-fixed-points", "ex2_1.map", "--delta", "0.5"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from boxcorr import (AbstractEconomy, AgentSpec, BoxSet, FlaggedInterval, Grid,
@@ -15,6 +17,20 @@ from boxcorr.economy import _sets_condition
 from boxcorr.maps import DomainError
 
 I = FlaggedInterval
+
+
+def test_replaced_economy_derives_its_own_maps():
+    """An economy made by ``dataclasses.replace`` starts with no derived
+    maps: agent 0's new A and P, both the whole choice box, give a conflict
+    region that is the whole domain, not the original's."""
+    e = ex4_1(2)
+    before = e.conflict_region(0)
+    ag = e.agents[0]
+    whole = constant_map(e.domain, BoxSet.single(ag.x_box))
+    moved = dataclasses.replace(e, agents=(dataclasses.replace(ag, a_map=whole, p_map=whole),
+                                           *e.agents[1:]))
+    assert moved.conflict_region(0) == BoxSet.single(e.domain) != before
+    assert e.conflict_region(0) == before
 
 
 def one_agent(b_map, a_map=None, p_map=None, x_hi=2.0):

@@ -17,6 +17,7 @@ out equal.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -268,21 +269,23 @@ def seed_piece_spans(t, pts, values):
     return spans
 
 
-def assert_same_scan(t, grid, point_filter=None):
+def assert_same_scan(t, grid, within=None):
     """The walk equals the frozen lookup, and every report equals the full
     point-pair scan over the lookup's values (no center skipped, no cap), in
-    both directions, at one, two and three grid steps of delta and at tol=0."""
-    points, spans = _checks._closed_values(t, grid, point_filter)
-    pts, values, const_piece = seed_closed_values(t, grid, point_filter)
+    both directions, at one, two and three grid steps of delta and at tol=0.
+    The lookup reads a ``within`` box as the filter ``box_contains(within, p)``."""
+    points, spans = _checks._closed_values(t, grid, within)
+    pts, values, const_piece = seed_closed_values(
+        t, grid, None if within is None else lambda p: box_contains(within, p))
     records = {idx: (x, values[idx], const_piece[idx]) for idx, x in pts.items()}
     assert list(points.items()) == list(records.items())
     assert spans == seed_piece_spans(t, pts, values)
-    walk = [(idx, x) for idx, x, _ in _checks.grid_values((t,), grid, point_filter)]
+    walk = [(idx, x) for idx, x, _ in _checks.grid_values((t,), grid, within)]
     assert walk == sorted(pts.items())
     for opts in ({}, {"direction": "lsc"}, {"delta": 2 * grid.step},
                  {"direction": "lsc", "delta": 2 * grid.step}, {"delta": 3 * grid.step},
                  {"tol": 0.0}):
-        rep = check_usc(t, grid, point_filter=point_filter, **opts)
+        rep = check_usc(t, grid, within=within, **opts)
         delta = opts.get("delta", grid.step)
         radius = int(delta / grid.step + 1e-9)
         found = list(_checks._excess_witnesses(
@@ -534,16 +537,16 @@ def test_gallery_scans_match_oracle(name, t, d, other):
     step = 0.25 if t.domain_dim > 1 else 0.0625
     for m in (t, adherence(t_upper(t, 0.5, d))):
         assert_same_scan(m, _grid_over(m, step))
-        assert_same_scan(m, _grid_over(m, step), lambda p: sum(p) <= 1.5)
+        assert_same_scan(m, _grid_over(m, step), (I(0, 1.5, False, True),) * m.domain_dim)
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_random_scans_match_oracle(seed):
     for t, d, grid in random_cases(seed):
-        mid = sum(iv.lo + iv.hi for iv in t.domain) / 2
+        lower = tuple(I.closed(iv.lo, (iv.lo + iv.hi) / 2) for iv in t.domain)
         for m in (t, adherence(t_upper(t, 0.5, d))):
             assert_same_scan(m, grid)
-            assert_same_scan(m, grid, lambda p: sum(p) <= mid)
+            assert_same_scan(m, grid, lower)
 
 
 def test_scan_skips_grid_points_outside_the_domain():
@@ -641,6 +644,18 @@ def test_memo_is_not_part_of_map_equality():
     assert hash(t) == hash(_mixed_map())
 
 
+def test_replaced_map_starts_with_an_empty_memo():
+    """A copy made by ``dataclasses.replace`` values its own pieces: piece
+    1's value [1, 2) put on piece 0 is what the copy has at 0.5, not the
+    (0, 1) the original memoized there."""
+    t, _ = ex2_1()
+    assert t.evaluate((0.5,)) == BoxSet.of(1, [(I.open(0, 1),)])
+    moved = dataclasses.replace(t, pieces=(Piece(t.pieces[0].region, t.pieces[1].value),
+                                           t.pieces[1]))
+    assert moved.evaluate((0.5,)) == BoxSet.of(1, [(I(1, 2, True, False),)])
+    assert t.evaluate((0.5,)) == BoxSet.of(1, [(I.open(0, 1),)])
+
+
 # ---------------------------------------------------------------------------
 # Empty, affine and constant pieces side by side
 # ---------------------------------------------------------------------------
@@ -675,19 +690,20 @@ def _thin_map():
 
 
 @pytest.mark.parametrize("t,step,drop_affine,drop_empty", [
-    (_mixed_map(), 0.125, lambda p: not 1 <= p[0] <= 1.5, lambda p: p[0] <= 1.5),
-    (_square_map(), 0.25, lambda p: p[0] < 1 or p[1] > 1, lambda p: p[0] < 1 or p[1] <= 1),
-    (_thin_map(), 0.125, lambda p: p[0] < 1.5, lambda p: not 1 < p[0] < 1.5),
+    (_mixed_map(), 0.125, (I(0, 1, True, False),), (I.closed(0, 1.5),)),
+    (_square_map(), 0.25, (I.closed(0, 2), I(1, 2, False, True)),
+     (I.closed(0, 2), I.closed(0, 1))),
+    (_thin_map(), 0.125, (I(0, 1.5, True, False),), (I.closed(0, 1),)),
 ], ids=["line", "square", "thin"])
 def test_mixed_piece_scans_match_oracle(t, step, drop_affine, drop_empty):
     """Empty next to nonempty and affine next to constant pieces, a one-point
-    piece whose two sides are two grid steps apart, and filters that remove
-    every grid point of the affine or of the empty piece."""
+    piece whose two sides are two grid steps apart, and ``within`` boxes that
+    hold no grid point of the affine or of the empty piece."""
     grid = _grid_over(t, step)
     for m in (t, adherence(t), adherence(t_upper(t, 0.5, BoxSet.single((I.closed(0, 2),))))):
-        for point_filter in (None, drop_affine, drop_empty):
-            assert_same_scan(m, grid, point_filter)
-    for point_filter, piece in ((drop_affine, 1), (drop_empty, 2)):
-        kept = [x for x in grid.points() if point_filter(x)]
+        for within in (None, drop_affine, drop_empty):
+            assert_same_scan(m, grid, within)
+    for within, piece in ((drop_affine, 1), (drop_empty, 2)):
+        kept = [x for x in grid.points() if box_contains(within, x)]
         assert not any(box_contains(t.pieces[piece].region, x) for x in kept)
         assert any(box_contains(t.pieces[piece].region, x) for x in grid.points())

@@ -33,7 +33,9 @@ def richer_toy():
 # ---------------------------------------------------------------------------
 
 def associated(e, truncation=None):
-    return to_abstract_economy(e, PriceSimplex(e.bundle_dim, 8), truncation)
+    if truncation is None:
+        return to_abstract_economy(e, PriceSimplex(e.bundle_dim, 8))
+    return AssociatedEconomy(e, truncation, PriceSimplex(e.bundle_dim, 8))
 
 
 def two_state_economy(e0, signal="pooled"):
@@ -283,13 +285,19 @@ def test_associated_economy_validates_dimensions():
     with pytest.raises(ValueError):
         to_abstract_economy(e, PriceSimplex(4, 8))
     with pytest.raises(ValueError, match="truncation too small"):
-        to_abstract_economy(e, PriceSimplex(3, 8), truncation=0.25)
+        AssociatedEconomy(e, 0.25, PriceSimplex(3, 8))
+
+
+def test_associated_economy_takes_the_economys_truncation_or_the_default():
+    assert to_abstract_economy(toy(), PriceSimplex(3, 8)).truncation == 2.0
+    wide = dataclasses.replace(richer_toy(), truncation=None)
+    assert to_abstract_economy(wide, PriceSimplex(3, 8)).truncation == 2.0 * 1.9
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2", True])
 def test_truncation_must_be_a_finite_number(bad):
     with pytest.raises(ValueError, match="truncation must be a finite number"):
-        to_abstract_economy(toy(), PriceSimplex(3, 8), truncation=bad)
+        AssociatedEconomy(toy(), bad, PriceSimplex(3, 8))
     with pytest.raises(ValueError, match="truncation must be a finite number"):
         associated(dataclasses.replace(toy(), truncation=bad))
 

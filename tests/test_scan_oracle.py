@@ -156,7 +156,12 @@ def seed_check_usc(t, grid, delta=None, tol=1e-9, point_filter=None,
 
 
 def assert_same_report(t, grid, **kwargs):
+    """``check_usc`` equals the oracle, which reads a ``within`` box as the
+    point filter ``box_contains(within, p)``."""
     got = check_usc(t, grid, **kwargs)
+    within = kwargs.pop("within", None)
+    if within is not None:
+        kwargs["point_filter"] = lambda p: box_contains(within, p)
     want = seed_check_usc(t, grid, **kwargs)
     assert got.property_name == want.property_name
     assert got.verdict == want.verdict
@@ -170,10 +175,11 @@ def assert_same_report(t, grid, **kwargs):
 
 def _variants(grid):
     """Both directions at one, two and three grid steps of delta, tol=0, and
-    a point filter."""
+    the ``within`` box (0, 1.5] on every axis, which drops the grid points
+    at 0 and beyond 1.5."""
     return [{}, {"direction": "lsc"}, {"delta": 2 * grid.step},
             {"direction": "lsc", "delta": 2 * grid.step}, {"delta": 3 * grid.step},
-            {"tol": 0.0}, {"point_filter": lambda p: sum(p) <= 1.5}]
+            {"tol": 0.0}, {"within": (FlaggedInterval(0.0, 1.5, False, True),) * grid.dim}]
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +384,28 @@ def _held_pieces(t, grid):
     return [p for p in t.pieces if any(box_contains(p.region, x) for x in grid.points())]
 
 
+def _box_without(region):
+    """A box in [0, 2]^2 that holds no point of ``region``: the longer side
+    of [0, 2] beyond the region's first interval, times [0, 2]."""
+    iv = region[0]
+    if iv.lo >= 2.0 - iv.hi:
+        return (FlaggedInterval(0.0, iv.lo, True, not iv.lo_closed), FlaggedInterval.closed(0, 2))
+    return (FlaggedInterval(iv.hi, 2.0, not iv.hi_closed, True), FlaggedInterval.closed(0, 2))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_piece_pair_maps_match_oracle(seed):
     t = piece_pair_map(seed)
     grid = PIECE_PAIR_GRID
     for opts in _variants(grid) + [{"direction": "lsc", "delta": 3 * grid.step, "tol": 0.0}]:
         assert_same_report(t, grid, **opts)
-    # every grid point of one nonempty piece filtered out
+    # every grid point of one nonempty piece left outside the box
     region = next(p.region for p in _held_pieces(t, grid) if p.value)
+    within = _box_without(region)
+    kept = [x for x in grid.points() if box_contains(within, x)]
+    assert kept and not any(box_contains(region, x) for x in kept)
     for direction in ("usc", "lsc"):
-        assert_same_report(t, grid, direction=direction,
-                           point_filter=lambda x: not box_contains(region, x))
+        assert_same_report(t, grid, direction=direction, within=within)
 
 
 def test_piece_pair_maps_cover_every_piece_level_case():

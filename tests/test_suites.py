@@ -22,6 +22,7 @@ def test_golden_first_example_passes_and_refutes_base_usc():
     assert v["original-usc-refuted"] == "pass"
     assert v["t-upper-constant@eps=0.1"] == "pass"
     assert v["adherence-usc@eps=1"] == "pass"
+    assert rep.parameters["eps"] == [0.1, 0.5, 1.0]
 
 
 def test_golden_first_example_tracks_coarser_grid():
@@ -36,6 +37,7 @@ def test_golden_second_example_pre_adherence_hole():
     v = verdicts(rep)
     assert v["pre-adherence-at-1@eps=0.5"] == "pass"
     assert v["pre-adherence-at-1@eps=2.5"] == "pass"
+    assert rep.parameters["eps"] == [0.5, 2.5]
 
 
 def test_golden_equilibrium_example():
@@ -44,6 +46,7 @@ def test_golden_equilibrium_example():
     names = {r.property_name for r in rep.walk()}
     assert "equilibrium-at-known-point" in names
     assert "search-equilibria" in names
+    assert rep.parameters["eps"] == [0.5, 2.0, 4.0]
 
 
 def test_golden_selection_theorem():
@@ -60,27 +63,22 @@ def test_fixed_point_scheme_children():
 
 
 def test_sum_intersection_suite_deterministic():
-    a = suites.lemma_2_1_suite(count=6, seed=7)
-    b = suites.lemma_2_1_suite(count=6, seed=7)
+    a = suites.lemma_2_1_suite()
+    b = suites.lemma_2_1_suite()
     assert a.passed and b.passed
     assert verdicts(a) == verdicts(b)
-    assert len(a.children) == 12  # base-usc plus sum-clip-usc per map
-
-
-def test_sum_intersection_suite_seed_changes_instances():
-    a = suites.lemma_2_1_suite(count=4, seed=1)
-    b = suites.lemma_2_1_suite(count=4, seed=2)
-    pa = [c.parameters for c in a.children]
-    pb = [c.parameters for c in b.children]
-    assert pa != pb
+    assert [c.parameters for c in a.children] == [c.parameters for c in b.children]
+    assert len(a.children) == 40  # base-usc plus sum-clip-usc per map
+    assert (a.parameters["count"], a.parameters["seed"]) == (20, 20240815)
 
 
 def test_chain_containment_suite():
-    rep = suites.lemma_2_2_suite(count=10)
+    rep = suites.lemma_2_2_suite()
     assert rep.passed
+    assert (rep.parameters["count"], rep.parameters["seed"]) == (50, 20240815)
     names = [c.property_name for c in rep.children]
     assert names[:3] == ["builtin-first", "builtin-variant", "builtin-composite"]
-    assert len(names) == 13
+    assert len(names) == 53
     # built-ins run at radius zero, random instances at the surrogate radius
     for c in rep.children[:3]:
         assert c.parameters["radius"] == 0.0
@@ -148,6 +146,8 @@ def test_radner_pipeline_suite():
     names = [c.property_name for c in rep.children]
     assert names == ["constraint-inclusion", "certificates-clear",
                      "autarky-equilibrium"]
+    assert rep.parameters["alloc_step"] == 0.125
+    assert rep.parameters["simplex_resolution"] == 8
 
 
 def test_reproduce_paper_step_guard():

@@ -388,7 +388,7 @@ def test_empty_scan_passes_with_its_parameters():
     assert rep.witnesses == ()
     assert rep.parameters == params
     none = scan_points("none", *_line(2), lambda x, v: [Witness(x, None, 0.0, "hit")],
-                       point_filter=lambda p: False)
+                       within=(I.closed(5, 6),))
     assert none.parameters == {}
     assert none.verdict == PASS
 
@@ -411,16 +411,15 @@ def test_grid_values_in_lexicographic_order_inside_the_domain():
     assert [pieces for _, _, pieces in got] == [(1,), (1,), (0,)] * 2
 
 
-def test_grid_values_applies_the_point_filter():
+def test_grid_values_keeps_the_points_within_the_box():
     t = _open_edged_square()
     grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
-    assert [x for _, x, _ in grid_values((t,), grid, lambda p: p[1] > 0)] == [
+    above = (I.closed(0, 1), I(0, 1, False, True))
+    assert [x for _, x, _ in grid_values((t,), grid, above)] == [
         (0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)]
-    # the filter removes every point of piece 0, and sees only in-domain points
-    seen = []
-    got = list(grid_values((t,), grid, lambda p: seen.append(p) or p[1] <= 0.5))
+    # the box holds no point of piece 0
+    got = list(grid_values((t,), grid, (I.closed(0, 1), I.closed(0, 0.5))))
     assert {pieces for _, _, pieces in got} == {(1,)}
-    assert seen == [x for _, x, _ in grid_values((t,), grid)]
 
 
 def test_grid_values_raises_outside_a_later_domain():
@@ -430,7 +429,7 @@ def test_grid_values_raises_outside_a_later_domain():
     assert [p for _, _, p in grid_values((lower, t), grid)] == [(0, 1), (0, 1)] * 2
     with pytest.raises(DomainError, match=r"\(0\.5, 1\.0\)"):
         list(grid_values((t, lower), grid))
-    assert len(list(grid_values((t, lower), grid, lambda p: p[1] <= 0.5))) == 4
+    assert len(list(grid_values((t, lower), grid, (I.closed(0, 1), I.closed(0, 0.5))))) == 4
 
 
 def test_grid_values_rejects_a_grid_of_another_dimension():
