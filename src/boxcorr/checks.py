@@ -3,9 +3,19 @@
 A pass certifies the property at the stated resolution only; a fail carries
 concrete witnesses.  Every report embeds the full parameterization (grid
 step, delta, tol, the modulus slope) so results are reproducible.
+
+The grid scans read the maps piece by piece. ``grid_values`` walks the
+grid points with the piece of each map that holds them; ``grid_cells``
+groups those points into cells that lie on one piece of each map. A probe
+that reads only the maps' values runs on ``scan_values``, once per tuple
+of constant pieces and per point only where a piece is affine or the
+tuple fails. A probe that reads the point itself runs on ``scan_points``
+at every point, and ``check_usc`` compares neighbouring points, deciding
+pairs of constant pieces once.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -68,6 +78,27 @@ def combine_reports(property_name: str, children: Sequence[CheckReport],
 # Grid scans
 # ---------------------------------------------------------------------------
 
+def _index_ranges(box: Box, axes: Sequence[Sequence[float]]) -> list[range]:
+    """Per axis, the grid indices whose axis value the box's interval contains.
+
+    Axis values increase, so those indices are one contiguous range, found
+    by bisection with the interval's flags deciding each end.
+    """
+    out = []
+    for iv, ax in zip(box, axes):
+        start = (bisect.bisect_left if iv.lo_closed else bisect.bisect_right)(ax, iv.lo)
+        stop = (bisect.bisect_right if iv.hi_closed else bisect.bisect_left)(ax, iv.hi)
+        out.append(range(start, max(start, stop)))
+    return out
+
+
+def _piece_ranges(t: PiecewiseMap, axes: Sequence[Sequence[float]]) -> list[list[range]]:
+    """``_index_ranges`` of each piece region of ``t``, in piece order."""
+    if t.domain_dim != len(axes):
+        raise DimensionMismatchError(f"point of dim {len(axes)} vs box of dim {t.domain_dim}")
+    return [_index_ranges(piece.region, axes) for piece in t.pieces]
+
+
 def grid_values(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = None):
     """``(index, point, pieces)`` for the grid points in ``maps[0]``'s domain
     and in the box ``within``, if given, in lexicographic order;
@@ -82,12 +113,9 @@ def grid_values(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = N
     strides = [math.prod(map(len, axes[d + 1:])) for d in range(grid.dim)]
     slots = []
     for t in maps:
-        if t.domain_dim != grid.dim:
-            raise DimensionMismatchError(f"point of dim {grid.dim} vs box of dim {t.domain_dim}")
         slot: list[int | None] = [None] * math.prod(map(len, axes))
-        for i, piece in enumerate(t.pieces):
-            own = [[k * stride for k, v in enumerate(ax) if iv.contains(v)]
-                   for ax, iv, stride in zip(axes, piece.region, strides)]
+        for i, ranges in enumerate(_piece_ranges(t, axes)):
+            own = [[k * stride for k in r] for r, stride in zip(ranges, strides)]
             for offsets in itertools.product(*own):
                 slot[sum(offsets)] = i
         slots.append(slot)
@@ -100,6 +128,54 @@ def grid_values(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = N
         yield idx, x, pieces
 
 
+def grid_cells(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = None):
+    """``(cell, pieces)`` for the cells that partition the points of
+    ``grid_values(maps, grid, within)``, in cell order.
+
+    A cell is a tuple of grid index ranges, one per axis. Per axis, each
+    piece of each map holds a contiguous range of grid indices, and so does
+    the box ``within``; the cells are the common refinement of those ranges,
+    so every point of a cell lies on the same piece of each map, and
+    ``pieces[k]`` is that piece of ``maps[k]``. Cells outside ``maps[0]``'s
+    domain or outside ``within`` are skipped. Cell order is the
+    lexicographic order of the cells' first points, so a cell outside a
+    later map's domain raises the ``DomainError`` that ``grid_values``
+    raises, at the same first point.
+    """
+    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    if within is not None and len(within) != grid.dim:
+        raise DimensionMismatchError(f"point of dim {grid.dim} vs box of dim {len(within)}")
+    bounds = ([range(len(ax)) for ax in axes] if within is None
+              else _index_ranges(within, axes))
+    # the pieces holding a grid point, with their piece indices
+    held = [[(i, rs) for i, rs in enumerate(_piece_ranges(t, axes)) if all(rs)] for t in maps]
+    segments = []
+    for d, bound in enumerate(bounds):
+        cuts = {bound.start, bound.stop}
+        cuts.update(e for ranges in held for _, rs in ranges for e in (rs[d].start, rs[d].stop)
+                    if bound.start < e < bound.stop)
+        segments.append([range(a, b) for a, b in itertools.pairwise(sorted(cuts))])
+    starts = [[seg.start for seg in segs] for segs in segments]
+    strides = [math.prod(map(len, segments[d + 1:])) for d in range(grid.dim)]
+    slots = []
+    for ranges in held:
+        slot: list[int | None] = [None] * math.prod(map(len, segments))
+        for i, rs in ranges:
+            own = [[k * stride for k in range(bisect.bisect_left(st, r.start),
+                                              bisect.bisect_left(st, r.stop))]
+                   for r, st, stride in zip(rs, starts, strides)]
+            for offsets in itertools.product(*own):
+                slot[sum(offsets)] = i
+        slots.append(slot)
+    for cell, pieces in zip(itertools.product(*segments), zip(*slots)):
+        if pieces[0] is None:
+            continue
+        if None in pieces:
+            x = tuple(ax[r.start] for ax, r in zip(axes, cell))
+            raise DomainError(f"point {x} outside map domain")
+        yield cell, pieces
+
+
 def scan_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
                 probe: Callable[..., Iterable[Witness]], parameters: dict | None = None,
                 within: Box | None = None) -> CheckReport:
@@ -107,12 +183,54 @@ def scan_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
     some point of ``grid_values(maps, grid, within)``, where
     ``values[k]`` is the value of ``maps[k]`` at ``x``.
 
+    This is the scan for probes that read the point itself, such as a
+    block point tested against the value there: their answer can change
+    inside one piece, so they run at every point. A probe that reads only
+    the values runs on ``scan_values`` instead.
+
     The scan stops once ``_MAX_WITNESSES`` witnesses are found and keeps
     the first ``_MAX_WITNESSES`` in point order.
     """
     found = (probe(x, *(m.value_on(i, x) for m, i in zip(maps, pieces)))
              for _, x, pieces in grid_values(maps, grid, within))
     witnesses = tuple(itertools.islice(itertools.chain.from_iterable(found), _MAX_WITNESSES))
+    return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
+
+
+def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
+                probe: Callable[..., Iterable[tuple[float, str, str]]],
+                parameters: dict | None = None, within: Box | None = None) -> CheckReport:
+    """``scan_points`` for a probe that reads only the values: ``probe(*values)``
+    yields ``(excess, category, detail)`` triples, and each becomes the
+    witness ``Witness(x, None, excess, category, detail)`` at the point.
+
+    On a tuple of constant pieces the probe's answer is the same at every
+    point, so it runs once per distinct such tuple of ``grid_cells``, up to
+    its first triple. When every tuple passes and no cell lies on an affine
+    piece, the scan passes without visiting a point. Otherwise it walks
+    ``grid_values`` and probes each point whose tuple did not pass, so the
+    witnesses, their order and the ``_MAX_WITNESSES`` cap are those of
+    ``scan_points``. A point of ``maps[0]``'s domain outside a later map's
+    domain raises ``DomainError`` before any witness is kept.
+    """
+    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    passed: dict[tuple[int, ...], bool] = {}
+    affine = False
+    for cell, pieces in grid_cells(maps, grid, within):
+        if pieces in passed:
+            continue
+        if not all(m.pieces[i].is_constant for m, i in zip(maps, pieces)):
+            affine = True
+            continue
+        x = tuple(ax[r.start] for ax, r in zip(axes, cell))
+        values = (m.value_on(i, x) for m, i in zip(maps, pieces))
+        passed[pieces] = next(iter(probe(*values)), None) is None
+    witnesses = ()
+    if affine or not all(passed.values()):
+        found = (Witness(x, None, *w) for _, x, pieces in grid_values(maps, grid, within)
+                 if not passed.get(pieces)
+                 for w in probe(*(m.value_on(i, x) for m, i in zip(maps, pieces))))
+        witnesses = tuple(itertools.islice(found, _MAX_WITNESSES))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
 
@@ -136,7 +254,7 @@ def _closed_values(t: PiecewiseMap, grid: Grid, within: Box | None):
     value if it is constant, else ``None``. Only the piece-level pass of
     ``check_usc`` reads it, so it is empty when no piece is constant.
     """
-    constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
+    constant = [p.is_constant for p in t.pieces]
     members = [[] for _ in t.pieces] if any(constant) else None
     points, closed = {}, {}
     for idx, x, (i,) in grid_values((t,), grid, within):
@@ -414,24 +532,24 @@ def check_e_uscs(t: PiecewiseMap, k_region: Box, candidate: PiecewiseMap | None,
 
     usc_rep = check_usc(candidate, grid, delta, tol, k_region, property_name="selection-usc")
 
-    def nonconvex(x, _, value):
+    def nonconvex(_, value):
         n = len(value.boxes)
         if n != 1:
-            yield Witness(x, None, math.inf, "nonconvex", f"{n} canonical boxes")
+            yield math.inf, "nonconvex", f"{n} canonical boxes"
 
-    def escapes(x, target, value):
+    def escapes(target, value):
         if target.is_empty or not value.subset_within(target.dilate(eps), tol):
-            yield Witness(x, None, math.inf, "escapes dilation")
+            yield math.inf, "escapes dilation", ""
 
     def contains_base(x, _, value):
         if value.closure().contains(tuple(x[j] for j in block)):
             yield Witness(x, None, 0.0, "contains base point")
 
-    clauses = (("selection-convex", nonconvex, None),
-               ("selection-inside-dilation", escapes, {"eps": eps, "tol": tol}),
-               ("selection-avoids-base-point", contains_base, {"block": list(block)}))
-    children = [usc_rep] + [scan_points(name, (t, candidate), grid, probe, params, k_region)
-                            for name, probe, params in clauses]
+    clauses = (("selection-convex", scan_values, nonconvex, None),
+               ("selection-inside-dilation", scan_values, escapes, {"eps": eps, "tol": tol}),
+               ("selection-avoids-base-point", scan_points, contains_base, {"block": list(block)}))
+    children = [usc_rep] + [scan(name, (t, candidate), grid, probe, params, k_region)
+                            for name, scan, probe, params in clauses]
     rep = combine_reports(property_name, children, {
         "eps": eps, "candidate": "heuristic" if proposed else "supplied"})
     if proposed and rep.verdict == FAIL:

@@ -424,3 +424,7 @@ def cmd_reproduce_paper(step, eps_chain, tol, out, fmt):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _finish_report(rep, out, fmt)
+
+
+if __name__ == "__main__":
+    main()

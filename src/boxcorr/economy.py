@@ -33,6 +33,7 @@ from .checks import (
     combine_reports,
     grid_values,
     scan_points,
+    scan_values,
 )
 from .fixedpoint import check_grid_covers_targets
 from .intervals import (Box, BoxSet, Grid, box_closure, box_contains, box_intersect,
@@ -284,26 +285,26 @@ def _values_condition_4_1(e: AbstractEconomy, i: int, grid: Grid, name: str) -> 
     """Convex A/P values, nonempty convex B values, conflict inside B."""
     ag = e.agents[i]
 
-    def probe(x, aval, pval, bval, hval):
+    def probe(aval, pval, bval, hval):
         if not _convex(aval):
-            yield Witness(x, None, 0.0, "nonconvex", "constraint map value")
+            yield 0.0, "nonconvex", "constraint map value"
         if not _convex(pval):
-            yield Witness(x, None, 0.0, "nonconvex", "preference map value")
+            yield 0.0, "nonconvex", "preference map value"
         if bval.is_empty or not _convex(bval):
-            yield Witness(x, None, 0.0, "bad value", "second constraint map value")
+            yield 0.0, "bad value", "second constraint map value"
         if not hval.subset_within(bval, 0.0):
-            yield Witness(x, None, 0.0, "inclusion", "conflict value escapes B")
+            yield 0.0, "inclusion", "conflict value escapes B"
 
-    return scan_points(name, (ag.a_map, ag.p_map, ag.b_map, e.conflict_map(i)), grid, probe,
+    return scan_values(name, (ag.a_map, ag.p_map, ag.b_map, e.conflict_map(i)), grid, probe,
                        {"points_checked": grid.point_count()})
 
 
-def _value_shape(x, val):
-    """Probe: a witness wherever the value is empty or not one box."""
+def _value_shape(val):
+    """Value probe: a witness wherever the value is empty or not one box."""
     if val.is_empty:
-        yield Witness(x, None, math.inf, "empty value")
+        yield math.inf, "empty value", ""
     elif not _convex(val):
-        yield Witness(x, None, 0.0, "nonconvex")
+        yield 0.0, "nonconvex", ""
 
 
 def _irreflexive(e: AbstractEconomy, i: int, bar: PiecewiseMap, grid: Grid,
@@ -346,7 +347,7 @@ def _almost_w_usc_children(bars: Sequence[PiecewiseMap], eps_list: Sequence[floa
         children.append(check_usc(bar, grid, delta, tol,
                                   property_name=f"{label}.almost-w-usc@eps={eps:g}"))
         if require_nonempty_convex:
-            children.append(scan_points(f"{label}.values@eps={eps:g}", (bar,), grid,
+            children.append(scan_values(f"{label}.values@eps={eps:g}", (bar,), grid,
                                         _value_shape, {"eps": eps}))
     return children
 
@@ -412,15 +413,15 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         ag = e.agents[i]
         conds = [_sets_condition(e, i, f"agent{i}.cond1-sets")]
 
-        def values(x, pval, bval, hval):
+        def values(pval, bval, hval):
             if not pval.subset_within(ag.d_set, 0.0):
-                yield Witness(x, None, 0.0, "inclusion", "preference value escapes target set")
+                yield 0.0, "inclusion", "preference value escapes target set"
             if bval.is_empty:
-                yield Witness(x, None, math.inf, "empty value", "B empty")
+                yield math.inf, "empty value", "B empty"
             if not hval.subset_within(bval, 0.0):
-                yield Witness(x, None, 0.0, "inclusion", "conflict value escapes B")
+                yield 0.0, "inclusion", "conflict value escapes B"
 
-        conds.append(scan_points(f"agent{i}.cond2-values",
+        conds.append(scan_values(f"agent{i}.cond2-values",
                                  (ag.p_map, ag.b_map, e.conflict_map(i)), grid, values))
 
         conds.append(_openness_condition(e, i, f"agent{i}.cond3-open-conflict-region"))
@@ -443,7 +444,7 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         for eps, b_bar in zip(eps_list, b_bars):
             t_iv = intersect_maps(t_upper(ag.a_map, eps, ag.d_set), ag.p_map)
             pairs = ((f"agent{i}.t-iv", adherence(t_iv)), (f"agent{i}.b-v", b_bar))
-            c5_children += [scan_points(f"{label}@eps={eps:g}", (bar,), grid, _value_shape,
+            c5_children += [scan_values(f"{label}@eps={eps:g}", (bar,), grid, _value_shape,
                                         {"eps": eps})
                             for label, bar in pairs]
         conds.append(combine_reports(f"agent{i}.cond5-approx-values", c5_children))
@@ -480,7 +481,7 @@ def check_theorem_4_3_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         b_closed = closure_values(ag.b_map)
         conds.append(combine_reports(f"agent{i}.cond2-cl-b", [
             check_usc(b_closed, grid, delta, tol, property_name=f"agent{i}.cl-b-usc"),
-            scan_points(f"agent{i}.cl-b-values", (b_closed,), grid, _value_shape),
+            scan_values(f"agent{i}.cl-b-values", (b_closed,), grid, _value_shape),
         ]))
 
         conds.append(_openness_condition(e, i, f"agent{i}.cond3-open-conflict-region"))

@@ -65,6 +65,12 @@ class Piece:
     region: Box
     value: PieceValue
 
+    @property
+    def is_constant(self) -> bool:
+        """Every endpoint of the value is constant (the empty value included),
+        so the piece has one value on its whole region."""
+        return all(ai.is_constant for b in self.value for ai in b)
+
 
 def normalize_value(boxes: Iterable[AffineBox], domain_dim: int) -> PieceValue:
     """Dedupe and order a union of affine boxes; constant unions are canonicalized."""
@@ -148,10 +154,10 @@ class PiecewiseMap:
         hit = self._constant_values.get(i)
         if hit is not None:
             return hit
-        value = self.pieces[i].value
+        piece = self.pieces[i]
         out = BoxSet.of(self.codomain_dim,
-                        [inst for b in value if (inst := instantiate_box(b, x)) is not None])
-        if all(ai.is_constant for b in value for ai in b):
+                        [inst for b in piece.value if (inst := instantiate_box(b, x)) is not None])
+        if piece.is_constant:
             self._constant_values[i] = out
         return out
 
@@ -403,8 +409,7 @@ def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
             if overlap is None:
                 continue
             # a value that cannot depend on the atom: one signature for the part
-            shared = (not pa.value or not pb.value
-                      or all(ai.is_constant for v in pa.value + pb.value for ai in v))
+            shared = not pa.value or not pb.value or (pa.is_constant and pb.is_constant)
             parts.append((overlap, (pa, pb, shared)))
             for ba in pa.value:
                 for bb in pb.value:

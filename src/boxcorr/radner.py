@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from . import io as _io
+from .affine import instantiate_box
 from .checks import FAIL, PASS, CheckReport, Witness, combine_reports
 from .intervals import Box, BoxSet, FlaggedInterval, box_intersect
 from .maps import PiecewiseMap
@@ -285,11 +286,22 @@ class AssociatedEconomy:
 
     def conflict_empty(self, i: int, allocation: Sequence[Sequence[float]],
                        p: tuple[float, ...]) -> bool:
-        """Exactly decides budget cap preferred cap measurable = empty."""
+        """Exactly decides budget cap preferred cap measurable = empty.
+
+        The test is exact per box of the preferred value, and the conflict
+        set of a union is the union of the boxes' conflict sets, so it reads
+        the preference piece's value boxes as instantiated at the allocation,
+        without canonicalizing their union.
+        """
         wealth = _dot(p, self.info.endowments[i])
         groups = self.info.coordinate_groups(i, p)
         consumption = (FlaggedInterval.closed(0.0, self.truncation),) * self.info.bundle_dim
-        for b in self.preferred_value(i, allocation).boxes:
+        flat = tuple(c for b in allocation for c in b)
+        _, piece = self.info.preferences[i].piece_at(flat)
+        for value_box in piece.value:
+            b = instantiate_box(value_box, flat)
+            if b is None:
+                continue
             clipped = box_intersect(b, consumption)
             if clipped is None:
                 continue

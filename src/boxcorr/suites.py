@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .affine import AffForm, AffineInterval
 from .checks import (FAIL, PASS, CheckReport, Witness, check_usc, combine_reports,
-                     grid_values, scan_points)
+                     grid_values, scan_values)
 from .economy import (check_theorem_4_1_hypotheses, check_theorem_4_3_hypotheses,
                       search_equilibria, verify_equilibrium)
 from .fixedpoint import ProductMap, intersect_qv_chain
@@ -45,12 +45,12 @@ def _constant_target(v: float) -> BoxSet:
 
 
 def _value_scan(t: PiecewiseMap, grid: Grid, target: BoxSet, name: str) -> CheckReport:
-    def probe(x, got):
+    def probe(got):
         if got != target:
             ex = math.inf if got.is_empty else got.hausdorff_upper(target)
-            yield Witness(x, None, ex, "value differs from the stated one")
+            yield ex, "value differs from the stated one", ""
 
-    rep = scan_points(name, (t,), grid, probe, {"grid_points": grid.point_count()})
+    rep = scan_values(name, (t,), grid, probe, {"grid_points": grid.point_count()})
     return dataclasses.replace(rep, witnesses=rep.witnesses[:8])
 
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import boxcorr
 from boxcorr import BoxSet, FlaggedInterval, InfoEconomy, Piece, PiecewiseMap, constant_map
 from boxcorr import io
 from boxcorr.cli import main
@@ -229,6 +233,23 @@ def _widen_first_region(doc):
 ], ids=["no-d", "no-a", "no-p", "no-b", "bad-d-dim", "a-region-dim"])
 def test_economy_document_errors_name_the_field(runner, tmp_path, edit, path):
     _nested_error(runner, tmp_path, "find-equilibria", EXAMPLES / "ex4_1_n2.econ", edit, path)
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    """``python -m boxcorr.cli`` reaches ``main``: an economy without agent
+    0's ``d`` exits 2 with the field in the message."""
+    doc = json.loads((EXAMPLES / "ex4_1_n2.econ").read_text())
+    _drop("agents", 0, "d")(doc)
+    bad = tmp_path / "no_agent_d.econ"
+    bad.write_text(json.dumps(doc))
+    src = str(Path(boxcorr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    r = subprocess.run([sys.executable, "-m", "boxcorr.cli", "find-equilibria", str(bad)],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "agents[0].d: " in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("edit,path", [

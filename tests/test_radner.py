@@ -874,6 +874,16 @@ def below_zero_economy():
     return constant_preference_economy("revealing", [(c(-1, 0.25), c(1.5, 2), c(1.5, 2))])
 
 
+def overlapping_boxes_economy():
+    """Revealing signals and a value of two overlapping boxes, which
+    canonicalization splits into disjoint ones."""
+    c = FlaggedInterval.closed
+    return constant_preference_economy("revealing", [
+        (c(0, 1), c(0.5, 1.5), c(1, 2)),
+        (c(0.5, 1.5), c(0, 1), c(1.5, 2)),
+    ])
+
+
 def test_clause_3_passes_when_only_the_closure_is_affordable():
     assoc = closure_only_economy()
     cert = assoc.verify(assoc.info.endowments, (1 / 3,) * 3)
@@ -916,9 +926,10 @@ def test_clause_3_fails_exactly_when_the_certificate_has_a_nonempty_conflict():
 def test_conflict_empty_matches_membership_oracle():
     cases = [(assoc, x) for assoc in _economy_variants() if assoc.info.bundle_dim == 3
              for x in _test_allocations(assoc)]
+    overlapping = overlapping_boxes_economy()
     cases += [(assoc, assoc.info.endowments)
               for assoc in (closure_only_economy(), late_cheap_box_economy(),
-                            below_zero_economy())]
+                            below_zero_economy(), overlapping)]
     outcomes = set()
     for assoc, x in cases:
         for p in assoc.simplex.points():
@@ -927,6 +938,13 @@ def test_conflict_empty_matches_membership_oracle():
                 assert got == membership_conflict_empty(assoc, i, x, p), (x, p, i)
                 outcomes.add(got)
     assert outcomes == {True, False}
+    # conflict_empty reads the two raw boxes; the oracle reads their
+    # canonical union, which splits them, and both outcomes occur
+    x = overlapping.info.endowments
+    assert len(overlapping.info.preferences[0].pieces[0].value) == 2
+    assert len(overlapping.preferred_value(0, x).boxes) > 2
+    assert {overlapping.conflict_empty(0, x, p) for p in overlapping.simplex.points()} == \
+        {True, False}
 
 
 # ---------------------------------------------------------------------------

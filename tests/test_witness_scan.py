@@ -9,10 +9,16 @@ loops the hypothesis checkers and ``check_e_uscs`` used before, each
 finding a point's value with ``evaluate``; they stay here as the oracle,
 and every report built on the helper must equal theirs, witness for
 witness, parameters included.
+
+Probes that read only values run on ``scan_values``, once per tuple of
+constant pieces of the cells ``grid_cells`` groups the points into. It is
+checked against ``scan_points`` running the same probe at every point, and
+``grid_cells`` against the points of ``grid_values``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -24,7 +30,9 @@ from boxcorr import (AffForm, AffineInterval, BoxSet, DomainError, FlaggedInterv
                      check_w_usc, closure_values, constant_map, intersect_maps, restrict,
                      t_upper)
 from boxcorr import checks as _checks
-from boxcorr.checks import FAIL, PASS, UNVERIFIED, Witness, grid_values, scan_points
+from boxcorr import economy as _economy
+from boxcorr.checks import (FAIL, PASS, UNVERIFIED, Witness, grid_cells, grid_values, scan_points,
+                            scan_values)
 from boxcorr.economy import (AbstractEconomy, AgentEvidence, AgentSpec, EquilibriumCertificate,
                              search_equilibria, verify_equilibrium)
 from boxcorr.fixedpoint import check_grid_covers_targets
@@ -439,6 +447,248 @@ def test_grid_values_rejects_a_grid_of_another_dimension():
         list(grid_values((t,), line))
     with pytest.raises(DimensionMismatchError):
         list(grid_values((t, *_line(2)[0]), Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)))
+
+
+# ---------------------------------------------------------------------------
+# grid_cells and scan_values against grid_values and scan_points
+# ---------------------------------------------------------------------------
+
+def cell_points(maps, grid, within=None):
+    """The ``(index, pieces)`` pairs of every cell of ``grid_cells``, cell by
+    cell, after checking that the cells come in the order of their first
+    points and that none is empty."""
+    out, firsts = [], []
+    for cell, pieces in grid_cells(maps, grid, within):
+        assert all(len(r) for r in cell)
+        firsts.append(tuple(r.start for r in cell))
+        out += [(idx, pieces) for idx in itertools.product(*cell)]
+    assert firsts == sorted(firsts)
+    return out
+
+
+def assert_cells_partition(maps, grid, within=None):
+    """The cells hold each point of ``grid_values`` once, on the same pieces."""
+    got = cell_points(maps, grid, within)
+    want = [(idx, pieces) for idx, _, pieces in grid_values(maps, grid, within)]
+    assert len(got) == len({idx for idx, _ in got})
+    assert sorted(got) == want
+    return got
+
+
+def _scan_maps():
+    """Map tuples of constant, empty and affine pieces, with the grids they
+    are scanned on: every agent's three maps and its conflict map."""
+    out = []
+    for e in [random_economy(seed) for seed in range(6)] + \
+             [mixed_economy(seed) for seed in range(6)]:
+        for i, ag in enumerate(e.agents):
+            out.append(((ag.a_map, ag.p_map, ag.b_map, e.conflict_map(i)), _grid_for(e)))
+    t = _two_rows()
+    out.append(((t, adherence(t)), Grid(2, (0.0, 0.0), (2.0, 2.0), 0.5)))
+    return out
+
+
+def _withins(dim):
+    """No box, a box of part of the domain, and a box holding no grid point."""
+    return (None, (I(0.25, 1.5, False, True),) + (I.closed(0.5, 2),) * (dim - 1),
+            (I(0.3, 0.4, True, True),) * dim)
+
+
+def test_grid_cells_partition_the_points_of_grid_values():
+    for maps, grid in _scan_maps():
+        for within in _withins(grid.dim):
+            assert_cells_partition(maps, grid, within)
+    t = _open_edged_square()
+    grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
+    assert_cells_partition((t,), grid)
+    assert list(grid_cells((t,), grid)) == [((range(1, 3), range(0, 2)), (1,)),
+                                            ((range(1, 3), range(2, 3)), (0,))]
+
+
+def test_grid_cells_refine_every_map_and_the_box():
+    """A cell per common piece range: two maps cut on different axes give
+    four cells, and a box cuts them again."""
+    rows = _two_rows()
+    dom = rows.domain
+    cols = PiecewiseMap(dom, 1, (Piece((I(1, 2, False, True), I.closed(0, 2)), _const(1.0, 2)),
+                                 Piece((I.closed(0, 1), I.closed(0, 2)), _const(0.0, 2))))
+    grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 0.5)
+    cells = list(grid_cells((rows, cols), grid))
+    assert cells == [((range(0, 3), range(0, 3)), (1, 1)), ((range(0, 3), range(3, 5)), (0, 1)),
+                     ((range(3, 5), range(0, 3)), (1, 0)), ((range(3, 5), range(3, 5)), (0, 0))]
+    within = (I.closed(0, 2), I(0.5, 2, False, True))
+    assert [cell for cell, _ in grid_cells((rows, cols), grid, within)] == [
+        (range(0, 3), range(2, 3)), (range(0, 3), range(3, 5)),
+        (range(3, 5), range(2, 3)), (range(3, 5), range(3, 5))]
+    assert_cells_partition((rows, cols), grid, within)
+
+
+def test_grid_cells_raise_at_the_first_point_outside_a_later_domain():
+    t = _open_edged_square()
+    grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
+    lower = restrict(t, (I(0, 1, False, True), I.closed(0, 0.5)))
+    assert_cells_partition((lower, t), grid)
+    with pytest.raises(DomainError, match=r"\(0\.5, 1\.0\)"):
+        list(grid_cells((t, lower), grid))
+    assert_cells_partition((t, lower), grid, (I.closed(0, 1), I.closed(0, 0.5)))
+    with pytest.raises(DimensionMismatchError):
+        list(grid_cells((t,), Grid(1, (0.0,), (1.0,), 0.5)))
+
+
+def _as_point_probe(value_probe):
+    """The ``scan_points`` probe that yields ``value_probe``'s triples as witnesses."""
+    def probe(x, *values):
+        return (Witness(x, None, *w) for w in value_probe(*values))
+    return probe
+
+
+def _shape(*values):
+    for k, v in enumerate(values):
+        if v.is_empty:
+            yield math.inf, "empty value", f"map {k}"
+        elif len(v.boxes) > 1:
+            yield 0.0, "nonconvex", f"map {k}"
+
+
+def _escapes_last(*values):
+    if not values[0].subset_within(values[-1], 0.0):
+        yield 0.0, "inclusion", "first value escapes the last"
+
+
+def _never(*values):
+    return ()
+
+
+def assert_same_value_scan(maps, grid, value_probe, within=None, parameters=None):
+    got = scan_values("scan", maps, grid, value_probe, parameters, within)
+    want = scan_points("scan", maps, grid, _as_point_probe(value_probe), parameters, within)
+    assert got == want
+    assert repr(got.witnesses) == repr(want.witnesses)
+    assert got.parameters == want.parameters
+    return got
+
+
+def test_scan_values_matches_scan_points():
+    verdicts = set()
+    capped = False
+    for maps, grid in _scan_maps():
+        for within in _withins(grid.dim):
+            for probe in (_shape, _escapes_last, _never):
+                rep = assert_same_value_scan(maps, grid, probe, within, {"eps": 0.5})
+                verdicts.add(rep.verdict)
+                capped |= len(rep.witnesses) == CAP
+    assert verdicts == {PASS, FAIL}
+    assert capped
+
+
+def test_scan_values_cap_can_fall_inside_one_point():
+    maps, grid = _line(20)
+    points = list(grid.points())
+
+    def three(v):
+        return [(float(j), "hit", "") for j in range(3)]
+
+    rep = assert_same_value_scan(maps, grid, three)
+    full, rest = divmod(CAP, 3)
+    assert rest
+    assert [w.excess for w in rep.witnesses[-rest:]] == [float(j) for j in range(rest)]
+    assert {w.point for w in rep.witnesses[-rest:]} == {points[full]}
+
+
+def test_scan_values_runs_a_generator_probe_lazily():
+    """One triple decides the piece tuple; the walk then reads up to the cap."""
+    seen = []
+
+    def probe(v):
+        for j in range(3):
+            seen.append(j)
+            yield float(j), "hit", ""
+
+    rep = scan_values("lazy", *_line(20), probe)
+    assert len(rep.witnesses) == CAP
+    assert len(seen) == 1 + CAP
+
+
+def test_scan_values_passes_constant_tuples_without_a_point_walk(monkeypatch):
+    t = _two_rows()
+    maps = (t, adherence(t), t)
+    grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 0.25)
+    calls = []
+
+    def probe(*values):
+        calls.append(values)
+        return ()
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("grid_values walked")
+
+    monkeypatch.setattr(_checks, "grid_values", no_walk)
+    rep = scan_values("clean", maps, grid, probe, {"eps": 1.0})
+    assert (rep.verdict, rep.witnesses, rep.parameters) == (PASS, (), {"eps": 1.0})
+    # the adherence adds the closed line x1 = 1 as a third piece
+    tuples = {pieces for _, pieces in grid_cells(maps, grid)}
+    assert len(calls) == len(tuples) == 3
+    assert set(calls) == {(t.evaluate(x), adherence(t).evaluate(x), t.evaluate(x))
+                          for x in grid.points()}
+
+
+def test_scan_values_raises_outside_a_later_domain():
+    """The DomainError at the first point outside a later map's domain is
+    raised with or without 32 witnesses before that point; ``scan_points``
+    raises it only when its cap does not stop the walk first."""
+    t = constant_map((I.closed(0, 99),), BoxSet.single((I.closed(0, 1),)))
+    lower = restrict(t, (I.closed(0, 50),))
+    grid = Grid(1, (0.0,), (99.0,), 1.0)
+    hit = lambda *v: [(0.0, "hit", "")]
+    for probe in (_never, hit):
+        with pytest.raises(DomainError, match=r"\(51\.0,\)"):
+            scan_values("late", (t, lower), grid, probe)
+    with pytest.raises(DomainError, match=r"\(51\.0,\)"):
+        scan_points("late", (t, lower), grid, _as_point_probe(_never))
+    assert len(scan_points("late", (t, lower), grid, _as_point_probe(hit)).witnesses) == CAP
+    # a box that keeps every point inside the later domain raises nothing
+    assert_same_value_scan((t, lower), grid, hit, (I.closed(0, 50),))
+    assert_same_value_scan((lower, t), grid, hit)
+
+
+def test_theorem_4_1_value_probes_run_once_per_constant_tuple(monkeypatch):
+    """On ex4_1(2) at step 1/16, each value-only probe of the 4.1 check runs
+    once per distinct tuple of constant pieces, and at each point of a cell
+    that holds an affine piece (the A and P maps have some)."""
+    e = ex4_1(2)
+    grid = Grid.over_box(e.domain, 1 / 16)
+    counts = {"calls": 0, "constant_tuples": 0, "affine_points": 0, "scans": 0, "points": 0}
+    real = _economy.scan_values
+
+    def counted(name, maps, grid, probe, parameters=None, within=None):
+        calls = []
+
+        def wrapped(*values):
+            calls.append(values)
+            return probe(*values)
+
+        rep = real(name, maps, grid, wrapped, parameters, within)
+        tuples, affine = set(), 0
+        for cell, pieces in grid_cells(maps, grid, within):
+            counts["points"] += math.prod(map(len, cell))
+            if all(m.pieces[i].is_constant for m, i in zip(maps, pieces)):
+                tuples.add(pieces)
+            else:
+                affine += math.prod(map(len, cell))
+        assert rep.verdict == PASS
+        assert len(calls) == len(tuples) + affine
+        counts["calls"] += len(calls)
+        counts["constant_tuples"] += len(tuples)
+        counts["affine_points"] += affine
+        counts["scans"] += 1
+        return rep
+
+    monkeypatch.setattr(_economy, "scan_values", counted)
+    rep = check_theorem_4_1_hypotheses(e, (0.5, 2.0, 4.0), grid)
+    assert rep.verdict == PASS
+    # a probe at every point, as scan_points runs it, makes 35,150 calls
+    assert counts == {"calls": 534, "constant_tuples": 22, "affine_points": 512, "scans": 14,
+                      "points": 35150}
 
 
 # ---------------------------------------------------------------------------
