@@ -6,12 +6,15 @@ step, delta, tol, the modulus slope) so results are reproducible.
 
 The grid scans read the maps piece by piece. ``grid_values`` walks the
 grid points with the piece of each map that holds them; ``grid_cells``
-groups those points into cells that lie on one piece of each map. A probe
-that reads only the maps' values runs on ``scan_values``, once per tuple
-of constant pieces and per point only where a piece is affine or the
-tuple fails. A probe that reads the point itself runs on ``scan_points``
-at every point, and ``check_usc`` compares neighbouring points, deciding
-pairs of constant pieces once.
+groups those points into cells that lie on one piece of each map. Each
+scan decides what it can per cell and walks ``grid_values`` only for the
+points that the cells leave open. A probe that reads only the maps'
+values runs on ``scan_values``, once per tuple of constant pieces and per
+point only where a piece is affine or the tuple fails. The block-point
+test runs on ``scan_block_points``, which probes a point only where a
+cell's value is affine or can hold the block point. ``check_usc``
+compares neighbouring points, deciding pairs of constant pieces once and
+building point records only near the pieces that stay undecided.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .intervals import Box, BoxSet, DimensionMismatchError, Grid, box_contains
+from .intervals import Box, BoxSet, DimensionMismatchError, Grid, box_closure, box_contains
 from .maps import (DomainError, PiecewiseMap, adherence, constant_map, intersect_maps,
                    t_upper)
 
@@ -176,42 +179,34 @@ def grid_cells(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = No
         yield cell, pieces
 
 
-def scan_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
-                probe: Callable[..., Iterable[Witness]], parameters: dict | None = None,
-                within: Box | None = None) -> CheckReport:
-    """Per-point verdict: fail iff ``probe(x, *values)`` yields a witness at
-    some point of ``grid_values(maps, grid, within)``, where
-    ``values[k]`` is the value of ``maps[k]`` at ``x``.
-
-    This is the scan for probes that read the point itself, such as a
-    block point tested against the value there: their answer can change
-    inside one piece, so they run at every point. A probe that reads only
-    the values runs on ``scan_values`` instead.
-
-    The scan stops once ``_MAX_WITNESSES`` witnesses are found and keeps
-    the first ``_MAX_WITNESSES`` in point order.
-    """
-    found = (probe(x, *(m.value_on(i, x) for m, i in zip(maps, pieces)))
-             for _, x, pieces in grid_values(maps, grid, within))
-    witnesses = tuple(itertools.islice(itertools.chain.from_iterable(found), _MAX_WITNESSES))
-    return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
+def _walk_undecided(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None,
+                    passed: dict, probe: Callable[..., Iterable[tuple[float, str, str]]]):
+    """The first ``_MAX_WITNESSES`` witnesses ``Witness(x, None, *w)``, in
+    point order, for the triples ``w`` of ``probe(x, *values)`` at the
+    points of ``grid_values(maps, grid, within)`` whose piece tuple is not
+    marked passed, where ``values[k]`` is the value of ``maps[k]`` at ``x``."""
+    found = (Witness(x, None, *w) for _, x, pieces in grid_values(maps, grid, within)
+             if not passed.get(pieces)
+             for w in probe(x, *(m.value_on(i, x) for m, i in zip(maps, pieces))))
+    return tuple(itertools.islice(found, _MAX_WITNESSES))
 
 
 def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
                 probe: Callable[..., Iterable[tuple[float, str, str]]],
                 parameters: dict | None = None, within: Box | None = None) -> CheckReport:
-    """``scan_points`` for a probe that reads only the values: ``probe(*values)``
-    yields ``(excess, category, detail)`` triples, and each becomes the
-    witness ``Witness(x, None, excess, category, detail)`` at the point.
+    """Per-point verdict for a probe that reads only the values: each
+    ``(excess, category, detail)`` triple of ``probe(*values)`` at a point
+    ``x`` of ``grid_values(maps, grid, within)`` is the witness
+    ``Witness(x, None, excess, category, detail)``.
 
     On a tuple of constant pieces the probe's answer is the same at every
     point, so it runs once per distinct such tuple of ``grid_cells``, up to
     its first triple. When every tuple passes and no cell lies on an affine
-    piece, the scan passes without visiting a point. Otherwise it walks
-    ``grid_values`` and probes each point whose tuple did not pass, so the
-    witnesses, their order and the ``_MAX_WITNESSES`` cap are those of
-    ``scan_points``. A point of ``maps[0]``'s domain outside a later map's
-    domain raises ``DomainError`` before any witness is kept.
+    piece, the scan passes without visiting a point. Otherwise
+    ``_walk_undecided`` probes each point whose tuple did not pass, so the
+    witnesses, their order and the ``_MAX_WITNESSES`` cap are those of a
+    probe at every point. A point of ``maps[0]``'s domain outside a later
+    map's domain raises ``DomainError`` before any witness is kept.
     """
     axes = [grid.axis_values(d) for d in range(grid.dim)]
     passed: dict[tuple[int, ...], bool] = {}
@@ -227,10 +222,77 @@ def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
         passed[pieces] = next(iter(probe(*values)), None) is None
     witnesses = ()
     if affine or not all(passed.values()):
-        found = (Witness(x, None, *w) for _, x, pieces in grid_values(maps, grid, within)
-                 if not passed.get(pieces)
-                 for w in probe(*(m.value_on(i, x) for m, i in zip(maps, pieces))))
-        witnesses = tuple(itertools.islice(found, _MAX_WITNESSES))
+        witnesses = _walk_undecided(maps, grid, within, passed,
+                                    lambda x, *values: probe(*values))
+    return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
+
+
+def _block_cells(maps: Sequence[PiecewiseMap], grid: Grid, block: Sequence[int],
+                 boxes: Callable[[BoxSet], list[Box]], within: Box | None) -> dict | None:
+    """Per piece tuple of ``grid_cells(maps, grid, within)``, whether no
+    block point of its cells lies in a box of ``boxes(value)``, ``value``
+    being the last map's.
+
+    On a constant last piece a box can hold a cell's block points only
+    where its ``_index_ranges`` on the block axes meet the cell's own
+    ranges there: the bisection reads the interval flags as
+    ``FlaggedInterval.contains`` does. An affine last piece, or a box of
+    another dimension than the block (whose probe raises), never passes.
+    On a ``DomainError``, or a block index outside the point, it returns
+    ``None``: the walk then raises the error where a probe at every point
+    does, unless the witness cap stops it first.
+    """
+    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    last = maps[-1]
+    try:
+        block_axes = [axes[j] for j in block]
+        cells = list(grid_cells(maps, grid, within))
+    except (DomainError, IndexError):
+        return None
+    passed: dict[tuple[int, ...], bool] = {}
+    for cell, pieces in cells:
+        i = pieces[-1]
+        if not passed.get(pieces, True) or not last.pieces[i].is_constant:
+            passed[pieces] = False
+            continue
+        x = tuple(ax[r.start] for ax, r in zip(axes, cell))
+        own = [cell[j] for j in block]
+        passed[pieces] = not any(
+            len(b) != len(block) or all(max(r.start, c.start) < min(r.stop, c.stop)
+                                        for r, c in zip(_index_ranges(b, block_axes), own))
+            for b in boxes(last.value_on(i, x)))
+    return passed
+
+
+def scan_block_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
+                      block: Sequence[int], category: str, detail: str = "",
+                      closure: bool = False, parameters: dict | None = None,
+                      within: Box | None = None) -> CheckReport:
+    """Per-point verdict: fail iff, at some point ``x`` of
+    ``grid_values(maps, grid, within)``, the block point
+    ``tuple(x[j] for j in block)`` lies in the value of ``maps[-1]`` at
+    ``x``, or in its closure when ``closure`` is set; each such point is
+    the witness ``Witness(x, None, 0.0, category, detail)``.
+
+    ``_block_cells`` decides each piece tuple from its cells' index ranges.
+    When no tuple is affine or may hit, the scan passes without visiting a
+    point; otherwise ``_walk_undecided`` probes the points of those tuples,
+    so the witnesses, the ``_MAX_WITNESSES`` cap and every exception are
+    those of the probe at every point.
+    """
+    def boxes(value: BoxSet) -> list[Box]:
+        # a union of closed boxes is the closure of the union: no canonical form needed
+        return [box_closure(b) for b in value.boxes] if closure else list(value.boxes)
+
+    def probe(x, *values):
+        point = tuple(x[j] for j in block)
+        if any(box_contains(b, point) for b in boxes(values[-1])):
+            yield 0.0, category, detail
+
+    passed = _block_cells(maps, grid, block, boxes, within)
+    witnesses = ()
+    if passed is None or not all(passed.values()):
+        witnesses = _walk_undecided(maps, grid, within, passed or {}, probe)
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
 
@@ -239,37 +301,51 @@ def _neighbor_offsets(dim: int, radius: int):
             if any(off)]
 
 
-def _closed_values(t: PiecewiseMap, grid: Grid, within: Box | None):
-    """The in-domain grid points in the box ``within``, each with its
-    closed value and constant piece, and the pieces those points lie on.
-
-    A piece whose affine endpoints are all constant (the empty value
-    included) has one value, which is closed once; points on affine pieces
-    are valued one by one and get ``None`` as their constant piece. The
-    first result maps each grid index to ``(point, closed value, constant
-    piece)``, in lexicographic order.
-
-    The second maps each piece holding a point to ``(lo, hi, value)``: the
-    least and greatest grid index per axis over its points, and its closed
-    value if it is constant, else ``None``. Only the piece-level pass of
-    ``check_usc`` reads it, so it is empty when no piece is constant.
+def _piece_spans(t: PiecewiseMap, grid: Grid, within: Box | None):
+    """One ``grid_cells`` pass over ``t``: each piece holding an in-domain
+    grid point in the box ``within`` mapped to ``(lo, hi, value)``, the
+    least and greatest grid index per axis over its points and its closed
+    value if it is constant, else ``None``; and the number of those points.
     """
-    constant = [p.is_constant for p in t.pieces]
-    members = [[] for _ in t.pieces] if any(constant) else None
-    points, closed = {}, {}
+    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    spans, count = {}, 0
+    for cell, (i,) in grid_cells((t,), grid, within):
+        count += math.prod(map(len, cell))
+        lo, hi = tuple(r.start for r in cell), tuple(r.stop - 1 for r in cell)
+        if i in spans:
+            plo, phi, value = spans[i]
+            lo, hi = tuple(map(min, plo, lo)), tuple(map(max, phi, hi))
+        elif t.pieces[i].is_constant:
+            value = t.value_on(i, tuple(ax[k] for ax, k in zip(axes, lo))).closure()
+        else:
+            value = None
+        spans[i] = (lo, hi, value)
+    return spans, count
+
+
+def _closed_values(t: PiecewiseMap, grid: Grid, within: Box | None, spans: dict,
+                   safe: set[int], radius: int) -> dict:
+    """The point records ``_excess_witnesses`` reads, in lexicographic
+    order: index to ``(point, closed value, constant piece)`` for each
+    in-domain grid point in the box ``within`` that lies within ``radius``
+    index steps, on every axis, of the span of a piece outside ``safe``.
+    Those are the centres the scan takes and their neighbours; when every
+    piece is safe there are none, and no point is visited. A constant
+    piece's value is the one ``spans`` closed once; points on affine
+    pieces are valued one by one, with piece ``None``.
+    """
+    near = [[range(l - radius, h + radius + 1) for l, h in zip(lo, hi)]
+            for i, (lo, hi, _) in spans.items() if i not in safe]
+    points = {}
+    if not near:
+        return points
     for idx, x, (i,) in grid_values((t,), grid, within):
-        if not constant[i] or i not in closed:
-            closed[i] = t.value_on(i, x).closure()
-        points[idx] = (x, closed[i], i if constant[i] else None)
-        if members is not None:
-            members[i].append(idx)
-    pieces = {}
-    for i, own in enumerate(members or ()):
-        if own:
-            axes = list(zip(*own))
-            pieces[i] = (tuple(map(min, axes)), tuple(map(max, axes)),
-                         closed[i] if constant[i] else None)
-    return points, pieces
+        # a point off the safe pieces lies in its own piece's span
+        if i in safe and not any(all(map(operator.contains, rs, idx)) for rs in near):
+            continue
+        value = spans[i][2]
+        points[idx] = (x, t.value_on(i, x).closure(), None) if value is None else (x, value, i)
+    return points
 
 
 def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
@@ -311,7 +387,8 @@ def _excess_witnesses(points: dict, offsets, bound: float, direction: str,
                       safe: set[int], piece_excess: dict):
     """Ordered-pair excess scan, yielding witnesses lazily; direction 'usc'
     compares T(x') against T(x). Centers are taken in the order of
-    ``points``, the records of ``_closed_values``, which is lexicographic.
+    ``points``, the records of ``_closed_values``, which is lexicographic;
+    a neighbour without a record is not compared.
 
     Centers on the constant pieces in ``safe`` are skipped: by
     ``_safe_pieces`` no neighbor pair of theirs yields a witness, so the
@@ -361,19 +438,23 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     of grid points: the neighbor radius is capped at the widest axis's
     point count minus one.
 
-    The scan works piece by piece: each piece's grid points are read off
-    its region, and a constant piece's value is evaluated and closed once.
-    Before any point is visited, each constant piece is decided against the
-    pieces that can hold its grid neighbors (``_safe_pieces``): it is safe
-    when, for each such piece, the compared pair has an empty source value,
-    or two constant values with a nonempty target and an excess of at most
-    the bound. Grid points on safe pieces are not scanned as centers; they
-    cannot yield a witness, so the witnesses, their order and the
-    truncation note are those of the full point-pair scan. The excess
-    between two constant pieces is computed once per oriented piece pair;
-    only pairs that touch an affine piece are compared point by point.
-    The scan keeps the first ``_MAX_WITNESSES`` witnesses and stops at the
-    next one, which adds the note "witness list truncated".
+    The scan works cell by cell. One ``grid_cells`` pass gives each
+    piece's index span (its least and greatest grid index per axis), each
+    constant piece's value, closed once, and ``points_checked``, the sum
+    of the cell sizes. Before any point is visited, each constant piece is
+    decided against the pieces that can hold its grid neighbors
+    (``_safe_pieces``): it is safe when, for each such piece, the compared
+    pair has an empty source value, or two constant values with a nonempty
+    target and an excess of at most the bound. Grid points on safe pieces
+    are not scanned as centers; they cannot yield a witness, so the
+    witnesses, their order and the truncation note are those of the full
+    point-pair scan. Point records are built only within the neighbor
+    radius of the span of an unsafe constant or an affine piece, the only
+    points the scan reads; when every piece is safe, no point is visited.
+    The excess between two constant pieces is computed once per oriented
+    piece pair; only pairs that touch an affine piece are compared point
+    by point. The scan keeps the first ``_MAX_WITNESSES`` witnesses and
+    stops at the next one, which adds the note "witness list truncated".
     """
     if delta is None:
         delta = grid.step
@@ -384,11 +465,12 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     # a longer offset reaches no grid point, and at this radius every piece
     # pair is already near in _safe_pieces, so the cap changes no result
     radius = min(radius, max(len(grid.axis_values(d)) for d in range(grid.dim)) - 1)
-    points, pieces = _closed_values(t, grid, within)
+    spans, points_checked = _piece_spans(t, grid, within)
     slope = t.max_slope()
     bound = tol + slope * delta
     piece_excess: dict[tuple[int, int], float] = {}
-    safe = _safe_pieces(pieces, radius, bound, direction, piece_excess)
+    safe = _safe_pieces(spans, radius, bound, direction, piece_excess)
+    points = _closed_values(t, grid, within, spans, safe, radius)
     found = _excess_witnesses(points, _neighbor_offsets(grid.dim, radius), bound, direction,
                               safe, piece_excess)
     witnesses = tuple(itertools.islice(found, _MAX_WITNESSES + 1))
@@ -406,7 +488,7 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
             "tol": tol,
             "modulus_slope": slope,
             "bound": bound,
-            "points_checked": len(points),
+            "points_checked": points_checked,
             "direction": direction,
         },
         tuple(notes),
@@ -541,15 +623,16 @@ def check_e_uscs(t: PiecewiseMap, k_region: Box, candidate: PiecewiseMap | None,
         if target.is_empty or not value.subset_within(target.dilate(eps), tol):
             yield math.inf, "escapes dilation", ""
 
-    def contains_base(x, _, value):
-        if value.closure().contains(tuple(x[j] for j in block)):
-            yield Witness(x, None, 0.0, "contains base point")
-
-    clauses = (("selection-convex", scan_values, nonconvex, None),
-               ("selection-inside-dilation", scan_values, escapes, {"eps": eps, "tol": tol}),
-               ("selection-avoids-base-point", scan_points, contains_base, {"block": list(block)}))
-    children = [usc_rep] + [scan(name, (t, candidate), grid, probe, params, k_region)
-                            for name, scan, probe, params in clauses]
+    maps = (t, candidate)
+    children = [
+        usc_rep,
+        scan_values("selection-convex", maps, grid, nonconvex, None, k_region),
+        scan_values("selection-inside-dilation", maps, grid, escapes, {"eps": eps, "tol": tol},
+                    k_region),
+        scan_block_points("selection-avoids-base-point", maps, grid, block,
+                          "contains base point", closure=True,
+                          parameters={"block": list(block)}, within=k_region),
+    ]
     rep = combine_reports(property_name, children, {
         "eps": eps, "candidate": "heuristic" if proposed else "supplied"})
     if proposed and rep.verdict == FAIL:

@@ -68,7 +68,9 @@ def _parse_eps(text: str) -> tuple[float, ...]:
         raise InputError(f"bad --eps-chain: {exc}") from exc
     if not all(math.isfinite(e) for e in eps):
         raise InputError("--eps-chain entries must be finite")
-    if not eps or any(e <= 0 for e in eps):
+    if not eps:
+        raise InputError("--eps-chain needs at least one radius")
+    if any(e <= 0 for e in eps):
         raise InputError("--eps-chain entries must be positive")
     return eps
 

@@ -32,7 +32,7 @@ from .checks import (
     check_usc,
     combine_reports,
     grid_values,
-    scan_points,
+    scan_block_points,
     scan_values,
 )
 from .fixedpoint import check_grid_covers_targets
@@ -310,13 +310,8 @@ def _value_shape(val):
 def _irreflexive(e: AbstractEconomy, i: int, bar: PiecewiseMap, grid: Grid,
                  what: str) -> CheckReport:
     """Condition 6: agent i's block point never lies in the value of ``bar``."""
-    blk = e.blocks[i]
-
-    def probe(x, val):
-        if val.contains(tuple(x[j] for j in blk)):
-            yield Witness(x, None, 0.0, "reflexive", f"block point inside adherent {what} value")
-
-    return scan_points(f"agent{i}.cond6-irreflexive", (bar,), grid, probe)
+    return scan_block_points(f"agent{i}.cond6-irreflexive", (bar,), grid, e.blocks[i],
+                             "reflexive", f"block point inside adherent {what} value")
 
 
 def _vacuous(i: int) -> CheckReport:

@@ -354,6 +354,19 @@ def test_eps_chain_must_be_finite(runner):
         assert "--eps-chain entries must be finite" in r.output
 
 
+def test_eps_chain_needs_an_entry(runner):
+    for chain in ("", ","):
+        r = invoke(runner, "check-map", "--property", "w-usc", "--eps-chain", chain,
+                   EXAMPLES / "ex2_1.map")
+        assert r.exit_code == 2
+        assert "--eps-chain needs at least one radius" in r.output
+        assert "Traceback" not in r.output
+    r = invoke(runner, "check-map", "--property", "w-usc", "--eps-chain", "0.5,-1",
+               EXAMPLES / "ex2_1.map")
+    assert r.exit_code == 2
+    assert "--eps-chain entries must be positive" in r.output
+
+
 def test_reproduce_paper_rejects_nan_tol(runner):
     r = invoke(runner, "reproduce-paper", "--tol", "nan")
     assert r.exit_code == 2

@@ -42,7 +42,7 @@ from boxcorr.maps import (_add_root_cut, _dilate_affine_box, _effective_sign,
                           normalize_value)
 
 from test_atom_grid import seed_merge_cells
-from test_scan_oracle import indexed_points
+from test_scan_oracle import assert_same_report, indexed_points
 
 I = FlaggedInterval
 
@@ -257,10 +257,8 @@ def seed_closed_values(t, grid, point_filter=None):
 
 def seed_piece_spans(t, pts, values):
     """Each piece's least and greatest grid index per axis over ``pts``, and
-    its closed value if it is constant; empty when no piece is constant."""
+    its closed value if it is constant, else ``None``."""
     constant = [all(ai.is_constant for b in p.value for ai in b) for p in t.pieces]
-    if not any(constant):
-        return {}
     spans = {}
     for idx, p in pts.items():
         i, _ = t.piece_at(p)
@@ -269,33 +267,73 @@ def seed_piece_spans(t, pts, values):
     return spans
 
 
-def assert_same_scan(t, grid, within=None):
-    """The walk equals the frozen lookup, and every report equals the full
-    point-pair scan over the lookup's values (no center skipped, no cap), in
-    both directions, at one, two and three grid steps of delta and at tol=0.
-    The lookup reads a ``within`` box as the filter ``box_contains(within, p)``."""
-    points, spans = _checks._closed_values(t, grid, within)
+def near_records(records, spans, safe, radius):
+    """The records within ``radius`` grid steps, on every axis, of the span
+    of a piece outside ``safe``: the centres and neighbours the USC scan reads."""
+    unsafe = [(lo, hi) for i, (lo, hi, _) in spans.items() if i not in safe]
+    return {idx: r for idx, r in records.items()
+            if any(all(l - radius <= k <= h + radius for k, l, h in zip(idx, lo, hi))
+                   for lo, hi in unsafe)}
+
+
+def built_records(opts, t, grid, within):
+    """``check_usc(t, grid, within=within, **opts)`` and the point records
+    it built, ``{}`` when it built none."""
+    built = []
+    real = _checks._closed_values
+
+    def recorded(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_checks, "_closed_values", recorded)
+        rep = check_usc(t, grid, within=within, **opts)
+    assert len(built) <= 1
+    return rep, built[0] if built else {}
+
+
+def assert_same_scan(t, grid, within=None, variants=None):
+    """The cell pass and the walk equal the frozen lookup, and every report
+    equals the full point-pair scan over the lookup's values (no center
+    skipped, no cap), in both directions, at one, two and three grid steps
+    of delta and at tol=0, or at the given ``check_usc`` option
+    ``variants``. The records a scan builds are the lookup's, restricted to
+    the points within the neighbor radius of an unsafe or affine piece. The
+    lookup reads a ``within`` box as the filter ``box_contains(within, p)``.
+
+    Returns ``(records built, points)`` per variant."""
+    spans, count = _checks._piece_spans(t, grid, within)
     pts, values, const_piece = seed_closed_values(
         t, grid, None if within is None else lambda p: box_contains(within, p))
     records = {idx: (x, values[idx], const_piece[idx]) for idx, x in pts.items()}
-    assert list(points.items()) == list(records.items())
     assert spans == seed_piece_spans(t, pts, values)
+    assert count == len(pts)
+    points = _checks._closed_values(t, grid, within, spans, set(), 1)
+    assert list(points.items()) == list(records.items())
     walk = [(idx, x) for idx, x, _ in _checks.grid_values((t,), grid, within)]
     assert walk == sorted(pts.items())
-    for opts in ({}, {"direction": "lsc"}, {"delta": 2 * grid.step},
-                 {"direction": "lsc", "delta": 2 * grid.step}, {"delta": 3 * grid.step},
-                 {"tol": 0.0}):
-        rep = check_usc(t, grid, within=within, **opts)
+    sizes = []
+    for opts in variants or ({}, {"direction": "lsc"}, {"delta": 2 * grid.step},
+                             {"direction": "lsc", "delta": 2 * grid.step},
+                             {"delta": 3 * grid.step}, {"tol": 0.0}):
+        rep, built = built_records(opts, t, grid, within)
         delta = opts.get("delta", grid.step)
         radius = int(delta / grid.step + 1e-9)
+        bound, direction = rep.parameters["bound"], opts.get("direction", "usc")
+        safe = _checks._safe_pieces(seed_piece_spans(t, pts, values), radius, bound, direction,
+                                    {})
+        want = near_records(records, spans, safe, radius)
+        assert list(built.items()) == list(want.items())
         found = list(_checks._excess_witnesses(
-            records, _checks._neighbor_offsets(grid.dim, radius),
-            rep.parameters["bound"], opts.get("direction", "usc"), set(), {}))
+            records, _checks._neighbor_offsets(grid.dim, radius), bound, direction, set(), {}))
         witnesses = tuple(found[:_checks._MAX_WITNESSES])
         assert rep.witnesses == witnesses
         assert repr(rep.witnesses) == repr(witnesses)
         assert ("witness list truncated" in rep.notes) == (len(found) > _checks._MAX_WITNESSES)
         assert rep.parameters["points_checked"] == len(pts)
+        sizes.append((len(built), len(pts)))
+    return sizes
 
 
 def assert_same_map(got, want):
@@ -707,3 +745,74 @@ def test_mixed_piece_scans_match_oracle(t, step, drop_affine, drop_empty):
         kept = [x for x in grid.points() if box_contains(within, x)]
         assert not any(box_contains(t.pieces[piece].region, x) for x in kept)
         assert any(box_contains(t.pieces[piece].region, x) for x in grid.points())
+
+
+# ---------------------------------------------------------------------------
+# Point records only near unsafe and affine pieces
+# ---------------------------------------------------------------------------
+
+STRIP_GRID = Grid(2, (0.0, 0.0), (6.0, 1.0), 0.25)
+_STRIP_REGIONS = (I(0, 1.5, True, False), I(1.5, 3, True, False), I.point(3),
+                  I(3, 4.5, False, True), I(4.5, 6, False, True))
+
+
+def _strip_value(kind):
+    def const(lo, hi):
+        return ((AffineInterval(AffForm.constant(lo, 2), AffForm.constant(hi, 2)),),)
+
+    ramp = AffForm(0.0, (0.25, 0.0))
+    return {"base": const(0, 1), "wider": const(0, 2), "narrower": const(0.25, 1), "empty": (),
+            "ramp": ((AffineInterval(ramp, ramp.shift(1.0)),),)}[kind]
+
+
+def strip_map(kind, k):
+    """[0, 6] x [0, 1] in five strips along axis 0, the middle one the line
+    x0 = 3. Every strip has the value [0, 1] but strip ``k``, whose value is
+    of the given kind: wider, narrower, empty or an affine ramp."""
+    return PiecewiseMap((I.closed(0, 6), I.closed(0, 1)), 1, tuple(
+        Piece((r, I.closed(0, 1)), _strip_value(kind if j == k else "base"))
+        for j, r in enumerate(_STRIP_REGIONS)))
+
+
+def _strip_variants(step):
+    return [{"delta": r * step, "direction": d, **tol}
+            for r in (1, 2, 3) for d in ("usc", "lsc") for tol in ({}, {"tol": 0.0})]
+
+
+@pytest.mark.parametrize("kind", ["wider", "narrower", "empty", "ramp"])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_records_near_one_unsafe_or_affine_strip_match_oracle(kind, k):
+    """One unsafe constant or affine strip among safe ones, at radius 1 to
+    3, in both directions, at tol=0 and within boxes: the reports equal the
+    point-pair oracle's, and the records are the frozen lookup's near the
+    unsafe and affine strips. A box without the odd strip leaves every
+    strip safe, and the scan then builds no record."""
+    t = strip_map(kind, k)
+    grid = STRIP_GRID
+    variants = _strip_variants(grid.step)
+    odd = _STRIP_REGIONS[k]
+    withins = [None, (I(0.5, 5, False, True), I.closed(0, 1)),
+               (I(odd.hi, 6, False, True) if k < 4 else I(0, odd.lo, True, False),
+                I.closed(0, 1))]
+    sizes = []
+    for within in withins:
+        for opts in variants:
+            assert_same_report(t, grid, within=within, **opts)
+        sizes += assert_same_scan(t, grid, within, variants)
+    assert any(0 < built < points for built, points in sizes)
+    # the last box holds no point of the odd strip
+    assert all(built == 0 < points for built, points in sizes[-len(variants):])
+
+
+def test_all_safe_pieces_build_no_record_and_walk_no_point(monkeypatch):
+    t = strip_map("base", 0)
+    grid = STRIP_GRID
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("grid_values walked")
+
+    monkeypatch.setattr(_checks, "grid_values", no_walk)
+    for opts in _strip_variants(grid.step):
+        rep = check_usc(t, grid, **opts)
+        assert rep.passed
+        assert rep.parameters["points_checked"] == grid.point_count()

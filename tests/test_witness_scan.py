@@ -1,19 +1,22 @@
-"""The shared witness scan against frozen copies of the per-point loops it replaced.
+"""The witness scans against frozen copies of the per-point loops they replaced.
 
-``scan_points`` is the one loop behind every per-point verdict: it walks
-the grid points ``grid_values`` reads off the maps' pieces, in order,
-collects the witnesses each probe yields from the point and the maps'
-values there, stops once ``_MAX_WITNESSES`` are found and keeps the first
-``_MAX_WITNESSES``. The ``seed_*`` functions below are the hand-written
-loops the hypothesis checkers and ``check_e_uscs`` used before, each
-finding a point's value with ``evaluate``; they stay here as the oracle,
-and every report built on the helper must equal theirs, witness for
-witness, parameters included.
+``seed_scan_points`` is the frozen per-point scan: it walks the grid
+points ``grid_values`` reads off the maps' pieces, in order, collects the
+witnesses a probe yields from the point and the maps' values there,
+stops once ``_MAX_WITNESSES`` are found and keeps the first
+``_MAX_WITNESSES``. The other ``seed_*`` functions below are the
+hand-written loops the hypothesis checkers and ``check_e_uscs`` used
+before, each finding a point's value with ``evaluate``; they stay here as
+the oracle, and every report must equal theirs, witness for witness,
+parameters included.
 
-Probes that read only values run on ``scan_values``, once per tuple of
-constant pieces of the cells ``grid_cells`` groups the points into. It is
-checked against ``scan_points`` running the same probe at every point, and
-``grid_cells`` against the points of ``grid_values``.
+The scans decide per cell of ``grid_cells`` first. Probes that read only
+values run on ``scan_values``, once per tuple of constant pieces; the
+block-point test runs on ``scan_block_points``, which probes only the
+points of affine tuples and of tuples whose value can hold the block
+point. Both are checked against ``seed_scan_points`` running the same
+probe at every point, and ``grid_cells`` against the points of
+``grid_values``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from boxcorr import (AffForm, AffineInterval, BoxSet, DomainError, FlaggedInterv
                      t_upper)
 from boxcorr import checks as _checks
 from boxcorr import economy as _economy
-from boxcorr.checks import (FAIL, PASS, UNVERIFIED, Witness, grid_cells, grid_values, scan_points,
-                            scan_values)
+from boxcorr.checks import (FAIL, PASS, UNVERIFIED, CheckReport, Witness, grid_cells, grid_values,
+                            scan_block_points, scan_values)
 from boxcorr.economy import (AbstractEconomy, AgentEvidence, AgentSpec, EquilibriumCertificate,
                              search_equilibria, verify_equilibrium)
 from boxcorr.fixedpoint import check_grid_covers_targets
@@ -50,6 +53,16 @@ CAP = _checks._MAX_WITNESSES
 # ---------------------------------------------------------------------------
 # Each returns the witness list as the loop built it, before any slicing,
 # so a test can see where the cap fell.
+
+def seed_scan_points(name, maps, grid, probe, parameters=None, within=None):
+    """Fail iff ``probe(x, *values)`` yields a witness at some point of
+    ``grid_values(maps, grid, within)``, where ``values[k]`` is the value
+    of ``maps[k]`` at ``x``; stops at ``CAP`` witnesses."""
+    found = (probe(x, *(m.value_on(i, x) for m, i in zip(maps, pieces)))
+             for _, x, pieces in grid_values(maps, grid, within))
+    witnesses = tuple(itertools.islice(itertools.chain.from_iterable(found), CAP))
+    return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
+
 
 def _convex(bs):
     return len(bs.boxes) <= 1
@@ -301,7 +314,7 @@ def _capped_mid_point(raw):
 
 
 # ---------------------------------------------------------------------------
-# scan_points and grid_values
+# seed_scan_points and grid_values
 # ---------------------------------------------------------------------------
 
 def _line(n):
@@ -334,7 +347,7 @@ def _two_rows():
 def test_witnesses_come_in_point_order():
     t = _two_rows()
     grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 1.0)
-    rep = scan_points("order", (t,), grid,
+    rep = seed_scan_points("order", (t,), grid,
                       lambda x, v: [Witness(x, None, v.boxes[0][0].lo, "hit")])
     assert [w.point for w in rep.witnesses] == list(grid.points())
     assert [w.excess for w in rep.witnesses] == [float(x[1] > 1) for x in grid.points()]
@@ -346,7 +359,7 @@ def test_probe_gets_one_value_per_map():
     t = _two_rows()
     grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 1.0)
     seen = []
-    scan_points("values", (t, adherence(t), t), grid, lambda x, *v: seen.append((x, v)) or ())
+    seed_scan_points("values", (t, adherence(t), t), grid, lambda x, *v: seen.append((x, v)) or ())
     assert [x for x, _ in seen] == list(grid.points())
     for x, values in seen:
         assert values == (t.evaluate(x), adherence(t).evaluate(x), t.evaluate(x))
@@ -356,7 +369,7 @@ def test_cap_keeps_the_first_witnesses_and_stops_early():
     maps, grid = _line(100)
     points = list(grid.points())
     probe, calls = _counting(lambda x, v: [Witness(x, None, 0.0, "hit")] if x[0] >= 10 else [])
-    rep = scan_points("cap", maps, grid, probe)
+    rep = seed_scan_points("cap", maps, grid, probe)
     assert len(rep.witnesses) == CAP
     assert [w.point for w in rep.witnesses] == points[10:10 + CAP]
     # the scan stops at the point that brings the count to the cap
@@ -368,7 +381,7 @@ def test_cap_can_fall_inside_one_point():
     points = list(grid.points())
     probe, calls = _counting(
         lambda x, v: [Witness(x, None, float(j), "hit") for j in range(3)])
-    rep = scan_points("mid", maps, grid, probe)
+    rep = seed_scan_points("mid", maps, grid, probe)
     full, rest = divmod(CAP, 3)
     assert rest, "the cap must not be a multiple of the per-point count"
     assert len(rep.witnesses) == CAP
@@ -385,17 +398,17 @@ def test_generator_probe_is_not_run_past_the_cap():
             seen.append((x, j))
             yield Witness(x, None, float(j), "hit")
 
-    scan_points("lazy", *_line(20), probe)
+    seed_scan_points("lazy", *_line(20), probe)
     assert len(seen) == CAP
 
 
 def test_empty_scan_passes_with_its_parameters():
     params = {"eps": 0.5, "tol": 1e-9}
-    rep = scan_points("clean", *_line(2), lambda x, v: (), params)
+    rep = seed_scan_points("clean", *_line(2), lambda x, v: (), params)
     assert rep.verdict == PASS
     assert rep.witnesses == ()
     assert rep.parameters == params
-    none = scan_points("none", *_line(2), lambda x, v: [Witness(x, None, 0.0, "hit")],
+    none = seed_scan_points("none", *_line(2), lambda x, v: [Witness(x, None, 0.0, "hit")],
                        within=(I.closed(5, 6),))
     assert none.parameters == {}
     assert none.verdict == PASS
@@ -450,7 +463,7 @@ def test_grid_values_rejects_a_grid_of_another_dimension():
 
 
 # ---------------------------------------------------------------------------
-# grid_cells and scan_values against grid_values and scan_points
+# grid_cells and scan_values against grid_values and seed_scan_points
 # ---------------------------------------------------------------------------
 
 def cell_points(maps, grid, within=None):
@@ -536,7 +549,7 @@ def test_grid_cells_raise_at_the_first_point_outside_a_later_domain():
 
 
 def _as_point_probe(value_probe):
-    """The ``scan_points`` probe that yields ``value_probe``'s triples as witnesses."""
+    """The ``seed_scan_points`` probe that yields ``value_probe``'s triples as witnesses."""
     def probe(x, *values):
         return (Witness(x, None, *w) for w in value_probe(*values))
     return probe
@@ -561,7 +574,7 @@ def _never(*values):
 
 def assert_same_value_scan(maps, grid, value_probe, within=None, parameters=None):
     got = scan_values("scan", maps, grid, value_probe, parameters, within)
-    want = scan_points("scan", maps, grid, _as_point_probe(value_probe), parameters, within)
+    want = seed_scan_points("scan", maps, grid, _as_point_probe(value_probe), parameters, within)
     assert got == want
     assert repr(got.witnesses) == repr(want.witnesses)
     assert got.parameters == want.parameters
@@ -634,7 +647,7 @@ def test_scan_values_passes_constant_tuples_without_a_point_walk(monkeypatch):
 
 def test_scan_values_raises_outside_a_later_domain():
     """The DomainError at the first point outside a later map's domain is
-    raised with or without 32 witnesses before that point; ``scan_points``
+    raised with or without 32 witnesses before that point; ``seed_scan_points``
     raises it only when its cap does not stop the walk first."""
     t = constant_map((I.closed(0, 99),), BoxSet.single((I.closed(0, 1),)))
     lower = restrict(t, (I.closed(0, 50),))
@@ -644,8 +657,8 @@ def test_scan_values_raises_outside_a_later_domain():
         with pytest.raises(DomainError, match=r"\(51\.0,\)"):
             scan_values("late", (t, lower), grid, probe)
     with pytest.raises(DomainError, match=r"\(51\.0,\)"):
-        scan_points("late", (t, lower), grid, _as_point_probe(_never))
-    assert len(scan_points("late", (t, lower), grid, _as_point_probe(hit)).witnesses) == CAP
+        seed_scan_points("late", (t, lower), grid, _as_point_probe(_never))
+    assert len(seed_scan_points("late", (t, lower), grid, _as_point_probe(hit)).witnesses) == CAP
     # a box that keeps every point inside the later domain raises nothing
     assert_same_value_scan((t, lower), grid, hit, (I.closed(0, 50),))
     assert_same_value_scan((lower, t), grid, hit)
@@ -686,9 +699,232 @@ def test_theorem_4_1_value_probes_run_once_per_constant_tuple(monkeypatch):
     monkeypatch.setattr(_economy, "scan_values", counted)
     rep = check_theorem_4_1_hypotheses(e, (0.5, 2.0, 4.0), grid)
     assert rep.verdict == PASS
-    # a probe at every point, as scan_points runs it, makes 35,150 calls
+    # a probe at every point, as seed_scan_points runs it, makes 35,150 calls
     assert counts == {"calls": 534, "constant_tuples": 22, "affine_points": 512, "scans": 14,
                       "points": 35150}
+
+
+# ---------------------------------------------------------------------------
+# scan_block_points against seed_scan_points
+# ---------------------------------------------------------------------------
+
+def seed_block_probe(block, closure):
+    """The per-point probe of ``_irreflexive`` (``closure`` unset) and of
+    ``check_e_uscs``' ``contains_base`` (set), with the witness of both."""
+    def probe(x, *values):
+        value = values[-1].closure() if closure else values[-1]
+        if value.contains(tuple(x[j] for j in block)):
+            yield Witness(x, None, 0.0, "hit", "block point inside")
+    return probe
+
+
+def _outcome(scan):
+    try:
+        return scan()
+    except Exception as exc:  # the two scans must raise alike
+        return type(exc), str(exc)
+
+
+def assert_same_block_scan(maps, grid, block, closure=False, within=None):
+    """The block scan equals the frozen per-point scan, witness for witness,
+    or raises the same error type with the same message."""
+    params = {"block": list(block)}
+    got = _outcome(lambda: scan_block_points("blk", maps, grid, block, "hit",
+                                             "block point inside", closure, params, within))
+    want = _outcome(lambda: seed_scan_points("blk", maps, grid, seed_block_probe(block, closure),
+                                             params, within))
+    assert got == want
+    if isinstance(want, CheckReport):
+        assert repr(got.witnesses) == repr(want.witnesses)
+        assert got.parameters == want.parameters
+    return got
+
+
+def _box_map(dom, *boxes):
+    """A one-piece constant map on ``dom`` whose value is the union of the
+    given one-axis flagged intervals."""
+    dd = len(dom)
+    value = tuple((AffineInterval(AffForm.constant(iv.lo, dd), AffForm.constant(iv.hi, dd),
+                                  iv.lo_closed, iv.hi_closed),) for iv in boxes)
+    return PiecewiseMap(dom, 1, (Piece(dom, value),))
+
+
+def _count_block_probes(monkeypatch):
+    """Count the points the skip-walk probes, block scans and value scans alike."""
+    probed = [0]
+    real = _checks._walk_undecided
+
+    def counted(maps, grid, within, passed, probe):
+        def wrapped(x, *values):
+            probed[0] += 1
+            return probe(x, *values)
+        return real(maps, grid, within, passed, wrapped)
+
+    monkeypatch.setattr(_checks, "_walk_undecided", counted)
+    return probed
+
+
+def test_block_scan_matches_seed_scan_on_the_scan_maps():
+    """Empty, constant and affine last values, blocks on either axis, with
+    and without closure and within boxes, over the seeded economies' maps."""
+    verdicts, capped = set(), False
+    for maps, grid in _scan_maps():
+        for within in _withins(grid.dim):
+            for block in {(0,), (grid.dim - 1,)}:
+                for closure in (False, True):
+                    rep = assert_same_block_scan(maps, grid, block, closure, within)
+                    verdicts.add(rep.verdict)
+                    capped |= len(rep.witnesses) == CAP
+    assert verdicts == {PASS, FAIL}
+    assert capped
+
+
+def test_block_scan_on_a_value_that_meets_part_of_a_cell(monkeypatch):
+    """[0.5, 1.25] holds the block points of part of the one cell, on
+    either block axis; [3, 4] holds none and no point is probed."""
+    dom = (I.closed(0, 2), I.closed(0, 2))
+    grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 0.25)
+    probed = _count_block_probes(monkeypatch)
+    for block in ((0,), (1,)):
+        rep = assert_same_block_scan((_box_map(dom, I.closed(0.5, 1.25)),), grid, block)
+        axis = [x[block[0]] for x in grid.points()]
+        assert [w.point for w in rep.witnesses] == [
+            x for x, v in zip(grid.points(), axis) if 0.5 <= v <= 1.25][:CAP]
+    probed[0] = 0
+    rep = assert_same_block_scan((_box_map(dom, I.closed(3, 4)),), grid, (0,))
+    assert (rep.verdict, probed[0]) == (PASS, 0)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_block_scan_reads_a_face_on_a_grid_line(closed, monkeypatch):
+    """(0.5, 1] and [0.5, 1] with their face on the grid line 0.5, read with
+    and without closure; a value that touches the grid only through an open
+    face is decided from the cells alone."""
+    dom = (I.closed(0, 2),)
+    grid = Grid(1, (0.0,), (2.0,), 0.25)
+    t = _box_map(dom, I(0.5, 1, closed, True))
+    for closure in (False, True):
+        rep = assert_same_block_scan((t,), grid, (0,), closure)
+        first = rep.witnesses[0].point
+        assert first == ((0.5,) if closed or closure else (0.75,))
+    probed = _count_block_probes(monkeypatch)
+    between = _box_map(dom, I(0.5, 0.75, False, False))
+    assert assert_same_block_scan((between,), grid, (0,)).verdict == PASS
+    assert probed[0] == 0
+    assert assert_same_block_scan((between,), grid, (0,), closure=True).verdict == FAIL
+
+
+def test_block_scan_on_empty_and_affine_values(monkeypatch):
+    """An empty value passes without a probe; an affine piece is probed at
+    each of its points."""
+    dom = (I.closed(0, 2),)
+    grid = Grid(1, (0.0,), (2.0,), 0.25)
+    ramp = AffForm(0.0, (1.0,))
+    t = PiecewiseMap(dom, 1, (Piece((I(0, 1, True, False),), ()),
+                              Piece((I.closed(1, 2),), ((AffineInterval(ramp.shift(-0.25),
+                                                                        ramp),),))))
+    probed = _count_block_probes(monkeypatch)
+    rep = assert_same_block_scan((t,), grid, (0,))
+    assert [w.point for w in rep.witnesses] == [(1.0,), (1.25,), (1.5,), (1.75,), (2.0,)]
+    assert probed[0] == 5
+    probed[0] = 0
+    assert assert_same_block_scan((restrict(t, (I(0, 1, True, False),)),), grid,
+                                  (0,)).verdict == PASS
+    assert probed[0] == 0
+
+
+def test_block_scan_within_boxes():
+    dom = (I.closed(0, 2), I.closed(0, 2))
+    grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 0.25)
+    t = _box_map(dom, I.closed(0.5, 1.25), I(1.5, 2, False, True))
+    for within in _withins(2) + ((I.closed(0, 0.25), I.closed(0, 2)),):
+        for closure in (False, True):
+            assert_same_block_scan((t, t), grid, (0,), closure, within)
+
+
+def test_block_scan_cap_falls_mid_walk():
+    maps, grid = _line(100)
+    t = _box_map(maps[0].domain, I.closed(10, 99))
+    rep = assert_same_block_scan((t,), grid, (0,))
+    assert [w.point for w in rep.witnesses] == [(float(v),) for v in range(10, 10 + CAP)]
+
+
+def test_block_scan_raises_outside_a_later_domain():
+    """A later map with a smaller domain raises the DomainError at its first
+    point outside it, unless the cap stops the walk first, as the frozen
+    scan does."""
+    grid = Grid(1, (0.0,), (99.0,), 1.0)
+    t = _box_map((I.closed(0, 99),), I.closed(200, 300))
+    for value, raised in ((I.closed(200, 300), True), (I.closed(0, 99), False)):
+        lower = restrict(_box_map((I.closed(0, 99),), value), (I.closed(0, 50),))
+        got = assert_same_block_scan((t, lower), grid, (0,))
+        if raised:
+            assert got == (DomainError, "point (51.0,) outside map domain")
+        else:
+            assert len(got.witnesses) == CAP
+
+
+def test_block_scan_raises_on_a_block_of_the_wrong_length():
+    """A block longer than the value's dimension raises the frozen scan's
+    DimensionMismatchError at the first nonempty value, and passes where
+    every value is empty; an index outside the point raises its IndexError."""
+    dom = (I.closed(0, 2), I.closed(0, 2))
+    grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 0.5)
+    t = _box_map(dom, I.closed(5, 6))
+    got = assert_same_block_scan((t,), grid, (0, 1))
+    assert got == (DimensionMismatchError, "point of dim 2 vs box of dim 1")
+    assert assert_same_block_scan((t,), grid, (0, 1), closure=True) == got
+    assert assert_same_block_scan((_box_map(dom),), grid, (0, 1)).verdict == PASS
+    assert assert_same_block_scan((t,), grid, (2,))[0] is IndexError
+
+
+def test_check_counts_on_ex4_1(monkeypatch):
+    """On ex4_1(2) at step 1/16 with eps (0.5, 2, 4), the 4.1 check's 12
+    USC scans build no point record, and its block scans probe no point.
+    The 4.2 check's reflexive witnesses and unsafe USC pieces take the
+    point walks."""
+    e = ex4_1(2)
+    grid = Grid.over_box(e.domain, 1 / 16)
+    counts = {}
+    real_usc, real_closed = _checks.check_usc, _checks._closed_values
+
+    def usc(*args, **kwargs):
+        counts["usc"] += 1
+        rep = real_usc(*args, **kwargs)
+        counts["points"] += rep.parameters["points_checked"]
+        return rep
+
+    def closed(*args):
+        records = real_closed(*args)
+        counts["records"] += len(records)
+        return records
+
+    monkeypatch.setattr(_checks, "check_usc", usc)
+    monkeypatch.setattr(_economy, "check_usc", usc)
+    monkeypatch.setattr(_checks, "_closed_values", closed)
+    probed = _count_block_probes(monkeypatch)
+    real_block = _economy.scan_block_points
+
+    def block(*args, **kwargs):
+        before = probed[0]
+        rep = real_block(*args, **kwargs)
+        counts["block_probes"] += probed[0] - before
+        counts["reflexive"] += len(rep.witnesses)
+        return rep
+
+    monkeypatch.setattr(_economy, "scan_block_points", block)
+    got = {}
+    for name, check in (("4.1", check_theorem_4_1_hypotheses),
+                        ("4.2", check_theorem_4_2_hypotheses)):
+        counts.update(usc=0, points=0, records=0, block_probes=0, reflexive=0)
+        rep = check(e, (0.5, 2.0, 4.0), grid)
+        got[name] = (rep.verdict, dict(counts))
+    # a point record at every point, as check_usc built them before it read
+    # the cells, makes records equal to points: 26,700 and 28,818
+    assert got == {"4.1": (PASS, {"usc": 12, "points": 26700, "records": 0, "block_probes": 0,
+                                  "reflexive": 0}),
+                   "4.2": (FAIL, {"usc": 18, "points": 28818, "records": 1412,
+                                  "block_probes": 1168, "reflexive": 64})}
 
 
 # ---------------------------------------------------------------------------
