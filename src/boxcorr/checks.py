@@ -4,11 +4,12 @@ A pass certifies the property at the stated resolution only; a fail carries
 concrete witnesses.  Every report embeds the full parameterization (grid
 step, delta, tol, the modulus slope) so results are reproducible.
 
-The grid scans read the maps piece by piece. ``grid_values`` walks the
-grid points with the piece of each map that holds them; ``grid_cells``
-groups those points into cells that lie on one piece of each map. Each
-scan decides what it can per cell and walks ``grid_values`` only for the
-points that the cells leave open. A probe that reads only the maps'
+The grid scans read the maps piece by piece. ``GridCells`` builds, once
+per scan, the table of cells that lie on one piece of each map; its
+``cells`` walk yields each cell with those pieces, and its ``points`` walk
+yields the grid points in lexicographic order, each with its cell's
+pieces. Each scan decides what it can per cell and walks the points only
+where the cells leave it open. A probe that reads only the maps'
 values runs on ``scan_values``, once per tuple of constant pieces and per
 point only where a piece is affine or the tuple fails. The block-point
 test runs on ``scan_block_points``, which probes a point only where a
@@ -95,99 +96,93 @@ def _index_ranges(box: Box, axes: Sequence[Sequence[float]]) -> list[range]:
     return out
 
 
-def _piece_ranges(t: PiecewiseMap, axes: Sequence[Sequence[float]]) -> list[list[range]]:
-    """``_index_ranges`` of each piece region of ``t``, in piece order."""
-    if t.domain_dim != len(axes):
-        raise DimensionMismatchError(f"point of dim {len(axes)} vs box of dim {t.domain_dim}")
-    return [_index_ranges(piece.region, axes) for piece in t.pieces]
-
-
-def grid_values(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = None):
-    """``(index, point, pieces)`` for the grid points in ``maps[0]``'s domain
-    and in the box ``within``, if given, in lexicographic order;
-    ``pieces[k]`` is the piece of ``maps[k]`` holding the point, and a point
-    outside a later map's domain raises ``DomainError``.
-
-    Each map's pieces are walked once: per axis, a piece's grid indices are
-    the axis values its region's interval contains. The piece index goes
-    into one list slot per grid point, in row-major order.
-    """
-    axes = [grid.axis_values(d) for d in range(grid.dim)]
-    strides = [math.prod(map(len, axes[d + 1:])) for d in range(grid.dim)]
-    slots = []
-    for t in maps:
-        slot: list[int | None] = [None] * math.prod(map(len, axes))
-        for i, ranges in enumerate(_piece_ranges(t, axes)):
-            own = [[k * stride for k in r] for r, stride in zip(ranges, strides)]
-            for offsets in itertools.product(*own):
-                slot[sum(offsets)] = i
-        slots.append(slot)
-    indices = itertools.product(*(range(len(ax)) for ax in axes))
-    for idx, x, pieces in zip(indices, itertools.product(*axes), zip(*slots)):
-        if pieces[0] is None or (within is not None and not box_contains(within, x)):
-            continue
-        if None in pieces:
-            raise DomainError(f"point {x} outside map domain")
-        yield idx, x, pieces
-
-
-def grid_cells(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = None):
-    """``(cell, pieces)`` for the cells that partition the points of
-    ``grid_values(maps, grid, within)``, in cell order.
+class GridCells:
+    """The cells of ``grid`` on the pieces of ``maps``, and their points.
 
     A cell is a tuple of grid index ranges, one per axis. Per axis, each
     piece of each map holds a contiguous range of grid indices, and so does
     the box ``within``; the cells are the common refinement of those ranges,
-    so every point of a cell lies on the same piece of each map, and
-    ``pieces[k]`` is that piece of ``maps[k]``. Cells outside ``maps[0]``'s
-    domain or outside ``within`` are skipped. Cell order is the
-    lexicographic order of the cells' first points, so a cell outside a
-    later map's domain raises the ``DomainError`` that ``grid_values``
-    raises, at the same first point.
+    so every point of a cell lies on the same piece of each map. The table
+    of those pieces, one row per cell, is built once; ``cells`` and
+    ``points`` read it, skip what lies outside ``maps[0]``'s domain or
+    ``within``, and raise ``DomainError`` when they reach a point outside a
+    later map's domain.
     """
-    axes = [grid.axis_values(d) for d in range(grid.dim)]
-    if within is not None and len(within) != grid.dim:
-        raise DimensionMismatchError(f"point of dim {grid.dim} vs box of dim {len(within)}")
-    bounds = ([range(len(ax)) for ax in axes] if within is None
-              else _index_ranges(within, axes))
-    # the pieces holding a grid point, with their piece indices
-    held = [[(i, rs) for i, rs in enumerate(_piece_ranges(t, axes)) if all(rs)] for t in maps]
-    segments = []
-    for d, bound in enumerate(bounds):
-        cuts = {bound.start, bound.stop}
-        cuts.update(e for ranges in held for _, rs in ranges for e in (rs[d].start, rs[d].stop)
-                    if bound.start < e < bound.stop)
-        segments.append([range(a, b) for a, b in itertools.pairwise(sorted(cuts))])
-    starts = [[seg.start for seg in segs] for segs in segments]
-    strides = [math.prod(map(len, segments[d + 1:])) for d in range(grid.dim)]
-    slots = []
-    for ranges in held:
-        slot: list[int | None] = [None] * math.prod(map(len, segments))
-        for i, rs in ranges:
-            own = [[k * stride for k in range(bisect.bisect_left(st, r.start),
-                                              bisect.bisect_left(st, r.stop))]
-                   for r, st, stride in zip(rs, starts, strides)]
-            for offsets in itertools.product(*own):
-                slot[sum(offsets)] = i
-        slots.append(slot)
-    for cell, pieces in zip(itertools.product(*segments), zip(*slots)):
-        if pieces[0] is None:
-            continue
-        if None in pieces:
-            x = tuple(ax[r.start] for ax, r in zip(axes, cell))
-            raise DomainError(f"point {x} outside map domain")
-        yield cell, pieces
+
+    def __init__(self, maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = None):
+        self.maps = tuple(maps)
+        self.axes = axes = [grid.axis_values(d) for d in range(grid.dim)]
+        for box in [t.domain for t in maps] + ([] if within is None else [within]):
+            if len(box) != grid.dim:
+                raise DimensionMismatchError(f"point of dim {grid.dim} vs box of dim {len(box)}")
+        bounds = ([range(len(ax)) for ax in axes] if within is None
+                  else _index_ranges(within, axes))
+        # the pieces holding a grid point, with their piece indices
+        held = [[(i, rs) for i, rs in enumerate(_index_ranges(p.region, axes) for p in t.pieces)
+                 if all(rs)] for t in maps]
+        self.segments = segments = []
+        for d, bound in enumerate(bounds):
+            cuts = {bound.start, bound.stop}
+            cuts.update(e for ranges in held for _, rs in ranges for e in (rs[d].start, rs[d].stop)
+                        if bound.start < e < bound.stop)
+            segments.append([range(a, b) for a, b in itertools.pairwise(sorted(cuts))])
+        starts = [[seg.start for seg in segs] for segs in segments]
+        self.strides = [math.prod(map(len, segments[d + 1:])) for d in range(grid.dim)]
+        slots = []
+        for ranges in held:
+            slot: list[int | None] = [None] * math.prod(map(len, segments))
+            for i, rs in ranges:
+                own = [[k * stride for k in range(bisect.bisect_left(st, r.start),
+                                                  bisect.bisect_left(st, r.stop))]
+                       for r, st, stride in zip(rs, starts, self.strides)]
+                for offsets in itertools.product(*own):
+                    slot[sum(offsets)] = i
+            slots.append(slot)
+        self.rows = list(zip(*slots))
+
+    def first_point(self, cell: Sequence[range]) -> tuple[float, ...]:
+        return tuple(ax[r.start] for ax, r in zip(self.axes, cell))
+
+    def cells(self):
+        """``(cell, pieces)`` in the lexicographic order of the cells' first
+        points; ``pieces[k]`` is the piece of ``maps[k]`` holding the cell."""
+        for cell, pieces in zip(itertools.product(*self.segments), self.rows):
+            if pieces[0] is None:
+                continue
+            if None in pieces:
+                raise DomainError(f"point {self.first_point(cell)} outside map domain")
+            yield cell, pieces
+
+    def points(self):
+        """``(index, point, pieces)`` for the points of the cells, in
+        lexicographic order; ``pieces`` is the row of the point's cell.
+
+        Per axis, a point's grid index names its segment, so the row is the
+        sum over the axes of segment number times stride."""
+        indices = [[k for seg in segs for k in seg] for segs in self.segments]
+        offsets = [[s * stride for s, seg in enumerate(segs) for _ in seg]
+                   for segs, stride in zip(self.segments, self.strides)]
+        values = [[ax[k] for k in ks] for ax, ks in zip(self.axes, indices)]
+        rows = self.rows
+        for idx, x, offs in zip(itertools.product(*indices), itertools.product(*values),
+                                itertools.product(*offsets)):
+            pieces = rows[sum(offs)]
+            if pieces[0] is None:
+                continue
+            if None in pieces:
+                raise DomainError(f"point {x} outside map domain")
+            yield idx, x, pieces
 
 
-def _walk_undecided(maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None,
-                    passed: dict, probe: Callable[..., Iterable[tuple[float, str, str]]]):
+def _walk_undecided(cells: GridCells, passed: dict,
+                    probe: Callable[..., Iterable[tuple[float, str, str]]]):
     """The first ``_MAX_WITNESSES`` witnesses ``Witness(x, None, *w)``, in
     point order, for the triples ``w`` of ``probe(x, *values)`` at the
-    points of ``grid_values(maps, grid, within)`` whose piece tuple is not
-    marked passed, where ``values[k]`` is the value of ``maps[k]`` at ``x``."""
-    found = (Witness(x, None, *w) for _, x, pieces in grid_values(maps, grid, within)
+    points of ``cells`` whose piece tuple is not marked passed, where
+    ``values[k]`` is the value of ``cells.maps[k]`` at ``x``."""
+    found = (Witness(x, None, *w) for _, x, pieces in cells.points()
              if not passed.get(pieces)
-             for w in probe(x, *(m.value_on(i, x) for m, i in zip(maps, pieces))))
+             for w in probe(x, *(m.value_on(i, x) for m, i in zip(cells.maps, pieces))))
     return tuple(itertools.islice(found, _MAX_WITNESSES))
 
 
@@ -196,11 +191,11 @@ def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
                 parameters: dict | None = None, within: Box | None = None) -> CheckReport:
     """Per-point verdict for a probe that reads only the values: each
     ``(excess, category, detail)`` triple of ``probe(*values)`` at a point
-    ``x`` of ``grid_values(maps, grid, within)`` is the witness
+    ``x`` of ``GridCells(maps, grid, within).points()`` is the witness
     ``Witness(x, None, excess, category, detail)``.
 
     On a tuple of constant pieces the probe's answer is the same at every
-    point, so it runs once per distinct such tuple of ``grid_cells``, up to
+    point, so it runs once per distinct such tuple of the cells, up to
     its first triple. When every tuple passes and no cell lies on an affine
     piece, the scan passes without visiting a point. Otherwise
     ``_walk_undecided`` probes each point whose tuple did not pass, so the
@@ -208,30 +203,28 @@ def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
     probe at every point. A point of ``maps[0]``'s domain outside a later
     map's domain raises ``DomainError`` before any witness is kept.
     """
-    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    cells = GridCells(maps, grid, within)
     passed: dict[tuple[int, ...], bool] = {}
     affine = False
-    for cell, pieces in grid_cells(maps, grid, within):
+    for cell, pieces in cells.cells():
         if pieces in passed:
             continue
         if not all(m.pieces[i].is_constant for m, i in zip(maps, pieces)):
             affine = True
             continue
-        x = tuple(ax[r.start] for ax, r in zip(axes, cell))
+        x = cells.first_point(cell)
         values = (m.value_on(i, x) for m, i in zip(maps, pieces))
         passed[pieces] = next(iter(probe(*values)), None) is None
     witnesses = ()
     if affine or not all(passed.values()):
-        witnesses = _walk_undecided(maps, grid, within, passed,
-                                    lambda x, *values: probe(*values))
+        witnesses = _walk_undecided(cells, passed, lambda x, *values: probe(*values))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
 
-def _block_cells(maps: Sequence[PiecewiseMap], grid: Grid, block: Sequence[int],
-                 boxes: Callable[[BoxSet], list[Box]], within: Box | None) -> dict | None:
-    """Per piece tuple of ``grid_cells(maps, grid, within)``, whether no
-    block point of its cells lies in a box of ``boxes(value)``, ``value``
-    being the last map's.
+def _block_cells(cells: GridCells, block: Sequence[int],
+                 boxes: Callable[[BoxSet], list[Box]]) -> dict | None:
+    """Per piece tuple of ``cells``, whether no block point of its cells
+    lies in a box of ``boxes(value)``, ``value`` being the last map's.
 
     On a constant last piece a box can hold a cell's block points only
     where its ``_index_ranges`` on the block axes meet the cell's own
@@ -242,20 +235,19 @@ def _block_cells(maps: Sequence[PiecewiseMap], grid: Grid, block: Sequence[int],
     ``None``: the walk then raises the error where a probe at every point
     does, unless the witness cap stops it first.
     """
-    axes = [grid.axis_values(d) for d in range(grid.dim)]
-    last = maps[-1]
+    last = cells.maps[-1]
     try:
-        block_axes = [axes[j] for j in block]
-        cells = list(grid_cells(maps, grid, within))
+        block_axes = [cells.axes[j] for j in block]
+        found = list(cells.cells())
     except (DomainError, IndexError):
         return None
     passed: dict[tuple[int, ...], bool] = {}
-    for cell, pieces in cells:
+    for cell, pieces in found:
         i = pieces[-1]
         if not passed.get(pieces, True) or not last.pieces[i].is_constant:
             passed[pieces] = False
             continue
-        x = tuple(ax[r.start] for ax, r in zip(axes, cell))
+        x = cells.first_point(cell)
         own = [cell[j] for j in block]
         passed[pieces] = not any(
             len(b) != len(block) or all(max(r.start, c.start) < min(r.stop, c.stop)
@@ -269,7 +261,7 @@ def scan_block_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
                       closure: bool = False, parameters: dict | None = None,
                       within: Box | None = None) -> CheckReport:
     """Per-point verdict: fail iff, at some point ``x`` of
-    ``grid_values(maps, grid, within)``, the block point
+    ``GridCells(maps, grid, within).points()``, the block point
     ``tuple(x[j] for j in block)`` lies in the value of ``maps[-1]`` at
     ``x``, or in its closure when ``closure`` is set; each such point is
     the witness ``Witness(x, None, 0.0, category, detail)``.
@@ -289,10 +281,11 @@ def scan_block_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
         if any(box_contains(b, point) for b in boxes(values[-1])):
             yield 0.0, category, detail
 
-    passed = _block_cells(maps, grid, block, boxes, within)
+    cells = GridCells(maps, grid, within)
+    passed = _block_cells(cells, block, boxes)
     witnesses = ()
     if passed is None or not all(passed.values()):
-        witnesses = _walk_undecided(maps, grid, within, passed or {}, probe)
+        witnesses = _walk_undecided(cells, passed or {}, probe)
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
 
@@ -301,33 +294,32 @@ def _neighbor_offsets(dim: int, radius: int):
             if any(off)]
 
 
-def _piece_spans(t: PiecewiseMap, grid: Grid, within: Box | None):
-    """One ``grid_cells`` pass over ``t``: each piece holding an in-domain
-    grid point in the box ``within`` mapped to ``(lo, hi, value)``, the
-    least and greatest grid index per axis over its points and its closed
-    value if it is constant, else ``None``; and the number of those points.
+def _piece_spans(cells: GridCells):
+    """One pass over the cells of the one map ``t`` of ``cells``: each piece
+    holding a point of the cells mapped to ``(lo, hi, value)``, the least
+    and greatest grid index per axis over its points and its closed value
+    if it is constant, else ``None``; and the number of those points.
     """
-    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    (t,) = cells.maps
     spans, count = {}, 0
-    for cell, (i,) in grid_cells((t,), grid, within):
+    for cell, (i,) in cells.cells():
         count += math.prod(map(len, cell))
         lo, hi = tuple(r.start for r in cell), tuple(r.stop - 1 for r in cell)
         if i in spans:
             plo, phi, value = spans[i]
             lo, hi = tuple(map(min, plo, lo)), tuple(map(max, phi, hi))
         elif t.pieces[i].is_constant:
-            value = t.value_on(i, tuple(ax[k] for ax, k in zip(axes, lo))).closure()
+            value = t.value_on(i, cells.first_point(cell)).closure()
         else:
             value = None
         spans[i] = (lo, hi, value)
     return spans, count
 
 
-def _closed_values(t: PiecewiseMap, grid: Grid, within: Box | None, spans: dict,
-                   safe: set[int], radius: int) -> dict:
+def _closed_values(cells: GridCells, spans: dict, safe: set[int], radius: int) -> dict:
     """The point records ``_excess_witnesses`` reads, in lexicographic
     order: index to ``(point, closed value, constant piece)`` for each
-    in-domain grid point in the box ``within`` that lies within ``radius``
+    point of the cells of the one map ``t`` that lies within ``radius``
     index steps, on every axis, of the span of a piece outside ``safe``.
     Those are the centres the scan takes and their neighbours; when every
     piece is safe there are none, and no point is visited. A constant
@@ -339,7 +331,8 @@ def _closed_values(t: PiecewiseMap, grid: Grid, within: Box | None, spans: dict,
     points = {}
     if not near:
         return points
-    for idx, x, (i,) in grid_values((t,), grid, within):
+    (t,) = cells.maps
+    for idx, x, (i,) in cells.points():
         # a point off the safe pieces lies in its own piece's span
         if i in safe and not any(all(map(operator.contains, rs, idx)) for rs in near):
             continue
@@ -438,39 +431,40 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     of grid points: the neighbor radius is capped at the widest axis's
     point count minus one.
 
-    The scan works cell by cell. One ``grid_cells`` pass gives each
-    piece's index span (its least and greatest grid index per axis), each
-    constant piece's value, closed once, and ``points_checked``, the sum
-    of the cell sizes. Before any point is visited, each constant piece is
-    decided against the pieces that can hold its grid neighbors
-    (``_safe_pieces``): it is safe when, for each such piece, the compared
-    pair has an empty source value, or two constant values with a nonempty
-    target and an excess of at most the bound. Grid points on safe pieces
-    are not scanned as centers; they cannot yield a witness, so the
-    witnesses, their order and the truncation note are those of the full
-    point-pair scan. Point records are built only within the neighbor
-    radius of the span of an unsafe constant or an affine piece, the only
-    points the scan reads; when every piece is safe, no point is visited.
-    The excess between two constant pieces is computed once per oriented
-    piece pair; only pairs that touch an affine piece are compared point
-    by point. The scan keeps the first ``_MAX_WITNESSES`` witnesses and
-    stops at the next one, which adds the note "witness list truncated".
+    The scan works cell by cell on one ``GridCells`` table. One pass over
+    its cells gives each piece's index span (its least and greatest grid
+    index per axis), each constant piece's value, closed once, and
+    ``points_checked``, the sum of the cell sizes. Before any point is
+    visited, each constant piece is decided against the pieces that can hold
+    its grid neighbors (``_safe_pieces``): it is safe when, for each such
+    piece, the compared pair has an empty source value, or two constant
+    values with a nonempty target and an excess of at most the bound. Grid
+    points on safe pieces are not scanned as centers; they cannot yield a
+    witness, so the witnesses, their order and the truncation note are those
+    of the full point-pair scan. Point records are built, off the same
+    table, only within the neighbor radius of the span of an unsafe constant
+    or an affine piece; when every piece is safe, no point is visited. The
+    excess between two constant pieces is computed once per oriented piece
+    pair; only pairs that touch an affine piece are compared point by point.
+    The scan keeps the first ``_MAX_WITNESSES`` witnesses and stops at the
+    next one, which adds the note "witness list truncated".
     """
     if delta is None:
         delta = grid.step
-    radius = int(math.floor(delta / grid.step + 1e-9))
-    if radius < 1:
+    steps = delta / grid.step + 1e-9
+    if steps < 1:
         raise ValueError(f"delta {delta} is below the grid step {grid.step}: "
                          "no grid neighbor lies within it")
-    # a longer offset reaches no grid point, and at this radius every piece
-    # pair is already near in _safe_pieces, so the cap changes no result
-    radius = min(radius, max(len(grid.axis_values(d)) for d in range(grid.dim)) - 1)
-    spans, points_checked = _piece_spans(t, grid, within)
+    # a longer offset reaches no grid point, and at this radius every piece pair is already
+    # near in _safe_pieces, so the cap changes no result; it also bounds an infinite ratio
+    radius = int(min(steps, max(len(grid.axis_values(d)) for d in range(grid.dim)) - 1))
+    cells = GridCells((t,), grid, within)
+    spans, points_checked = _piece_spans(cells)
     slope = t.max_slope()
     bound = tol + slope * delta
     piece_excess: dict[tuple[int, int], float] = {}
     safe = _safe_pieces(spans, radius, bound, direction, piece_excess)
-    points = _closed_values(t, grid, within, spans, safe, radius)
+    points = _closed_values(cells, spans, safe, radius)
     found = _excess_witnesses(points, _neighbor_offsets(grid.dim, radius), bound, direction,
                               safe, piece_excess)
     witnesses = tuple(itertools.islice(found, _MAX_WITNESSES + 1))
@@ -497,7 +491,7 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
 
 def _empty_points(t: PiecewiseMap, grid: Grid) -> list[tuple[float, ...]]:
     """The first eight in-domain grid points where ``t`` has the empty value."""
-    return list(itertools.islice((x for _, x, (i,) in grid_values((t,), grid)
+    return list(itertools.islice((x for _, x, (i,) in GridCells((t,), grid).points()
                                   if t.value_on(i, x).is_empty), 8))
 
 
@@ -563,19 +557,15 @@ def check_dual_w_usc(t1: PiecewiseMap, t2: PiecewiseMap, d: BoxSet,
 # ---------------------------------------------------------------------------
 
 def _largest_box(s: BoxSet):
-    best = None
-    best_key = None
-    for b in s.boxes:
-        key = (min(iv.hi - iv.lo for iv in b), sum(iv.hi - iv.lo for iv in b))
-        if best is None or key > best_key:
-            best, best_key = b, key
-    return best
+    """The first box with the longest shortest side, then the longest side sum."""
+    return max(s.boxes, key=lambda b: (min(iv.hi - iv.lo for iv in b),
+                                       sum(iv.hi - iv.lo for iv in b)))
 
 
 def propose_constant_selection(t: PiecewiseMap, k_region, eps: float, grid: Grid) -> PiecewiseMap | None:
     """Constant-selection heuristic: a box inside every dilated value over K."""
     inter: BoxSet | None = None
-    for _, x, (i,) in grid_values((t,), grid, k_region):
+    for _, x, (i,) in GridCells((t,), grid, k_region).points():
         val = t.value_on(i, x)
         if val.is_empty:
             return None

@@ -26,12 +26,12 @@ from .checks import (
     FAIL,
     PASS,
     CheckReport,
+    GridCells,
     Witness,
     check_dual_w_usc,
     check_e_uscs,
     check_usc,
     combine_reports,
-    grid_values,
     scan_block_points,
     scan_values,
 )
@@ -251,10 +251,10 @@ def verify_equilibrium(e: AbstractEconomy, x: Sequence[float]) -> EquilibriumCer
 
 def search_equilibria(e: AbstractEconomy, grid: Grid) -> list[EquilibriumCertificate]:
     """Valid certificates at every grid point of X, lexicographic order, as
-    ``verify_equilibrium`` gives them, read off one ``grid_values`` walk."""
+    ``verify_equilibrium`` gives them, read off one ``GridCells`` point walk."""
     check_grid_covers_targets(grid, e.dim, tuple(ag.d_set for ag in e.agents), e.blocks)
     maps = _equilibrium_maps(e)
-    certs = (_certificate(e, x, maps, pieces) for _, x, pieces in grid_values(maps, grid))
+    certs = (_certificate(e, x, maps, pieces) for _, x, pieces in GridCells(maps, grid).points())
     return [c for c in certs if c.valid]
 
 

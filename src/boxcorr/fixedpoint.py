@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import io as _io
-from .checks import grid_values
+from .checks import GridCells
 from .intervals import BoxSet, Grid
 from .maps import PiecewiseMap, adherence, t_upper
 
@@ -140,7 +140,7 @@ def fixed_points_of_approximation(pm: ProductMap, eps: float, grid: Grid) -> QvS
         raise ValueError("eps must be positive")
     check_grid_covers_targets(grid, pm.dim, pm.d_sets, pm.blocks)
     approx = approximation_maps(pm, eps)
-    kept = (x for _, x, pieces in grid_values(approx, grid)
+    kept = (x for _, x, pieces in GridCells(approx, grid).points()
             if all(m.value_on(i, x).contains(tuple(x[j] for j in blk))
                    for m, i, blk in zip(approx, pieces, pm.blocks)))
     return QvSet(eps, tuple(kept))

@@ -65,10 +65,10 @@ def interval_from_list(doc: Any, where: str = "interval") -> FlaggedInterval:
     items = _as_list(doc, where)
     if len(items) != 4:
         raise DocumentError(f"{where}: expected 4 entries, got {len(items)}")
-    lo = _as_number(items[0], where)
-    hi = _as_number(items[1], where)
+    lo, hi = (_as_number(v, where) for v in items[:2])
+    lo_closed, hi_closed = (_as_bool(v, where) for v in items[2:])
     try:
-        return FlaggedInterval(lo, hi, _as_bool(items[2], where), _as_bool(items[3], where))
+        return FlaggedInterval(lo, hi, lo_closed, hi_closed)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 

@@ -17,8 +17,8 @@ import time
 from typing import Sequence
 
 from .affine import AffForm, AffineInterval
-from .checks import (FAIL, PASS, CheckReport, Witness, check_usc, combine_reports,
-                     grid_values, scan_values)
+from .checks import (FAIL, PASS, CheckReport, GridCells, Witness, check_usc, combine_reports,
+                     scan_values)
 from .economy import (check_theorem_4_1_hypotheses, check_theorem_4_3_hypotheses,
                       search_equilibria, verify_equilibrium)
 from .fixedpoint import ProductMap, intersect_qv_chain
@@ -332,13 +332,13 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
     """At every grid point, the intersection of the dilated-map values must
     land inside the (radius-padded) adherence of the reference clipped to
     the (radius-padded) target set; radius 0 demands exact containment.
-    One ``grid_values`` walk reads every map; the adherence is valued only
+    One ``GridCells`` point walk reads every map; the adherence is valued only
     where the intersection is nonempty, and ``nonempty_points`` counts those."""
     bar = adherence(reference)
     pad = clip.dilate(radius).closure() if clip is not None and radius > 0 else clip
     wit = []
     nonempty = 0
-    for _, x, pieces in grid_values((*dilated, bar), grid):
+    for _, x, pieces in GridCells((*dilated, bar), grid).points():
         inter = dilated[0].value_on(pieces[0], x)
         for tm, i in zip(dilated[1:], pieces[1:-1]):
             inter = inter.intersect(tm.value_on(i, x))

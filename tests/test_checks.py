@@ -149,3 +149,18 @@ def test_delta_larger_than_step_checks_wider_neighbors():
     far = check_usc(t, grid, delta=0.75)
     assert not near.passed and not far.passed
     assert len(far.witnesses) >= len(near.witnesses)
+
+
+@pytest.mark.parametrize("direction", ["usc", "lsc"])
+def test_delta_whose_step_ratio_overflows_is_capped_at_the_grid(direction):
+    """delta / step is inf at delta=1e308; the radius is capped at the grid
+    as at delta=1e300, so the scans compare the same pairs."""
+    t, _ = ex2_1()
+    grid = Grid.over_box(t.domain, 1 / 16)
+    wide = check_usc(t, grid, delta=1e300, direction=direction)
+    huge = check_usc(t, grid, delta=1e308, direction=direction)
+    assert huge.verdict == wide.verdict
+    assert huge.witnesses == wide.witnesses
+    assert huge.notes == wide.notes
+    assert huge.parameters["points_checked"] == wide.parameters["points_checked"]
+    assert huge.parameters["delta"] == 1e308

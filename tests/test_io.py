@@ -99,6 +99,20 @@ def test_doc_validation_rejects_bad_interval():
                             "boxes": [[[2.0, 1.0, True, True]]]})
 
 
+@pytest.mark.parametrize("region, problem", [
+    ([[0, 1, "yes", True]], "expected a boolean, got 'yes'"),
+    ([[0, 1, True, 1]], "expected a boolean, got 1"),
+    ([[1, 0, True, True]], "interval endpoints out of order"),
+])
+def test_interval_errors_name_their_field_once(region, problem):
+    doc = {"kind": "map", "domain": [[0, 1, True, True]], "codomain_dim": 1,
+           "pieces": [{"region": region, "value": []}]}
+    with pytest.raises(DocumentError) as exc:
+        io.map_from_doc(doc)
+    assert str(exc.value).startswith("map.pieces[0].region[0]: " + problem)
+    assert str(exc.value).count("region[0]") == 1
+
+
 # JSON true and false load as ints (bool subclasses int), so each integer
 # field must refuse them explicitly.
 

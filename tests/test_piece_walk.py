@@ -303,15 +303,16 @@ def assert_same_scan(t, grid, within=None, variants=None):
     lookup reads a ``within`` box as the filter ``box_contains(within, p)``.
 
     Returns ``(records built, points)`` per variant."""
-    spans, count = _checks._piece_spans(t, grid, within)
+    cells = _checks.GridCells((t,), grid, within)
+    spans, count = _checks._piece_spans(cells)
     pts, values, const_piece = seed_closed_values(
         t, grid, None if within is None else lambda p: box_contains(within, p))
     records = {idx: (x, values[idx], const_piece[idx]) for idx, x in pts.items()}
     assert spans == seed_piece_spans(t, pts, values)
     assert count == len(pts)
-    points = _checks._closed_values(t, grid, within, spans, set(), 1)
+    points = _checks._closed_values(cells, spans, set(), 1)
     assert list(points.items()) == list(records.items())
-    walk = [(idx, x) for idx, x, _ in _checks.grid_values((t,), grid, within)]
+    walk = [(idx, x) for idx, x, _ in cells.points()]
     assert walk == sorted(pts.items())
     sizes = []
     for opts in variants or ({}, {"direction": "lsc"}, {"delta": 2 * grid.step},
@@ -809,9 +810,9 @@ def test_all_safe_pieces_build_no_record_and_walk_no_point(monkeypatch):
     grid = STRIP_GRID
 
     def no_walk(*args, **kwargs):
-        raise AssertionError("grid_values walked")
+        raise AssertionError("points walked")
 
-    monkeypatch.setattr(_checks, "grid_values", no_walk)
+    monkeypatch.setattr(_checks.GridCells, "points", no_walk)
     for opts in _strip_variants(grid.step):
         rep = check_usc(t, grid, **opts)
         assert rep.passed

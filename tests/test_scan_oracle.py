@@ -416,8 +416,9 @@ def test_piece_pair_maps_cover_every_piece_level_case():
     seen = set()
     for seed in range(12):
         t = piece_pair_map(seed)
-        pieces, _ = _checks._piece_spans(t, grid, None)
-        points = _checks._closed_values(t, grid, None, pieces, set(), 1)
+        cells = _checks.GridCells((t,), grid)
+        pieces, _ = _checks._piece_spans(cells)
+        points = _checks._closed_values(cells, pieces, set(), 1)
         bound = 1e-9 + t.max_slope() * grid.step
         for direction in ("usc", "lsc"):
             safe = _checks._safe_pieces(pieces, 1, bound, direction, {})
@@ -513,8 +514,9 @@ def test_failing_scan_stops_at_the_witness_past_the_cap(monkeypatch):
     check_usc(t, grid, delta=0.25)
     capped = centers[0]
     centers[0] = 0
-    pieces, _ = _checks._piece_spans(t, grid, None)
-    points = _checks._closed_values(t, grid, None, pieces, set(), 1)
+    cells = _checks.GridCells((t,), grid)
+    pieces, _ = _checks._piece_spans(cells)
+    points = _checks._closed_values(cells, pieces, set(), 1)
     bound = rep.parameters["bound"]
     piece_excess = {}
     safe = _checks._safe_pieces(pieces, 16, bound, "usc", piece_excess)

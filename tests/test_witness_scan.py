@@ -1,7 +1,7 @@
 """The witness scans against frozen copies of the per-point loops they replaced.
 
 ``seed_scan_points`` is the frozen per-point scan: it walks the grid
-points ``grid_values`` reads off the maps' pieces, in order, collects the
+points ``seed_grid_values`` reads off the maps' pieces, in order, collects the
 witnesses a probe yields from the point and the maps' values there,
 stops once ``_MAX_WITNESSES`` are found and keeps the first
 ``_MAX_WITNESSES``. The other ``seed_*`` functions below are the
@@ -10,13 +10,13 @@ before, each finding a point's value with ``evaluate``; they stay here as
 the oracle, and every report must equal theirs, witness for witness,
 parameters included.
 
-The scans decide per cell of ``grid_cells`` first. Probes that read only
-values run on ``scan_values``, once per tuple of constant pieces; the
-block-point test runs on ``scan_block_points``, which probes only the
-points of affine tuples and of tuples whose value can hold the block
-point. Both are checked against ``seed_scan_points`` running the same
-probe at every point, and ``grid_cells`` against the points of
-``grid_values``.
+The scans decide per cell of a ``GridCells`` table first. Probes that
+read only values run on ``scan_values``, once per tuple of constant
+pieces; the block-point test runs on ``scan_block_points``, which probes
+only the points of affine tuples and of tuples whose value can hold the
+block point. Both are checked against ``seed_scan_points`` running the
+same probe at every point, and ``GridCells``' cells and points against
+``seed_grid_values``, the per-point slot fill the class replaced.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from boxcorr import (AffForm, AffineInterval, BoxSet, DomainError, FlaggedInterv
                      t_upper)
 from boxcorr import checks as _checks
 from boxcorr import economy as _economy
-from boxcorr.checks import (FAIL, PASS, UNVERIFIED, CheckReport, Witness, grid_cells, grid_values,
+from boxcorr.checks import (FAIL, PASS, UNVERIFIED, CheckReport, GridCells, Witness,
                             scan_block_points, scan_values)
 from boxcorr.economy import (AbstractEconomy, AgentEvidence, AgentSpec, EquilibriumCertificate,
                              search_equilibria, verify_equilibrium)
@@ -54,12 +54,43 @@ CAP = _checks._MAX_WITNESSES
 # Each returns the witness list as the loop built it, before any slicing,
 # so a test can see where the cap fell.
 
+def seed_grid_values(maps, grid, within=None):
+    """``(index, point, pieces)`` for the grid points in ``maps[0]``'s domain
+    and in the box ``within``, if given, in lexicographic order;
+    ``pieces[k]`` is the piece of ``maps[k]`` holding the point, and a point
+    outside a later map's domain raises ``DomainError``.
+
+    Each map's pieces are walked once: per axis, a piece's grid indices are
+    the axis values its region's interval contains. The piece index goes
+    into one list slot per grid point, in row-major order.
+    """
+    axes = [grid.axis_values(d) for d in range(grid.dim)]
+    strides = [math.prod(map(len, axes[d + 1:])) for d in range(grid.dim)]
+    slots = []
+    for t in maps:
+        if t.domain_dim != len(axes):
+            raise DimensionMismatchError(f"point of dim {len(axes)} vs box of dim {t.domain_dim}")
+        slot = [None] * math.prod(map(len, axes))
+        for i, ranges in enumerate(_checks._index_ranges(p.region, axes) for p in t.pieces):
+            own = [[k * stride for k in r] for r, stride in zip(ranges, strides)]
+            for offsets in itertools.product(*own):
+                slot[sum(offsets)] = i
+        slots.append(slot)
+    indices = itertools.product(*(range(len(ax)) for ax in axes))
+    for idx, x, pieces in zip(indices, itertools.product(*axes), zip(*slots)):
+        if pieces[0] is None or (within is not None and not box_contains(within, x)):
+            continue
+        if None in pieces:
+            raise DomainError(f"point {x} outside map domain")
+        yield idx, x, pieces
+
+
 def seed_scan_points(name, maps, grid, probe, parameters=None, within=None):
     """Fail iff ``probe(x, *values)`` yields a witness at some point of
-    ``grid_values(maps, grid, within)``, where ``values[k]`` is the value
+    ``seed_grid_values(maps, grid, within)``, where ``values[k]`` is the value
     of ``maps[k]`` at ``x``; stops at ``CAP`` witnesses."""
     found = (probe(x, *(m.value_on(i, x) for m, i in zip(maps, pieces)))
-             for _, x, pieces in grid_values(maps, grid, within))
+             for _, x, pieces in seed_grid_values(maps, grid, within))
     witnesses = tuple(itertools.islice(itertools.chain.from_iterable(found), CAP))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
@@ -314,7 +345,7 @@ def _capped_mid_point(raw):
 
 
 # ---------------------------------------------------------------------------
-# seed_scan_points and grid_values
+# seed_scan_points and GridCells.points
 # ---------------------------------------------------------------------------
 
 def _line(n):
@@ -424,7 +455,7 @@ def _open_edged_square():
 def test_grid_values_in_lexicographic_order_inside_the_domain():
     t = _open_edged_square()
     grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
-    got = list(grid_values((t,), grid))
+    got = list(GridCells((t,), grid).points())
     pts = [x for _, x, _ in got]
     assert pts == [(a, b) for a in (0.5, 1.0) for b in (0.0, 0.5, 1.0)]
     assert pts == sorted(pts)
@@ -436,10 +467,10 @@ def test_grid_values_keeps_the_points_within_the_box():
     t = _open_edged_square()
     grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
     above = (I.closed(0, 1), I(0, 1, False, True))
-    assert [x for _, x, _ in grid_values((t,), grid, above)] == [
+    assert [x for _, x, _ in GridCells((t,), grid, above).points()] == [
         (0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)]
     # the box holds no point of piece 0
-    got = list(grid_values((t,), grid, (I.closed(0, 1), I.closed(0, 0.5))))
+    got = list(GridCells((t,), grid, (I.closed(0, 1), I.closed(0, 0.5))).points())
     assert {pieces for _, _, pieces in got} == {(1,)}
 
 
@@ -447,31 +478,31 @@ def test_grid_values_raises_outside_a_later_domain():
     t = _open_edged_square()
     grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
     lower = restrict(t, (I(0, 1, False, True), I.closed(0, 0.5)))
-    assert [p for _, _, p in grid_values((lower, t), grid)] == [(0, 1), (0, 1)] * 2
+    assert [p for _, _, p in GridCells((lower, t), grid).points()] == [(0, 1), (0, 1)] * 2
     with pytest.raises(DomainError, match=r"\(0\.5, 1\.0\)"):
-        list(grid_values((t, lower), grid))
-    assert len(list(grid_values((t, lower), grid, (I.closed(0, 1), I.closed(0, 0.5))))) == 4
+        list(GridCells((t, lower), grid).points())
+    assert len(list(GridCells((t, lower), grid, (I.closed(0, 1), I.closed(0, 0.5))).points())) == 4
 
 
 def test_grid_values_rejects_a_grid_of_another_dimension():
     t = _open_edged_square()
     line = Grid(1, (0.0,), (1.0,), 0.5)
     with pytest.raises(DimensionMismatchError):
-        list(grid_values((t,), line))
+        list(GridCells((t,), line).points())
     with pytest.raises(DimensionMismatchError):
-        list(grid_values((t, *_line(2)[0]), Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)))
+        list(GridCells((t, *_line(2)[0]), Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)).points())
 
 
 # ---------------------------------------------------------------------------
-# grid_cells and scan_values against grid_values and seed_scan_points
+# GridCells against seed_grid_values, and scan_values against seed_scan_points
 # ---------------------------------------------------------------------------
 
 def cell_points(maps, grid, within=None):
-    """The ``(index, pieces)`` pairs of every cell of ``grid_cells``, cell by
+    """The ``(index, pieces)`` pairs of every cell of ``GridCells``, cell by
     cell, after checking that the cells come in the order of their first
     points and that none is empty."""
     out, firsts = [], []
-    for cell, pieces in grid_cells(maps, grid, within):
+    for cell, pieces in GridCells(maps, grid, within).cells():
         assert all(len(r) for r in cell)
         firsts.append(tuple(r.start for r in cell))
         out += [(idx, pieces) for idx in itertools.product(*cell)]
@@ -480,12 +511,32 @@ def cell_points(maps, grid, within=None):
 
 
 def assert_cells_partition(maps, grid, within=None):
-    """The cells hold each point of ``grid_values`` once, on the same pieces."""
+    """The points are those of ``seed_grid_values``, in its order, and the
+    cells hold each of them once, on the same pieces."""
+    seed = list(seed_grid_values(maps, grid, within))
+    assert list(GridCells(maps, grid, within).points()) == seed
     got = cell_points(maps, grid, within)
-    want = [(idx, pieces) for idx, _, pieces in grid_values(maps, grid, within)]
     assert len(got) == len({idx for idx, _ in got})
-    assert sorted(got) == want
+    assert sorted(got) == [(idx, pieces) for idx, _, pieces in seed]
     return got
+
+
+def _until_error(walk):
+    """The items of ``walk`` before its ``DomainError``, if any, and the
+    error's message, ``None`` when it ends without one."""
+    items = []
+    try:
+        for item in walk:
+            items.append(item)
+    except DomainError as exc:
+        return items, str(exc)
+    return items, None
+
+
+def _lower_half(t):
+    """``t`` restricted to the lower closed half of its domain's first axis."""
+    iv = t.domain[0]
+    return restrict(t, (I(iv.lo, (iv.lo + iv.hi) / 2, iv.lo_closed, True),) + t.domain[1:])
 
 
 def _scan_maps():
@@ -507,14 +558,34 @@ def _withins(dim):
             (I(0.3, 0.4, True, True),) * dim)
 
 
+def test_grid_cells_match_the_frozen_slot_fill_up_to_its_domain_error():
+    """Over the scan maps with the last map cut to half its domain, the
+    points walk yields ``seed_grid_values``' items up to the same
+    ``DomainError``, and the cells walk raises that error too; with the
+    first map cut instead, or a box inside the cut, neither raises and both
+    walks match the seed (the uncut maps and boxes are checked below)."""
+    raised = 0
+    for maps, grid in _scan_maps():
+        cut = (*maps[:-1], _lower_half(maps[-1]))
+        want = _until_error(seed_grid_values(cut, grid))
+        assert _until_error(GridCells(cut, grid).points()) == want
+        assert _until_error(GridCells(cut, grid).cells())[1] == want[1]
+        raised += want[1] is not None
+        assert_cells_partition((_lower_half(maps[0]), *maps[1:]), grid)
+        assert_cells_partition(cut, grid, _lower_half(maps[-1]).domain)
+    assert raised == len(_scan_maps())
+
+
 def test_grid_cells_partition_the_points_of_grid_values():
+    """Over the scan maps and boxes, the points walk is ``seed_grid_values``
+    item for item, and the cells partition its points."""
     for maps, grid in _scan_maps():
         for within in _withins(grid.dim):
             assert_cells_partition(maps, grid, within)
     t = _open_edged_square()
     grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
     assert_cells_partition((t,), grid)
-    assert list(grid_cells((t,), grid)) == [((range(1, 3), range(0, 2)), (1,)),
+    assert list(GridCells((t,), grid).cells()) == [((range(1, 3), range(0, 2)), (1,)),
                                             ((range(1, 3), range(2, 3)), (0,))]
 
 
@@ -526,11 +597,11 @@ def test_grid_cells_refine_every_map_and_the_box():
     cols = PiecewiseMap(dom, 1, (Piece((I(1, 2, False, True), I.closed(0, 2)), _const(1.0, 2)),
                                  Piece((I.closed(0, 1), I.closed(0, 2)), _const(0.0, 2))))
     grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 0.5)
-    cells = list(grid_cells((rows, cols), grid))
+    cells = list(GridCells((rows, cols), grid).cells())
     assert cells == [((range(0, 3), range(0, 3)), (1, 1)), ((range(0, 3), range(3, 5)), (0, 1)),
                      ((range(3, 5), range(0, 3)), (1, 0)), ((range(3, 5), range(3, 5)), (0, 0))]
     within = (I.closed(0, 2), I(0.5, 2, False, True))
-    assert [cell for cell, _ in grid_cells((rows, cols), grid, within)] == [
+    assert [cell for cell, _ in GridCells((rows, cols), grid, within).cells()] == [
         (range(0, 3), range(2, 3)), (range(0, 3), range(3, 5)),
         (range(3, 5), range(2, 3)), (range(3, 5), range(3, 5))]
     assert_cells_partition((rows, cols), grid, within)
@@ -542,10 +613,10 @@ def test_grid_cells_raise_at_the_first_point_outside_a_later_domain():
     lower = restrict(t, (I(0, 1, False, True), I.closed(0, 0.5)))
     assert_cells_partition((lower, t), grid)
     with pytest.raises(DomainError, match=r"\(0\.5, 1\.0\)"):
-        list(grid_cells((t, lower), grid))
+        list(GridCells((t, lower), grid).cells())
     assert_cells_partition((t, lower), grid, (I.closed(0, 1), I.closed(0, 0.5)))
     with pytest.raises(DimensionMismatchError):
-        list(grid_cells((t,), Grid(1, (0.0,), (1.0,), 0.5)))
+        list(GridCells((t,), Grid(1, (0.0,), (1.0,), 0.5)).cells())
 
 
 def _as_point_probe(value_probe):
@@ -633,16 +704,55 @@ def test_scan_values_passes_constant_tuples_without_a_point_walk(monkeypatch):
         return ()
 
     def no_walk(*args, **kwargs):
-        raise AssertionError("grid_values walked")
+        raise AssertionError("points walked")
 
-    monkeypatch.setattr(_checks, "grid_values", no_walk)
+    monkeypatch.setattr(_checks.GridCells, "points", no_walk)
     rep = scan_values("clean", maps, grid, probe, {"eps": 1.0})
     assert (rep.verdict, rep.witnesses, rep.parameters) == (PASS, (), {"eps": 1.0})
     # the adherence adds the closed line x1 = 1 as a third piece
-    tuples = {pieces for _, pieces in grid_cells(maps, grid)}
+    tuples = {pieces for _, pieces in GridCells(maps, grid).cells()}
     assert len(calls) == len(tuples) == 3
     assert set(calls) == {(t.evaluate(x), adherence(t).evaluate(x), t.evaluate(x))
                           for x in grid.points()}
+
+
+def test_each_scan_builds_one_cell_table(monkeypatch):
+    """Each ``check_usc``, ``scan_values`` and ``scan_block_points`` call
+    builds one ``GridCells`` table and reads both its cell decisions and
+    any point walk off it: over the scan maps, with constant and affine
+    pieces, scans that pass and scans that fail after walking points."""
+    built, walked = [], []
+
+    class Counted(GridCells):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+        def points(self):
+            walked.append(self)
+            return super().points()
+
+    monkeypatch.setattr(_checks, "GridCells", Counted)
+    scans = {
+        "usc": lambda maps, grid: _checks.check_usc(maps[0], grid),
+        "values": lambda maps, grid: scan_values("values", maps, grid, _escapes_last),
+        "block": lambda maps, grid: scan_block_points(
+            "block", maps, grid, tuple(range(maps[-1].codomain_dim)), "hit", closure=True),
+    }
+    seen = {kind: set() for kind in scans}
+    for maps, grid in _scan_maps():
+        affine = not all(p.is_constant for m in maps for p in m.pieces)
+        for kind, scan in scans.items():
+            before = len(built)
+            walks = len(walked)
+            rep = scan(maps, grid)
+            assert len(built) == before + 1
+            assert all(cells is built[-1] for cells in walked[walks:])
+            seen[kind].add((rep.verdict, affine, len(walked) > walks))
+    for kind, outcomes in seen.items():
+        assert {verdict for verdict, _, _ in outcomes} == {PASS, FAIL}, kind
+        assert any(affine for _, affine, _ in outcomes), kind
+        assert any(walk for _, _, walk in outcomes), kind
 
 
 def test_scan_values_raises_outside_a_later_domain():
@@ -682,7 +792,7 @@ def test_theorem_4_1_value_probes_run_once_per_constant_tuple(monkeypatch):
 
         rep = real(name, maps, grid, wrapped, parameters, within)
         tuples, affine = set(), 0
-        for cell, pieces in grid_cells(maps, grid, within):
+        for cell, pieces in GridCells(maps, grid, within).cells():
             counts["points"] += math.prod(map(len, cell))
             if all(m.pieces[i].is_constant for m, i in zip(maps, pieces)):
                 tuples.add(pieces)
@@ -754,11 +864,11 @@ def _count_block_probes(monkeypatch):
     probed = [0]
     real = _checks._walk_undecided
 
-    def counted(maps, grid, within, passed, probe):
+    def counted(cells, passed, probe):
         def wrapped(x, *values):
             probed[0] += 1
             return probe(x, *values)
-        return real(maps, grid, within, passed, wrapped)
+        return real(cells, passed, wrapped)
 
     monkeypatch.setattr(_checks, "_walk_undecided", counted)
     return probed
