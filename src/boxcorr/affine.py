@@ -6,8 +6,9 @@ are the special case with all ``c_j = 0``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .intervals import Box, FlaggedInterval
 
@@ -145,3 +146,93 @@ def affine_box_sort_key(b: AffineBox) -> tuple:
         (ai.lo.const, ai.lo.coeffs, ai.hi.const, ai.hi.coeffs, not ai.lo_closed, not ai.hi_closed)
         for ai in b
     )
+
+
+def _dyadic_bits(values: Iterable) -> int | None:
+    """The least ``q`` such that each value is ``k * 2**-q`` with an integer
+    ``|k| < 2**53``, so that it converts to a float exactly; ``None`` when
+    some value has no such form."""
+    q = 0
+    for v in values:
+        try:
+            num, den = v.as_integer_ratio()
+        except (OverflowError, ValueError):  # inf, nan
+            return None
+        if den & (den - 1) or abs(num) >= 2 ** 53:
+            return None
+        q = max(q, den.bit_length() - 1)
+    return q
+
+
+def moves_within(box: AffineBox, coords: Sequence[Sequence[float]], radius: int,
+                 bound: float) -> bool:
+    """Whether, at the points of the grid box whose axis-j values are the
+    increasing ``coords[j]``, every interval of ``box`` instantiates
+    nonempty, and the excess ``BoxSet.hausdorff_upper`` computes between
+    the one-box values at two points at most ``radius`` indices apart per
+    axis is at most ``bound``. A ``True`` is rigorous for the float
+    evaluation; a ``False`` decides nothing.
+
+    - ``G_j`` is the largest computed gap between values of ``coords[j]``
+      at most ``radius`` indices apart, and ``X_j`` the largest magnitude
+      of one.
+    - For a form ``f = c_0 + sum_j c_j x_j`` among the ``lo``/``hi`` forms,
+      ``W_f = sum_j |c_j| G_j`` and ``M_f = |c_0| + sum_j |c_j| X_j``;
+      ``worst`` and ``M`` are their maxima over the forms.
+    - ``slack = (n + 2) * 2**-48 * (M + worst)``, ``n`` the domain
+      dimension. The test is ``worst + slack <= bound``.
+
+    Exactly, each endpoint moves by at most ``W_f`` between the two points,
+    so the excess of one value over the other is at most ``worst``. The
+    slack bounds what rounding adds. With ``u = 2**-53`` let ``g = (n + 2)
+    u / (1 - (n + 2) u)``, at most ``(n + 2) * 2**-52``, so that the slack
+    is at least ``16 g (M + worst)``; the ``+ 2`` covers the constant and
+    one conversion of a ``Fraction`` operand mixed with floats.
+
+    - ``AffForm.__call__`` sums ``n`` products and the constant, so each
+      value is off by at most ``g M`` at each of the two points.
+    - The true gap between two coordinates is at most ``G_j / (1 - u)``,
+      and ``worst`` itself is off by at most ``g worst``.
+    - ``hausdorff_upper`` compares two one-box values by the endpoint
+      differences ``tgt.lo - bx.lo`` and ``bx.hi - tgt.hi``, one rounding
+      each. So every excess it returns is at most ``worst + 3 g (worst +
+      M)``, which the rounded ``worst + slack`` still exceeds.
+
+    An interval instantiates nonempty at every point when its computed
+    least width over the grid box, off by at most ``2 g M``, exceeds
+    ``slack``: each computed endpoint is off by at most ``g M``. Otherwise
+    it must be evaluated exactly. Let ``q`` be the sum of ``_dyadic_bits``
+    over the box's numbers and over ``coords``, so that each of those
+    converts to a float exactly and every product ``c_j x_j`` is a multiple
+    of ``2**-q``. With ``q <= 1074`` and ``M <= 2**(52 - q)`` (one bit
+    spare for the rounding of ``M``), every product and partial sum of
+    ``AffForm.__call__`` is such a multiple below ``2**53 * 2**-q``, hence
+    a float, and no step rounds. The computed interval then is the exact
+    one, whose width is affine and least at the corner that takes, per
+    axis, the lower end where ``hi``'s coefficient is at least ``lo``'s and
+    the upper end otherwise; the interval must be nonempty there. With
+    ``Fraction`` data and coordinates every step is exact, and the slack
+    only makes the test stricter.
+    """
+    # coordinates increase, so the pairs exactly that many indices apart hold the largest gap
+    gaps = [max(b - a for a, b in zip(c, c[min(radius, len(c) - 1):])) for c in coords]
+    mags = [max(abs(c[0]), abs(c[-1])) for c in coords]
+    worst = mag = 0.0
+    for f in (f for ai in box for f in (ai.lo, ai.hi)):
+        size = list(map(abs, f.coeffs))
+        worst = max(worst, sum(map(operator.mul, size, gaps)))
+        mag = max(mag, abs(f.const) + sum(map(operator.mul, size, mags)))
+    slack = (len(coords) + 2) * 2.0 ** -48 * (mag + worst)
+    if not worst + slack <= bound:
+        return False
+    span = [FlaggedInterval.closed(c[0], c[-1]) for c in coords]
+    thin = [ai for ai in box if not ai.width_form().bounds(span)[0] > slack]
+    if not thin:
+        return True
+    bits = [_dyadic_bits(v for ai in box for f in (ai.lo, ai.hi) for v in (f.const, *f.coeffs)),
+            _dyadic_bits(v for c in coords for v in c)]
+    if None in bits or sum(bits) > 1074 or not mag <= 2.0 ** (52 - sum(bits)):
+        return False
+    return all(ai.instantiate([iv.lo if h >= l else iv.hi
+                               for h, l, iv in zip(ai.hi.coeffs, ai.lo.coeffs, span)])
+               for ai in thin)

@@ -14,8 +14,10 @@ values runs on ``scan_values``, once per tuple of constant pieces and per
 point only where a piece is affine or the tuple fails. The block-point
 test runs on ``scan_block_points``, which probes a point only where a
 cell's value is affine or can hold the block point. ``check_usc``
-compares neighbouring points, deciding pairs of constant pieces once and
-building point records only near the pieces that stay undecided.
+compares neighbouring points, deciding pairs of constant pieces once,
+deciding the pairs within one affine piece by the modulus bound, and
+building point records only near the pieces that stay undecided and
+where a decided piece meets another.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from .affine import moves_within
 from .intervals import Box, BoxSet, DimensionMismatchError, Grid, box_closure, box_contains
 from .maps import (DomainError, PiecewiseMap, adherence, constant_map, intersect_maps,
                    t_upper)
@@ -316,29 +319,59 @@ def _piece_spans(cells: GridCells):
     return spans, count
 
 
-def _closed_values(cells: GridCells, spans: dict, safe: set[int], radius: int) -> dict:
+def _closed_values(cells: GridCells, spans: dict, safe: set[int], decided: dict,
+                   radius: int) -> dict:
     """The point records ``_excess_witnesses`` reads, in lexicographic
     order: index to ``(point, closed value, constant piece)`` for each
-    point of the cells of the one map ``t`` that lies within ``radius``
-    index steps, on every axis, of the span of a piece outside ``safe``.
-    Those are the centres the scan takes and their neighbours; when every
-    piece is safe there are none, and no point is visited. A constant
-    piece's value is the one ``spans`` closed once; points on affine
-    pieces are valued one by one, with piece ``None``.
+    point of the cells of the one map ``t`` that a scan centre reads. A
+    point on a piece in neither ``safe`` nor ``decided`` has one. A point
+    on a safe piece has one within ``radius`` index steps, on every axis,
+    of the span of a piece outside ``safe``, and a point on a decided piece
+    within ``radius`` of the span of another piece: the centres the scan
+    takes and the neighbours they compare lie there. When no point needs a
+    record, no point is visited. A constant piece's value is the one
+    ``spans`` closed once; points on affine pieces are valued one by one,
+    with piece ``None``.
     """
-    near = [[range(l - radius, h + radius + 1) for l, h in zip(lo, hi)]
-            for i, (lo, hi, _) in spans.items() if i not in safe]
+    unsafe = [i for i in spans if i not in safe]
     points = {}
-    if not near:
+    if not unsafe or len(spans) == 1 and unsafe[0] in decided:
         return points
+    reach = {i: [range(l - radius, h + radius + 1) for l, h in zip(lo, hi)]
+             for i, (lo, hi, _) in spans.items()}
+    near = dict.fromkeys(safe, [reach[i] for i in unsafe])
+    near.update((i, [rs for q, rs in reach.items() if q != i]) for i in decided)
     (t,) = cells.maps
     for idx, x, (i,) in cells.points():
-        # a point off the safe pieces lies in its own piece's span
-        if i in safe and not any(all(map(operator.contains, rs, idx)) for rs in near):
+        if i in near and not any(all(map(operator.contains, rs, idx)) for rs in near[i]):
             continue
         value = spans[i][2]
         points[idx] = (x, t.value_on(i, x).closure(), None) if value is None else (x, value, i)
     return points
+
+
+def _modulus_pieces(t: PiecewiseMap, spans: dict, axes: Sequence[Sequence[float]],
+                    radius: int, bound: float) -> dict[int, list[range]]:
+    """The affine pieces of ``t`` whose own neighbour pairs cannot yield a
+    witness, each mapped to the index ranges of its grid points.
+
+    A piece's grid points are the product of its region's and the scan
+    box's index ranges per axis, so they fill its span, and a point lies on
+    the piece exactly when its index lies in those ranges. A piece is
+    decided when its value is one affine box and ``moves_within`` finds
+    that, at its span's axis values, the box computes nonempty everywhere
+    and moves by at most ``bound`` between points at most ``radius``
+    indices apart. A value of two or more boxes stays with the point scan:
+    ``hausdorff_upper``'s candidate search against a multi-box target can
+    round past the exact excess to a far larger candidate.
+    """
+    decided = {}
+    for i, (lo, hi, value) in spans.items():
+        box = t.pieces[i].value
+        if value is None and len(box) == 1 and moves_within(
+                box[0], [ax[l:h + 1] for ax, l, h in zip(axes, lo, hi)], radius, bound):
+            decided[i] = [range(l, h + 1) for l, h in zip(lo, hi)]
+    return decided
 
 
 def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
@@ -377,26 +410,34 @@ def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
 
 
 def _excess_witnesses(points: dict, offsets, bound: float, direction: str,
-                      safe: set[int], piece_excess: dict):
+                      safe: set[int], decided: dict, piece_excess: dict):
     """Ordered-pair excess scan, yielding witnesses lazily; direction 'usc'
     compares T(x') against T(x). Centers are taken in the order of
     ``points``, the records of ``_closed_values``, which is lexicographic;
     a neighbour without a record is not compared.
 
     Centers on the constant pieces in ``safe`` are skipped: by
-    ``_safe_pieces`` no neighbor pair of theirs yields a witness, so the
-    witnesses and their order are those of the full scan. Pairs whose two
-    points lie on constant pieces take their excess from ``piece_excess``,
-    keyed by the oriented pair of piece indices, so each such piece pair
-    costs one ``hausdorff_upper`` call however many grid pairs it has.
+    ``_safe_pieces`` no neighbor pair of theirs yields a witness. A center
+    on an affine piece in ``decided`` skips the neighbours on its own
+    piece, those whose index lies in its index ranges: by
+    ``_modulus_pieces`` no such pair yields a witness. So the witnesses and
+    their order are those of the full scan. Pairs whose two points lie on
+    constant pieces take their excess from ``piece_excess``, keyed by the
+    oriented pair of piece indices, so each such piece pair costs one
+    ``hausdorff_upper`` call however many grid pairs it has.
     """
     for idx, center in points.items():
         x, _, piece = center
         if piece in safe:
             continue
+        own = None
+        if piece is None:
+            own = next((rs for rs in decided.values() if all(map(operator.contains, rs, idx))),
+                       None)
         for off in offsets:
-            near = points.get(tuple(map(operator.add, idx, off)))
-            if near is None:
+            nidx = tuple(map(operator.add, idx, off))
+            near = points.get(nidx)
+            if near is None or own is not None and all(map(operator.contains, own, nidx)):
                 continue
             xn = near[0]
             (_, a, ia), (_, b, ib) = (near, center) if direction == "usc" else (center, near)
@@ -441,14 +482,22 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     values with a nonempty target and an excess of at most the bound. Grid
     points on safe pieces are not scanned as centers; they cannot yield a
     witness, so the witnesses, their order and the truncation note are those
-    of the full point-pair scan. Point records are built, off the same
-    table, only within the neighbor radius of the span of an unsafe constant
-    or an affine piece; when every piece is safe, no point is visited. The
-    excess between two constant pieces is computed once per oriented piece
-    pair; only pairs that touch an affine piece are compared point by point.
-    The scan keeps the first ``_MAX_WITNESSES`` witnesses and stops at the
-    next one, which adds the note "witness list truncated".
+    of the full point-pair scan. A one-box affine piece is decided when its
+    endpoints' largest move between neighbors, plus a slack for the scan's
+    own rounding, stays within the bound and no value on it computes empty
+    (``_modulus_pieces``); its centres then meet only neighbors on other
+    pieces. Point records are built, off the same table, only within the
+    neighbor radius of an unsafe constant or undecided affine piece's span,
+    and on a decided piece only that near another piece: a one-piece affine
+    map visits no point. The excess between two constant pieces is
+    computed once per oriented piece pair; only pairs that touch an affine
+    piece are compared point by point. ``direction`` is 'usc' or 'lsc'
+    (``ValueError`` otherwise). The scan keeps the first
+    ``_MAX_WITNESSES`` witnesses and stops at the next one, which adds the
+    note "witness list truncated".
     """
+    if direction not in ("usc", "lsc"):
+        raise ValueError(f"direction must be 'usc' or 'lsc', got {direction!r}")
     if delta is None:
         delta = grid.step
     steps = delta / grid.step + 1e-9
@@ -464,9 +513,10 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     bound = tol + slope * delta
     piece_excess: dict[tuple[int, int], float] = {}
     safe = _safe_pieces(spans, radius, bound, direction, piece_excess)
-    points = _closed_values(cells, spans, safe, radius)
+    decided = _modulus_pieces(t, spans, cells.axes, radius, bound)
+    points = _closed_values(cells, spans, safe, decided, radius)
     found = _excess_witnesses(points, _neighbor_offsets(grid.dim, radius), bound, direction,
-                              safe, piece_excess)
+                              safe, decided, piece_excess)
     witnesses = tuple(itertools.islice(found, _MAX_WITNESSES + 1))
     notes = ["values closed before comparison"]
     if len(witnesses) > _MAX_WITNESSES:

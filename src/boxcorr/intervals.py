@@ -291,6 +291,13 @@ def canonical_boxes(dim: int, boxes: Iterable[Box]) -> tuple[Box, ...]:
 # BoxSet
 # ---------------------------------------------------------------------------
 
+class _ClosureBoxes(tuple):
+    """The canonical boxes of a set that ``BoxSet.closure`` built. It equals,
+    hashes and prints as the plain tuple of the same boxes."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True, slots=True)
 class BoxSet:
     """A finite union of flagged boxes in canonical form.
@@ -334,15 +341,22 @@ class BoxSet:
         return BoxSet.of(self.dim, boxes)
 
     def closure(self) -> "BoxSet":
-        """The topological closure; ``self`` itself when every box is already closed.
+        """The topological closure; ``self`` itself when it is already closed
+        by construction: every box is closed, or ``closure`` built it.
 
         A union of closed boxes is closed, and every constructor yields the
         canonical form, which depends only on the point set; so such a set
-        is returned as it is instead of being canonicalized again.
+        is returned as it is instead of being canonicalized again. The
+        canonical form of a closed union can hold a box that is not closed,
+        as ``[0,0.5]x{0} ∪ {0}x(0,0.5]`` for ``[0,0.5]x{0} ∪ {0}x[0,0.5]``;
+        the closure keeps its boxes in a ``_ClosureBoxes`` tuple, which
+        marks the set as closed without a field that every ``BoxSet`` would
+        carry.
         """
-        if all(box_is_all_closed(b) for b in self.boxes):
+        if type(self.boxes) is _ClosureBoxes or all(box_is_all_closed(b) for b in self.boxes):
             return self
-        return BoxSet.of(self.dim, [box_closure(b) for b in self.boxes])
+        return BoxSet(self.dim, _ClosureBoxes(
+            canonical_boxes(self.dim, [box_closure(b) for b in self.boxes])))
 
     def intersect(self, other: "BoxSet") -> "BoxSet":
         if self.dim != other.dim:

@@ -267,13 +267,31 @@ def seed_piece_spans(t, pts, values):
     return spans
 
 
-def near_records(records, spans, safe, radius):
-    """The records within ``radius`` grid steps, on every axis, of the span
-    of a piece outside ``safe``: the centres and neighbours the USC scan reads."""
-    unsafe = [(lo, hi) for i, (lo, hi, _) in spans.items() if i not in safe]
-    return {idx: r for idx, r in records.items()
-            if any(all(l - radius <= k <= h + radius for k, l, h in zip(idx, lo, hi))
-                   for lo, hi in unsafe)}
+def near_records(records, spans, safe, decided, radius):
+    """The records the USC scan reads: those on a piece in neither ``safe``
+    nor ``decided``, those on a safe piece within ``radius`` grid steps, on
+    every axis, of the span of a piece outside ``safe``, and those on a
+    decided piece within ``radius`` of the span of another piece."""
+    def piece_of(idx):
+        return next(i for i, (lo, hi, _) in spans.items()
+                    if all(l <= k <= h for k, l, h in zip(idx, lo, hi)))
+
+    def near(idx, pieces):
+        return any(all(l - radius <= k <= h + radius for k, l, h in zip(idx, *spans[q][:2]))
+                   for q in pieces)
+
+    out = {}
+    for idx, r in records.items():
+        i = piece_of(idx)
+        if i in safe:
+            keep = near(idx, [q for q in spans if q not in safe])
+        elif i in decided:
+            keep = near(idx, [q for q in spans if q != i])
+        else:
+            keep = True
+        if keep:
+            out[idx] = r
+    return out
 
 
 def built_records(opts, t, grid, within):
@@ -299,8 +317,8 @@ def assert_same_scan(t, grid, within=None, variants=None):
     skipped, no cap), in both directions, at one, two and three grid steps
     of delta and at tol=0, or at the given ``check_usc`` option
     ``variants``. The records a scan builds are the lookup's, restricted to
-    the points within the neighbor radius of an unsafe or affine piece. The
-    lookup reads a ``within`` box as the filter ``box_contains(within, p)``.
+    the points ``near_records`` keeps. The lookup reads a ``within`` box as
+    the filter ``box_contains(within, p)``.
 
     Returns ``(records built, points)`` per variant."""
     cells = _checks.GridCells((t,), grid, within)
@@ -310,7 +328,7 @@ def assert_same_scan(t, grid, within=None, variants=None):
     records = {idx: (x, values[idx], const_piece[idx]) for idx, x in pts.items()}
     assert spans == seed_piece_spans(t, pts, values)
     assert count == len(pts)
-    points = _checks._closed_values(cells, spans, set(), 1)
+    points = _checks._closed_values(cells, spans, set(), {}, 1)
     assert list(points.items()) == list(records.items())
     walk = [(idx, x) for idx, x, _ in cells.points()]
     assert walk == sorted(pts.items())
@@ -324,10 +342,11 @@ def assert_same_scan(t, grid, within=None, variants=None):
         bound, direction = rep.parameters["bound"], opts.get("direction", "usc")
         safe = _checks._safe_pieces(seed_piece_spans(t, pts, values), radius, bound, direction,
                                     {})
-        want = near_records(records, spans, safe, radius)
+        decided = _checks._modulus_pieces(t, spans, cells.axes, radius, bound)
+        want = near_records(records, spans, safe, decided, radius)
         assert list(built.items()) == list(want.items())
         found = list(_checks._excess_witnesses(
-            records, _checks._neighbor_offsets(grid.dim, radius), bound, direction, set(), {}))
+            records, _checks._neighbor_offsets(grid.dim, radius), bound, direction, set(), {}, {}))
         witnesses = tuple(found[:_checks._MAX_WITNESSES])
         assert rep.witnesses == witnesses
         assert repr(rep.witnesses) == repr(witnesses)
@@ -817,3 +836,33 @@ def test_all_safe_pieces_build_no_record_and_walk_no_point(monkeypatch):
         rep = check_usc(t, grid, **opts)
         assert rep.passed
         assert rep.parameters["points_checked"] == grid.point_count()
+
+
+def _two_ramps():
+    """[0, 2] x [0, 1] cut at x0 = 1 into two affine pieces, each decided by
+    the modulus bound: the ramp [x0/2, x0/2 + 1] left of the cut and the
+    ramp [x1/4 + 1, x1/4 + 2] right of it."""
+    left, right = AffForm(0.0, (0.5, 0.0)), AffForm(1.0, (0.0, 0.25))
+    return PiecewiseMap((I.closed(0, 2), I.closed(0, 1)), 1, (
+        Piece((I(0, 1, True, False), I.closed(0, 1)), ((AffineInterval(left, left.shift(1.0)),),)),
+        Piece((I.closed(1, 2), I.closed(0, 1)), ((AffineInterval(right, right.shift(1.0)),),)),
+    ))
+
+
+def test_two_affine_pieces_build_records_only_near_each_other():
+    """Grid columns 0-7 lie left of the cut and 8-16 right of it. At
+    radius r the records are the r columns on each side of the cut, where
+    a centre has a neighbour on the other piece. At tol=0 the steeper left
+    ramp's own pairs meet the bound exactly, so it stays with the point
+    scan and all its columns have records. The reports equal the
+    point-pair oracle's."""
+    t = _two_ramps()
+    grid = Grid(2, (0.0, 0.0), (2.0, 1.0), 0.125)
+    variants = _strip_variants(grid.step)
+    for opts in variants:
+        assert_same_report(t, grid, **opts)
+        _, built = built_records(opts, t, grid, None)
+        r = round(opts["delta"] / grid.step)
+        first = 0 if "tol" in opts else 8 - r
+        assert set(built) == {(i, j) for i in range(first, 8 + r) for j in range(9)}
+    assert_same_scan(t, grid, None, variants)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -24,6 +25,7 @@ from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Pie
 from boxcorr import checks as _checks
 from boxcorr.cli import main
 from boxcorr.gallery import ex2_1, ex4_1
+from boxcorr import intervals as _intervals
 from boxcorr.intervals import EmptyExcessError, box_closure, box_contains, box_is_all_closed
 
 I = FlaggedInterval
@@ -279,6 +281,49 @@ def test_seeded_affine_maps_match_oracle(seed):
         assert_same_report(t, grid, **opts)
 
 
+def _tol_0_variants(grid):
+    """tol=0 in both directions at one to three grid steps of delta, on the
+    whole grid and in the ``within`` box (0, 1.5] on every axis."""
+    within = (FlaggedInterval(0.0, 1.5, False, True),) * grid.dim
+    return [{"tol": 0.0, "delta": r * grid.step, "direction": d, **w}
+            for r in (1, 2, 3) for d in ("usc", "lsc") for w in ({}, {"within": within})]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_affine_maps_at_tol_0_match_oracle(seed):
+    t = random_piecewise_map(seed)
+    dim = t.domain_dim
+    grid = Grid(dim, (0.0,) * dim, (2.0,) * dim, 0.25 if dim == 1 else 0.5)
+    for opts in _tol_0_variants(grid):
+        assert_same_report(t, grid, **opts)
+
+
+def test_seeded_affine_maps_have_pieces_decided_each_way():
+    """At tol=0 the seeded maps hold one-box affine pieces decided by the
+    modulus bound, some through the width margin and some, with a point
+    interval, through exact evaluation; and some left to the point scan."""
+    seen = set()
+    for seed in range(20):
+        t = random_piecewise_map(seed)
+        dim = t.domain_dim
+        grid = Grid(dim, (0.0,) * dim, (2.0,) * dim, 0.25 if dim == 1 else 0.5)
+        cells = _checks.GridCells((t,), grid)
+        spans, _ = _checks._piece_spans(cells)
+        for r in (1, 2, 3):
+            bound = t.max_slope() * r * grid.step
+            decided = _checks._modulus_pieces(t, spans, cells.axes, r, bound)
+            for i, (_, _, value) in spans.items():
+                if value is not None:
+                    continue
+                if i not in decided:
+                    seen.add("undecided")
+                elif any(ai.lo == ai.hi for ai in t.pieces[i].value[0]):
+                    seen.add("exact")
+                else:
+                    seen.add("margin")
+    assert seen == {"undecided", "exact", "margin"}
+
+
 def test_truncated_witness_list_matches_oracle():
     dom = (I.closed(0, 4), I.closed(0, 4))
     t = PiecewiseMap(dom, 1, (
@@ -418,7 +463,7 @@ def test_piece_pair_maps_cover_every_piece_level_case():
         t = piece_pair_map(seed)
         cells = _checks.GridCells((t,), grid)
         pieces, _ = _checks._piece_spans(cells)
-        points = _checks._closed_values(cells, pieces, set(), 1)
+        points = _checks._closed_values(cells, pieces, set(), {}, 1)
         bound = 1e-9 + t.max_slope() * grid.step
         for direction in ("usc", "lsc"):
             safe = _checks._safe_pieces(pieces, 1, bound, direction, {})
@@ -516,15 +561,115 @@ def test_failing_scan_stops_at_the_witness_past_the_cap(monkeypatch):
     centers[0] = 0
     cells = _checks.GridCells((t,), grid)
     pieces, _ = _checks._piece_spans(cells)
-    points = _checks._closed_values(cells, pieces, set(), 1)
+    points = _checks._closed_values(cells, pieces, set(), {}, 1)
     bound = rep.parameters["bound"]
     piece_excess = {}
     safe = _checks._safe_pieces(pieces, 16, bound, "usc", piece_excess)
     full = list(_checks._excess_witnesses(points, _checks._neighbor_offsets(1, 16), bound,
-                                          "usc", safe, piece_excess))
+                                          "usc", safe, {}, piece_excess))
     assert len(full) > _checks._MAX_WITNESSES
     assert full[:_checks._MAX_WITNESSES] == list(rep.witnesses)
     assert 0 < capped < centers[0]
+
+
+# ---------------------------------------------------------------------------
+# Same-piece affine pairs decided by the modulus bound
+# ---------------------------------------------------------------------------
+
+def _unit_ramp(num):
+    """x -> [x, x + 1] on [0, 1], with its numbers made by ``num``."""
+    dom = (I.closed(num(0), num(1)),)
+    lo, hi = AffForm(num(0), (num(1),)), AffForm(num(1), (num(1),))
+    return PiecewiseMap(dom, 1, (Piece(dom, ((AffineInterval(lo, hi),),)),))
+
+
+@pytest.mark.parametrize("step,count,first", [
+    (0.125, 0, None),
+    (0.1, 8, _checks.Witness((0.0,), (0.1,), 0.10000000000000009, "excess")),
+    (0.3, 2, _checks.Witness((0.0,), (0.3,), 0.30000000000000004, "excess")),
+])
+@pytest.mark.parametrize("data", ["float", "fraction-map", "fraction"])
+def test_one_piece_ramp_at_tol_0_keeps_its_rounding_witnesses(step, count, first, data):
+    """Between neighbours of x -> [x, x + 1] the exact excess is the step,
+    which is the bound at tol=0. At step 0.125 nothing rounds and the scan
+    passes. At steps 0.1 and 0.3 the rounded axis values and the rounded
+    x + 1 push some computed excesses past the bound, and the scan keeps
+    those witnesses. A map of ``Fraction`` numbers on a float grid rounds
+    as the float map does; on a ``Fraction`` grid nothing rounds."""
+    if data == "fraction":
+        grid = Grid(1, (Fraction(0),), (Fraction(1),), Fraction(str(step)))
+        rep = assert_same_report(_unit_ramp(Fraction), grid, tol=Fraction(0))
+        assert rep.passed
+        return
+    grid = Grid(1, (0.0,), (1.0,), step)
+    rep = assert_same_report(_unit_ramp(Fraction if data == "fraction-map" else float), grid,
+                             tol=0.0)
+    assert len(rep.witnesses) == count
+    assert rep.witnesses[:1] == ((first,) if first else ())
+
+
+def _rounds_empty_near_one():
+    """[0.1 + 0.3x, 0.7 - 0.3x] on [0, 1] has width 0 at x = 1 by the float
+    bounds the map validates with, but computes as [0.4000000000000001,
+    0.39999999999999997] there."""
+    dom = (I.closed(0, 1),)
+    value = ((AffineInterval(AffForm(0.1, (0.3,)), AffForm(0.7, (-0.3,))),),)
+    return PiecewiseMap(dom, 1, (Piece(dom, value),)), Grid(1, (0.0,), (1.0,), 0.1), 1e-9
+
+
+def _rounds_empty_at_2_52():
+    """Dyadic data whose sums pass 2**52, where floats are 1 apart: the
+    exact width 1.5 - 1.5 x1 is 0 at x1 = 1, and at (1, 1) the value
+    computes as [-4503599627370495.5, -4503599627370496]. A tol of 1000
+    covers every rounding of the excess, so only the empty value fails."""
+    dom = (I.closed(0, 1), I.closed(0, 1))
+    c = -(2.0 ** 52 + 1)
+    value = ((AffineInterval(AffForm(0.5, (c, 0.5)), AffForm(2.0, (c, -1.0))),),)
+    return PiecewiseMap(dom, 1, (Piece(dom, value),)), Grid(2, (0.0, 0.0), (1.0, 1.0), 0.25), 1000.0
+
+
+@pytest.mark.parametrize("case", [_rounds_empty_near_one, _rounds_empty_at_2_52],
+                         ids=["decimal", "dyadic"])
+def test_interval_that_rounds_empty_keeps_its_empty_value_witnesses(case):
+    """A value that computes empty at a grid point where its exact width is
+    0, next to nonempty values: the piece stays with the point scan."""
+    t, grid, tol = case()
+    corner = (1.0,) * grid.dim
+    assert t.evaluate(corner).is_empty
+    for opts in ({}, {"direction": "lsc"}, {"delta": 3 * grid.step}):
+        rep = assert_same_report(t, grid, tol=tol, **opts)
+        assert "empty value" in {w.category for w in rep.witnesses}
+
+
+def test_one_piece_affine_map_with_margin_makes_no_excess_call_and_no_record(monkeypatch):
+    """A 2-D one-piece affine map at the default tol: every neighbour pair
+    lies on the one piece, which the modulus bound decides, so the scan
+    walks no point and computes no excess, at a dyadic and a rounding step."""
+    calls = _count_excess(monkeypatch)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("points walked")
+
+    monkeypatch.setattr(_checks.GridCells, "points", no_walk)
+    dom = (I.closed(0, 2), I.closed(0, 1))
+    slant = AffForm(0.5, (0.25, -1.0))
+    x0 = AffForm.coordinate(0, 2)
+    value = ((AffineInterval(slant, slant.shift(0.5)), AffineInterval(x0, x0.shift(2.0))),)
+    t = PiecewiseMap(dom, 2, (Piece(dom, value),))
+    for step in (0.1, 0.125):
+        grid = Grid.over_box(dom, step)
+        for opts in ({}, {"direction": "lsc"}, {"delta": 3 * step}):
+            rep = check_usc(t, grid, **opts)
+            assert rep.passed
+            assert rep.parameters["points_checked"] == grid.point_count()
+    assert calls[0] == 0
+
+
+def test_check_usc_rejects_an_unknown_direction():
+    grid = Grid(1, (0.0,), (1.0,), 0.25)
+    for direction in ("USC", "upper", ""):
+        with pytest.raises(ValueError, match="'usc' or 'lsc'"):
+            check_usc(_unit_ramp(float), grid, direction=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +774,28 @@ def test_closure_matches_frozen_copy(s):
     assert got.closure() == got
     if all(box_is_all_closed(b) for b in s.boxes):
         assert got is s
+
+
+def test_closing_a_closure_canonicalizes_nothing(monkeypatch):
+    """The canonical form of this closed union holds the half-open box
+    {0}x(0,0.5]; the set ``closure`` returns is closed again for free."""
+    s = BoxSet.of(2, [(I.point(0), I.closed(0, 0.5)), (I.closed(0, 0.5), I.point(0))])
+    assert not all(box_is_all_closed(b) for b in s.boxes)
+    want = seed_closure(s)
+    calls = [0]
+    original = _intervals.canonical_boxes
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(_intervals, "canonical_boxes", counted)
+    c = s.closure()
+    assert calls[0] == 1
+    assert c == s == want
+    assert c.closure() is c
+    assert c.closure().closure() is c
+    assert calls[0] == 1
 
 
 @st.composite
