@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -147,7 +148,7 @@ class PriceSimplex:
 # ---------------------------------------------------------------------------
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _in_box(x: Sequence[float], truncation: float) -> bool:
@@ -477,10 +478,13 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
 
     Prices run over the economy's full simplex grid; allocations are 40
     seeded draws from the step grid (the full product grid is astronomically
-    large); candidate bundles per (x, p) mix structured points (origin,
-    endowment, own bundle, truncation corner) with 12 seeded grid draws.
+    large). Candidates per (price, allocation, agent) are the origin, the
+    endowment, the agent's bundle, the truncation corner, 12 seeded grid
+    draws and the preferred value's measurable corners, built once per
+    (allocation, agent, information set). Only a candidate in the strict
+    budget, tested first, is tested for preferred-measurable membership.
     """
-    rng = random.Random(_INCLUSION_SEED)
+    choice = random.Random(_INCLUSION_SEED).choice
     d = assoc.info.bundle_dim
     axis = []
     v = 0.0
@@ -488,32 +492,28 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
         axis.append(min(v, assoc.truncation))
         v += alloc_step
     def draw_bundle():
-        return tuple(rng.choice(axis) for _ in range(d))
+        return tuple([choice(axis) for _ in range(d)])
 
     allocations = [tuple(draw_bundle() for _ in range(assoc.n))
                    for _ in range(40)]
     preferred = [[assoc.preferred_value(i, x) for i in range(assoc.n)] for x in allocations]
+    origin, top = (0.0,) * d, (assoc.truncation,) * d
+    corners: dict = {}
     checked = 0
     antecedent_hits = 0
     wit = []
     for p in assoc.simplex.points():
         sets = [(assoc.budget(i, p), assoc.information(i, p)) for i in range(assoc.n)]
-        for x, prefs in zip(allocations, preferred):
-            for i, pref in enumerate(prefs):
-                bud, inf = sets[i]
-                candidates = [
-                    tuple(0.0 for _ in range(d)),
-                    assoc.info.endowments[i],
-                    x[i],
-                    tuple(assoc.truncation for _ in range(d)),
-                ]
+        for k, (x, prefs) in enumerate(zip(allocations, preferred)):
+            for i, ((bud, inf), pref) in enumerate(zip(sets, prefs)):
+                candidates = [origin, assoc.info.endowments[i], x[i], top]
                 candidates += [draw_bundle() for _ in range(12)]
-                candidates += _measurable_corners(pref, inf)
+                if (k, i, inf) not in corners:
+                    corners[k, i, inf] = _measurable_corners(pref, inf)
+                candidates += corners[k, i, inf]
+                checked += len(candidates)
                 for y in candidates:
-                    checked += 1
-                    in_a = bud.contains(y)
-                    in_p = pref.contains(y) and inf.contains(y)
-                    if in_a and in_p:
+                    if bud.contains(y) and pref.contains(y) and inf.contains(y):
                         antecedent_hits += 1
                         if not assoc.clause_b(i, y, p):
                             wit.append(Witness(y, None, 0.0, "inclusion violated",

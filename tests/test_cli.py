@@ -430,6 +430,23 @@ def test_build_radner_rejects_a_bad_truncation(runner, tmp_path, truncation):
     assert "Traceback" not in r.output
 
 
+def test_build_radner_rejects_a_truncation_outside_the_preference_domain(runner, tmp_path):
+    """The inclusion check samples bundles and allocations over
+    [0, truncation], so the preference maps must be defined there: the
+    message names the agent, the truncation and the domain, not a drawn
+    point."""
+    doc = json.loads((EXAMPLES / "radner_toy.econ").read_text())
+    doc["truncation"] = 3.0
+    path = tmp_path / "wide_truncation.econ"
+    path.write_text(json.dumps(doc))
+    r = invoke(runner, "build-radner", path)
+    assert r.exit_code == 2, r.output
+    assert ("truncation 3.0 leaves the domain of agent 0's preference map: "
+            "coordinate 0 ranges over [0, 2.0]") in r.output
+    assert "outside map domain" not in r.output
+    assert "Traceback" not in r.output
+
+
 @pytest.mark.parametrize("field,value", [("n_goods", True), ("n_agents", 2.0),
                                          ("n_states", "2"), ("n_agents", None)])
 def test_build_radner_rejects_counts_that_are_not_integers(runner, tmp_path, field, value):

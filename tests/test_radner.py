@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
-from boxcorr import (AffForm, AffineInterval, AssociatedEconomy, DocumentError,
+from boxcorr import (AffForm, AffineInterval, AssociatedEconomy, BoxSet, DocumentError,
                      FlaggedInterval, InfoEconomy, Piece, PiecewiseMap, PriceSimplex,
                      radner_toy, remark_4_3_inclusion, to_abstract_economy,
                      verify_market_clearing)
@@ -32,10 +33,11 @@ def richer_toy():
 # Budget sets
 # ---------------------------------------------------------------------------
 
-def associated(e, truncation=None):
+def associated(e, truncation=None, resolution=8):
+    simplex = PriceSimplex(e.bundle_dim, resolution)
     if truncation is None:
-        return to_abstract_economy(e, PriceSimplex(e.bundle_dim, 8))
-    return AssociatedEconomy(e, truncation, PriceSimplex(e.bundle_dim, 8))
+        return to_abstract_economy(e, simplex)
+    return AssociatedEconomy(e, truncation, simplex)
 
 
 def two_state_economy(e0, signal="pooled"):
@@ -1025,3 +1027,140 @@ def test_search_verifies_only_allocations_passing_the_price_clause(monkeypatch):
     assoc = to_abstract_economy(toy(), PriceSimplex(3, 8))
     assert assoc.search((0.0, 0.5, 1.0, 1.5, 2.0))
     assert len(calls) == 350
+
+
+# ---------------------------------------------------------------------------
+# The budget-first inclusion loop against the frozen three-test loop
+# ---------------------------------------------------------------------------
+#
+# ``seed_remark_4_3_inclusion`` is the loop that tested every candidate for
+# budget, preferred and measurable membership and built the measurable
+# corners once per (price, allocation, agent). It stays here as the oracle
+# for ``remark_4_3_inclusion``, which must draw the same seeded bundles in
+# the same order and give the same report.
+
+def seed_remark_4_3_inclusion(assoc, alloc_step):
+    rng = random.Random(_radner._INCLUSION_SEED)
+    d = assoc.info.bundle_dim
+    axis = []
+    v = 0.0
+    while v <= assoc.truncation + 1e-12:
+        axis.append(min(v, assoc.truncation))
+        v += alloc_step
+    def draw_bundle():
+        return tuple(rng.choice(axis) for _ in range(d))
+
+    allocations = [tuple(draw_bundle() for _ in range(assoc.n))
+                   for _ in range(40)]
+    preferred = [[assoc.preferred_value(i, x) for i in range(assoc.n)] for x in allocations]
+    checked = 0
+    antecedent_hits = 0
+    wit = []
+    for p in assoc.simplex.points():
+        sets = [(assoc.budget(i, p), assoc.information(i, p)) for i in range(assoc.n)]
+        for x, prefs in zip(allocations, preferred):
+            for i, pref in enumerate(prefs):
+                bud, inf = sets[i]
+                candidates = [
+                    tuple(0.0 for _ in range(d)),
+                    assoc.info.endowments[i],
+                    x[i],
+                    tuple(assoc.truncation for _ in range(d)),
+                ]
+                candidates += [draw_bundle() for _ in range(12)]
+                candidates += _radner._measurable_corners(pref, inf)
+                for y in candidates:
+                    checked += 1
+                    in_a = bud.contains(y)
+                    in_p = pref.contains(y) and inf.contains(y)
+                    if in_a and in_p:
+                        antecedent_hits += 1
+                        if not assoc.clause_b(i, y, p):
+                            wit.append(Witness(y, None, 0.0, "inclusion violated",
+                                               f"agent {i} at p={p}"))
+    return CheckReport(
+        "constraint-inclusion", PASS if not wit else FAIL, tuple(wit[:32]),
+        {
+            "prices": assoc.simplex.point_count(),
+            "allocations": len(allocations),
+            "candidates_checked": checked,
+            "antecedent_hits": antecedent_hits,
+            "alloc_step": alloc_step,
+            "seed": _radner._INCLUSION_SEED,
+        },
+        ("antecedent_hits counts candidates that were affordable and "
+         "preferred-measurable; each must satisfy both constraints",),
+    )
+
+
+@pytest.mark.parametrize("economy,resolution,step,hits", [
+    (toy, 8, 0.125, 0), (toy, 4, 0.5, 0), (toy, 8, 0.25, 0),
+    (richer_toy, 8, 0.125, 6), (richer_toy, 4, 0.5, 2), (richer_toy, 8, 0.25, 5),
+    # steps that do not divide the truncation 2
+    (toy, 8, 0.3, None), (toy, 8, 3.0, None),
+    (richer_toy, 8, 0.3, None), (richer_toy, 8, 3.0, None),
+])
+def test_inclusion_matches_frozen_three_test_loop_on_toys(economy, resolution, step, hits):
+    assoc = associated(economy(), resolution=resolution)
+    got, want = remark_4_3_inclusion(assoc, step), seed_remark_4_3_inclusion(assoc, step)
+    assert repr(got) == repr(want)
+    if hits is not None:
+        assert got.parameters["antecedent_hits"] == hits
+
+
+@pytest.mark.parametrize("resolution,step,hits", [(2, 0.5, 1), (2, 0.25, 2),
+                                                  (3, 0.5, 11), (3, 0.25, 18)])
+def test_inclusion_matches_frozen_three_test_loop_on_two_goods(resolution, step, hits):
+    assoc, _ = _both_economies(resolution)
+    got = remark_4_3_inclusion(assoc, step)
+    assert repr(got) == repr(seed_remark_4_3_inclusion(assoc, step))
+    assert got.parameters["antecedent_hits"] == hits
+
+
+def test_inclusion_witnesses_match_frozen_loop_under_a_rejecting_clause_b(monkeypatch):
+    monkeypatch.setattr(AssociatedEconomy, "clause_b", lambda self, i, bundle, p: False)
+    assoc = associated(richer_toy())
+    got = remark_4_3_inclusion(assoc, 0.125)
+    assert repr(got) == repr(seed_remark_4_3_inclusion(assoc, 0.125))
+    assert len(got.witnesses) == 6
+    # some witnesses sit at seeded draws, not at structured points or corners
+    assert (1.75, 1.375, 1.375) in {w.point for w in got.witnesses}
+
+
+def test_inclusion_builds_corners_once_and_tests_preferences_only_when_affordable(monkeypatch):
+    draws = []
+
+    class CountingRandom(random.Random):
+        def choice(self, seq):
+            draws.append(1)
+            return super().choice(seq)
+
+    corners = []
+    measurable_corners = _radner._measurable_corners
+    monkeypatch.setattr(_radner, "_measurable_corners",
+                        lambda value, info: corners.append(1) or measurable_corners(value, info))
+    # radner and the oracle draw through the same ``random`` module
+    monkeypatch.setattr(_radner.random, "Random", CountingRandom)
+    assoc = associated(toy())
+    want = seed_remark_4_3_inclusion(assoc, 0.125)
+    assert (len(corners), len(draws)) == (3600, 129840)
+    corners.clear()
+    draws.clear()
+
+    budget_contains, boxset_contains = _radner.BudgetSet.contains, BoxSet.contains
+    last, preferred_tests = {}, []
+
+    def in_budget(self, x):
+        last["point"], last["in"] = x, budget_contains(self, x)
+        return last["in"]
+
+    def in_preferred(self, point):
+        preferred_tests.append(last.get("point") == point and last["in"])
+        return boxset_contains(self, point)
+
+    monkeypatch.setattr(_radner.BudgetSet, "contains", in_budget)
+    monkeypatch.setattr(BoxSet, "contains", in_preferred)
+    got = remark_4_3_inclusion(assoc, 0.125)
+    assert repr(got) == repr(want)
+    assert (len(corners), len(draws)) == (80, 129840)
+    assert preferred_tests and all(preferred_tests)
