@@ -10,10 +10,12 @@ per scan, the table of cells that lie on one piece of each map; its
 yields the grid points in lexicographic order, each with its cell's
 pieces. Each scan decides what it can per cell and walks the points only
 where the cells leave it open. A probe that reads only the maps'
-values runs on ``scan_values``, once per tuple of constant pieces and per
-point only where a piece is affine or the tuple fails. The block-point
-test runs on ``scan_block_points``, which probes a point only where a
-cell's value is affine or can hold the block point. ``check_usc``
+values runs on ``scan_values``, once per tuple of decided pieces and per
+point only where a piece is undecided or the tuple fails; a piece is
+decided when it is constant, or at most one box on a map the probe reads
+only for convexity (``convex_only``). The block-point test runs on
+``scan_block_points``, which probes a point only where a cell's value is
+affine or can hold the block point. ``check_usc``
 compares neighbouring points, deciding pairs of constant pieces once,
 deciding the pairs within one affine piece by the modulus bound, and
 building point records only near the pieces that stay undecided and
@@ -191,35 +193,43 @@ def _walk_undecided(cells: GridCells, passed: dict,
 
 def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
                 probe: Callable[..., Iterable[tuple[float, str, str]]],
-                parameters: dict | None = None, within: Box | None = None) -> CheckReport:
+                parameters: dict | None = None, within: Box | None = None,
+                convex_only: Sequence[int] = ()) -> CheckReport:
     """Per-point verdict for a probe that reads only the values: each
     ``(excess, category, detail)`` triple of ``probe(*values)`` at a point
     ``x`` of ``GridCells(maps, grid, within).points()`` is the witness
     ``Witness(x, None, excess, category, detail)``.
 
-    On a tuple of constant pieces the probe's answer is the same at every
-    point, so it runs once per distinct such tuple of the cells, up to
-    its first triple. When every tuple passes and no cell lies on an affine
-    piece, the scan passes without visiting a point. Otherwise
-    ``_walk_undecided`` probes each point whose tuple did not pass, so the
-    witnesses, their order and the ``_MAX_WITNESSES`` cap are those of a
-    probe at every point. A point of ``maps[0]``'s domain outside a later
-    map's domain raises ``DomainError`` before any witness is kept.
+    ``convex_only`` lists the positions of the maps whose values the probe
+    reads only through ``len(value.boxes) <= 1``. A piece is decided when it
+    is constant, or at such a position with at most one value box:
+    ``value_on`` then gives one box or none (where float rounding empties
+    it) at every point, so that read is true on the whole piece. On a tuple
+    of decided pieces the probe's answer is the same at every point, so it
+    runs once per distinct such tuple, at its first cell's first point, up
+    to its first triple. When
+    every tuple is decided and passes, the scan passes without visiting a
+    point. Otherwise ``_walk_undecided`` probes each point whose tuple did
+    not pass, so the witnesses, their order and the ``_MAX_WITNESSES`` cap
+    are those of a probe at every point. A point of ``maps[0]``'s domain
+    outside a later map's domain raises ``DomainError`` before any witness
+    is kept.
     """
     cells = GridCells(maps, grid, within)
     passed: dict[tuple[int, ...], bool] = {}
-    affine = False
+    undecided = False
     for cell, pieces in cells.cells():
         if pieces in passed:
             continue
-        if not all(m.pieces[i].is_constant for m, i in zip(maps, pieces)):
-            affine = True
+        if not all(p.is_constant or k in convex_only and len(p.value) <= 1
+                   for k, p in enumerate(m.pieces[i] for m, i in zip(maps, pieces))):
+            undecided = True
             continue
         x = cells.first_point(cell)
         values = (m.value_on(i, x) for m, i in zip(maps, pieces))
         passed[pieces] = next(iter(probe(*values)), None) is None
     witnesses = ()
-    if affine or not all(passed.values()):
+    if undecided or not all(passed.values()):
         witnesses = _walk_undecided(cells, passed, lambda x, *values: probe(*values))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 

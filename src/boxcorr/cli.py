@@ -181,7 +181,9 @@ def _emit(rows_records, lines_text, out: str | None, fmt: str | None) -> None:
     if out:
         Path(out).write_text(payload + "\n")
     else:
-        click.echo(payload)
+        # an explicit stream: click's default stream lookup caches each
+        # sys.stdout it sees, so an in-process caller's redirected buffers would stay alive
+        click.echo(payload, file=sys.stdout)
 
 
 def _finish_report(rep: CheckReport, out: str | None, fmt: str | None) -> None:
@@ -395,16 +397,7 @@ def cmd_build_radner(document, step, tol, out, fmt):
         if points > MAX_GRID_POINTS:
             raise InputError(f"truncation {assoc.truncation} at step {step} gives {points:.0f} "
                              f"allocation grid points, more than the limit of {MAX_GRID_POINTS}")
-        # the sampled bundles and allocations range over [0, truncation]
-        for i, q in enumerate(info.preferences):
-            for k, iv in enumerate(q.domain):
-                if not (iv.contains(0.0) and iv.contains(assoc.truncation)):
-                    shown = (f"{'[' if iv.lo_closed else '('}{iv.lo}, "
-                             f"{iv.hi}{']' if iv.hi_closed else ')'}")
-                    raise InputError(
-                        f"truncation {assoc.truncation} leaves the domain of agent {i}'s "
-                        f"preference map: coordinate {k} ranges over {shown}, which must "
-                        "contain both 0 and the truncation")
+        # raises DomainError, before any draw, on a truncation outside a preference domain
         incl = remark_4_3_inclusion(assoc, step)
         axis = tuple(assoc.truncation * k / 4 for k in range(5))
         certs = assoc.search(axis)

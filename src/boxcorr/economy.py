@@ -295,8 +295,9 @@ def _values_condition_4_1(e: AbstractEconomy, i: int, grid: Grid, name: str) -> 
         if not hval.subset_within(bval, 0.0):
             yield 0.0, "inclusion", "conflict value escapes B"
 
+    # the probe reads A and P only for convexity, decided per piece of at most one box
     return scan_values(name, (ag.a_map, ag.p_map, ag.b_map, e.conflict_map(i)), grid, probe,
-                       {"points_checked": grid.point_count()})
+                       {"points_checked": grid.point_count()}, convex_only=(0, 1))
 
 
 def _value_shape(val):

@@ -32,7 +32,7 @@ from . import io as _io
 from .affine import instantiate_box
 from .checks import FAIL, PASS, CheckReport, Witness, combine_reports
 from .intervals import Box, BoxSet, FlaggedInterval, box_intersect
-from .maps import PiecewiseMap
+from .maps import DomainError, PiecewiseMap
 
 
 def _signal_label(name: str, p: tuple[float, ...], state: int) -> int:
@@ -471,6 +471,21 @@ def _measurable_corners(value: BoxSet, info: InformationSet) -> list[tuple[float
     return out
 
 
+def _check_sample_domain(assoc: AssociatedEconomy) -> None:
+    """Raise ``DomainError`` unless each preference map's domain holds 0 and
+    the truncation on every coordinate: the bundles and allocations
+    ``remark_4_3_inclusion`` samples range over [0, truncation]."""
+    for i, q in enumerate(assoc.info.preferences):
+        for k, iv in enumerate(q.domain):
+            if not (iv.contains(0.0) and iv.contains(assoc.truncation)):
+                shown = (f"{'[' if iv.lo_closed else '('}{iv.lo}, "
+                         f"{iv.hi}{']' if iv.hi_closed else ')'}")
+                raise DomainError(
+                    f"truncation {assoc.truncation} leaves the domain of agent {i}'s "
+                    f"preference map: coordinate {k} ranges over {shown}, which must "
+                    "contain both 0 and the truncation")
+
+
 def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckReport:
     """Sampled check that constrained-preferred bundles satisfy both
     constraints: membership in budget and preferred-measurable implies
@@ -483,7 +498,10 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
     draws and the preferred value's measurable corners, built once per
     (allocation, agent, information set). Only a candidate in the strict
     budget, tested first, is tested for preferred-measurable membership.
+    A truncation outside a preference map's domain raises ``DomainError``
+    from ``_check_sample_domain`` before any draw.
     """
+    _check_sample_domain(assoc)
     choice = random.Random(_INCLUSION_SEED).choice
     d = assoc.info.bundle_dim
     axis = []

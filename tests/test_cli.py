@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -553,3 +557,18 @@ def test_equilibria_records_include_certificates(runner):
     assert rows[0]["record"] == "equilibria"
     assert rows[0]["count"] == len(rows) - 1
     assert any(row.get("point") == [1.5, 1.5] for row in rows[1:])
+
+
+def test_in_process_run_frees_its_redirected_output():
+    """A caller that runs the CLI in process under ``redirect_stdout`` gets
+    its output, and the buffer is freed once the caller drops it: click's
+    default stream lookup would cache every ``sys.stdout`` it sees."""
+    buf = StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        main(["find-equilibria", "--format", "records", str(EXAMPLES / "ex4_1_n2.econ")])
+    assert exc.value.code == 0
+    assert json.loads(buf.getvalue().splitlines()[0])["record"] == "equilibria"
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None

@@ -1164,3 +1164,28 @@ def test_inclusion_builds_corners_once_and_tests_preferences_only_when_affordabl
     assert repr(got) == repr(want)
     assert (len(corners), len(draws)) == (80, 129840)
     assert preferred_tests and all(preferred_tests)
+
+
+def test_inclusion_checks_the_preference_domain_before_any_draw(monkeypatch):
+    """A truncation that leaves a preference map's domain is refused with a
+    message naming the agent, the truncation and the domain, before a bundle
+    is drawn; the economy itself still accepts it."""
+    draws = []
+
+    class CountingRandom(random.Random):
+        def choice(self, seq):
+            draws.append(1)
+            return super().choice(seq)
+
+    monkeypatch.setattr(_radner.random, "Random", CountingRandom)
+    assoc = associated(toy(), 3.0)
+    assert assoc.budget(0, (1 / 3, 1 / 3, 1 / 3)).truncation == 3.0
+    with pytest.raises(_radner.DomainError) as exc:
+        remark_4_3_inclusion(assoc, 0.125)
+    assert str(exc.value) == ("truncation 3.0 leaves the domain of agent 0's preference map: "
+                              "coordinate 0 ranges over [0, 2.0], which must contain both 0 "
+                              "and the truncation")
+    assert draws == []
+    # a truncation inside every domain draws as before
+    assert remark_4_3_inclusion(associated(toy(), 2.0), 0.5).passed
+    assert draws

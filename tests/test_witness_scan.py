@@ -21,6 +21,7 @@ same probe at every point, and ``GridCells``' cells and points against
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -776,42 +777,232 @@ def test_scan_values_raises_outside_a_later_domain():
 
 def test_theorem_4_1_value_probes_run_once_per_constant_tuple(monkeypatch):
     """On ex4_1(2) at step 1/16, each value-only probe of the 4.1 check runs
-    once per distinct tuple of constant pieces, and at each point of a cell
-    that holds an affine piece (the A and P maps have some)."""
+    once per distinct tuple of decided pieces, and at each point of a cell
+    whose tuple holds an undecided piece. A piece is decided when it is
+    constant, or one-box at a position the scan reads only for convexity:
+    the A and P maps of the cond2 scans, whose affine pieces are one box."""
     e = ex4_1(2)
     grid = Grid.over_box(e.domain, 1 / 16)
-    counts = {"calls": 0, "constant_tuples": 0, "affine_points": 0, "scans": 0, "points": 0}
+    counts = {"calls": 0, "decided_tuples": 0, "undecided_points": 0, "scans": 0,
+              "points": 0, "convex_only_scans": 0}
     real = _economy.scan_values
 
-    def counted(name, maps, grid, probe, parameters=None, within=None):
+    def counted(name, maps, grid, probe, parameters=None, within=None, convex_only=()):
         calls = []
 
         def wrapped(*values):
             calls.append(values)
             return probe(*values)
 
-        rep = real(name, maps, grid, wrapped, parameters, within)
-        tuples, affine = set(), 0
+        rep = real(name, maps, grid, wrapped, parameters, within, convex_only)
+        tuples, undecided = set(), 0
         for cell, pieces in GridCells(maps, grid, within).cells():
             counts["points"] += math.prod(map(len, cell))
-            if all(m.pieces[i].is_constant for m, i in zip(maps, pieces)):
+            if all(p.is_constant or k in convex_only and len(p.value) <= 1
+                   for k, p in enumerate(m.pieces[i] for m, i in zip(maps, pieces))):
                 tuples.add(pieces)
             else:
-                affine += math.prod(map(len, cell))
+                undecided += math.prod(map(len, cell))
         assert rep.verdict == PASS
-        assert len(calls) == len(tuples) + affine
+        assert len(calls) == len(tuples) + undecided
         counts["calls"] += len(calls)
-        counts["constant_tuples"] += len(tuples)
-        counts["affine_points"] += affine
+        counts["decided_tuples"] += len(tuples)
+        counts["undecided_points"] += undecided
         counts["scans"] += 1
+        counts["convex_only_scans"] += bool(convex_only)
         return rep
 
     monkeypatch.setattr(_economy, "scan_values", counted)
     rep = check_theorem_4_1_hypotheses(e, (0.5, 2.0, 4.0), grid)
     assert rep.verdict == PASS
-    # a probe at every point, as seed_scan_points runs it, makes 35,150 calls
-    assert counts == {"calls": 534, "constant_tuples": 22, "affine_points": 512, "scans": 14,
-                      "points": 35150}
+    # a probe at every point, as seed_scan_points runs it, makes 35,150 calls;
+    # with constant tuples alone decided, the affine A/P cells took 512 of 534
+    assert counts == {"calls": 36, "decided_tuples": 36, "undecided_points": 0, "scans": 14,
+                      "points": 35150, "convex_only_scans": 2}
+
+
+# ---------------------------------------------------------------------------
+# scan_values with convexity-only positions against seed_scan_points
+# ---------------------------------------------------------------------------
+
+def _convexity_at(positions):
+    """A value probe that reads the values at ``positions`` only through
+    ``len(value.boxes) <= 1``, and the others for emptiness and shape."""
+    def probe(*values):
+        for k, v in enumerate(values):
+            if k not in positions and v.is_empty:
+                yield math.inf, "empty value", f"map {k}"
+            elif len(v.boxes) > 1:
+                yield 0.0, "nonconvex", f"map {k}"
+    return probe
+
+
+def assert_same_convex_only_scan(maps, grid, positions, within=None, parameters=None):
+    """The report of ``scan_values`` with ``convex_only=positions`` equals the
+    per-point scan's; returns it with the number of probe calls."""
+    probe = _convexity_at(positions)
+    calls = []
+
+    def counted(*values):
+        calls.append(values)
+        return probe(*values)
+
+    got = scan_values("scan", maps, grid, counted, parameters, within, positions)
+    want = seed_scan_points("scan", maps, grid, _as_point_probe(probe), parameters, within)
+    assert got == want
+    assert repr(got.witnesses) == repr(want.witnesses)
+    assert got.parameters == want.parameters
+    return got, len(calls)
+
+
+def _affine(lo, hi, dd, slope=0.5, axis=0):
+    """The one-box value ``[lo + slope * x_axis, hi + slope * x_axis]``."""
+    form = AffForm.coordinate(axis, dd, slope)
+    return (AffineInterval(AffForm(lo, form.coeffs), AffForm(hi, form.coeffs), True, True),)
+
+
+def test_convex_only_scans_match_scan_points():
+    """Every scan-map tuple, box and choice of convexity-only positions."""
+    verdicts, capped, decided = set(), False, False
+    for maps, grid in _scan_maps():
+        points = sum(1 for _ in GridCells(maps, grid).points())
+        for within in _withins(grid.dim):
+            for positions in ((0,), (0, 1), tuple(range(len(maps)))):
+                rep, calls = assert_same_convex_only_scan(maps, grid, positions, within,
+                                                          {"eps": 0.5})
+                verdicts.add(rep.verdict)
+                capped |= len(rep.witnesses) == CAP
+                decided |= within is None and calls < points and any(
+                    not p.is_constant for m in maps for p in m.pieces)
+    assert verdicts == {PASS, FAIL}
+    assert capped and decided
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_two_box_affine_piece_stays_per_point(position):
+    """An A or P piece of two affine boxes is one box where they meet and
+    two elsewhere, so it is probed at every point of its cells."""
+    dom = (I.closed(0, 2),)
+    split = PiecewiseMap(dom, 1, (Piece(dom, (_const_box(0.0, 0.5, 1),
+                                              _affine(0.0, 0.5, 1, slope=1.0))),))
+    other = constant_map(dom, BoxSet.single((I.closed(0, 1),)))
+    maps = (split, other) if position == 0 else (other, split)
+    grid = Grid(1, (0.0,), (2.0,), 1 / 16)
+    rep, calls = assert_same_convex_only_scan(maps, grid, (0, 1))
+    assert calls == grid.point_count() == 33
+    assert [w.point[0] for w in rep.witnesses] == [k / 16 for k in range(9, 33)]
+    assert {w.detail for w in rep.witnesses} == {f"map {position}"}
+
+
+def _affine_a_economy():
+    """Two agents on [0, 2]^2. Agent 0's A is affine and one box on each of
+    its two pieces, wide enough that A cap P is P's constant [0, 1]; its B,
+    cut along axis 1, is [0, 2], then empty, then [0, 0.5]. Agent 1's A is
+    the affine box [x1 / 2, x1 / 2 + 1/2] inside its P, so its conflict
+    value is that affine box, and it escapes B = [0, 1] where x1 > 1."""
+    dd = 2
+    x_box = (I.closed(0.0, 2.0),)
+    dom = x_box * dd
+    low, high = (I.closed(0, 2), I(0, 1, True, False)), (I.closed(0, 2), I.closed(1, 2))
+    a0 = PiecewiseMap(dom, 1, (Piece(low, (_affine(-2.0, 3.0, dd),)),
+                               Piece(high, (_affine(-2.0, 3.0, dd, slope=0.25, axis=1),))))
+    b0 = PiecewiseMap(dom, 1, (
+        Piece((I.closed(0, 2), I(0, 0.25, True, False)), (_const_box(0.0, 2.0, dd),)),
+        Piece((I.closed(0, 2), I(0.25, 1.25, True, False)), ()),
+        Piece((I.closed(0, 2), I.closed(1.25, 2)), (_const_box(0.0, 0.5, dd),))))
+    a1 = PiecewiseMap(dom, 1, (Piece(dom, (_affine(0.0, 0.5, dd, axis=1),)),))
+    d = BoxSet.single((I.closed(0.5, 1.5),))
+    return AbstractEconomy((
+        AgentSpec(x_box, d, a0, constant_map(dom, BoxSet.single((I.closed(0, 1),))), b0),
+        AgentSpec(x_box, d, a1, constant_map(dom, BoxSet.single((I.closed(0, 2),))),
+                  constant_map(dom, BoxSet.single((I.closed(0, 1),))))))
+
+
+def _rounding_b_economy():
+    """One agent on [0, 2] whose A is an affine box and whose P is empty, so
+    its conflict value is empty; its B, ``[0.1 + 0.15x, 0.7 - 0.15x]``, is
+    one closed box whose float instance at x = 2 is empty."""
+    x_box = (I.closed(0.0, 2.0),)
+    b = PiecewiseMap(x_box, 1, (Piece(x_box, ((AffineInterval(
+        AffForm(0.1, (0.15,)), AffForm(0.7, (-0.15,)), True, True),),)),))
+    a = PiecewiseMap(x_box, 1, (Piece(x_box, (_affine(0.0, 0.5, 1),)),))
+    empty = PiecewiseMap(x_box, 1, (Piece(x_box, ()),))
+    return AbstractEconomy((AgentSpec(x_box, BoxSet.single(x_box), a, empty, b),))
+
+
+def test_failing_b_and_conflict_clauses_on_a_one_box_affine_a_piece(monkeypatch):
+    """The B and conflict clauses fail on tuples whose A piece is affine and
+    one box: those tuples are probed once, then walked point by point, so
+    the witnesses, their order and the cap split inside one point equal the
+    frozen per-point loop's. B and the conflict map are read for emptiness
+    and inclusion, so their affine pieces stay per point."""
+    raws = []
+    for e in (_affine_a_economy(), _rounding_b_economy()):
+        grid = Grid.over_box(e.domain, 0.125)
+        for i in range(len(e.agents)):
+            raws.append(seed_values_4_1(e, i, grid))
+            assert_scan_equals(_economy._values_condition_4_1(e, i, grid, "cond2"), raws[-1],
+                               {"points_checked": grid.point_count()})
+    e = _affine_a_economy()
+    assert all(not p.is_constant and len(p.value) == 1 for p in e.agents[0].a_map.pieces)
+    assert all(p.is_constant for p in e.conflict_map(0).pieces)
+    assert not any(p.is_constant for p in e.conflict_map(1).pieces)
+    raw = raws[0]
+    # 23 witnesses in the column x0 = 0, then two at each empty-B point
+    assert [w.category for w in raw[:3]] == ["bad value", "inclusion", "bad value"]
+    assert {w.category for w in raw} == {"bad value", "inclusion"}
+    assert _capped_mid_point(raw)
+    assert raw[CAP - 1].point == (0.125, 0.75)
+    assert [w.point for w in raws[1][:9]] == [(0.0, 1.125 + k / 8) for k in range(8)] + \
+        [(0.125, 1.125)]
+    assert [(w.point, w.category) for w in raws[2]] == [((2.0,), "bad value")]
+    # with B passing everywhere, agent 0's A walks no point
+    passing = AbstractEconomy((dataclasses.replace(e.agents[0], b_map=e.agents[1].p_map),
+                               e.agents[1]))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("points walked")
+
+    monkeypatch.setattr(_checks.GridCells, "points", no_walk)
+    rep = _economy._values_condition_4_1(passing, 0, Grid.over_box(e.domain, 0.125), "cond2")
+    assert (rep.verdict, rep.witnesses) == (PASS, ())
+
+
+def test_rounding_empty_value_at_a_convexity_only_position():
+    """``[0.1 + 0.3x, 0.7 - 0.3x]`` on [0, 1] is one closed box whose float
+    instance at x = 1 is empty. Read for convexity only it is decided and
+    probed once; read for emptiness it is walked and the empty point found."""
+    dom = (I.closed(0, 1),)
+    t = PiecewiseMap(dom, 1, (Piece(dom, ((AffineInterval(
+        AffForm(0.1, (0.3,)), AffForm(0.7, (-0.3,)), True, True),),)),))
+    other = constant_map(dom, BoxSet.single((I.closed(0, 1),)))
+    grid = Grid(1, (0.0,), (1.0,), 0.125)
+    assert t.evaluate((1.0,)).is_empty and not t.evaluate((0.875,)).is_empty
+    rep, calls = assert_same_convex_only_scan((t, other), grid, (0,))
+    assert (rep.verdict, calls) == (PASS, 1)
+    rep, calls = assert_same_convex_only_scan((t, other), grid, (1,))
+    assert [(w.point, w.category) for w in rep.witnesses] == [((1.0,), "empty value")]
+    assert calls == 9
+
+
+def test_convex_only_scan_raises_outside_a_later_domain():
+    """A later map's ``DomainError`` names the point the per-point scan
+    raises at, whether the first map is decided for convexity or not."""
+    dd = 2
+    dom = (I.closed(0, 2),) * dd
+    a = PiecewiseMap(dom, 1, (Piece(dom, (_affine(0.0, 1.0, dd),)),))
+    lower = restrict(constant_map(dom, BoxSet.single((I.closed(0, 1),))),
+                     (I.closed(0, 2), I.closed(0, 1)))
+    grid = Grid.over_box(dom, 0.25)
+    for positions in ((0,), ()):
+        probe = _convexity_at(positions)
+        with pytest.raises(DomainError) as got:
+            scan_values("late", (a, lower), grid, probe, None, None, positions)
+        with pytest.raises(DomainError) as want:
+            seed_scan_points("late", (a, lower), grid, _as_point_probe(probe))
+        assert str(got.value) == str(want.value) == "point (0.0, 1.25) outside map domain"
+    # a box that keeps every point inside the later domain raises nothing
+    assert_same_convex_only_scan((a, lower), grid, (0,), (I.closed(0, 2), I.closed(0, 1)))
 
 
 # ---------------------------------------------------------------------------
