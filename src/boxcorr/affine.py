@@ -164,6 +164,52 @@ def _dyadic_bits(values: Iterable) -> int | None:
     return q
 
 
+def move_bound(forms: Iterable[AffForm], coords: Sequence[Sequence[float]],
+               radius: int) -> tuple[float, float, float]:
+    """``(worst, mag, slack)`` for the ``lo``/``hi`` endpoint forms
+    ``forms`` at the points of the grid box whose axis-j values are the
+    increasing ``coords[j]``. Take two such points at most ``radius``
+    indices apart per axis, where each computed endpoint is the value of
+    one of ``forms`` and each exact endpoint moves by at most the largest
+    ``sum_j |c_j| |x'_j - x_j|`` over the forms. Then every excess
+    ``BoxSet.hausdorff_upper`` computes between the one-box values at the
+    two points is below ``worst + slack``, so ``worst + slack <= bound``
+    decides that no such pair exceeds ``bound``.
+
+    - ``G_j`` is the largest computed gap between values of ``coords[j]``
+      at most ``radius`` indices apart, and ``X_j`` the largest magnitude
+      of one.
+    - For a form ``f = c_0 + sum_j c_j x_j``, ``W_f = sum_j |c_j| G_j`` and
+      ``M_f = |c_0| + sum_j |c_j| X_j``; ``worst`` and ``mag`` are their
+      maxima over the forms.
+    - ``slack = (n + 2) * 2**-48 * (mag + worst)``, ``n`` the domain
+      dimension.
+
+    With ``u = 2**-53`` let ``g = (n + 2) u / (1 - (n + 2) u)``, at most
+    ``(n + 2) * 2**-52``, so that the slack is at least ``16 g (mag +
+    worst)``; the ``+ 2`` covers the constant and one conversion of a
+    ``Fraction`` operand mixed with floats.
+
+    - ``AffForm.__call__`` sums ``n`` products and the constant, so each
+      value is off by at most ``g mag`` at each of the two points.
+    - The true gap between two coordinates is at most ``G_j / (1 - u)``,
+      and ``worst`` itself is off by at most ``g worst``.
+    - ``hausdorff_upper`` compares two one-box values by the endpoint
+      differences ``tgt.lo - bx.lo`` and ``bx.hi - tgt.hi``, one rounding
+      each. So every excess it returns is at most ``worst + 3 g (worst +
+      mag)``, which the rounded ``worst + slack`` still exceeds.
+    """
+    # coordinates increase, so the pairs exactly that many indices apart hold the largest gap
+    gaps = [max(b - a for a, b in zip(c, c[min(radius, len(c) - 1):])) for c in coords]
+    mags = [max(abs(c[0]), abs(c[-1])) for c in coords]
+    worst = mag = 0.0
+    for f in forms:
+        size = list(map(abs, f.coeffs))
+        worst = max(worst, sum(map(operator.mul, size, gaps)))
+        mag = max(mag, abs(f.const) + sum(map(operator.mul, size, mags)))
+    return worst, mag, (len(coords) + 2) * 2.0 ** -48 * (mag + worst)
+
+
 def moves_within(box: AffineBox, coords: Sequence[Sequence[float]], radius: int,
                  bound: float) -> bool:
     """Whether, at the points of the grid box whose axis-j values are the
@@ -173,56 +219,28 @@ def moves_within(box: AffineBox, coords: Sequence[Sequence[float]], radius: int,
     axis is at most ``bound``. A ``True`` is rigorous for the float
     evaluation; a ``False`` decides nothing.
 
-    - ``G_j`` is the largest computed gap between values of ``coords[j]``
-      at most ``radius`` indices apart, and ``X_j`` the largest magnitude
-      of one.
-    - For a form ``f = c_0 + sum_j c_j x_j`` among the ``lo``/``hi`` forms,
-      ``W_f = sum_j |c_j| G_j`` and ``M_f = |c_0| + sum_j |c_j| X_j``;
-      ``worst`` and ``M`` are their maxima over the forms.
-    - ``slack = (n + 2) * 2**-48 * (M + worst)``, ``n`` the domain
-      dimension. The test is ``worst + slack <= bound``.
-
-    Exactly, each endpoint moves by at most ``W_f`` between the two points,
-    so the excess of one value over the other is at most ``worst``. The
-    slack bounds what rounding adds. With ``u = 2**-53`` let ``g = (n + 2)
-    u / (1 - (n + 2) u)``, at most ``(n + 2) * 2**-52``, so that the slack
-    is at least ``16 g (M + worst)``; the ``+ 2`` covers the constant and
-    one conversion of a ``Fraction`` operand mixed with floats.
-
-    - ``AffForm.__call__`` sums ``n`` products and the constant, so each
-      value is off by at most ``g M`` at each of the two points.
-    - The true gap between two coordinates is at most ``G_j / (1 - u)``,
-      and ``worst`` itself is off by at most ``g worst``.
-    - ``hausdorff_upper`` compares two one-box values by the endpoint
-      differences ``tgt.lo - bx.lo`` and ``bx.hi - tgt.hi``, one rounding
-      each. So every excess it returns is at most ``worst + 3 g (worst +
-      M)``, which the rounded ``worst + slack`` still exceeds.
+    Exactly, each endpoint moves by at most its own form's
+    ``sum_j |c_j| |x'_j - x_j|`` between the two points, so
+    ``move_bound``'s test over the box's ``lo``/``hi`` forms decides the
+    excess; ``g``, ``mag`` and ``slack`` below are its.
 
     An interval instantiates nonempty at every point when its computed
-    least width over the grid box, off by at most ``2 g M``, exceeds
-    ``slack``: each computed endpoint is off by at most ``g M``. Otherwise
-    it must be evaluated exactly. Let ``q`` be the sum of ``_dyadic_bits``
-    over the box's numbers and over ``coords``, so that each of those
-    converts to a float exactly and every product ``c_j x_j`` is a multiple
-    of ``2**-q``. With ``q <= 1074`` and ``M <= 2**(52 - q)`` (one bit
-    spare for the rounding of ``M``), every product and partial sum of
-    ``AffForm.__call__`` is such a multiple below ``2**53 * 2**-q``, hence
-    a float, and no step rounds. The computed interval then is the exact
-    one, whose width is affine and least at the corner that takes, per
-    axis, the lower end where ``hi``'s coefficient is at least ``lo``'s and
-    the upper end otherwise; the interval must be nonempty there. With
-    ``Fraction`` data and coordinates every step is exact, and the slack
-    only makes the test stricter.
+    least width over the grid box, off by at most ``2 g mag``, exceeds
+    ``slack``: each computed endpoint is off by at most ``g mag``.
+    Otherwise it must be evaluated exactly. Let ``q`` be the sum of
+    ``_dyadic_bits`` over the box's numbers and over ``coords``, so that
+    each of those converts to a float exactly and every product ``c_j x_j``
+    is a multiple of ``2**-q``. With ``q <= 1074`` and ``mag <= 2**(52 -
+    q)`` (one bit spare for the rounding of ``mag``), every product and
+    partial sum of ``AffForm.__call__`` is such a multiple below ``2**53 *
+    2**-q``, hence a float, and no step rounds. The computed interval then
+    is the exact one, whose width is affine and least at the corner that
+    takes, per axis, the lower end where ``hi``'s coefficient is at least
+    ``lo``'s and the upper end otherwise; the interval must be nonempty
+    there. With ``Fraction`` data and coordinates every step is exact, and
+    the slack only makes the test stricter.
     """
-    # coordinates increase, so the pairs exactly that many indices apart hold the largest gap
-    gaps = [max(b - a for a, b in zip(c, c[min(radius, len(c) - 1):])) for c in coords]
-    mags = [max(abs(c[0]), abs(c[-1])) for c in coords]
-    worst = mag = 0.0
-    for f in (f for ai in box for f in (ai.lo, ai.hi)):
-        size = list(map(abs, f.coeffs))
-        worst = max(worst, sum(map(operator.mul, size, gaps)))
-        mag = max(mag, abs(f.const) + sum(map(operator.mul, size, mags)))
-    slack = (len(coords) + 2) * 2.0 ** -48 * (mag + worst)
+    worst, mag, slack = move_bound((f for ai in box for f in (ai.lo, ai.hi)), coords, radius)
     if not worst + slack <= bound:
         return False
     span = [FlaggedInterval.closed(c[0], c[-1]) for c in coords]
@@ -236,3 +254,31 @@ def moves_within(box: AffineBox, coords: Sequence[Sequence[float]], radius: int,
     return all(ai.instantiate([iv.lo if h >= l else iv.hi
                                for h, l, iv in zip(ai.hi.coeffs, ai.lo.coeffs, span)])
                for ai in thin)
+
+
+def _exact_at(f: AffForm, x: Sequence[float]) -> tuple[int, int]:
+    """``f(x)`` as an integer ratio ``(num, den)``, computed without rounding."""
+    num, den = f.const.as_integer_ratio()
+    for c, v in zip(f.coeffs, x):
+        (cn, cd), (vn, vd) = c.as_integer_ratio(), v.as_integer_ratio()
+        num, den = num * cd * vd + cn * vn * den, den * cd * vd
+    return num, den
+
+
+def agree_on(f: AffForm, g: AffForm, face: Box) -> bool:
+    """Whether ``f`` and ``g`` take the same value at every point of the
+    closed box ``face``, decided exactly: the same form, or equal
+    coefficients on the axes where ``face`` is not one point and equal
+    values at its lower corner, compared as integer ratios. Between
+    different forms, a number with no such ratio (``inf``, ``nan``) gives
+    ``False``."""
+    if f == g:
+        return True
+    if any(a != b for a, b, iv in zip(f.coeffs, g.coeffs, face) if iv.lo != iv.hi):
+        return False
+    corner = [iv.lo for iv in face]
+    try:
+        (fn, fd), (gn, gd) = _exact_at(f, corner), _exact_at(g, corner)
+    except (OverflowError, ValueError):
+        return False
+    return fn * gd == gn * fd

@@ -19,7 +19,9 @@ affine or can hold the block point. ``check_usc``
 compares neighbouring points, deciding pairs of constant pieces once,
 deciding the pairs within one affine piece by the modulus bound, and
 building point records only near the pieces that stay undecided and
-where a decided piece meets another.
+where a decided piece meets another. A map of one-box pieces that meet
+continuously, each decided or constant, it decides whole, before any
+point is visited.
 """
 from __future__ import annotations
 
@@ -30,8 +32,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .affine import moves_within
-from .intervals import Box, BoxSet, DimensionMismatchError, Grid, box_closure, box_contains
+from .affine import agree_on, move_bound, moves_within
+from .intervals import (Box, BoxSet, DimensionMismatchError, Grid, box_closure, box_contains,
+                        box_intersect)
 from .maps import (DomainError, PiecewiseMap, adherence, constant_map, intersect_maps,
                    t_upper)
 
@@ -384,6 +387,47 @@ def _modulus_pieces(t: PiecewiseMap, spans: dict, axes: Sequence[Sequence[float]
     return decided
 
 
+def _decided_whole(t: PiecewiseMap, spans: dict, decided: dict,
+                   axes: Sequence[Sequence[float]], radius: int, bound: float) -> bool:
+    """Whether no neighbour pair of ``t``'s scanned grid points can yield a
+    witness, decided on the pieces before any point is visited, when:
+
+    - every piece of ``t``, those that hold no grid point included, has a
+      value of one box;
+    - every piece in ``spans`` is in ``decided`` (``_modulus_pieces``), so
+      it computes nonempty at each of its points, or is constant with a
+      nonempty value, and some piece is in ``decided``: a map whose pieces
+      in ``spans`` are all constant is left to ``_safe_pieces``, which
+      passes every such piece when the other conditions hold;
+    - every two pieces whose closed regions meet agree on that face, each
+      ``lo`` form with the other's ``lo`` and each ``hi`` with its ``hi``,
+      decided exactly by ``agree_on``;
+    - ``move_bound`` over all of the map's forms, read off the full scan
+      ``axes``, gives ``worst + slack <= bound``.
+
+    The domain and ``within`` are boxes, so the segment between two scanned
+    points lies in the domain. Along it each endpoint is one piece's form
+    per stretch, and continuous, since the pieces that meet at a break
+    agree there. So it moves by at most the largest ``sum_j |c_j| |x'_j -
+    x_j|`` over the forms, as on one piece, and by ``move_bound`` no
+    computed excess passes ``bound``; no value is empty.
+    """
+    if not decided or not all(len(p.value) == 1 for p in t.pieces) or not all(
+            i in decided or value is not None and not value.is_empty
+            for i, (_, _, value) in spans.items()):
+        return False
+    forms = [[f for ai in p.value[0] for f in (ai.lo, ai.hi)] for p in t.pieces]
+    worst, _, slack = move_bound(itertools.chain.from_iterable(forms), axes, radius)
+    if not worst + slack <= bound:
+        return False
+    closed = [box_closure(p.region) for p in t.pieces]
+    for (fa, a), (fb, b) in itertools.combinations(zip(forms, closed), 2):
+        face = box_intersect(a, b)
+        if face is not None and not all(map(agree_on, fa, fb, itertools.repeat(face))):
+            return False
+    return True
+
+
 def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
                  piece_excess: dict) -> set[int]:
     """The constant pieces on which no scan centre can yield a witness.
@@ -496,13 +540,19 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     endpoints' largest move between neighbors, plus a slack for the scan's
     own rounding, stays within the bound and no value on it computes empty
     (``_modulus_pieces``); its centres then meet only neighbors on other
-    pieces. Point records are built, off the same table, only within the
-    neighbor radius of an unsafe constant or undecided affine piece's span,
-    and on a decided piece only that near another piece: a one-piece affine
-    map visits no point. The excess between two constant pieces is
-    computed once per oriented piece pair; only pairs that touch an affine
-    piece are compared point by point. ``direction`` is 'usc' or 'lsc'
-    (``ValueError`` otherwise). The scan keeps the first
+    pieces. The map is decided whole (``_decided_whole``) when its pieces
+    are one box each, each piece holding a grid point is decided or
+    constant and nonempty, some decided, the endpoint forms of pieces
+    whose closed regions meet agree exactly there, and the modulus test
+    holds over all of its forms at once: every piece then counts as safe,
+    and no point is visited. Otherwise point records are built, off the
+    same table, only within the neighbor radius of an unsafe constant or
+    undecided affine piece's span, and on a decided piece only that near
+    another piece: a one-piece affine map visits no point. The excess
+    between two constant pieces is computed once per oriented piece pair;
+    only pairs that touch an affine piece are compared point by point.
+    ``direction`` is 'usc' or 'lsc' (``ValueError`` otherwise). The scan
+    keeps the first
     ``_MAX_WITNESSES`` witnesses and stops at the next one, which adds the
     note "witness list truncated".
     """
@@ -522,8 +572,9 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     slope = t.max_slope()
     bound = tol + slope * delta
     piece_excess: dict[tuple[int, int], float] = {}
-    safe = _safe_pieces(spans, radius, bound, direction, piece_excess)
     decided = _modulus_pieces(t, spans, cells.axes, radius, bound)
+    safe = (set(spans) if _decided_whole(t, spans, decided, cells.axes, radius, bound)
+            else _safe_pieces(spans, radius, bound, direction, piece_excess))
     points = _closed_values(cells, spans, safe, decided, radius)
     found = _excess_witnesses(points, _neighbor_offsets(grid.dim, radius), bound, direction,
                               safe, decided, piece_excess)

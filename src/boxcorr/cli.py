@@ -179,7 +179,10 @@ def _emit(rows_records, lines_text, out: str | None, fmt: str | None) -> None:
     else:
         payload = "\n".join(lines_text)
     if out:
-        Path(out).write_text(payload + "\n")
+        try:
+            Path(out).write_text(payload + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write report to {out}: {exc.strerror or exc}") from exc
     else:
         # an explicit stream: click's default stream lookup caches each
         # sys.stdout it sees, so an in-process caller's redirected buffers would stay alive

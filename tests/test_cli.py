@@ -535,6 +535,22 @@ def test_out_writes_file(runner, tmp_path):
     assert all(row["verdict"] == "pass" for row in rows)
 
 
+@pytest.mark.parametrize("prop,verdict", [("w-usc", 0), ("usc", 1)])
+@pytest.mark.parametrize("where,reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+def test_out_to_an_unwritable_path_is_input_error(runner, tmp_path, prop, verdict, where,
+                                                  reason):
+    """A report that cannot be written exits 2 with the path and the reason,
+    whether the property passes or fails; exit 1 means the property fails."""
+    assert invoke(runner, "check-map", "--property", prop, "ex2_1.map").exit_code == verdict
+    out = tmp_path / "missing" / "r.txt" if where == "missing" else tmp_path
+    r = invoke(runner, "check-map", "--property", prop, "--out", out, "ex2_1.map")
+    assert r.exit_code == 2
+    assert f"cannot write report to {out}: {reason}" in r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+
+
 def test_out_records_alias_selects_format(runner):
     r = invoke(runner, "check-map", "--property", "w-usc", "--out", "records",
                EXAMPLES / "ex2_1.map")

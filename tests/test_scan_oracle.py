@@ -10,9 +10,11 @@ witness for witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Piece,
-                     PiecewiseMap, adherence, check_usc, t_upper)
+                     PiecewiseMap, adherence, check_usc, constant_map, intersect_maps, t_upper)
+from boxcorr.affine import agree_on
 from boxcorr import checks as _checks
 from boxcorr.cli import main
 from boxcorr.gallery import ex2_1, ex4_1
@@ -665,11 +668,206 @@ def test_one_piece_affine_map_with_margin_makes_no_excess_call_and_no_record(mon
     assert calls[0] == 0
 
 
+def test_two_axis_clipped_map_makes_no_excess_call_and_no_record(monkeypatch):
+    """(S + C) cap K for a one-box affine S + C whose coordinates move along
+    different axes, as the benchmark's clipped maps do: K cuts the domain
+    along both axes into pieces that meet continuously, so the scan decides
+    the map whole, walks no point and computes no excess."""
+    calls = _count_excess(monkeypatch)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("points walked")
+
+    monkeypatch.setattr(_checks.GridCells, "points", no_walk)
+    dom = (I.closed(0, 2), I.closed(0, 2))
+    x0, x1 = AffForm(0.0, (0.5, 0.0)), AffForm(0.0, (0.0, -1.0))
+    sc = ((AffineInterval(x0.shift(-0.25), x0.shift(1.0)),
+           AffineInterval(x1.shift(0.5), x1.shift(1.5))),)
+    k = BoxSet.of(2, [(I.closed(0, 1), I.closed(-1, 0.75))])
+    t = intersect_maps(PiecewiseMap(dom, 2, (Piece(dom, sc),)), constant_map(dom, k))
+    assert {p.region[0].lo for p in t.pieces} == {0, 0.5}
+    assert {p.region[1].lo for p in t.pieces} == {0, 0.75, 1.5}
+    for step in (0.1, 0.125):
+        grid = Grid.over_box(dom, step)
+        for opts in ({}, {"direction": "lsc"}, {"delta": 3 * step}):
+            rep = check_usc(t, grid, **opts)
+            assert rep.passed
+            assert rep.parameters["points_checked"] == grid.point_count()
+    assert calls[0] == 0
+
+
 def test_check_usc_rejects_an_unknown_direction():
     grid = Grid(1, (0.0,), (1.0,), 0.25)
     for direction in ("USC", "upper", ""):
         with pytest.raises(ValueError, match="'usc' or 'lsc'"):
             check_usc(_unit_ramp(float), grid, direction=direction)
+
+
+# ---------------------------------------------------------------------------
+# Continuous one-box maps decided whole
+# ---------------------------------------------------------------------------
+
+def _decided_whole(t, grid, tol=1e-9, delta=None, within=None, direction="usc"):
+    """Whether ``check_usc`` decides ``t`` whole at these options."""
+    cells = _checks.GridCells((t,), grid, within)
+    spans, _ = _checks._piece_spans(cells)
+    delta = grid.step if delta is None else delta
+    radius = int(delta / grid.step + 1e-9)
+    bound = tol + t.max_slope() * delta
+    decided = _checks._modulus_pieces(t, spans, cells.axes, radius, bound)
+    return _checks._decided_whole(t, spans, decided, cells.axes, radius, bound)
+
+
+def _whole_variants(grid):
+    """Both directions, tol 0 and 1e-9, delta of one and two grid steps, on
+    the whole grid and in the open box (lo, hi - step) on every axis, which
+    drops each axis's first grid line and its last two."""
+    within = tuple(I(lo, hi - grid.step, False, False) for lo, hi in zip(grid.lo, grid.hi))
+    return [{"direction": d, "tol": tol, "delta": r * grid.step, **w}
+            for d in ("usc", "lsc") for tol in (0.0, 1e-9) for r in (1, 2)
+            for w in ({}, {"within": within})]
+
+
+def assert_whole_variants(t, grid, variants=None):
+    """Every variant's report equals the oracle's, for ``variants`` or else
+    all of ``_whole_variants(grid)``. Returns the reports and the number of
+    variants ``check_usc`` decided whole."""
+    reports, whole = [], 0
+    for opts in variants or _whole_variants(grid):
+        reports.append(assert_same_report(t, grid, **opts))
+        whole += _decided_whole(t, grid, **opts)
+    return reports, whole
+
+
+def _one_box_map(end, *pieces):
+    """A map on [0, end] of one-box pieces ``(region, lo, hi)``, each
+    endpoint ``(constant, slope)``."""
+    return PiecewiseMap((I.closed(0, end),), 1, tuple(
+        Piece(region, ((AffineInterval(AffForm(a, (s,)), AffForm(b, (u,))),),))
+        for region, (a, s), (b, u) in pieces))
+
+
+def test_jump_across_a_face_keeps_its_witnesses():
+    """x -> [x, x + 1] on [0, 1) and [x + 1/2, x + 3/2] on [1, 2]: the forms
+    disagree at 1, so no variant is decided whole and every one keeps the
+    jump's witnesses."""
+    t = _one_box_map(2, ((I(0, 1, True, False),), (0.0, 1.0), (1.0, 1.0)),
+                     ((I.closed(1, 2),), (0.5, 1.0), (1.5, 1.0)))
+    reports, whole = assert_whole_variants(t, Grid(1, (0.0,), (2.0,), 0.125))
+    assert whole == 0
+    assert all(rep.witnesses for rep in reports)
+
+
+def test_kink_whose_excess_equals_the_bound_matches_oracle():
+    """x -> [x, x + 1] on [0, 1] and [2 - x, 3 - x] on (1, 2] meet at 1. The
+    exact excess between neighbours is the bound itself: at tol 0 no piece
+    is decided, at tol 1e-9 the map is decided whole, and every scan
+    passes."""
+    t = _one_box_map(2, ((I.closed(0, 1),), (0.0, 1.0), (1.0, 1.0)),
+                     ((I(1, 2, False, True),), (2.0, -1.0), (3.0, -1.0)))
+    grid = Grid(1, (0.0,), (2.0,), 0.125)
+    reports, whole = assert_whole_variants(t, grid)
+    assert all(rep.passed for rep in reports)
+    assert whole == 8
+    assert all(_decided_whole(t, grid, **opts) == (opts["tol"] > 0)
+               for opts in _whole_variants(grid))
+
+
+def test_cut_ramp_at_tol_0_keeps_its_rounding_witnesses():
+    """x -> [x, x + 1] cut at 1/2 keeps, at step 0.1 and tol 0, the 8
+    rounding witnesses of the uncut ramp; at tol 1e-9 it is decided whole."""
+    t = _one_box_map(1, ((I(0, 0.5, True, False),), (0.0, 1.0), (1.0, 1.0)),
+                     ((I.closed(0.5, 1),), (0.0, 1.0), (1.0, 1.0)))
+    grid = Grid(1, (0.0,), (1.0,), 0.1)
+    rep = assert_same_report(t, grid, tol=0.0)
+    assert rep.witnesses == check_usc(_unit_ramp(float), grid, tol=0.0).witnesses
+    assert len(rep.witnesses) == 8
+    assert not _decided_whole(t, grid, tol=0.0)
+    assert _decided_whole(t, grid)
+    assert_whole_variants(t, grid)
+
+
+@pytest.mark.parametrize("outer_hi", [1.0, 2.0], ids=["jump", "continuous-outside"])
+def test_sliver_piece_without_grid_points_is_read(outer_hi):
+    """A sliver [1.1, 1.2) between the grid points 1 and 1.25 has a form
+    that disagrees with both neighbours. Whether the outer pieces jump
+    across it or agree, the map is not decided whole, and the jump keeps
+    its witnesses."""
+    t = _one_box_map(2, ((I(0, 1.1, True, False),), (0.0, 1.0), (1.0, 1.0)),
+                     ((I(1.1, 1.2, True, False),), (0.5, 1.0), (1.5, 1.0)),
+                     ((I.closed(1.2, 2),), (outer_hi - 1.0, 1.0), (outer_hi, 1.0)))
+    grid = Grid(1, (0.0,), (2.0,), 0.25)
+    assert len(_held_pieces(t, grid)) == 2
+    reports, whole = assert_whole_variants(t, grid)
+    assert whole == 0
+    assert all(bool(rep.witnesses) == (outer_hi == 2.0) for rep in reports)
+
+
+def test_point_piece_between_constants_matches_oracle():
+    """{0} on [0, 1), [0, 1] at 1 and {1} on (1, 2]: the point piece's hi
+    form disagrees with its left neighbour's, so nothing is decided whole."""
+    t = _line_map(_const(0, 0), _const(0, 1), _const(1, 1))
+    reports, whole = assert_whole_variants(t, Grid(1, (0.0,), (2.0,), 0.25))
+    assert whole == 0
+    assert any(rep.witnesses for rep in reports)
+
+
+def test_non_dyadic_root_cut_decides_nothing():
+    """[3x - 1, 3x] clipped to [0, 3/2] is cut at the float nearest 1/3,
+    where 3x - 1 computes 0 but is not 0 exactly: the exact face test
+    fails, and the scans take the point path."""
+    dom = (I.closed(0, 1),)
+    s = _one_box_map(1, (dom, (-1.0, 3.0), (0.0, 3.0)))
+    t = intersect_maps(s, constant_map(dom, BoxSet.of(1, [(I.closed(0, 1.5),)])))
+    third = 1 / 3
+    assert any(p.region[0].lo == third for p in t.pieces)
+    form = AffForm(-1.0, (3.0,))
+    assert form((third,)) == 0.0
+    assert not agree_on(form, AffForm.constant(0.0, 1), (I.point(third),))
+    _, whole = assert_whole_variants(t, Grid(1, (0.0,), (1.0,), 0.0625))
+    assert whole == 0
+
+
+def clipped_map(seed: int):
+    """``intersect_maps`` of a one-box affine map S on [a, a + w]^dim, dim
+    1 or 2, with the constant map of a closed box K, and a grid over the
+    domain. Each output coordinate's endpoints move along one domain axis,
+    so every crossing with K is axis-aligned; some slopes are not dyadic,
+    and some K miss S(x) on part of the domain."""
+    rng = random.Random(seed)
+    dim, cdim = rng.choice((1, 2)), rng.choice((1, 2))
+    a, w = rng.choice((-1.0, -0.5, 0.0, 0.5)), rng.choice((1.0, 2.0))
+    domain = tuple(I.closed(a, a + w) for _ in range(dim))
+    box, k = [], []
+    for _ in range(cdim):
+        axis = rng.randrange(dim)
+        slope = rng.choice((-1.0, -0.5, 0.25, 0.5, 1.0, 2.0, 0.3, -1 / 3))
+        coeffs = tuple(slope if j == axis else 0.0 for j in range(dim))
+        c, width = rng.choice((-1.0, -0.5, 0.0, 0.5)), rng.choice((0.0, 0.25, 0.5, 1.0))
+        box.append(AffineInterval(AffForm(c, coeffs), AffForm(c + width, coeffs)))
+        lo = rng.choice((-2.0, -1.0, -0.5, 0.0, 0.25, 0.5))
+        k.append(I.closed(lo, lo + rng.choice((0.5, 1.0, 2.0, 4.0))))
+    s = PiecewiseMap(domain, cdim, (Piece(domain, (tuple(box),)),))
+    t = intersect_maps(s, constant_map(domain, BoxSet.of(cdim, [tuple(k)])))
+    return t, Grid.over_box(domain, w / (8 if dim == 1 else 4))
+
+
+def test_seeded_clipped_maps_match_oracle(monkeypatch):
+    """2,000 seeded clipped maps against the oracle, each in both directions
+    at tol 0 and 1e-9; the delta and the ``within`` box take turns over the
+    seeds, so each of the 16 variants runs on 500 maps. The oracle's excess
+    is memoized on the operands' values, which is all it reads. Some maps
+    of several pieces are decided whole, and some are not, failing or
+    passing."""
+    monkeypatch.setattr(sys.modules[__name__], "seed_hausdorff_upper",
+                        functools.cache(seed_hausdorff_upper))
+    seen = set()
+    for seed in range(2000):
+        t, grid = clipped_map(seed)
+        variants = _whole_variants(grid)[seed % 4::4]
+        reports, whole = assert_whole_variants(t, grid, variants)
+        seen.add((len(t.pieces) > 1, whole > 0, all(rep.passed for rep in reports)))
+    assert {(True, True, True), (True, False, True), (True, False, False)} <= seen
 
 
 # ---------------------------------------------------------------------------
