@@ -12,8 +12,10 @@ the domain at axis-aligned crossing loci of the affine endpoint forms;
 `t_upper` is `intersect_maps` of the dilated map with the constant map D.
 A rebuild values each atom signature once: for `adherence` the set of pieces
 whose closed regions hold the atom, normalizing each distinct set of their
-value boxes once; for `intersect_maps` one signature per part of constant or
-empty values, and the atom itself on any other part.
+value boxes once; for `intersect_maps` one signature per part whose box pairs
+read no axis (empty or constant values), and on any other part the atom's
+nonempty clipped boxes, each output coordinate of each box pair clipped once
+per distinct tuple of the atom's indices on the axes its endpoints read.
 Crossings that are not axis-aligned (endpoint differences depending on two
 or more variables with indefinite sign) raise
 :class:`NonAxisAlignedSplitError`; boxes are the only region language here.
@@ -254,10 +256,12 @@ def _rebuild(domain: Box, codomain_dim: int, grid: AtomGrid,
     partition the domain; each part walks only its own atoms, so a point
     atom at an open end of the domain is never valued.
     ``signature(ctx, idx)``, at an atom's indices, is what its value can
-    depend on within its part; ``value_at(ctx, sig, atom)`` runs once per
-    ``(part index, signature)``, at its first atom in walk order. Keys of
-    equal value are joined before ``grid.merge``, a deterministic function
-    of the cell set, so the pieces are those of valuing every atom.
+    depend on within its part (for ``intersect_maps``, the clipped boxes
+    themselves, which it computes as it walks); ``value_at(ctx, sig, atom)``
+    runs once per ``(part index, signature)``, at its first atom in walk
+    order. Keys of equal value are joined before ``grid.merge``, a
+    deterministic function of the cell set, so the pieces are those of
+    valuing every atom.
     """
     keyed: dict[tuple[int, Hashable], tuple[PieceValue, list[tuple[int, ...]]]] = {}
     for k, (region, ctx) in enumerate(parts):
@@ -343,7 +347,7 @@ def t_upper(t: PiecewiseMap, eps: float, d: BoxSet) -> PiecewiseMap:
     union, whatever its boxes' flags; pieces whose clipped value comes out
     empty are kept with the empty value.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if d.dim != t.codomain_dim:
         raise DimensionMismatchError("D dimension does not match the codomain")
@@ -395,44 +399,74 @@ def adherence(t: PiecewiseMap) -> PiecewiseMap:
 
 
 def intersect_maps(a: PiecewiseMap, b: PiecewiseMap) -> PiecewiseMap:
-    """Pointwise intersection over the common refinement of two partitions."""
+    """Pointwise intersection over the common refinement of two partitions.
+
+    Coordinate ``k`` of a box pair reads the axes its four endpoints read,
+    and so does its clip ``_intersect_affine_intervals``: a part clips it
+    once per distinct tuple of atom indices on those axes, in walk order,
+    and stops a pair at its first empty coordinate, so it raises where
+    valuing every atom would. A part whose pairs read no axis is valued once.
+    """
     if a.domain != b.domain:
         raise ValueError("maps must share a domain")
     if a.codomain_dim != b.codomain_dim:
         raise DimensionMismatchError("codomain dimensions differ")
     ddim = a.domain_dim
     cuts = _region_cuts(a, b)
-    parts: list[tuple[Box, tuple[Piece, Piece, bool]]] = []
+    parts: list[tuple[Box, tuple[Piece, Piece, list | None]]] = []
     for pa in a.pieces:
         for pb in b.pieces:
             overlap = box_intersect(pa.region, pb.region)
             if overlap is None:
                 continue
-            # a value that cannot depend on the atom: one signature for the part
-            shared = not pa.value or not pb.value or (pa.is_constant and pb.is_constant)
-            parts.append((overlap, (pa, pb, shared)))
+            # per box pair and output coordinate: the axes its endpoints read,
+            # its two intervals and its clip per index tuple on those axes
+            coords = []
             for ba in pa.value:
                 for bb in pb.value:
-                    for k in range(a.codomain_dim):
-                        for f in _pair_cut_forms(ba[k], bb[k]):
+                    coords.append([])
+                    for ia, ib in zip(ba, bb):
+                        for f in _pair_cut_forms(ia, ib):
                             _add_root_cut(cuts, overlap, f)
+                        axes = sorted({j for f in (ia.lo, ia.hi, ib.lo, ib.hi)
+                                       for j in f.active_vars()})
+                        coords[-1].append((axes, ia, ib, {}))
+            reads = any(axes for pair in coords for axes, *_ in pair)
+            parts.append((overlap, (pa, pb, coords if reads else None)))
+    grid = AtomGrid(cuts)
 
-    def signature(part: tuple[Piece, Piece, bool], idx: tuple[int, ...]) -> Hashable:
-        return None if part[2] else idx
-
-    def value_at(part: tuple[Piece, Piece, bool], _: Hashable, atom: Box) -> PieceValue:
-        pa, pb, _ = part
-        if not pa.value or not pb.value:
-            return ()
+    def signature(part: tuple[Piece, Piece, list | None], idx: tuple[int, ...]) -> Hashable:
+        """The part's nonempty clipped boxes at the atom, in pair order; each
+        pair stops at its first empty coordinate, as in _intersect_affine_boxes."""
+        coords = part[2]
+        if coords is None:
+            return None
+        atom = None
         out = []
-        for ba in pa.value:
-            for bb in pb.value:
-                r = _intersect_affine_boxes(atom, ba, bb)
-                if r is not None:
-                    out.append(r)
-        return normalize_value(out, ddim)
+        for pair in coords:
+            box = []
+            for axes, ia, ib, memo in pair:
+                key = tuple(idx[j] for j in axes)
+                r = memo.get(key, memo)  # the memo itself marks a miss
+                if r is memo:
+                    if atom is None:
+                        atom = grid.atom(idx)
+                    r = memo[key] = _intersect_affine_intervals(atom, ia, ib)
+                if r is None:
+                    break
+                box.append(r)
+            else:
+                out.append(tuple(box))
+        return tuple(out)
 
-    return _rebuild(a.domain, a.codomain_dim, AtomGrid(cuts), parts, signature, value_at)
+    def value_at(part: tuple[Piece, Piece, list | None], sig: Hashable, atom: Box) -> PieceValue:
+        if sig is None:
+            pa, pb, _ = part
+            sig = [r for ba in pa.value for bb in pb.value
+                   if (r := _intersect_affine_boxes(atom, ba, bb)) is not None]
+        return normalize_value(sig, ddim)
+
+    return _rebuild(a.domain, a.codomain_dim, grid, parts, signature, value_at)
 
 
 def restrict(t: PiecewiseMap, sub: Box) -> PiecewiseMap:

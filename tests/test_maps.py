@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxcorr import (BoxSet, FlaggedInterval, Grid, NonAxisAlignedSplitError,
-                     Piece, PiecewiseMap, adherence, closure_values,
+                     Piece, PiecewiseMap, adherence, check_w_usc, closure_values,
                      constant_map, intersect_maps, restrict, select_by_region,
                      t_upper)
 from boxcorr import maps
@@ -106,6 +106,17 @@ def test_t_upper_monotone_in_eps(step_map):
     big = t_upper(step_map, 0.5, d)
     for x in grid.points():
         assert small.evaluate(x).subset_within(big.evaluate(x), 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.25, float("nan")])
+def test_t_upper_rejects_an_eps_that_is_not_positive(eps):
+    """A NaN eps is refused like a nonpositive one, before any rebuild
+    compares NaN endpoints; so is it through check_w_usc."""
+    t, d = ex2_1()
+    with pytest.raises(ValueError, match="eps must be positive"):
+        t_upper(t, eps, d)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        check_w_usc(t, d, [eps], Grid(1, (0.0,), (2.0,), 0.25))
 
 
 def test_t_upper_open_dilation_flags():

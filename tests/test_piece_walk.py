@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Piece,
-                     PiecewiseMap, adherence, check_usc, constant_map, intersect_maps,
-                     intersect_qv_chain, restrict, t_upper)
+from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid,
+                     NonAxisAlignedSplitError, Piece, PiecewiseMap, adherence, check_usc,
+                     constant_map, intersect_maps, intersect_qv_chain, restrict, t_upper)
 from boxcorr import checks as _checks
 from boxcorr import fixedpoint
 from boxcorr import maps
@@ -45,6 +46,7 @@ from test_atom_grid import seed_merge_cells
 from test_scan_oracle import assert_same_report, indexed_points
 
 I = FlaggedInterval
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +444,9 @@ def test_theorem_4_1_construction_rebuilds_match_oracle(n):
         assert_same_map(intersect_maps(f, pm.factors[0]), seed_intersect_maps(f, pm.factors[0]))
 
 
-def test_symbolic_n4_chain_values_each_signature_once(monkeypatch):
-    """The ex4_1(4) chain of the symbolic-n4 benchmark values each rebuild
-    signature once, and each adherence normalizes each distinct set of
-    contributor boxes once; valuing every atom would make 55,532
-    normalize_value and 38,416 _intersect_affine_boxes calls, and valuing
-    every adherence signature 4,152 normalize_value calls. Each of the 12
-    t_upper adherences normalizes at most 3 values and each of the 4
-    raw-factor adherences at most 4. The counts are deterministic."""
-    calls = {"normalize_value": 0, "_intersect_affine_boxes": 0}
+def count_calls(monkeypatch, names):
+    """A dict of call counts, kept as ``maps`` calls the named functions."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(maps, name)
@@ -460,8 +456,26 @@ def test_symbolic_n4_chain_values_each_signature_once(monkeypatch):
             return real(*args)
         return call
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(maps, name, counted(name))
+    return calls
+
+
+def test_symbolic_n4_chain_values_each_signature_once(monkeypatch):
+    """The ex4_1(4) chain of the symbolic-n4 benchmark values each rebuild
+    signature once, and each adherence normalizes each distinct set of
+    contributor boxes once; valuing every atom would make 55,532
+    normalize_value and 38,416 _intersect_affine_boxes calls, and valuing
+    every adherence signature 4,152 normalize_value calls. intersect_maps
+    clips a coordinate that reads axes once per index tuple on them, and
+    clips the pairs of a part that reads none once, with
+    _intersect_affine_boxes; valuing each atom of the parts that read axes
+    made 1,340 _intersect_affine_boxes, 1,340 _intersect_affine_intervals
+    and 1,404 normalize_value calls. Each of the 12 t_upper adherences
+    normalizes at most 3 values and each of the 4 raw-factor adherences at
+    most 4. The counts are deterministic."""
+    calls = count_calls(monkeypatch, ("normalize_value", "_intersect_affine_boxes",
+                                      "_intersect_affine_intervals"))
     uppers = []
     per_adherence = {"raw": [], "t_upper": []}
 
@@ -480,12 +494,36 @@ def test_symbolic_n4_chain_values_each_signature_once(monkeypatch):
     monkeypatch.setattr(fixedpoint, "adherence", counted_adherence)
     pm = theorem_4_1_construction(ex4_1(4))
     res = intersect_qv_chain(pm, Grid(4, (0.0,) * 4, (2.0,) * 4, 0.5), (0.5, 0.25, 0.125))
-    assert calls == {"normalize_value": 1404, "_intersect_affine_boxes": 1340}
+    assert calls == {"normalize_value": 428, "_intersect_affine_boxes": 316,
+                     "_intersect_affine_intervals": 416}
     assert len(per_adherence["t_upper"]) == 12 and max(per_adherence["t_upper"]) <= 3
     assert len(per_adherence["raw"]) == 4 and max(per_adherence["raw"]) <= 4
     assert res.nested
     assert len(res.intersection) == 624
     assert len(res.certified) == 624
+
+
+def test_scan_affine_clips_each_coordinate_once_per_index_tuple(monkeypatch):
+    """The 150 seed-1 cases of the scan-affine benchmark: each clip
+    (S + C) cap K of a one-box affine map equals the frozen rebuild, and a
+    coordinate that reads one axis is clipped once per atom on that axis.
+    Clipping every coordinate of every atom made 2,226
+    _intersect_affine_boxes, 4,452 _intersect_affine_intervals and 2,226
+    normalize_value calls."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import affine_inputs
+
+    pairs = []
+    for case in affine_inputs.generate(1, 150):
+        _, sc, k, _ = affine_inputs.build(case)
+        pairs.append((sc, constant_map(case.domain, k)))
+    calls = count_calls(monkeypatch, ("normalize_value", "_intersect_affine_boxes",
+                                      "_intersect_affine_intervals"))
+    clipped = [intersect_maps(sc, target) for sc, target in pairs]
+    assert calls == {"normalize_value": 537, "_intersect_affine_boxes": 0,
+                     "_intersect_affine_intervals": 1152}
+    for (sc, target), m in zip(pairs, clipped):
+        assert_same_map(m, seed_intersect_maps(sc, target))
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -584,6 +622,162 @@ def test_intersect_affine_intervals_matches_frozen_copy(case):
     for x, y in ((a, b), (b, a)):
         assert _outcome(_intersect_affine_intervals, region, x, y) == \
             _outcome(seed_intersect_affine_intervals, region, x, y)
+
+
+# ---------------------------------------------------------------------------
+# intersect_maps clips each coordinate once per index tuple on the axes it
+# reads; it must equal the frozen rebuild that values every atom
+# ---------------------------------------------------------------------------
+
+def assert_same_outcome(a, b):
+    """``intersect_maps(a, b)`` equals the frozen rebuild, or both raise the
+    same exception type with the same message."""
+    got, want = _outcome(intersect_maps, a, b), _outcome(seed_intersect_maps, a, b)
+    if isinstance(want, PiecewiseMap):
+        assert isinstance(got, PiecewiseMap), got
+        assert_same_map(got, want)
+    else:
+        assert got == want
+    return want
+
+
+def _one_piece(dom, *coords):
+    return PiecewiseMap(dom, len(coords), (Piece(dom, (tuple(coords),)),))
+
+
+_SQUARE = (I.closed(0, 1), I.closed(0, 1))
+
+
+def _form(const, *coeffs):
+    return AffForm(const, tuple(coeffs))
+
+
+def _const_iv(lo, hi, dim=2):
+    return AffineInterval(AffForm.constant(lo, dim), AffForm.constant(hi, dim))
+
+
+def test_clip_stops_a_pair_at_its_first_empty_coordinate():
+    """Coordinate 0 of a = ([0, 1/4], [x+y, x+y+1]) misses b = ([1/2, 1],
+    [1, 3/2]), so the pair never compares x+y with 1, whose sign changes
+    along a diagonal; an eager clip of every coordinate would raise. Once
+    coordinate 0 meets, both rebuilds raise with the same message."""
+    a = _one_piece(_SQUARE, _const_iv(0, 0.25),
+                   AffineInterval(_form(0.0, 1.0, 1.0), _form(1.0, 1.0, 1.0)))
+    b = _one_piece(_SQUARE, _const_iv(0.5, 1), _const_iv(1, 1.5))
+    m = assert_same_outcome(a, b)
+    assert [p.value for p in m.pieces] == [()]
+    b_meets = _one_piece(_SQUARE, _const_iv(0.1, 1), _const_iv(1, 1.5))
+    assert assert_same_outcome(a, b_meets)[0] is NonAxisAlignedSplitError
+
+
+def test_clip_of_a_coordinate_on_two_axes_with_a_definite_sign():
+    """Coordinate 0 of a reads x and y, and its forms keep one sign against
+    both pieces of b; coordinate 1 reads x only, and its clip against b's
+    first piece changes at x = 1/4. The clipped value keeps the two-axis
+    forms."""
+    a = _one_piece(_SQUARE, AffineInterval(_form(0.0, 1.0, 1.0), _form(0.5, 1.0, 1.0)),
+                   AffineInterval(_form(0.0, 1.0, 0.0), _form(1.0, 1.0, 0.0)))
+    b = PiecewiseMap(_SQUARE, 2, (
+        Piece((I(0, 0.5, True, False), I.closed(0, 1)),
+              ((_const_iv(-1, 5), _const_iv(0.25, 0.75)),)),
+        Piece((I.closed(0.5, 1), I.closed(0, 1)),
+              ((_const_iv(-1, 3), _const_iv(1.5, 2)),)),
+    ))
+    m = assert_same_outcome(a, b)
+    assert len(m.pieces) == 3
+    assert all(len(p.value) == 1 and p.value[0][0] == a.pieces[0].value[0][0]
+               for p in m.pieces)
+    assert m.evaluate((0.25, 0.5)) == BoxSet.of(2, [(I.closed(0.75, 1.25), I.closed(0.25, 0.75))])
+    assert m.evaluate((0.75, 0.5)) == BoxSet.of(2, [(I.closed(1.25, 1.75), I.closed(1.5, 1.75))])
+
+
+_CONSTS = (-0.5, 0.0, 0.25, 0.5, 1.0)
+_SLOPES = (-1.0, -0.5, 0.5, 1.0)
+
+
+def _random_cells(rng, iv):
+    """``iv`` split at up to two of 1/4, 1/2, 3/4; each cut is held by the
+    cell on its left or on its right."""
+    cells, lo, lo_closed = [], iv.lo, iv.lo_closed
+    for c in sorted(rng.sample((0.25, 0.5, 0.75), rng.randint(0, 2))):
+        held_left = rng.random() < 0.5
+        cells.append(I(lo, c, lo_closed, held_left))
+        lo, lo_closed = c, not held_left
+    return cells + [I(lo, iv.hi, lo_closed, iv.hi_closed)]
+
+
+def _random_form(rng, dim, home):
+    """Constant, or sloped on axis ``home``, or now and then on another
+    axis or on two, where comparisons may change sign along a diagonal."""
+    coeffs = [0.0] * dim
+    kind = rng.choices(("constant", "home", "other", "two"), (4, 8, 1, 1))[0]
+    if kind == "home":
+        coeffs[home] = rng.choice(_SLOPES)
+    elif kind != "constant":
+        for j in rng.sample(range(dim), min(1 if kind == "other" else 2, dim)):
+            coeffs[j] = rng.choice(_SLOPES)
+    return AffForm(rng.choice(_CONSTS), tuple(coeffs))
+
+
+def _random_interval(rng, dim, home):
+    """Affine endpoints of width at least w0/2 on [0, 1]^dim, so every
+    flag pattern is valid; the upper end may slope more on axis ``home``."""
+    lo = _random_form(rng, dim, home)
+    w0 = rng.choice((0.25, 0.5, 1.0))
+    coeffs = list(lo.coeffs)
+    if rng.random() < 0.3:
+        coeffs[home] += rng.choice((-0.5, 0.5)) * w0
+    return AffineInterval(lo, AffForm(lo.const + w0, tuple(coeffs)),
+                          rng.random() < 0.5, rng.random() < 0.5)
+
+
+def _random_affine_map(rng, dom, homes):
+    """A map on a product partition of ``dom``: each piece carries the empty
+    value or one or two random affine boxes, whose coordinate ``k`` slopes
+    mostly on axis ``homes[k]``."""
+    pieces = []
+    for region in itertools.product(*(_random_cells(rng, iv) for iv in dom)):
+        n = 0 if rng.random() < 0.2 else rng.randint(1, 2)
+        value = [tuple(_random_interval(rng, len(dom), h) for h in homes) for _ in range(n)]
+        pieces.append(Piece(region, normalize_value(value, len(dom))))
+    return PiecewiseMap(dom, len(homes), tuple(pieces))
+
+
+def _random_target(rng, dom, codim):
+    """The constant map of one to three random flagged boxes."""
+    boxes = []
+    for _ in range(rng.randint(1, 3)):
+        box = []
+        for _ in range(codim):
+            lo = rng.choice(_CONSTS)
+            box.append(I(lo, lo + rng.choice((0.25, 0.5, 1.0)), rng.random() < 0.5,
+                         rng.random() < 0.5))
+        boxes.append(tuple(box))
+    return constant_map(dom, BoxSet.of(codim, boxes))
+
+
+def random_intersection_pairs(seed, count):
+    """``count`` seeded map pairs in one, two and three dimensions: affine
+    against affine, and affine against a multi-box constant target, either
+    way round; domains have random end flags."""
+    rng = random.Random(seed)
+    for n in range(count):
+        dim = 1 + n % 3
+        dom = tuple(I(0, 1, rng.random() < 0.5, rng.random() < 0.5) for _ in range(dim))
+        homes = [rng.randrange(dim) for _ in range(rng.randint(1, 2))]
+        a = _random_affine_map(rng, dom, homes)
+        kind = rng.randrange(3)
+        b = (_random_affine_map(rng, dom, homes) if kind == 0
+             else _random_target(rng, dom, len(homes)))
+        yield (b, a) if kind == 2 else (a, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_intersections_match_oracle(seed):
+    """Each seed compares 500 pairs, so the four compare 2,000 maps or raises."""
+    outcomes = [assert_same_outcome(a, b) for a, b in random_intersection_pairs(seed, 500)]
+    raised = sum(not isinstance(o, PiecewiseMap) for o in outcomes)
+    assert 0 < raised < len(outcomes) // 2
 
 
 # ---------------------------------------------------------------------------
