@@ -148,7 +148,14 @@ class PriceSimplex:
 # ---------------------------------------------------------------------------
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(map(operator.mul, a, b))
+    """The products of ``a`` and ``b`` added left to right in floats: monotone
+    in ``b`` for ``a >= 0``, the bound ``remark_4_3_inclusion`` rules triples
+    out by. Not ``sum``, which compensates its rounding from Python 3.12 on;
+    on 3.10 and 3.11 the two agree bit for bit."""
+    s = 0.0
+    for t in map(operator.mul, a, b):
+        s += t
+    return s
 
 
 def _in_box(x: Sequence[float], truncation: float) -> bool:
@@ -486,6 +493,27 @@ def _check_sample_domain(assoc: AssociatedEconomy) -> None:
                     "contain both 0 and the truncation")
 
 
+def _group_floors(value: BoxSet, groups: tuple[tuple[int, ...], ...],
+                  truncation: float) -> list[tuple[float, ...]]:
+    """One lower bound per box of ``value`` on the measurable bundles of
+    [0, truncation]^d in it: the bundle holding each group's
+    ``max(0, largest lo)`` on all of the group's coordinates. A box with a
+    group whose floor exceeds ``min(truncation, smallest hi)`` holds no such
+    bundle and gives none."""
+    out = []
+    for b in value.boxes:
+        z = [0.0] * len(b)
+        for g in groups:
+            lo = max(0.0, max(b[c].lo for c in g))
+            if lo > min(truncation, min(b[c].hi for c in g)):
+                break
+            for c in g:
+                z[c] = lo
+        else:
+            out.append(tuple(z))
+    return out
+
+
 def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckReport:
     """Sampled check that constrained-preferred bundles satisfy both
     constraints: membership in budget and preferred-measurable implies
@@ -498,10 +526,23 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
     draws and the preferred value's measurable corners, built once per
     (allocation, agent, information set). Only a candidate in the strict
     budget, tested first, is tested for preferred-measurable membership.
+
+    Before any candidate is drawn, each (price, allocation, agent) triple is
+    ruled out when no bundle can pass all three tests: when every box of the
+    preferred value has a group with no measurable bundle in [0, truncation]
+    or a floor (``_group_floors``) whose price is at least the wealth. A
+    bundle passing the tests lies above its box's floor, and ``_dot`` is
+    monotone, so the floor's price bounds the float budget test itself. Only
+    triples up to the last one left open draw their 12 bundles, and only open
+    ones test their candidates, so the draws, hits and witnesses stay those of
+    testing every candidate; ``candidates_checked`` still counts all of them.
     A truncation outside a preference map's domain raises ``DomainError``
-    from ``_check_sample_domain`` before any draw.
+    from ``_check_sample_domain``, and a step that is not a positive finite
+    number raises ``ValueError``, before any draw.
     """
     _check_sample_domain(assoc)
+    if not 0 < alloc_step < math.inf:
+        raise ValueError(f"alloc_step must be a positive finite number, got {alloc_step!r}")
     choice = random.Random(_INCLUSION_SEED).choice
     d = assoc.info.bundle_dim
     axis = []
@@ -515,27 +556,46 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
     allocations = [tuple(draw_bundle() for _ in range(assoc.n))
                    for _ in range(40)]
     preferred = [[assoc.preferred_value(i, x) for i in range(assoc.n)] for x in allocations]
-    origin, top = (0.0,) * d, (assoc.truncation,) * d
-    corners: dict = {}
+
+    def triples():
+        for p in assoc.simplex.points():
+            sets = [(assoc.budget(i, p), assoc.information(i, p)) for i in range(assoc.n)]
+            for k, prefs in enumerate(preferred):
+                for i, (bud_inf, pref) in enumerate(zip(sets, prefs)):
+                    yield p, k, i, bud_inf, pref
+
+    # decide every triple before any candidate is drawn: it stays live when
+    # some floor of its preferred value is priced below the wealth
+    built: dict = {}
     checked = 0
+    live = set()
+    for t, (p, k, i, (bud, inf), pref) in enumerate(triples()):
+        if (k, i, inf) not in built:
+            groups = assoc.info.coordinate_groups(i, p)
+            built[k, i, inf] = (_measurable_corners(pref, inf),
+                                _group_floors(pref, groups, assoc.truncation))
+        corners, floors = built[k, i, inf]
+        checked += 16 + len(corners)
+        if any(_dot(p, z) < bud.wealth for z in floors):
+            live.add(t)
+
+    origin, top = (0.0,) * d, (assoc.truncation,) * d
     antecedent_hits = 0
     wit = []
-    for p in assoc.simplex.points():
-        sets = [(assoc.budget(i, p), assoc.information(i, p)) for i in range(assoc.n)]
-        for k, (x, prefs) in enumerate(zip(allocations, preferred)):
-            for i, ((bud, inf), pref) in enumerate(zip(sets, prefs)):
-                candidates = [origin, assoc.info.endowments[i], x[i], top]
-                candidates += [draw_bundle() for _ in range(12)]
-                if (k, i, inf) not in corners:
-                    corners[k, i, inf] = _measurable_corners(pref, inf)
-                candidates += corners[k, i, inf]
-                checked += len(candidates)
-                for y in candidates:
-                    if bud.contains(y) and pref.contains(y) and inf.contains(y):
-                        antecedent_hits += 1
-                        if not assoc.clause_b(i, y, p):
-                            wit.append(Witness(y, None, 0.0, "inclusion violated",
-                                               f"agent {i} at p={p}"))
+    # draw through the last live triple, in the order of testing every one
+    last = max(live, default=-1)
+    for t, (p, k, i, (bud, inf), pref) in enumerate(itertools.islice(triples(), last + 1)):
+        drawn = [draw_bundle() for _ in range(12)]
+        if t not in live:
+            continue
+        candidates = [origin, assoc.info.endowments[i], allocations[k][i], top,
+                      *drawn, *built[k, i, inf][0]]
+        for y in candidates:
+            if bud.contains(y) and pref.contains(y) and inf.contains(y):
+                antecedent_hits += 1
+                if not assoc.clause_b(i, y, p):
+                    wit.append(Witness(y, None, 0.0, "inclusion violated",
+                                       f"agent {i} at p={p}"))
     return CheckReport(
         "constraint-inclusion", PASS if not wit else FAIL, tuple(wit[:32]),
         {

@@ -5,9 +5,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxcorr import (AffForm, AffineInterval, AssociatedEconomy, BoxSet, DocumentError,
                      FlaggedInterval, InfoEconomy, Piece, PiecewiseMap, PriceSimplex,
@@ -1162,7 +1166,21 @@ def test_inclusion_builds_corners_once_and_tests_preferences_only_when_affordabl
     monkeypatch.setattr(BoxSet, "contains", in_preferred)
     got = remark_4_3_inclusion(assoc, 0.125)
     assert repr(got) == repr(want)
-    assert (len(corners), len(draws)) == (80, 129840)
+    # every triple of the toy is ruled out before drawing: only the 240
+    # allocation draws are made, and no budget or preferred test runs
+    assert (len(corners), len(draws), len(preferred_tests)) == (80, 240, 0)
+    assert not last  # ``in_budget`` never ran
+    # on the richer toy triples stay open, and a preferred test still
+    # follows only a passed budget test of the same candidate
+    rich = associated(richer_toy())
+    want = seed_remark_4_3_inclusion(rich, 0.125)
+    corners.clear()
+    draws.clear()
+    preferred_tests.clear()
+    got = remark_4_3_inclusion(rich, 0.125)
+    assert repr(got) == repr(want)
+    # the last three triples are ruled out and draw nothing
+    assert (len(corners), len(draws)) == (80, 129840 - 3 * 12)
     assert preferred_tests and all(preferred_tests)
 
 
@@ -1189,3 +1207,163 @@ def test_inclusion_checks_the_preference_domain_before_any_draw(monkeypatch):
     # a truncation inside every domain draws as before
     assert remark_4_3_inclusion(associated(toy(), 2.0), 0.5).passed
     assert draws
+
+
+# ---------------------------------------------------------------------------
+# Triples ruled out before drawing
+# ---------------------------------------------------------------------------
+
+NON_DYADIC = (0.1, 1 / 3, 0.7, 1.4)
+
+
+def seeded_toy(rng):
+    """The toy's preferences under seeded signals and non-dyadic endowments
+    whose aggregate stays within the truncation 2."""
+    e0 = tuple(rng.choice(NON_DYADIC) for _ in range(3))
+    e1 = tuple(rng.choice([v for v in NON_DYADIC + (0.5,) if a + v <= 2]) for a in e0)
+    signals = tuple(rng.choice(("pooled", "revealing", "threshold:1:0.3", "threshold:0:0.5"))
+                    for _ in range(2))
+    return dataclasses.replace(toy(), endowments=(e0, e1), signals=signals)
+
+
+def test_inclusion_matches_frozen_loop_on_seeded_economies():
+    rng = random.Random(4301)
+    hits = 0
+    for _ in range(50):
+        e = seeded_toy(rng)
+        assoc = associated(e, resolution=rng.randint(2, 8))
+        step = rng.choice((0.1, 0.3))
+        got = remark_4_3_inclusion(assoc, step)
+        assert repr(got) == repr(seed_remark_4_3_inclusion(assoc, step)), (e, step)
+        hits += got.parameters["antecedent_hits"]
+    assert hits > 0
+
+
+def _count_inclusion_work(monkeypatch):
+    """Count seeded draws and budget tests from here on."""
+    draws, budget_tests = [], []
+
+    class CountingRandom(random.Random):
+        def choice(self, seq):
+            draws.append(1)
+            return super().choice(seq)
+
+    budget_contains = _radner.BudgetSet.contains
+    monkeypatch.setattr(_radner.random, "Random", CountingRandom)
+    monkeypatch.setattr(_radner.BudgetSet, "contains",
+                        lambda self, x: budget_tests.append(1) or budget_contains(self, x))
+    return draws, budget_tests
+
+
+def seed_allocations(assoc, alloc_step):
+    """The 40 seeded allocations, drawn as ``seed_remark_4_3_inclusion`` does."""
+    rng = random.Random(_radner._INCLUSION_SEED)
+    axis = []
+    v = 0.0
+    while v <= assoc.truncation + 1e-12:
+        axis.append(min(v, assoc.truncation))
+        v += alloc_step
+    return [tuple(tuple(rng.choice(axis) for _ in range(assoc.info.bundle_dim))
+                  for _ in range(assoc.n)) for _ in range(40)]
+
+
+def test_toy_tie_triples_at_a_unit_price_are_ruled_out(monkeypatch):
+    """At p = (1, 0, 0) two triples of the toy have a floor priced exactly
+    at the wealth 1/2: their preferred boxes are open at the floor, so no
+    bundle passes the strict budget test, and they draw nothing."""
+    assoc = associated(toy())
+    p = (1.0, 0.0, 0.0)
+    ties = []
+    for k, x in enumerate(seed_allocations(assoc, 0.125)):
+        for i in range(assoc.n):
+            floors = _radner._group_floors(assoc.preferred_value(i, x),
+                                           assoc.info.coordinate_groups(i, p), assoc.truncation)
+            prices = [_radner._dot(p, z) for z in floors]
+            assert all(v >= 0.5 for v in prices)
+            if 0.5 in prices:
+                ties.append((k, i, x[i]))
+    assert ties == [(9, 0, (0.0, 0.25, 1.0)), (33, 1, (0.0, 0.125, 0.375))]
+    want = seed_remark_4_3_inclusion(assoc, 0.125)
+    draws, budget_tests = _count_inclusion_work(monkeypatch)
+    assert repr(remark_4_3_inclusion(assoc, 0.125)) == repr(want)
+    assert (len(draws), len(budget_tests)) == (240, 0)
+
+
+@pytest.mark.parametrize("signal,open_triples", [("pooled", False), ("revealing", True)])
+def test_inclusion_rules_out_a_box_without_a_measurable_bundle(monkeypatch, signal,
+                                                                open_triples):
+    """Agent 0 prefers [0, 2] x [0, 1/4] x [1, 2]. Under pooled signals its
+    states must be equal, and no bundle is, so every triple is ruled out
+    although the box's floor (0, 1, 1) is cheap at most prices; under
+    revealing signals the box holds cheap measurable bundles."""
+    c = FlaggedInterval.closed
+    assoc = constant_preference_economy(signal, [(c(0, 2), c(0, 0.25), c(1, 2))])
+    want = seed_remark_4_3_inclusion(assoc, 0.25)
+    draws, budget_tests = _count_inclusion_work(monkeypatch)
+    got = remark_4_3_inclusion(assoc, 0.25)
+    assert repr(got) == repr(want)
+    assert (len(draws) > 240, len(budget_tests) > 0) == (open_triples, open_triples)
+    assert (got.parameters["antecedent_hits"] > 0) == open_triples
+
+
+def test_inclusion_keeps_a_triple_affordable_only_in_floats():
+    """Pooled agent 0 prefers [1.6, 2] x [0.7, 2] x [0.7, 2]. At p = (1/3, 1/3,
+    1/3) the float budget test accepts its lower corner, whose price sums to
+    0.9999999999999999 against the wealth 1.0, while the collapsed minimum of
+    ``conflict_empty`` reads 1.0 and calls the conflict empty. The triple must
+    stay open, so the sampled check keeps the hit."""
+    c = FlaggedInterval.closed
+    assoc = constant_preference_economy("pooled", [(c(1.6, 2), c(0.7, 2), c(0.7, 2))])
+    p, corner = (1 / 3,) * 3, (1.6, 0.7, 0.7)
+    assert assoc.budget(0, p).contains(corner)
+    assert assoc.conflict_empty(0, assoc.info.endowments, p)
+    got = remark_4_3_inclusion(assoc, 0.25)
+    assert repr(got) == repr(seed_remark_4_3_inclusion(assoc, 0.25))
+    assert got.parameters["antecedent_hits"] > 0
+
+
+@pytest.mark.parametrize("step", [0, -0.5, math.nan, math.inf])
+def test_inclusion_rejects_a_step_that_is_not_positive_and_finite(monkeypatch, step):
+    """0 and -0.5 would never leave the allocation axis loop, and NaN or inf
+    would sample a one-value axis. The step is refused after the domain
+    check and before the seeded generator is made, which precedes the axis
+    loop, so a missing check fails here instead of looping."""
+    class NoDraws(random.Random):
+        def __init__(self, *args):
+            raise AssertionError("the seeded draws started")
+
+    monkeypatch.setattr(_radner.random, "Random", NoDraws)
+    with pytest.raises(ValueError) as exc:
+        remark_4_3_inclusion(associated(toy()), step)
+    assert str(exc.value) == f"alloc_step must be a positive finite number, got {step!r}"
+    # the domain check comes first
+    with pytest.raises(_radner.DomainError):
+        remark_4_3_inclusion(associated(toy(), 3.0), step)
+
+
+def seed_dot(a, b):
+    """``_dot`` as it was: the builtin ``sum`` of the products."""
+    return sum(map(operator.mul, a, b))
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="sum() of floats compensates its rounding from Python 3.12 on")
+def test_dot_is_bit_identical_to_the_builtin_sum():
+    rng = random.Random(4302)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        a = [rng.random() * 10 ** rng.randint(-8, 8) for _ in range(n)]
+        b = [rng.choice((rng.random(), rng.randint(0, 16) / 8, 1 / 3, 0.1)) for _ in range(n)]
+        assert _radner._dot(a, b).hex() == float(seed_dot(a, b)).hex()
+
+
+nonneg = st.floats(min_value=0.0, max_value=1e100, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(nonneg, nonneg, nonneg), min_size=1, max_size=10))
+def test_dot_is_monotone_in_a_nonnegative_bundle(rows):
+    p = [r[0] for r in rows]
+    y = [min(r[1], r[2]) for r in rows]
+    y_up = [max(r[1], r[2]) for r in rows]
+    assert _radner._dot(p, y) <= _radner._dot(p, y_up)
