@@ -26,18 +26,15 @@ from .economy import (check_theorem_4_1_hypotheses, check_theorem_4_2_hypotheses
                       search_equilibria)
 from .fixedpoint import (DEFAULT_EPS_CHAIN, ProductMap, chain_result_to_doc,
                          intersect_qv_chain)
-from .intervals import Box, Grid
+from .intervals import MAX_GRID_POINTS, Box, Grid
 from .maps import adherence, t_upper
-from .radner import (PriceSimplex, info_economy_from_doc, remark_4_3_inclusion,
-                     to_abstract_economy)
+from .radner import (PriceSimplex, check_allocation_axis, info_economy_from_doc,
+                     remark_4_3_inclusion, to_abstract_economy)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
-
-# A grid with more points than this is refused as an input error.
-MAX_GRID_POINTS = 10**8
 
 
 class InputError(click.ClickException):
@@ -396,10 +393,7 @@ def cmd_build_radner(document, step, tol, out, fmt):
             raise InputError(f"step {step} gives {n} price grid points, more than "
                              f"the limit of {MAX_GRID_POINTS}")
         assoc = to_abstract_economy(info, simplex)
-        points = assoc.truncation / step + 1
-        if points > MAX_GRID_POINTS:
-            raise InputError(f"truncation {assoc.truncation} at step {step} gives {points:.0f} "
-                             f"allocation grid points, more than the limit of {MAX_GRID_POINTS}")
+        check_allocation_axis(assoc.truncation, step)
         # raises DomainError, before any draw, on a truncation outside a preference domain
         incl = remark_4_3_inclusion(assoc, step)
         axis = tuple(assoc.truncation * k / 4 for k in range(5))

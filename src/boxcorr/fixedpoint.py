@@ -192,8 +192,10 @@ def intersect_qv_chain(
     """Compute the fixed-point sets along an eps chain and intersect them.
 
     An empty intersection means no fixed point at this grid resolution,
-    not an error. The chain is processed from the largest eps down and
-    the nesting of consecutive sets is verified exactly.
+    not an error. The chain is processed from the largest eps down, and
+    ``nested`` records whether the grid point set of each level lies inside
+    the previous level's: the nesting is compared on the grid points, not
+    between the exact sets.
     """
     if not eps_chain:
         raise ValueError("eps chain must be nonempty")

@@ -473,6 +473,11 @@ class BoxSet:
 # Uniform grids
 # ---------------------------------------------------------------------------
 
+# The most points a grid, price simplex or sampled allocation axis may have:
+# a scan visits each point, so a larger one would not finish.
+MAX_GRID_POINTS = 10**8
+
+
 @dataclass(frozen=True)
 class Grid:
     """A uniform sample grid spanning ``[lo, hi]`` per dimension with a scalar step.

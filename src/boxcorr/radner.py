@@ -20,6 +20,7 @@ nonnegative, so the minimum sits at the collapsed lower corner).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -31,7 +32,7 @@ from typing import Any, Iterable, Sequence
 from . import io as _io
 from .affine import instantiate_box
 from .checks import FAIL, PASS, CheckReport, Witness, combine_reports
-from .intervals import Box, BoxSet, FlaggedInterval, box_intersect
+from .intervals import MAX_GRID_POINTS, Box, BoxSet, FlaggedInterval, box_intersect
 from .maps import DomainError, PiecewiseMap
 
 
@@ -101,8 +102,9 @@ class InfoEconomy:
     def bundle_dim(self) -> int:
         return self.n_goods * self.n_states + 1
 
-    @property
+    @functools.cached_property
     def aggregate_endowment(self) -> tuple[float, ...]:
+        """The endowments summed per coordinate, built once per economy."""
         return tuple(sum(e[k] for e in self.endowments) for k in range(self.bundle_dim))
 
     def coordinate_groups(self, i: int, p: tuple[float, ...]) -> tuple[tuple[int, ...], ...]:
@@ -514,6 +516,15 @@ def _group_floors(value: BoxSet, groups: tuple[tuple[int, ...], ...],
     return out
 
 
+def check_allocation_axis(truncation: float, alloc_step: float) -> None:
+    """Raise ``ValueError`` when the allocation axis ``0, alloc_step, ...,
+    truncation`` would have more than ``MAX_GRID_POINTS`` points."""
+    points = truncation / alloc_step + 1
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"truncation {truncation} at step {alloc_step} gives {points:.0f} "
+                         f"allocation grid points, more than the limit of {MAX_GRID_POINTS}")
+
+
 def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckReport:
     """Sampled check that constrained-preferred bundles satisfy both
     constraints: membership in budget and preferred-measurable implies
@@ -538,11 +549,13 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
     testing every candidate; ``candidates_checked`` still counts all of them.
     A truncation outside a preference map's domain raises ``DomainError``
     from ``_check_sample_domain``, and a step that is not a positive finite
-    number raises ``ValueError``, before any draw.
+    number, or whose allocation axis would exceed ``MAX_GRID_POINTS`` points
+    (``check_allocation_axis``), raises ``ValueError``, before any draw.
     """
     _check_sample_domain(assoc)
     if not 0 < alloc_step < math.inf:
         raise ValueError(f"alloc_step must be a positive finite number, got {alloc_step!r}")
+    check_allocation_axis(assoc.truncation, alloc_step)
     choice = random.Random(_INCLUSION_SEED).choice
     d = assoc.info.bundle_dim
     axis = []

@@ -11,6 +11,7 @@ indicates an implementation bug rather than sampling noise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 import time
@@ -326,33 +327,80 @@ def lemma_2_1_suite(tol: float = 1e-9) -> CheckReport:
                             "runtime_s": time.perf_counter() - t0})
 
 
+def _chain_value(dilated: Sequence[PiecewiseMap], pieces: Sequence[int],
+                 x: tuple[float, ...]) -> BoxSet:
+    """The intersection, left to right, of the dilated maps' values at the
+    grid point ``x``, ``pieces[k]`` being the piece of ``dilated[k]`` there."""
+    inter = dilated[0].value_on(pieces[0], x)
+    for tm, i in zip(dilated[1:], pieces[1:]):
+        inter = inter.intersect(tm.value_on(i, x))
+    return inter
+
+
 def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
                        reference: PiecewiseMap, clip: BoxSet | None,
                        grid: Grid, radius: float) -> CheckReport:
     """At every grid point, the intersection of the dilated-map values must
     land inside the (radius-padded) adherence of the reference clipped to
     the (radius-padded) target set; radius 0 demands exact containment.
-    One ``GridCells`` point walk reads every map; the adherence is valued only
-    where the intersection is nonempty, and ``nonempty_points`` counts those."""
+    ``nonempty_points`` counts the points where the intersection is nonempty.
+
+    One ``GridCells`` table of the dilated maps and the adherence is read
+    per piece tuple first. A tuple whose constant chain pieces do not meet
+    is empty on its cells, whatever its affine pieces; an intersection of
+    more sets is no larger. A tuple of constant pieces only has one value
+    per map on its cells, and the padding is constant too, so it is decided
+    once, at its first cell's first point. A decided nonempty tuple counts
+    its cells' sizes. The point walk runs only when some tuple is undecided
+    or escapes: it values each point of an undecided tuple with
+    ``_chain_value``, and gives each point of an escaping decided tuple its
+    tuple's excess, so the witnesses are the first 8 failing points in
+    lexicographic order, as a walk over every point finds them.
+    """
     bar = adherence(reference)
     pad = clip.dilate(radius).closure() if clip is not None and radius > 0 else clip
-    wit = []
-    nonempty = 0
-    for _, x, pieces in GridCells((*dilated, bar), grid).points():
-        inter = dilated[0].value_on(pieces[0], x)
-        for tm, i in zip(dilated[1:], pieces[1:-1]):
-            inter = inter.intersect(tm.value_on(i, x))
-        if inter.is_empty:
-            continue
-        nonempty += 1
-        tv = bar.value_on(pieces[-1], x)
+
+    def excess(inter: BoxSet, tv: BoxSet) -> float | None:
+        # the nonempty ``inter``'s excess over the padded adherence value
+        # ``tv``, or None when it lies inside
         if pad is not None:
             tv = tv.intersect(pad)
         if radius > 0:
             tv = tv.dilate(radius).closure()
-        if not inter.subset_within(tv, 0.0):
-            ex = math.inf if tv.is_empty else inter.hausdorff_upper(tv)
-            wit.append(Witness(x, None, ex, "chain value escapes the reference"))
+        if inter.subset_within(tv, 0.0):
+            return None
+        return math.inf if tv.is_empty else inter.hausdorff_upper(tv)
+
+    def decide(x: tuple[float, ...], pieces: tuple[int, ...]) -> tuple[bool, float | None] | None:
+        # (nonempty, excess) on the tuple's cells, or None when undecided
+        constant = [m.value_on(i, x) for m, i in zip(dilated, pieces) if m.pieces[i].is_constant]
+        inter = functools.reduce(BoxSet.intersect, constant) if constant else None
+        if inter is not None and inter.is_empty:
+            return False, None
+        if len(constant) < len(dilated) or not bar.pieces[pieces[-1]].is_constant:
+            return None
+        return True, excess(inter, bar.value_on(pieces[-1], x))
+
+    cells = GridCells((*dilated, bar), grid)
+    decided: dict[tuple[int, ...], tuple[bool, float | None] | None] = {}
+    nonempty = 0
+    for cell, pieces in cells.cells():
+        if pieces not in decided:
+            decided[pieces] = decide(cells.first_point(cell), pieces)
+        if decided[pieces] is not None and decided[pieces][0]:
+            nonempty += math.prod(map(len, cell))
+    wit = []
+    if any(d is None or d[1] is not None for d in decided.values()):
+        for _, x, pieces in cells.points():
+            d = decided[pieces]
+            if d is None:
+                inter = _chain_value(dilated, pieces, x)
+                if inter.is_empty:
+                    continue
+                nonempty += 1
+                d = True, excess(inter, bar.value_on(pieces[-1], x))
+            if d[1] is not None:
+                wit.append(Witness(x, None, d[1], "chain value escapes the reference"))
     return CheckReport(name, PASS if not wit else FAIL, tuple(wit[:8]),
                        {"radius": radius, "grid_points": grid.point_count(),
                         "nonempty_points": nonempty})

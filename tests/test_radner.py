@@ -18,6 +18,7 @@ from boxcorr import (AffForm, AffineInterval, AssociatedEconomy, BoxSet, Documen
                      radner_toy, remark_4_3_inclusion, to_abstract_economy,
                      verify_market_clearing)
 from boxcorr.checks import FAIL, PASS, CheckReport, Witness, combine_reports
+from boxcorr import cli
 from boxcorr import radner as _radner
 from boxcorr.intervals import boxes_difference
 from boxcorr.radner import _measurable_corners, info_economy_from_doc, info_economy_to_doc
@@ -204,6 +205,30 @@ def test_low_consumption_does_not_guarantee_empty_price_conflict():
     assert all(v <= 0 for v in z)
     p = (1.0, 0.0, 0.0)
     assert not assoc.price_conflict_empty(x, p)
+
+
+def test_excess_reads_the_aggregate_endowment_once_per_economy():
+    """``excess`` sums the endowments once per economy, not per call, with
+    the same sums in the same order, so its values stay bit-identical."""
+    class CountingEndowments(tuple):
+        iterations = 0
+
+        def __iter__(self):
+            CountingEndowments.iterations += 1
+            return super().__iter__()
+
+    base = richer_toy()
+    e = dataclasses.replace(base, endowments=CountingEndowments(base.endowments))
+    assoc = to_abstract_economy(e, PriceSimplex(e.bundle_dim, 8))
+    x = ((0.3, 1.1, 0.7), (0.1, 0.2, 1.9))
+    first = assoc.excess(x)
+    built = CountingEndowments.iterations
+    for _ in range(100):
+        assert assoc.excess(x) == first
+    assert CountingEndowments.iterations == built
+    want = tuple(sum(b[k] for b in x) - sum(en[k] for en in base.endowments)
+                 for k in range(e.bundle_dim))
+    assert [v.hex() for v in first] == [v.hex() for v in want]
 
 
 def test_verify_autarky_equilibrium():
@@ -1339,6 +1364,24 @@ def test_inclusion_rejects_a_step_that_is_not_positive_and_finite(monkeypatch, s
     # the domain check comes first
     with pytest.raises(_radner.DomainError):
         remark_4_3_inclusion(associated(toy(), 3.0), step)
+
+
+@pytest.mark.parametrize("step", [1e-300, 5e-324, 2e-8])
+def test_inclusion_rejects_an_allocation_axis_past_the_grid_limit(monkeypatch, step):
+    """On the toy's truncation 2, these steps give more than 10**8 allocation
+    axis points; 1e-300 would not leave the axis loop for hours. The step is
+    refused with the bound ``build-radner`` applies, one shared constant,
+    before the seeded generator is made, which precedes the axis loop."""
+    class NoDraws(random.Random):
+        def __init__(self, *args):
+            raise AssertionError("the seeded draws started")
+
+    monkeypatch.setattr(_radner.random, "Random", NoDraws)
+    assert _radner.MAX_GRID_POINTS is cli.MAX_GRID_POINTS == 10**8
+    with pytest.raises(ValueError) as exc:
+        remark_4_3_inclusion(associated(toy()), step)
+    assert str(exc.value).startswith(f"truncation 2.0 at step {step} gives ")
+    assert str(exc.value).endswith("allocation grid points, more than the limit of 100000000")
 
 
 def seed_dot(a, b):

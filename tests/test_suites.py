@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from boxcorr import suites
+from boxcorr.affine import AffForm, AffineInterval
 from boxcorr.checks import FAIL, PASS, CheckReport, Witness
-from boxcorr.maps import adherence
+from boxcorr.intervals import BoxSet, FlaggedInterval, Grid
+from boxcorr.maps import Piece, PiecewiseMap, adherence, constant_map, t_upper
 
 
 def verdicts(rep):
@@ -138,6 +141,125 @@ def test_chain_containment_matches_frozen_loop(monkeypatch):
     assert names == ["builtin-first", "builtin-variant", "builtin-composite"] + \
         [f"random{k}" for k in range(50)]
     assert failed >= 5
+
+
+SUITE_CHAIN = (1.0, 0.5, 0.25, 0.125)
+
+
+def count_valued_points(monkeypatch) -> list:
+    """The points ``_chain_containment`` values one by one, recorded as
+    ``suites._chain_value`` is called."""
+    valued = []
+    chain_value = suites._chain_value
+
+    def recorded(dilated, pieces, x):
+        valued.append(x)
+        return chain_value(dilated, pieces, x)
+
+    monkeypatch.setattr(suites, "_chain_value", recorded)
+    return valued
+
+
+def _constant(lo, hi, dim):
+    """The piece value of the one closed box [lo, hi] in one coordinate."""
+    return ((AffineInterval(AffForm.constant(lo, dim), AffForm.constant(hi, dim), True, True),),)
+
+
+def _interval(lo, hi, hi_closed=True):
+    return FlaggedInterval(lo, hi, True, hi_closed)
+
+
+@pytest.mark.parametrize("clip,radius", [(None, 0.0), (0.25, 0.25)])
+def test_constant_chain_escaping_on_several_cells(monkeypatch, clip, radius):
+    """A tuple of constant pieces that escapes the reference spans two cells
+    of the cell table, with a passing cell between them in point order; its
+    36 failing points give the frozen loop's first 8 witnesses, in the same
+    order and with the same excess, and no point is valued one by one."""
+    dom = (_interval(0.0, 2.0), _interval(0.0, 2.0))
+    first = PiecewiseMap(dom, 1, (
+        Piece((_interval(0.0, 2.0), _interval(0.0, 1.0, False)), _constant(0.0, 1.0, 2)),
+        Piece((_interval(0.0, 0.25, False), _interval(1.0, 2.0)), _constant(0.0, 0.5, 2)),
+        Piece((_interval(0.25, 2.0), _interval(1.0, 2.0)), _constant(0.0, 0.5, 2))))
+    wide = constant_map(dom, BoxSet.of(1, [(_interval(-1.0, 3.0),)]))
+    reference = constant_map(dom, BoxSet.of(1, [(_interval(0.0, 0.5),)]))
+    target = None if clip is None else BoxSet.of(1, [(_interval(0.0, clip),)])
+    grid = Grid.over_box(dom, 0.25)
+    args = ("constant", [first, wide], reference, target, grid, radius)
+    valued = count_valued_points(monkeypatch)
+    got = suites._chain_containment(*args)
+    want = seed_chain_containment(*args)
+    assert repr(got) == repr(want)
+    assert valued == []
+    assert got.verdict == FAIL and got.parameters["nonempty_points"] == 81
+    assert [w.point for w in got.witnesses] == [(0.0, 0.0), (0.0, 0.25), (0.0, 0.5), (0.0, 0.75),
+                                                (0.25, 0.0), (0.25, 0.25), (0.25, 0.5),
+                                                (0.25, 0.75)]
+    assert {w.excess for w in got.witnesses} == {0.5 - radius}
+
+
+def test_empty_constant_chain_piece_next_to_affine_pieces(monkeypatch):
+    """On [0, 1/2) a constant chain value is empty, and on [1/2, 1) two
+    constant ones do not meet; an affine chain map and an affine reference
+    cover both. Those cells count no nonempty point and value no point:
+    only the 9 grid points of [1, 2] are valued one by one."""
+    dom = (_interval(0.0, 2.0),)
+    ramp = ((AffineInterval(AffForm(0.0, (1.0,)), AffForm(1.0, (1.0,)), True, True),),)
+    first = PiecewiseMap(dom, 1, (Piece((_interval(0.0, 0.5, False),), ()),
+                                  Piece((_interval(0.5, 1.0, False),), _constant(0.0, 1.0, 1)),
+                                  Piece((_interval(1.0, 2.0),), _constant(0.0, 3.0, 1))))
+    second = PiecewiseMap(dom, 1, (Piece((_interval(0.0, 1.0, False),), _constant(2.0, 3.0, 1)),
+                                   Piece((_interval(1.0, 2.0),), _constant(0.0, 3.0, 1))))
+    third = PiecewiseMap(dom, 1, (Piece(dom, ramp),))
+    args = ("empty-piece", [first, second, third], third, None, Grid.over_box(dom, 0.125), 0.0)
+    valued = count_valued_points(monkeypatch)
+    got = suites._chain_containment(*args)
+    assert repr(got) == repr(seed_chain_containment(*args))
+    assert got.passed and got.parameters["nonempty_points"] == 9
+    assert valued == [(1.0 + k / 8,) for k in range(9)]
+
+
+def test_chain_containment_matches_frozen_loop_on_seeded_chains():
+    """200 seeded random chains, some without a target set, at radius 0 and
+    at the suite's radius: the reports equal the per-point loop's."""
+    rng = random.Random(2029)
+    failed = 0
+    for k in range(200):
+        t, d, grid = suites._random_piecewise(rng)
+        dilated = [adherence(t_upper(t, e, d)) for e in SUITE_CHAIN]
+        clip = d if k % 4 else None
+        for radius in (0.0, min(SUITE_CHAIN) + grid.step):
+            args = (f"seeded{k}", dilated, t, clip, grid, radius)
+            got = suites._chain_containment(*args)
+            assert repr(got) == repr(seed_chain_containment(*args)), (k, radius)
+            failed += got.verdict == FAIL
+    assert failed > 50
+
+
+def test_suite_random_maps_at_radius_zero_fail_as_the_frozen_loop():
+    """Negative control: without the surrogate radius, the finite chain's
+    fuzz fails exactly 31 of the suite's 50 random maps, and each report
+    equals the per-point loop's."""
+    rng = random.Random(suites.DEFAULT_SEED)
+    failing = []
+    for k in range(50):
+        t, d, grid = suites._random_piecewise(rng)
+        args = (f"random{k}", [adherence(t_upper(t, e, d)) for e in SUITE_CHAIN], t, d, grid, 0.0)
+        got = suites._chain_containment(*args)
+        assert repr(got) == repr(seed_chain_containment(*args)), k
+        failing += [k] if got.verdict == FAIL else []
+    assert len(failing) == 31
+
+
+def test_chain_containment_values_only_undecided_points(monkeypatch):
+    """Of the suite's 2,775 grid points, only the 351 on piece tuples that
+    are neither all constant nor empty by their constant chain pieces are
+    valued one by one; the counts the records show stay the same."""
+    valued = count_valued_points(monkeypatch)
+    rep = suites.lemma_2_2_suite()
+    assert rep.passed
+    assert len(valued) == 351
+    assert sum(c.parameters["grid_points"] for c in rep.children) == 2775
+    assert sum(c.parameters["nonempty_points"] for c in rep.children) == 1364
 
 
 def test_radner_pipeline_suite():
