@@ -12,6 +12,10 @@ point for point rather than assumed.
 Survivors are certified against an independently serialized and
 reparsed copy of each factor, so a bug that corrupts in-memory piece
 data after construction cannot silently confirm itself.
+
+Within one call each derived map is built once per distinct input, and
+equal inputs share it. Equal inputs give equal-valued maps and every read
+of these maps is a membership test, so sharing changes no answer.
 """
 
 from __future__ import annotations
@@ -115,8 +119,13 @@ class ChainResult:
 
 
 def approximation_maps(pm: ProductMap, eps: float) -> tuple[PiecewiseMap, ...]:
-    """Adherence of the clipped eps-dilation, one map per factor."""
-    return tuple(adherence(t_upper(f, eps, d)) for f, d in zip(pm.factors, pm.d_sets))
+    """Adherence of the clipped eps-dilation, one map per factor, built
+    once per distinct ``(factor, target)`` pair and shared by equal pairs."""
+    built: dict[tuple[PiecewiseMap, BoxSet], PiecewiseMap] = {}
+    for f, d in zip(pm.factors, pm.d_sets):
+        if (f, d) not in built:
+            built[f, d] = adherence(t_upper(f, eps, d))
+    return tuple(built[f, d] for f, d in zip(pm.factors, pm.d_sets))
 
 
 def check_grid_covers_targets(grid: Grid, dim: int, d_sets: tuple[BoxSet, ...],
@@ -156,23 +165,31 @@ def certify_fixed_points(
     A point is certified when, for every factor, its block lies in the
     target set and in the adherence of the raw factor, the latter
     thickened by ``radius`` when positive. The factors and targets are
-    serialized and reparsed first.
+    serialized and reparsed first. The adherence is built once per
+    distinct reparsed factor and valued once per candidate; the factors
+    are still tested in order, so a failure names the first failing one.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     factors = tuple(_io.roundtrip_map(f) for f in pm.factors)
     d_sets = tuple(_io.boxset_from_doc(_io.loads(_io.dumps(_io.boxset_to_doc(d))))
                    for d in pm.d_sets)
-    bars = tuple(adherence(f) for f in factors)
+    distinct: dict[PiecewiseMap, int] = {}
+    which = tuple(distinct.setdefault(f, len(distinct)) for f in factors)
+    bars = tuple(adherence(f) for f in distinct)
     certified: list[tuple[float, ...]] = []
     failures: list[tuple[tuple[float, ...], int]] = []
     for x in points:
         bad = -1
-        for i, (bar, d, blk) in enumerate(zip(bars, d_sets, pm.blocks)):
+        values: list[BoxSet | None] = [None] * len(bars)
+        for i, (k, d, blk) in enumerate(zip(which, d_sets, pm.blocks)):
             xb = tuple(x[j] for j in blk)
-            val = bar.evaluate(x)
-            if radius > 0:
-                val = val.dilate(radius).closure()
+            val = values[k]
+            if val is None:
+                val = bars[k].evaluate(x)
+                if radius > 0:
+                    val = val.dilate(radius).closure()
+                values[k] = val
             if not (d.contains(xb) and val.contains(xb)):
                 bad = i
                 break
