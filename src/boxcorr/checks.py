@@ -4,18 +4,14 @@ A pass certifies the property at the stated resolution only; a fail carries
 concrete witnesses.  Every report embeds the full parameterization (grid
 step, delta, tol, the modulus slope) so results are reproducible.
 
-The grid scans read the maps piece by piece. ``GridCells`` builds, once
-per scan, the table of cells that lie on one piece of each map; its
-``cells`` walk yields each cell with those pieces, and its ``points`` walk
-yields the grid points in lexicographic order, each with its cell's
-pieces. Each scan decides what it can per cell and walks the points only
-where the cells leave it open. A probe that reads only the maps'
-values runs on ``scan_values``, once per tuple of decided pieces and per
-point only where a piece is undecided or the tuple fails; a piece is
-decided when it is constant, or at most one box on a map the probe reads
-only for convexity (``convex_only``). The block-point test runs on
-``scan_block_points``, which probes a point only where a cell's value is
-affine or can hold the block point. ``check_usc``
+The grid scans read the maps piece by piece, off one ``GridCells`` table
+per scan: the cells of the grid on which each map keeps one piece. Every
+per-point verdict is one ``GridCells.witnesses`` walk: a rule decides the
+cells, and a probe runs only at the points of the piece tuples that fail,
+in lexicographic order, so the witnesses are those of a probe at every
+point. ``scan_values`` decides a tuple of constant pieces with one probe,
+``scan_block_points`` a cell from the index ranges its constant value
+holds, and ``_empty_points`` skips constant nonempty pieces. ``check_usc``
 compares neighbouring points, deciding pairs of constant pieces once,
 deciding the pairs within one affine piece by the modulus bound, and
 building point records only near the pieces that stay undecided and
@@ -105,16 +101,16 @@ def _index_ranges(box: Box, axes: Sequence[Sequence[float]]) -> list[range]:
 
 
 class GridCells:
-    """The cells of ``grid`` on the pieces of ``maps``, and their points.
+    """The cells of ``grid`` on the pieces of ``maps``, and their one witness walk.
 
     A cell is a tuple of grid index ranges, one per axis. Per axis, each
     piece of each map holds a contiguous range of grid indices, and so does
     the box ``within``; the cells are the common refinement of those ranges,
     so every point of a cell lies on the same piece of each map. The table
-    of those pieces, one row per cell, is built once; ``cells`` and
-    ``points`` read it, skip what lies outside ``maps[0]``'s domain or
-    ``within``, and raise ``DomainError`` when they reach a point outside a
-    later map's domain.
+    of those pieces, one row per cell, is built once; ``cells``,
+    ``points`` and ``witnesses`` read it and skip what lies outside
+    ``maps[0]``'s domain or ``within``. The first two raise ``DomainError``
+    when they reach a point outside a later map's domain.
     """
 
     def __init__(self, maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = None):
@@ -181,17 +177,25 @@ class GridCells:
                 raise DomainError(f"point {x} outside map domain")
             yield idx, x, pieces
 
+    def witnesses(self, passes: Callable[[tuple[range, ...], tuple], bool],
+                  probe: Callable[[tuple[float, ...], tuple], Iterable[Witness]]):
+        """The ``Witness`` records of ``probe(x, pieces)`` at the points of
+        ``points`` whose piece tuple fails, in that order, read lazily.
 
-def _walk_undecided(cells: GridCells, passed: dict,
-                    probe: Callable[..., Iterable[tuple[float, str, str]]]):
-    """The first ``_MAX_WITNESSES`` witnesses ``Witness(x, None, *w)``, in
-    point order, for the triples ``w`` of ``probe(x, *values)`` at the
-    points of ``cells`` whose piece tuple is not marked passed, where
-    ``values[k]`` is the value of ``cells.maps[k]`` at ``x``."""
-    found = (Witness(x, None, *w) for _, x, pieces in cells.points()
-             if not passed.get(pieces)
-             for w in probe(x, *(m.value_on(i, x) for m, i in zip(cells.maps, pieces))))
-    return tuple(itertools.islice(found, _MAX_WITNESSES))
+        First ``passes(cell, pieces)`` decides each cell on ``maps[0]``'s
+        domain, in order, until its tuple fails; a tuple passes when all its
+        cells do, and when every tuple passes no point is visited. On a cell
+        outside a later map's domain that map's piece is ``None``: the rule
+        raises there, or fails it so that ``points`` raises at its first point.
+        """
+        failed = set()
+        for cell, pieces in zip(itertools.product(*self.segments), self.rows):
+            if pieces[0] is not None and pieces not in failed and not passes(cell, pieces):
+                failed.add(pieces)
+        if failed:
+            for _, x, pieces in self.points():
+                if pieces in failed:
+                    yield from probe(x, pieces)
 
 
 def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
@@ -201,75 +205,37 @@ def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
     """Per-point verdict for a probe that reads only the values: each
     ``(excess, category, detail)`` triple of ``probe(*values)`` at a point
     ``x`` of ``GridCells(maps, grid, within).points()`` is the witness
-    ``Witness(x, None, excess, category, detail)``.
+    ``Witness(x, None, excess, category, detail)``, up to ``_MAX_WITNESSES``.
 
     ``convex_only`` lists the positions of the maps whose values the probe
     reads only through ``len(value.boxes) <= 1``. A piece is decided when it
     is constant, or at such a position with at most one value box:
     ``value_on`` then gives one box or none (where float rounding empties
-    it) at every point, so that read is true on the whole piece. On a tuple
-    of decided pieces the probe's answer is the same at every point, so it
-    runs once per distinct such tuple, at its first cell's first point, up
-    to its first triple. When
-    every tuple is decided and passes, the scan passes without visiting a
-    point. Otherwise ``_walk_undecided`` probes each point whose tuple did
-    not pass, so the witnesses, their order and the ``_MAX_WITNESSES`` cap
-    are those of a probe at every point. A point of ``maps[0]``'s domain
-    outside a later map's domain raises ``DomainError`` before any witness
-    is kept.
+    it) at every point, so that read is true on the whole piece. The walk's
+    rule passes a tuple of decided pieces when the probe, run once at its
+    first cell's first point, yields no triple. A cell outside a later map's
+    domain raises ``DomainError`` in the rule, before any witness is kept.
     """
     cells = GridCells(maps, grid, within)
     passed: dict[tuple[int, ...], bool] = {}
-    undecided = False
-    for cell, pieces in cells.cells():
-        if pieces in passed:
-            continue
-        if not all(p.is_constant or k in convex_only and len(p.value) <= 1
-                   for k, p in enumerate(m.pieces[i] for m, i in zip(maps, pieces))):
-            undecided = True
-            continue
-        x = cells.first_point(cell)
-        values = (m.value_on(i, x) for m, i in zip(maps, pieces))
-        passed[pieces] = next(iter(probe(*values)), None) is None
-    witnesses = ()
-    if undecided or not all(passed.values()):
-        witnesses = _walk_undecided(cells, passed, lambda x, *values: probe(*values))
+
+    def triples(x, pieces):
+        return probe(*(m.value_on(i, x) for m, i in zip(maps, pieces)))
+
+    def passes(cell, pieces):
+        if None in pieces:
+            raise DomainError(f"point {cells.first_point(cell)} outside map domain")
+        if pieces not in passed:
+            passed[pieces] = all(
+                p.is_constant or k in convex_only and len(p.value) <= 1
+                for k, p in enumerate(m.pieces[i] for m, i in zip(maps, pieces))
+            ) and next(iter(triples(cells.first_point(cell), pieces)), None) is None
+        return passed[pieces]
+
+    found = cells.witnesses(passes, lambda x, pieces: (Witness(x, None, *w)
+                                                       for w in triples(x, pieces)))
+    witnesses = tuple(itertools.islice(found, _MAX_WITNESSES))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
-
-
-def _block_cells(cells: GridCells, block: Sequence[int],
-                 boxes: Callable[[BoxSet], list[Box]]) -> dict | None:
-    """Per piece tuple of ``cells``, whether no block point of its cells
-    lies in a box of ``boxes(value)``, ``value`` being the last map's.
-
-    On a constant last piece a box can hold a cell's block points only
-    where its ``_index_ranges`` on the block axes meet the cell's own
-    ranges there: the bisection reads the interval flags as
-    ``FlaggedInterval.contains`` does. An affine last piece, or a box of
-    another dimension than the block (whose probe raises), never passes.
-    On a ``DomainError``, or a block index outside the point, it returns
-    ``None``: the walk then raises the error where a probe at every point
-    does, unless the witness cap stops it first.
-    """
-    last = cells.maps[-1]
-    try:
-        block_axes = [cells.axes[j] for j in block]
-        found = list(cells.cells())
-    except (DomainError, IndexError):
-        return None
-    passed: dict[tuple[int, ...], bool] = {}
-    for cell, pieces in found:
-        i = pieces[-1]
-        if not passed.get(pieces, True) or not last.pieces[i].is_constant:
-            passed[pieces] = False
-            continue
-        x = cells.first_point(cell)
-        own = [cell[j] for j in block]
-        passed[pieces] = not any(
-            len(b) != len(block) or all(max(r.start, c.start) < min(r.stop, c.stop)
-                                        for r, c in zip(_index_ranges(b, block_axes), own))
-            for b in boxes(last.value_on(i, x)))
-    return passed
 
 
 def scan_block_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
@@ -280,28 +246,40 @@ def scan_block_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
     ``GridCells(maps, grid, within).points()``, the block point
     ``tuple(x[j] for j in block)`` lies in the value of ``maps[-1]`` at
     ``x``, or in its closure when ``closure`` is set; each such point is
-    the witness ``Witness(x, None, 0.0, category, detail)``.
+    the witness ``Witness(x, None, 0.0, category, detail)``, up to
+    ``_MAX_WITNESSES``.
 
-    ``_block_cells`` decides each piece tuple from its cells' index ranges.
-    When no tuple is affine or may hit, the scan passes without visiting a
-    point; otherwise ``_walk_undecided`` probes the points of those tuples,
-    so the witnesses, the ``_MAX_WITNESSES`` cap and every exception are
-    those of the probe at every point.
+    The walk's rule passes a cell of a constant last piece when no value box
+    meets the cell's ranges on the block axes in its ``_index_ranges``, whose
+    bisection reads the flags as ``FlaggedInterval.contains`` does. It fails
+    a cell of an affine last piece, a box of another dimension than the
+    block, a block index outside the point or a cell outside a later map's
+    domain, so the probe raises where a probe at every point does, unless
+    the cap comes first.
     """
     def boxes(value: BoxSet) -> list[Box]:
         # a union of closed boxes is the closure of the union: no canonical form needed
         return [box_closure(b) for b in value.boxes] if closure else list(value.boxes)
 
-    def probe(x, *values):
-        point = tuple(x[j] for j in block)
-        if any(box_contains(b, point) for b in boxes(values[-1])):
-            yield 0.0, category, detail
-
     cells = GridCells(maps, grid, within)
-    passed = _block_cells(cells, block, boxes)
-    witnesses = ()
-    if passed is None or not all(passed.values()):
-        witnesses = _walk_undecided(cells, passed or {}, probe)
+    last = cells.maps[-1]
+    axes = [cells.axes[j] for j in block if -grid.dim <= j < grid.dim]
+
+    def passes(cell, pieces):
+        i = pieces[-1]
+        if None in pieces or len(axes) < len(block) or not last.pieces[i].is_constant:
+            return False
+        own = [cell[j] for j in block]
+        return not any(len(b) != len(block) or all(max(r.start, c.start) < min(r.stop, c.stop)
+                                                   for r, c in zip(_index_ranges(b, axes), own))
+                       for b in boxes(last.value_on(i, cells.first_point(cell))))
+
+    def probe(x, pieces):
+        point = tuple(x[j] for j in block)
+        if any(box_contains(b, point) for b in boxes(last.value_on(pieces[-1], x))):
+            yield Witness(x, None, 0.0, category, detail)
+
+    witnesses = tuple(itertools.islice(cells.witnesses(passes, probe), _MAX_WITNESSES))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
 
@@ -526,35 +504,20 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     of grid points: the neighbor radius is capped at the widest axis's
     point count minus one.
 
-    The scan works cell by cell on one ``GridCells`` table. One pass over
-    its cells gives each piece's index span (its least and greatest grid
-    index per axis), each constant piece's value, closed once, and
-    ``points_checked``, the sum of the cell sizes. Before any point is
-    visited, each constant piece is decided against the pieces that can hold
-    its grid neighbors (``_safe_pieces``): it is safe when, for each such
-    piece, the compared pair has an empty source value, or two constant
-    values with a nonempty target and an excess of at most the bound. Grid
-    points on safe pieces are not scanned as centers; they cannot yield a
-    witness, so the witnesses, their order and the truncation note are those
-    of the full point-pair scan. A one-box affine piece is decided when its
-    endpoints' largest move between neighbors, plus a slack for the scan's
-    own rounding, stays within the bound and no value on it computes empty
-    (``_modulus_pieces``); its centres then meet only neighbors on other
-    pieces. The map is decided whole (``_decided_whole``) when its pieces
-    are one box each, each piece holding a grid point is decided or
-    constant and nonempty, some decided, the endpoint forms of pieces
-    whose closed regions meet agree exactly there, and the modulus test
-    holds over all of its forms at once: every piece then counts as safe,
-    and no point is visited. Otherwise point records are built, off the
-    same table, only within the neighbor radius of an unsafe constant or
-    undecided affine piece's span, and on a decided piece only that near
-    another piece: a one-piece affine map visits no point. The excess
-    between two constant pieces is computed once per oriented piece pair;
-    only pairs that touch an affine piece are compared point by point.
+    The scan works on one ``GridCells`` table, and each helper's docstring
+    states its rule. ``_piece_spans`` reads the cells once for each piece's
+    index span and closed constant value and for ``points_checked``. Before
+    any point is visited, ``_modulus_pieces`` decides the one-box affine
+    pieces whose own neighbour pairs cannot fail, ``_decided_whole`` a
+    continuous map of one-box pieces, whose pieces then all count as safe,
+    and otherwise ``_safe_pieces`` each constant piece against the pieces
+    that can hold its neighbours. ``_closed_values`` builds point records
+    only near the pieces left open, and ``_excess_witnesses`` compares them,
+    once per oriented pair of constant pieces, so the witnesses, their
+    order and the truncation note are those of the full point-pair scan.
     ``direction`` is 'usc' or 'lsc' (``ValueError`` otherwise). The scan
-    keeps the first
-    ``_MAX_WITNESSES`` witnesses and stops at the next one, which adds the
-    note "witness list truncated".
+    keeps the first ``_MAX_WITNESSES`` witnesses and stops at the next one,
+    which adds the note "witness list truncated".
     """
     if direction not in ("usc", "lsc"):
         raise ValueError(f"direction must be 'usc' or 'lsc', got {direction!r}")
@@ -601,9 +564,19 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
 
 
 def _empty_points(t: PiecewiseMap, grid: Grid) -> list[tuple[float, ...]]:
-    """The first eight in-domain grid points where ``t`` has the empty value."""
-    return list(itertools.islice((x for _, x, (i,) in GridCells((t,), grid).points()
-                                  if t.value_on(i, x).is_empty), 8))
+    """The first eight in-domain grid points where ``t`` has the empty
+    value; the walk skips the cells of constant nonempty pieces."""
+    cells = GridCells((t,), grid)
+
+    def passes(cell, pieces):
+        (i,) = pieces
+        return t.pieces[i].is_constant and not t.value_on(i, cells.first_point(cell)).is_empty
+
+    def probe(x, pieces):
+        if t.value_on(pieces[0], x).is_empty:
+            yield Witness(x, None, math.inf, "empty value")
+
+    return [w.point for w in itertools.islice(cells.witnesses(passes, probe), 8)]
 
 
 # ---------------------------------------------------------------------------

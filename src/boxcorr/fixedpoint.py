@@ -93,9 +93,6 @@ class QvSet:
     eps: float
     points: tuple[tuple[float, ...], ...]
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 @dataclass(frozen=True)
 class ChainResult:
@@ -216,6 +213,8 @@ def intersect_qv_chain(
     """
     if not eps_chain:
         raise ValueError("eps chain must be nonempty")
+    if not certification_radius >= 0:
+        raise ValueError("radius must be nonnegative")
     chain = tuple(sorted(set(eps_chain), reverse=True))
     qv_sets = tuple(fixed_points_of_approximation(pm, eps, grid) for eps in chain)
     nested = all(

@@ -2,7 +2,8 @@
 
 Every geometry object round-trips through plain JSON types. Floats are
 written with ``repr``-exact shortest form by the stdlib encoder, so a
-save/load cycle reproduces endpoints bit for bit. Parsing goes through
+save/load cycle reproduces endpoints bit for bit; a ``Fraction`` is written
+as the float it equals, and raises ``ValueError`` if none. Parsing goes through
 the normal constructors, which re-run all structural validation; a
 reparsed map is therefore an independently checked copy, not a trusted
 memory image.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any
 
 from .affine import AffForm, AffineBox, AffineInterval, PieceValue
@@ -274,8 +276,17 @@ def detect_kind(doc: Any) -> str:
     return doc["kind"]
 
 
+def _exact_float(value: Any) -> float:
+    from fractions import Fraction  # only a document holding a non-JSON object needs it
+    if not isinstance(value, Fraction):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if abs(value) > sys.float_info.max or float(value) != value:
+        raise ValueError(f"Fraction {value} is not a float, so no JSON number holds it")
+    return float(value)
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False, default=_exact_float) + "\n"
 
 
 def loads(text: str) -> dict:

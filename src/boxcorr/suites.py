@@ -327,16 +327,6 @@ def lemma_2_1_suite(tol: float = 1e-9) -> CheckReport:
                             "runtime_s": time.perf_counter() - t0})
 
 
-def _chain_value(dilated: Sequence[PiecewiseMap], pieces: Sequence[int],
-                 x: tuple[float, ...]) -> BoxSet:
-    """The intersection, left to right, of the dilated maps' values at the
-    grid point ``x``, ``pieces[k]`` being the piece of ``dilated[k]`` there."""
-    inter = dilated[0].value_on(pieces[0], x)
-    for tm, i in zip(dilated[1:], pieces[1:]):
-        inter = inter.intersect(tm.value_on(i, x))
-    return inter
-
-
 def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
                        reference: PiecewiseMap, clip: BoxSet | None,
                        grid: Grid, radius: float) -> CheckReport:
@@ -345,17 +335,16 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
     the (radius-padded) target set; radius 0 demands exact containment.
     ``nonempty_points`` counts the points where the intersection is nonempty.
 
-    One ``GridCells`` table of the dilated maps and the adherence is read
-    per piece tuple first. A tuple whose constant chain pieces do not meet
-    is empty on its cells, whatever its affine pieces; an intersection of
-    more sets is no larger. A tuple of constant pieces only has one value
-    per map on its cells, and the padding is constant too, so it is decided
-    once, at its first cell's first point. A decided nonempty tuple counts
-    its cells' sizes. The point walk runs only when some tuple is undecided
-    or escapes: it values each point of an undecided tuple with
-    ``_chain_value``, and gives each point of an escaping decided tuple its
-    tuple's excess, so the witnesses are the first 8 failing points in
-    lexicographic order, as a walk over every point finds them.
+    One ``GridCells.witnesses`` walk reads the dilated maps and the
+    adherence. Its rule decides each piece tuple once, at its first cell's
+    first point: a tuple whose constant chain pieces do not meet is empty,
+    whatever its affine pieces, and a tuple of constant pieces only has one
+    value per map and one padding on its cells. A decided tuple inside the
+    reference passes, counting its cells' sizes when nonempty. The probe
+    values each point of an undecided tuple and gives each point of an
+    escaping one its tuple's excess, so the first 8 failing points are those
+    of a walk over every point; the walk runs to its end, for
+    ``nonempty_points``.
     """
     bar = adherence(reference)
     pad = clip.dilate(radius).closure() if clip is not None and radius > 0 else clip
@@ -384,23 +373,30 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
     cells = GridCells((*dilated, bar), grid)
     decided: dict[tuple[int, ...], tuple[bool, float | None] | None] = {}
     nonempty = 0
-    for cell, pieces in cells.cells():
+
+    def passes(cell, pieces):
+        nonlocal nonempty
         if pieces not in decided:
-            decided[pieces] = decide(cells.first_point(cell), pieces)
-        if decided[pieces] is not None and decided[pieces][0]:
-            nonempty += math.prod(map(len, cell))
-    wit = []
-    if any(d is None or d[1] is not None for d in decided.values()):
-        for _, x, pieces in cells.points():
-            d = decided[pieces]
-            if d is None:
-                inter = _chain_value(dilated, pieces, x)
-                if inter.is_empty:
-                    continue
-                nonempty += 1
-                d = True, excess(inter, bar.value_on(pieces[-1], x))
-            if d[1] is not None:
-                wit.append(Witness(x, None, d[1], "chain value escapes the reference"))
+            decided[pieces] = None if None in pieces else decide(cells.first_point(cell), pieces)
+        d = decided[pieces]
+        if d is None or d[1] is not None:
+            return False
+        nonempty += d[0] * math.prod(map(len, cell))
+        return True
+
+    def probe(x, pieces):
+        nonlocal nonempty
+        d = decided[pieces]
+        if d is None:
+            inter = functools.reduce(BoxSet.intersect, (m.value_on(i, x)
+                                                        for m, i in zip(dilated, pieces)))
+            d = ((False, None) if inter.is_empty
+                 else (True, excess(inter, bar.value_on(pieces[-1], x))))
+        nonempty += d[0]
+        if d[1] is not None:
+            yield Witness(x, None, d[1], "chain value escapes the reference")
+
+    wit = list(cells.witnesses(passes, probe))
     return CheckReport(name, PASS if not wit else FAIL, tuple(wit[:8]),
                        {"radius": radius, "grid_points": grid.point_count(),
                         "nonempty_points": nonempty})

@@ -344,8 +344,6 @@ def test_signed_zero_factors_share_and_match_seed(monkeypatch, first, second):
      follower(Fraction(-1, 4), Fraction(1, 4), (Fraction(0), Fraction(1)))),
 ])
 def test_fraction_factors_share_and_match_seed(first, second):
-    # a Fraction is no JSON number, so certification, which serializes
-    # every factor, cannot run here; the chain levels are compared instead
     assert first == second
     pm = ProductMap((first, second), (FULL, FULL), ((0,), (1,)))
     for eps in (0.5, 0.25, 0.125):
@@ -357,6 +355,13 @@ def test_fraction_factors_share_and_match_seed(first, second):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(fixedpoint, "approximation_maps", seed_approximation_maps)
             assert level == fixed_points_of_approximation(pm, eps, SQUARE_GRID)
+    # certification serializes every factor, and io.dumps writes each of
+    # these Fractions as the float it equals: the whole chain is the float one
+    floats = follower(-0.25, 0.25, (0.0, 1.0))
+    want = intersect_qv_chain(ProductMap((floats, floats), (FULL, FULL), ((0,), (1,))),
+                              SQUARE_GRID, (0.5, 0.25, 0.125))
+    assert want.certified and want.failures
+    assert intersect_qv_chain(pm, SQUARE_GRID, (0.5, 0.25, 0.125)) == want
 
 
 def test_positive_radius_failures_match_seed(monkeypatch):
@@ -387,6 +392,17 @@ def test_nan_certification_radius_is_rejected():
     with pytest.raises(ValueError, match="radius"):
         intersect_qv_chain(theorem_4_1_construction(ex4_1(2)), SQUARE_GRID,
                            (0.5,), certification_radius=float("nan"))
+
+
+@pytest.mark.parametrize("radius", [float("nan"), -1.0])
+def test_chain_rejects_a_bad_radius_before_any_level(monkeypatch, radius):
+    def no_level(*args):
+        raise AssertionError("a chain level was built")
+
+    monkeypatch.setattr(fixedpoint, "fixed_points_of_approximation", no_level)
+    with pytest.raises(ValueError, match="radius"):
+        intersect_qv_chain(theorem_4_1_construction(ex4_1(2)), SQUARE_GRID,
+                           (0.5, 0.25, 0.125), certification_radius=radius)
 
 
 def test_symbolic_n4_chain_builds_each_map_once(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,16 @@ def test_documents_reject_nonfinite_numbers(bad):
 def test_dumps_rejects_nonfinite():
     with pytest.raises(ValueError):
         io.dumps({"kind": "x", "v": float("inf")})
+
+
+def test_dumps_writes_a_fraction_only_as_the_float_it_equals():
+    doc = {"numbers": [Fraction(-1, 4), Fraction(3), Fraction(0)]}
+    assert json.loads(io.dumps(doc)) == {"numbers": [-0.25, 3.0, 0.0]}
+    for bad in (Fraction(1, 3), Fraction(10 ** 400)):
+        with pytest.raises(ValueError, match=str(bad)):
+            io.dumps({"x": bad})
+    with pytest.raises(TypeError):
+        io.dumps({"x": object()})
 
 
 def test_roundtrip_map_helper_identity():

@@ -9,7 +9,7 @@ import pytest
 
 from boxcorr import suites
 from boxcorr.affine import AffForm, AffineInterval
-from boxcorr.checks import FAIL, PASS, CheckReport, Witness
+from boxcorr.checks import FAIL, PASS, CheckReport, GridCells, Witness
 from boxcorr.intervals import BoxSet, FlaggedInterval, Grid
 from boxcorr.maps import Piece, PiecewiseMap, adherence, constant_map, t_upper
 
@@ -147,16 +147,25 @@ SUITE_CHAIN = (1.0, 0.5, 0.25, 0.125)
 
 
 def count_valued_points(monkeypatch) -> list:
-    """The points ``_chain_containment`` values one by one, recorded as
-    ``suites._chain_value`` is called."""
-    valued = []
-    chain_value = suites._chain_value
+    """The points ``_chain_containment`` values one by one: those at which
+    the probe of its ``GridCells.witnesses`` walk reads a map's value."""
+    valued, reads = [], []
+    real_value_on, real_witnesses = PiecewiseMap.value_on, GridCells.witnesses
 
-    def recorded(dilated, pieces, x):
-        valued.append(x)
-        return chain_value(dilated, pieces, x)
+    def value_on(t, i, x):
+        reads.append(x)
+        return real_value_on(t, i, x)
 
-    monkeypatch.setattr(suites, "_chain_value", recorded)
+    def witnesses(cells, passes, probe):
+        def recorded(x, pieces):
+            before = len(reads)
+            yield from probe(x, pieces)
+            if len(reads) > before:
+                valued.append(x)
+        return real_witnesses(cells, passes, recorded)
+
+    monkeypatch.setattr(PiecewiseMap, "value_on", value_on)
+    monkeypatch.setattr(GridCells, "witnesses", witnesses)
     return valued
 
 

@@ -1051,17 +1051,18 @@ def _box_map(dom, *boxes):
 
 
 def _count_block_probes(monkeypatch):
-    """Count the points the skip-walk probes, block scans and value scans alike."""
+    """Count the points the ``GridCells.witnesses`` walk probes, block scans
+    and value scans alike."""
     probed = [0]
-    real = _checks._walk_undecided
+    real = _checks.GridCells.witnesses
 
-    def counted(cells, passed, probe):
-        def wrapped(x, *values):
+    def counted(cells, passes, probe):
+        def wrapped(x, pieces):
             probed[0] += 1
-            return probe(x, *values)
-        return real(cells, passed, wrapped)
+            return probe(x, pieces)
+        return real(cells, passes, wrapped)
 
-    monkeypatch.setattr(_checks, "_walk_undecided", counted)
+    monkeypatch.setattr(_checks.GridCells, "witnesses", counted)
     return probed
 
 
@@ -1483,6 +1484,39 @@ def test_empty_points_are_the_first_eight_holes(seed):
             got = _checks._empty_points(t, grid)
             assert got == holes[:8]
             assert (not got) is ne
+
+
+def test_empty_points_walk_only_empty_and_affine_pieces(monkeypatch):
+    """Constant nonempty, affine and constant empty pieces along axis 0, in
+    the kind orders of the mixed economies: the first eight holes are the
+    frozen loop's, and the walk probes only the points of the affine and
+    empty pieces up to the eighth hole. A map of constant nonempty pieces
+    visits no grid point."""
+    dd = 2
+    dom = (I.closed(0, 2),) * dd
+    grid = Grid.over_box(dom, 0.25)
+    bands = [(I(a, a + 0.5, True, False),) + dom[1:] for a in (0.0, 0.5, 1.0)]
+    bands.append((I.closed(1.5, 2),) + dom[1:])
+    values = {"empty": (), "constant": (_const_box(0.0, 1.0, dd),),
+              "affine": (_affine_box(0.0, 0.5, 1.0, dd),)}
+    probed = _count_block_probes(monkeypatch)
+    for kinds in _KIND_ORDERS:
+        kinds += ("constant",)
+        t = PiecewiseMap(dom, 1, tuple(Piece(r, values[k]) for r, k in zip(bands, kinds)))
+        probed[0] = 0
+        got = _checks._empty_points(t, grid)
+        ne, holes = seed_nonempty_everywhere(t, grid)
+        assert got == holes[:8] and len(got) == 8 and not ne
+        walked = itertools.takewhile(lambda x: x <= got[-1], grid.points())
+        assert probed[0] == sum(kinds[min(int(x[0] / 0.5), 3)] != "constant" for x in walked)
+    t = PiecewiseMap(dom, 1, tuple(Piece(r, values["constant"]) for r in bands))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("points walked")
+
+    monkeypatch.setattr(_checks.GridCells, "points", no_walk)
+    assert _checks._empty_points(t, grid) == []
+    assert seed_nonempty_everywhere(t, grid) == (True, [])
 
 
 def test_family_reports_record_the_same_holes():
