@@ -210,19 +210,13 @@ def move_bound(forms: Iterable[AffForm], coords: Sequence[Sequence[float]],
     return worst, mag, (len(coords) + 2) * 2.0 ** -48 * (mag + worst)
 
 
-def moves_within(box: AffineBox, coords: Sequence[Sequence[float]], radius: int,
-                 bound: float) -> bool:
+def computes_nonempty(box: AffineBox, coords: Sequence[Sequence[float]]) -> bool:
     """Whether, at the points of the grid box whose axis-j values are the
     increasing ``coords[j]``, every interval of ``box`` instantiates
-    nonempty, and the excess ``BoxSet.hausdorff_upper`` computes between
-    the one-box values at two points at most ``radius`` indices apart per
-    axis is at most ``bound``. A ``True`` is rigorous for the float
-    evaluation; a ``False`` decides nothing.
-
-    Exactly, each endpoint moves by at most its own form's
-    ``sum_j |c_j| |x'_j - x_j|`` between the two points, so
-    ``move_bound``'s test over the box's ``lo``/``hi`` forms decides the
-    excess; ``g``, ``mag`` and ``slack`` below are its.
+    nonempty. A ``True`` is rigorous for the float evaluation; a ``False``
+    decides nothing. ``g``, ``mag`` and ``slack`` below are ``move_bound``'s
+    for the box's ``lo``/``hi`` forms at radius 0, where no point moves and
+    ``worst`` is 0.
 
     An interval instantiates nonempty at every point when its computed
     least width over the grid box, off by at most ``2 g mag``, exceeds
@@ -240,9 +234,7 @@ def moves_within(box: AffineBox, coords: Sequence[Sequence[float]], radius: int,
     there. With ``Fraction`` data and coordinates every step is exact, and
     the slack only makes the test stricter.
     """
-    worst, mag, slack = move_bound((f for ai in box for f in (ai.lo, ai.hi)), coords, radius)
-    if not worst + slack <= bound:
-        return False
+    _, mag, slack = move_bound((f for ai in box for f in (ai.lo, ai.hi)), coords, 0)
     span = [FlaggedInterval.closed(c[0], c[-1]) for c in coords]
     thin = [ai for ai in box if not ai.width_form().bounds(span)[0] > slack]
     if not thin:

@@ -12,12 +12,11 @@ in lexicographic order, so the witnesses are those of a probe at every
 point. ``scan_values`` decides a tuple of constant pieces with one probe,
 ``scan_block_points`` a cell from the index ranges its constant value
 holds, and ``_empty_points`` skips constant nonempty pieces. ``check_usc``
-compares neighbouring points, deciding pairs of constant pieces once,
-deciding the pairs within one affine piece by the modulus bound, and
-building point records only near the pieces that stay undecided and
-where a decided piece meets another. A map of one-box pieces that meet
-continuously, each decided or constant, it decides whole, before any
-point is visited.
+decides a map of one-box pieces that meet continuously whole, by the
+modulus bound, before any point is visited. Otherwise it decides each
+constant piece against the pieces that can hold its neighbours, builds
+point records only near the pieces left open and compares neighbouring
+points there, once per pair of constant pieces.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .affine import agree_on, move_bound, moves_within
+from .affine import agree_on, computes_nonempty, move_bound
 from .intervals import (Box, BoxSet, DimensionMismatchError, Grid, box_closure, box_contains,
                         box_intersect)
 from .maps import (DomainError, PiecewiseMap, adherence, constant_map, intersect_maps,
@@ -310,78 +309,53 @@ def _piece_spans(cells: GridCells):
     return spans, count
 
 
-def _closed_values(cells: GridCells, spans: dict, safe: set[int], decided: dict,
-                   radius: int) -> dict:
+def _closed_values(cells: GridCells, spans: dict, safe: set[int], radius: int) -> dict:
     """The point records ``_excess_witnesses`` reads, in lexicographic
     order: index to ``(point, closed value, constant piece)`` for each
     point of the cells of the one map ``t`` that a scan centre reads. A
-    point on a piece in neither ``safe`` nor ``decided`` has one. A point
-    on a safe piece has one within ``radius`` index steps, on every axis,
-    of the span of a piece outside ``safe``, and a point on a decided piece
-    within ``radius`` of the span of another piece: the centres the scan
-    takes and the neighbours they compare lie there. When no point needs a
-    record, no point is visited. A constant piece's value is the one
-    ``spans`` closed once; points on affine pieces are valued one by one,
-    with piece ``None``.
+    point on a piece outside ``safe`` has one, and a point on a safe piece
+    one within ``radius`` index steps, on every axis, of the span of a
+    piece outside ``safe``: the centres the scan takes and the neighbours
+    they compare lie there. When every piece is safe, no point is visited.
+    A constant piece's value is the one ``spans`` closed once; points on
+    affine pieces are valued one by one, with piece ``None``.
     """
-    unsafe = [i for i in spans if i not in safe]
+    reach = [[range(l - radius, h + radius + 1) for l, h in zip(lo, hi)]
+             for i, (lo, hi, _) in spans.items() if i not in safe]
     points = {}
-    if not unsafe or len(spans) == 1 and unsafe[0] in decided:
+    if not reach:
         return points
-    reach = {i: [range(l - radius, h + radius + 1) for l, h in zip(lo, hi)]
-             for i, (lo, hi, _) in spans.items()}
-    near = dict.fromkeys(safe, [reach[i] for i in unsafe])
-    near.update((i, [rs for q, rs in reach.items() if q != i]) for i in decided)
     (t,) = cells.maps
     for idx, x, (i,) in cells.points():
-        if i in near and not any(all(map(operator.contains, rs, idx)) for rs in near[i]):
+        if i in safe and not any(all(map(operator.contains, rs, idx)) for rs in reach):
             continue
         value = spans[i][2]
         points[idx] = (x, t.value_on(i, x).closure(), None) if value is None else (x, value, i)
     return points
 
 
-def _modulus_pieces(t: PiecewiseMap, spans: dict, axes: Sequence[Sequence[float]],
-                    radius: int, bound: float) -> dict[int, list[range]]:
-    """The affine pieces of ``t`` whose own neighbour pairs cannot yield a
-    witness, each mapped to the index ranges of its grid points.
-
-    A piece's grid points are the product of its region's and the scan
-    box's index ranges per axis, so they fill its span, and a point lies on
-    the piece exactly when its index lies in those ranges. A piece is
-    decided when its value is one affine box and ``moves_within`` finds
-    that, at its span's axis values, the box computes nonempty everywhere
-    and moves by at most ``bound`` between points at most ``radius``
-    indices apart. A value of two or more boxes stays with the point scan:
-    ``hausdorff_upper``'s candidate search against a multi-box target can
-    round past the exact excess to a far larger candidate.
-    """
-    decided = {}
-    for i, (lo, hi, value) in spans.items():
-        box = t.pieces[i].value
-        if value is None and len(box) == 1 and moves_within(
-                box[0], [ax[l:h + 1] for ax, l, h in zip(axes, lo, hi)], radius, bound):
-            decided[i] = [range(l, h + 1) for l, h in zip(lo, hi)]
-    return decided
-
-
-def _decided_whole(t: PiecewiseMap, spans: dict, decided: dict,
-                   axes: Sequence[Sequence[float]], radius: int, bound: float) -> bool:
+def _decided_whole(t: PiecewiseMap, spans: dict, axes: Sequence[Sequence[float]],
+                   radius: int, bound: float) -> bool:
     """Whether no neighbour pair of ``t``'s scanned grid points can yield a
     witness, decided on the pieces before any point is visited, when:
 
     - every piece of ``t``, those that hold no grid point included, has a
-      value of one box;
-    - every piece in ``spans`` is in ``decided`` (``_modulus_pieces``), so
-      it computes nonempty at each of its points, or is constant with a
-      nonempty value, and some piece is in ``decided``: a map whose pieces
-      in ``spans`` are all constant is left to ``_safe_pieces``, which
-      passes every such piece when the other conditions hold;
+      value of one box: against a value of two or more boxes,
+      ``hausdorff_upper``'s candidate search can round past the exact
+      excess to a far larger candidate;
+    - every piece in ``spans`` is affine or constant with a nonempty value,
+      and some is affine: a map whose pieces in ``spans`` are all constant
+      is left to ``_safe_pieces``, which passes every such piece when the
+      other conditions hold;
+    - ``move_bound`` over all of the map's forms, read off the full scan
+      ``axes``, gives ``worst + slack <= bound``;
+    - each affine piece in ``spans`` computes nonempty at each of its grid
+      points, by ``computes_nonempty`` at its span's axis values: those
+      points are the product of its region's and the scan box's index
+      ranges per axis, so they fill its span;
     - every two pieces whose closed regions meet agree on that face, each
       ``lo`` form with the other's ``lo`` and each ``hi`` with its ``hi``,
-      decided exactly by ``agree_on``;
-    - ``move_bound`` over all of the map's forms, read off the full scan
-      ``axes``, gives ``worst + slack <= bound``.
+      decided exactly by ``agree_on``.
 
     The domain and ``within`` are boxes, so the segment between two scanned
     points lies in the domain. Along it each endpoint is one piece's form
@@ -390,13 +364,17 @@ def _decided_whole(t: PiecewiseMap, spans: dict, decided: dict,
     x_j|`` over the forms, as on one piece, and by ``move_bound`` no
     computed excess passes ``bound``; no value is empty.
     """
-    if not decided or not all(len(p.value) == 1 for p in t.pieces) or not all(
-            i in decided or value is not None and not value.is_empty
-            for i, (_, _, value) in spans.items()):
+    affine = [i for i, (_, _, value) in spans.items() if value is None]
+    if not affine or not all(len(p.value) == 1 for p in t.pieces) or any(
+            value is not None and value.is_empty for _, _, value in spans.values()):
         return False
     forms = [[f for ai in p.value[0] for f in (ai.lo, ai.hi)] for p in t.pieces]
     worst, _, slack = move_bound(itertools.chain.from_iterable(forms), axes, radius)
     if not worst + slack <= bound:
+        return False
+    if not all(computes_nonempty(t.pieces[i].value[0],
+                                 [ax[l:h + 1] for ax, l, h in zip(axes, *spans[i][:2])])
+               for i in affine):
         return False
     closed = [box_closure(p.region) for p in t.pieces]
     for (fa, a), (fb, b) in itertools.combinations(zip(forms, closed), 2):
@@ -442,34 +420,26 @@ def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
 
 
 def _excess_witnesses(points: dict, offsets, bound: float, direction: str,
-                      safe: set[int], decided: dict, piece_excess: dict):
+                      safe: set[int], piece_excess: dict):
     """Ordered-pair excess scan, yielding witnesses lazily; direction 'usc'
     compares T(x') against T(x). Centers are taken in the order of
     ``points``, the records of ``_closed_values``, which is lexicographic;
     a neighbour without a record is not compared.
 
-    Centers on the constant pieces in ``safe`` are skipped: by
-    ``_safe_pieces`` no neighbor pair of theirs yields a witness. A center
-    on an affine piece in ``decided`` skips the neighbours on its own
-    piece, those whose index lies in its index ranges: by
-    ``_modulus_pieces`` no such pair yields a witness. So the witnesses and
-    their order are those of the full scan. Pairs whose two points lie on
-    constant pieces take their excess from ``piece_excess``, keyed by the
-    oriented pair of piece indices, so each such piece pair costs one
-    ``hausdorff_upper`` call however many grid pairs it has.
+    Centers on the pieces in ``safe`` are skipped: by ``_safe_pieces`` or
+    ``_decided_whole`` no neighbor pair of theirs yields a witness, so the
+    witnesses and their order are those of the full scan. Pairs whose two
+    points lie on constant pieces take their excess from ``piece_excess``,
+    keyed by the oriented pair of piece indices, so each such piece pair
+    costs one ``hausdorff_upper`` call however many grid pairs it has.
     """
     for idx, center in points.items():
         x, _, piece = center
         if piece in safe:
             continue
-        own = None
-        if piece is None:
-            own = next((rs for rs in decided.values() if all(map(operator.contains, rs, idx))),
-                       None)
         for off in offsets:
-            nidx = tuple(map(operator.add, idx, off))
-            near = points.get(nidx)
-            if near is None or own is not None and all(map(operator.contains, own, nidx)):
+            near = points.get(tuple(map(operator.add, idx, off)))
+            if near is None:
                 continue
             xn = near[0]
             (_, a, ia), (_, b, ib) = (near, center) if direction == "usc" else (center, near)
@@ -507,22 +477,26 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     The scan works on one ``GridCells`` table, and each helper's docstring
     states its rule. ``_piece_spans`` reads the cells once for each piece's
     index span and closed constant value and for ``points_checked``. Before
-    any point is visited, ``_modulus_pieces`` decides the one-box affine
-    pieces whose own neighbour pairs cannot fail, ``_decided_whole`` a
-    continuous map of one-box pieces, whose pieces then all count as safe,
-    and otherwise ``_safe_pieces`` each constant piece against the pieces
-    that can hold its neighbours. ``_closed_values`` builds point records
-    only near the pieces left open, and ``_excess_witnesses`` compares them,
-    once per oriented pair of constant pieces, so the witnesses, their
-    order and the truncation note are those of the full point-pair scan.
-    ``direction`` is 'usc' or 'lsc' (``ValueError`` otherwise). The scan
-    keeps the first ``_MAX_WITNESSES`` witnesses and stops at the next one,
-    which adds the note "witness list truncated".
+    any point is visited, ``_decided_whole`` decides a continuous map of
+    one-box pieces, whose pieces then all count as safe, and otherwise
+    ``_safe_pieces`` each constant piece against the pieces that can hold
+    its neighbours. ``_closed_values`` builds point records only near the
+    pieces left open, and ``_excess_witnesses`` compares them, once per
+    oriented pair of constant pieces, so the witnesses, their order and the
+    truncation note are those of the full point-pair scan. ``direction`` is
+    'usc' or 'lsc', ``tol`` a finite number at least 0 and ``delta`` finite
+    (``ValueError`` otherwise). The scan keeps the first ``_MAX_WITNESSES``
+    witnesses and stops at the next one, which adds the note "witness list
+    truncated".
     """
     if direction not in ("usc", "lsc"):
         raise ValueError(f"direction must be 'usc' or 'lsc', got {direction!r}")
     if delta is None:
         delta = grid.step
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
     steps = delta / grid.step + 1e-9
     if steps < 1:
         raise ValueError(f"delta {delta} is below the grid step {grid.step}: "
@@ -535,12 +509,11 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     slope = t.max_slope()
     bound = tol + slope * delta
     piece_excess: dict[tuple[int, int], float] = {}
-    decided = _modulus_pieces(t, spans, cells.axes, radius, bound)
-    safe = (set(spans) if _decided_whole(t, spans, decided, cells.axes, radius, bound)
+    safe = (set(spans) if _decided_whole(t, spans, cells.axes, radius, bound)
             else _safe_pieces(spans, radius, bound, direction, piece_excess))
-    points = _closed_values(cells, spans, safe, decided, radius)
+    points = _closed_values(cells, spans, safe, radius)
     found = _excess_witnesses(points, _neighbor_offsets(grid.dim, radius), bound, direction,
-                              safe, decided, piece_excess)
+                              safe, piece_excess)
     witnesses = tuple(itertools.islice(found, _MAX_WITNESSES + 1))
     notes = ["values closed before comparison"]
     if len(witnesses) > _MAX_WITNESSES:

@@ -343,8 +343,8 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
     reference passes, counting its cells' sizes when nonempty. The probe
     values each point of an undecided tuple and gives each point of an
     escaping one its tuple's excess, so the first 8 failing points are those
-    of a walk over every point; the walk runs to its end, for
-    ``nonempty_points``.
+    of a walk over every point. The walk runs to its end, for
+    ``nonempty_points``, but builds a ``Witness`` for those 8 alone.
     """
     bar = adherence(reference)
     pad = clip.dilate(radius).closure() if clip is not None and radius > 0 else clip
@@ -372,7 +372,7 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
 
     cells = GridCells((*dilated, bar), grid)
     decided: dict[tuple[int, ...], tuple[bool, float | None] | None] = {}
-    nonempty = 0
+    nonempty = failed = 0
 
     def passes(cell, pieces):
         nonlocal nonempty
@@ -385,7 +385,7 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
         return True
 
     def probe(x, pieces):
-        nonlocal nonempty
+        nonlocal nonempty, failed
         d = decided[pieces]
         if d is None:
             inter = functools.reduce(BoxSet.intersect, (m.value_on(i, x)
@@ -394,10 +394,12 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
                  else (True, excess(inter, bar.value_on(pieces[-1], x))))
         nonempty += d[0]
         if d[1] is not None:
-            yield Witness(x, None, d[1], "chain value escapes the reference")
+            failed += 1
+            if failed <= 8:
+                yield Witness(x, None, d[1], "chain value escapes the reference")
 
-    wit = list(cells.witnesses(passes, probe))
-    return CheckReport(name, PASS if not wit else FAIL, tuple(wit[:8]),
+    wit = tuple(cells.witnesses(passes, probe))
+    return CheckReport(name, FAIL if failed else PASS, wit,
                        {"radius": radius, "grid_points": grid.point_count(),
                         "nonempty_points": nonempty})
 

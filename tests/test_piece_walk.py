@@ -269,11 +269,10 @@ def seed_piece_spans(t, pts, values):
     return spans
 
 
-def near_records(records, spans, safe, decided, radius):
-    """The records the USC scan reads: those on a piece in neither ``safe``
-    nor ``decided``, those on a safe piece within ``radius`` grid steps, on
-    every axis, of the span of a piece outside ``safe``, and those on a
-    decided piece within ``radius`` of the span of another piece."""
+def near_records(records, spans, safe, radius):
+    """The records the USC scan reads: those on a piece outside ``safe``,
+    and those on a safe piece within ``radius`` grid steps, on every axis,
+    of the span of a piece outside ``safe``."""
     def piece_of(idx):
         return next(i for i, (lo, hi, _) in spans.items()
                     if all(l <= k <= h for k, l, h in zip(idx, lo, hi)))
@@ -285,13 +284,7 @@ def near_records(records, spans, safe, decided, radius):
     out = {}
     for idx, r in records.items():
         i = piece_of(idx)
-        if i in safe:
-            keep = near(idx, [q for q in spans if q not in safe])
-        elif i in decided:
-            keep = near(idx, [q for q in spans if q != i])
-        else:
-            keep = True
-        if keep:
+        if i not in safe or near(idx, [q for q in spans if q not in safe]):
             out[idx] = r
     return out
 
@@ -330,7 +323,7 @@ def assert_same_scan(t, grid, within=None, variants=None):
     records = {idx: (x, values[idx], const_piece[idx]) for idx, x in pts.items()}
     assert spans == seed_piece_spans(t, pts, values)
     assert count == len(pts)
-    points = _checks._closed_values(cells, spans, set(), {}, 1)
+    points = _checks._closed_values(cells, spans, set(), 1)
     assert list(points.items()) == list(records.items())
     walk = [(idx, x) for idx, x, _ in cells.points()]
     assert walk == sorted(pts.items())
@@ -344,11 +337,12 @@ def assert_same_scan(t, grid, within=None, variants=None):
         bound, direction = rep.parameters["bound"], opts.get("direction", "usc")
         safe = _checks._safe_pieces(seed_piece_spans(t, pts, values), radius, bound, direction,
                                     {})
-        decided = _checks._modulus_pieces(t, spans, cells.axes, radius, bound)
-        want = near_records(records, spans, safe, decided, radius)
+        if _checks._decided_whole(t, spans, cells.axes, radius, bound):
+            safe = set(spans)
+        want = near_records(records, spans, safe, radius)
         assert list(built.items()) == list(want.items())
         found = list(_checks._excess_witnesses(
-            records, _checks._neighbor_offsets(grid.dim, radius), bound, direction, set(), {}, {}))
+            records, _checks._neighbor_offsets(grid.dim, radius), bound, direction, set(), {}))
         witnesses = tuple(found[:_checks._MAX_WITNESSES])
         assert rep.witnesses == witnesses
         assert repr(rep.witnesses) == repr(witnesses)
@@ -528,6 +522,26 @@ def test_scan_affine_clips_each_coordinate_once_per_index_tuple(monkeypatch):
                      "_intersect_affine_intervals": 1152}
     for (sc, target), m in zip(pairs, clipped):
         assert_same_map(m, seed_intersect_maps(sc, target))
+
+
+def test_scan_affine_job_decides_296_of_300_usc_calls_whole(monkeypatch):
+    """A seed-1 scan-affine job makes 300 check_usc calls, on its seeded
+    one-box affine maps and their clips (S + C) cap K, and decides 296 of
+    them whole, before any point is visited; every call passes."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    real = _checks._decided_whole
+    verdicts = []
+
+    def decided_whole(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_checks, "_decided_whole", decided_whole)
+    raw = workloads.ScanAffine(1).run_job()
+    assert all(rep.passed for reps in raw for rep in reps)
+    assert (len(verdicts), sum(verdicts)) == (300, 296)
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -1037,9 +1051,9 @@ def test_all_safe_pieces_build_no_record_and_walk_no_point(monkeypatch):
 
 
 def _two_ramps():
-    """[0, 2] x [0, 1] cut at x0 = 1 into two affine pieces, each decided by
-    the modulus bound: the ramp [x0/2, x0/2 + 1] left of the cut and the
-    ramp [x1/4 + 1, x1/4 + 2] right of it."""
+    """[0, 2] x [0, 1] cut at x0 = 1 into two affine pieces that jump at the
+    cut: the ramp [x0/2, x0/2 + 1] left of it and the ramp [x1/4 + 1,
+    x1/4 + 2] right of it."""
     left, right = AffForm(0.0, (0.5, 0.0)), AffForm(1.0, (0.0, 0.25))
     return PiecewiseMap((I.closed(0, 2), I.closed(0, 1)), 1, (
         Piece((I(0, 1, True, False), I.closed(0, 1)), ((AffineInterval(left, left.shift(1.0)),),)),
@@ -1047,20 +1061,16 @@ def _two_ramps():
     ))
 
 
-def test_two_affine_pieces_build_records_only_near_each_other():
-    """Grid columns 0-7 lie left of the cut and 8-16 right of it. At
-    radius r the records are the r columns on each side of the cut, where
-    a centre has a neighbour on the other piece. At tol=0 the steeper left
-    ramp's own pairs meet the bound exactly, so it stays with the point
-    scan and all its columns have records. The reports equal the
-    point-pair oracle's."""
+def test_two_affine_pieces_that_jump_at_a_face_take_the_point_scan():
+    """The two ramps disagree at the cut, so the map is not decided whole,
+    and neither piece is constant: at every radius, in both directions and
+    at tol=0, the scan builds a record at each of the 153 grid points, and
+    the reports equal the point-pair oracle's."""
     t = _two_ramps()
     grid = Grid(2, (0.0, 0.0), (2.0, 1.0), 0.125)
     variants = _strip_variants(grid.step)
     for opts in variants:
         assert_same_report(t, grid, **opts)
         _, built = built_records(opts, t, grid, None)
-        r = round(opts["delta"] / grid.step)
-        first = 0 if "tol" in opts else 8 - r
-        assert set(built) == {(i, j) for i in range(first, 8 + r) for j in range(9)}
+        assert set(built) == {(i, j) for i in range(17) for j in range(9)}
     assert_same_scan(t, grid, None, variants)

@@ -23,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxcorr import (AffForm, AffineInterval, BoxSet, FlaggedInterval, Grid, Piece,
-                     PiecewiseMap, adherence, check_usc, constant_map, intersect_maps, t_upper)
-from boxcorr.affine import agree_on
+                     PiecewiseMap, adherence, check_usc, check_w_usc, constant_map, intersect_maps,
+                     t_upper)
+from boxcorr.affine import agree_on, computes_nonempty
 from boxcorr import checks as _checks
 from boxcorr.cli import main
 from boxcorr.gallery import ex2_1, ex4_1
@@ -302,9 +303,11 @@ def test_seeded_affine_maps_at_tol_0_match_oracle(seed):
 
 
 def test_seeded_affine_maps_have_pieces_decided_each_way():
-    """At tol=0 the seeded maps hold one-box affine pieces decided by the
-    modulus bound, some through the width margin and some, with a point
-    interval, through exact evaluation; and some left to the point scan."""
+    """The seeded maps hold one-box affine pieces that ``computes_nonempty``
+    decides nonempty at their span's axis values, some through the width
+    margin and some, with a point interval, through exact evaluation; and
+    pieces of two boxes, which no whole-map decision takes, so they stay
+    with the point scan."""
     seen = set()
     for seed in range(20):
         t = random_piecewise_map(seed)
@@ -312,18 +315,16 @@ def test_seeded_affine_maps_have_pieces_decided_each_way():
         grid = Grid(dim, (0.0,) * dim, (2.0,) * dim, 0.25 if dim == 1 else 0.5)
         cells = _checks.GridCells((t,), grid)
         spans, _ = _checks._piece_spans(cells)
-        for r in (1, 2, 3):
-            bound = t.max_slope() * r * grid.step
-            decided = _checks._modulus_pieces(t, spans, cells.axes, r, bound)
-            for i, (_, _, value) in spans.items():
-                if value is not None:
-                    continue
-                if i not in decided:
-                    seen.add("undecided")
-                elif any(ai.lo == ai.hi for ai in t.pieces[i].value[0]):
-                    seen.add("exact")
-                else:
-                    seen.add("margin")
+        for i, (lo, hi, value) in spans.items():
+            boxes = t.pieces[i].value
+            if value is not None:
+                continue
+            if len(boxes) > 1:
+                seen.add("undecided")
+                continue
+            coords = [ax[l:h + 1] for ax, l, h in zip(cells.axes, lo, hi)]
+            assert computes_nonempty(boxes[0], coords)
+            seen.add("exact" if any(ai.lo == ai.hi for ai in boxes[0]) else "margin")
     assert seen == {"undecided", "exact", "margin"}
 
 
@@ -466,7 +467,7 @@ def test_piece_pair_maps_cover_every_piece_level_case():
         t = piece_pair_map(seed)
         cells = _checks.GridCells((t,), grid)
         pieces, _ = _checks._piece_spans(cells)
-        points = _checks._closed_values(cells, pieces, set(), {}, 1)
+        points = _checks._closed_values(cells, pieces, set(), 1)
         bound = 1e-9 + t.max_slope() * grid.step
         for direction in ("usc", "lsc"):
             safe = _checks._safe_pieces(pieces, 1, bound, direction, {})
@@ -564,12 +565,12 @@ def test_failing_scan_stops_at_the_witness_past_the_cap(monkeypatch):
     centers[0] = 0
     cells = _checks.GridCells((t,), grid)
     pieces, _ = _checks._piece_spans(cells)
-    points = _checks._closed_values(cells, pieces, set(), {}, 1)
+    points = _checks._closed_values(cells, pieces, set(), 1)
     bound = rep.parameters["bound"]
     piece_excess = {}
     safe = _checks._safe_pieces(pieces, 16, bound, "usc", piece_excess)
     full = list(_checks._excess_witnesses(points, _checks._neighbor_offsets(1, 16), bound,
-                                          "usc", safe, {}, piece_excess))
+                                          "usc", safe, piece_excess))
     assert len(full) > _checks._MAX_WITNESSES
     assert full[:_checks._MAX_WITNESSES] == list(rep.witnesses)
     assert 0 < capped < centers[0]
@@ -639,6 +640,7 @@ def test_interval_that_rounds_empty_keeps_its_empty_value_witnesses(case):
     t, grid, tol = case()
     corner = (1.0,) * grid.dim
     assert t.evaluate(corner).is_empty
+    assert not computes_nonempty(t.pieces[0].value[0], _checks.GridCells((t,), grid).axes)
     for opts in ({}, {"direction": "lsc"}, {"delta": 3 * grid.step}):
         rep = assert_same_report(t, grid, tol=tol, **opts)
         assert "empty value" in {w.category for w in rep.witnesses}
@@ -703,6 +705,21 @@ def test_check_usc_rejects_an_unknown_direction():
             check_usc(_unit_ramp(float), grid, direction=direction)
 
 
+@pytest.mark.parametrize("option", ["tol", "delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_check_usc_rejects_a_non_finite_tol_or_delta(option, value):
+    """A nan or infinite ``tol`` or ``delta`` would make the bound nan, or
+    the radius unreadable, and pass every scan: ``check_usc`` refuses it by
+    name, directly and through ``check_w_usc``."""
+    t, d = ex2_1()
+    grid = Grid(1, (1 / 64,), (2 - 1 / 64,), 1 / 64)
+    assert not check_usc(t, grid).passed
+    with pytest.raises(ValueError, match=option):
+        check_usc(t, grid, **{option: value})
+    with pytest.raises(ValueError, match=option):
+        check_w_usc(t, d, [0.5], grid, **{option: value})
+
+
 # ---------------------------------------------------------------------------
 # Continuous one-box maps decided whole
 # ---------------------------------------------------------------------------
@@ -714,8 +731,7 @@ def _decided_whole(t, grid, tol=1e-9, delta=None, within=None, direction="usc"):
     delta = grid.step if delta is None else delta
     radius = int(delta / grid.step + 1e-9)
     bound = tol + t.max_slope() * delta
-    decided = _checks._modulus_pieces(t, spans, cells.axes, radius, bound)
-    return _checks._decided_whole(t, spans, decided, cells.axes, radius, bound)
+    return _checks._decided_whole(t, spans, cells.axes, radius, bound)
 
 
 def _whole_variants(grid):

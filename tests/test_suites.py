@@ -259,6 +259,31 @@ def test_suite_random_maps_at_radius_zero_fail_as_the_frozen_loop():
     assert len(failing) == 31
 
 
+def test_chain_containment_builds_only_the_witnesses_it_keeps(monkeypatch):
+    """On the suite's 50 random maps at radius 0 the walk runs to its end,
+    for the nonempty count, but builds at most the 8 witnesses it keeps
+    per map; each report equals the per-point loop's."""
+    rng = random.Random(suites.DEFAULT_SEED)
+    cases = []
+    for k in range(50):
+        t, d, grid = suites._random_piecewise(rng)
+        cases.append((f"random{k}", [adherence(t_upper(t, e, d)) for e in SUITE_CHAIN], t, d,
+                      grid, 0.0))
+    built = [0]
+
+    def witness(*args):
+        built[0] += 1
+        return Witness(*args)
+
+    monkeypatch.setattr(suites, "Witness", witness)
+    for args in cases:
+        before = built[0]
+        got = suites._chain_containment(*args)
+        assert built[0] - before == len(got.witnesses) <= 8
+        assert repr(got) == repr(seed_chain_containment(*args))
+    assert built[0] == 217
+
+
 def test_chain_containment_values_only_undecided_points(monkeypatch):
     """Of the suite's 2,775 grid points, only the 351 on piece tuples that
     are neither all constant nor empty by their constant chain pieces are
