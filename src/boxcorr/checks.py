@@ -13,14 +13,14 @@ point. ``scan_values`` decides a tuple of constant pieces with one probe,
 ``scan_block_points`` a cell from the index ranges its constant value
 holds, and ``_empty_points`` skips constant nonempty pieces. ``check_usc``
 decides a map of one-box pieces that meet continuously whole, by the
-modulus bound, before any point is visited. Otherwise it decides each
-constant piece against the pieces that can hold its neighbours, builds
-point records only near the pieces left open and compares neighbouring
-points there, once per pair of constant pieces.
+modulus bound, and otherwise each constant piece against the pieces that
+can hold its neighbours; its walk's centres lie on the pieces left open,
+and it builds each point record when a centre or neighbour first reads it.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -176,10 +176,23 @@ class GridCells:
                 raise DomainError(f"point {x} outside map domain")
             yield idx, x, pieces
 
+    @functools.cached_property
+    def _offsets(self) -> list[dict[int, int]]:
+        return [{k: s * stride for s, seg in enumerate(segs) for k in seg}
+                for segs, stride in zip(self.segments, self.strides)]
+
+    def row_at(self, idx: Sequence[int]) -> tuple | None:
+        """The row of the cell holding grid index tuple ``idx``, or ``None`` when
+        an index lies below 0, past its axis or outside ``within``: per axis, a
+        dict built on the first call maps each index of the table to its segment
+        number times the stride, so no index wraps around."""
+        offs = [offsets.get(k) for k, offsets in zip(idx, self._offsets)]
+        return None if None in offs else self.rows[sum(offs)]
+
     def witnesses(self, passes: Callable[[tuple[range, ...], tuple], bool],
-                  probe: Callable[[tuple[float, ...], tuple], Iterable[Witness]]):
-        """The ``Witness`` records of ``probe(x, pieces)`` at the points of
-        ``points`` whose piece tuple fails, in that order, read lazily.
+                  probe: Callable[..., Iterable[Witness]]):
+        """The ``Witness`` records of ``probe(idx, x, pieces)`` at the points
+        of ``points`` whose piece tuple fails, in that order, read lazily.
 
         First ``passes(cell, pieces)`` decides each cell on ``maps[0]``'s
         domain, in order, until its tuple fails; a tuple passes when all its
@@ -192,9 +205,9 @@ class GridCells:
             if pieces[0] is not None and pieces not in failed and not passes(cell, pieces):
                 failed.add(pieces)
         if failed:
-            for _, x, pieces in self.points():
+            for idx, x, pieces in self.points():
                 if pieces in failed:
-                    yield from probe(x, pieces)
+                    yield from probe(idx, x, pieces)
 
 
 def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
@@ -231,8 +244,8 @@ def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
             ) and next(iter(triples(cells.first_point(cell), pieces)), None) is None
         return passed[pieces]
 
-    found = cells.witnesses(passes, lambda x, pieces: (Witness(x, None, *w)
-                                                       for w in triples(x, pieces)))
+    found = cells.witnesses(passes, lambda _, x, pieces: (Witness(x, None, *w)
+                                                          for w in triples(x, pieces)))
     witnesses = tuple(itertools.islice(found, _MAX_WITNESSES))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
 
@@ -273,7 +286,7 @@ def scan_block_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
                                                    for r, c in zip(_index_ranges(b, axes), own))
                        for b in boxes(last.value_on(i, cells.first_point(cell))))
 
-    def probe(x, pieces):
+    def probe(_, x, pieces):
         point = tuple(x[j] for j in block)
         if any(box_contains(b, point) for b in boxes(last.value_on(pieces[-1], x))):
             yield Witness(x, None, 0.0, category, detail)
@@ -309,29 +322,17 @@ def _piece_spans(cells: GridCells):
     return spans, count
 
 
-def _closed_values(cells: GridCells, spans: dict, safe: set[int], radius: int) -> dict:
-    """The point records ``_excess_witnesses`` reads, in lexicographic
-    order: index to ``(point, closed value, constant piece)`` for each
-    point of the cells of the one map ``t`` that a scan centre reads. A
-    point on a piece outside ``safe`` has one, and a point on a safe piece
-    one within ``radius`` index steps, on every axis, of the span of a
-    piece outside ``safe``: the centres the scan takes and the neighbours
-    they compare lie there. When every piece is safe, no point is visited.
-    A constant piece's value is the one ``spans`` closed once; points on
-    affine pieces are valued one by one, with piece ``None``.
-    """
-    reach = [[range(l - radius, h + radius + 1) for l, h in zip(lo, hi)]
-             for i, (lo, hi, _) in spans.items() if i not in safe]
-    points = {}
-    if not reach:
-        return points
-    (t,) = cells.maps
-    for idx, x, (i,) in cells.points():
-        if i in safe and not any(all(map(operator.contains, rs, idx)) for rs in reach):
-            continue
-        value = spans[i][2]
-        points[idx] = (x, t.value_on(i, x).closure(), None) if value is None else (x, value, i)
-    return points
+def _point_record(cells: GridCells, spans: dict, idx: tuple[int, ...]):
+    """``(point, closed value, constant piece)`` at grid index tuple ``idx``
+    of the one map of ``cells``, ``None`` off the table: the value ``spans``
+    closed once on a constant piece, or the point's own, with piece ``None``."""
+    row = cells.row_at(idx)
+    if row is None or row[0] is None:
+        return None
+    (t,), (i,) = cells.maps, row
+    x = tuple(map(operator.getitem, cells.axes, idx))
+    value = spans[i][2]
+    return (x, t.value_on(i, x).closure(), None) if value is None else (x, value, i)
 
 
 def _decided_whole(t: PiecewiseMap, spans: dict, axes: Sequence[Sequence[float]],
@@ -419,26 +420,23 @@ def _safe_pieces(pieces: dict, radius: int, bound: float, direction: str,
             if value is not None and all(passes(p, q) for q in pieces if near(p, q))}
 
 
-def _excess_witnesses(points: dict, offsets, bound: float, direction: str,
-                      safe: set[int], piece_excess: dict):
-    """Ordered-pair excess scan, yielding witnesses lazily; direction 'usc'
-    compares T(x') against T(x). Centers are taken in the order of
-    ``points``, the records of ``_closed_values``, which is lexicographic;
-    a neighbour without a record is not compared.
-
-    Centers on the pieces in ``safe`` are skipped: by ``_safe_pieces`` or
-    ``_decided_whole`` no neighbor pair of theirs yields a witness, so the
-    witnesses and their order are those of the full scan. Pairs whose two
-    points lie on constant pieces take their excess from ``piece_excess``,
-    keyed by the oriented pair of piece indices, so each such piece pair
-    costs one ``hausdorff_upper`` call however many grid pairs it has.
+def _excess_witnesses(cells: GridCells, spans: dict, safe: set[int], offsets, bound: float,
+                      direction: str, piece_excess: dict):
+    """Ordered-pair excess scan over the one map of ``cells``, yielding
+    witnesses lazily; direction 'usc' compares T(x') against T(x). The
+    centres are those of a ``GridCells.witnesses`` walk whose rule passes
+    the pieces in ``safe``, where by ``_safe_pieces`` or ``_decided_whole``
+    no neighbour pair yields a witness, so the witnesses and their order are
+    the full scan's. A point's ``_point_record`` is built when a centre or
+    neighbour first needs it. A pair on two constant pieces takes its excess
+    from ``piece_excess``, keyed by the oriented pair of piece indices.
     """
-    for idx, center in points.items():
-        x, _, piece = center
-        if piece in safe:
-            continue
+    record = functools.cache(functools.partial(_point_record, cells, spans))
+
+    def probe(idx, x, _):
+        center = record(idx)
         for off in offsets:
-            near = points.get(tuple(map(operator.add, idx, off)))
+            near = record(tuple(map(operator.add, idx, off)))
             if near is None:
                 continue
             xn = near[0]
@@ -457,6 +455,8 @@ def _excess_witnesses(points: dict, offsets, bound: float, direction: str,
                     h = piece_excess[ia, ib] = a.hausdorff_upper(b)
             if h > bound:
                 yield Witness(x, xn, h, "excess")
+
+    return cells.witnesses(lambda _, pieces: pieces[0] in safe, probe)
 
 
 def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: float = 1e-9,
@@ -480,10 +480,9 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     any point is visited, ``_decided_whole`` decides a continuous map of
     one-box pieces, whose pieces then all count as safe, and otherwise
     ``_safe_pieces`` each constant piece against the pieces that can hold
-    its neighbours. ``_closed_values`` builds point records only near the
-    pieces left open, and ``_excess_witnesses`` compares them, once per
-    oriented pair of constant pieces, so the witnesses, their order and the
-    truncation note are those of the full point-pair scan. ``direction`` is
+    its neighbours. ``_excess_witnesses`` walks the centres on the pieces
+    left open, so the witnesses, their order and the truncation note are
+    those of the full point-pair scan. ``direction`` is
     'usc' or 'lsc', ``tol`` a finite number at least 0 and ``delta`` finite
     (``ValueError`` otherwise). The scan keeps the first ``_MAX_WITNESSES``
     witnesses and stops at the next one, which adds the note "witness list
@@ -511,9 +510,8 @@ def check_usc(t: PiecewiseMap, grid: Grid, delta: float | None = None, tol: floa
     piece_excess: dict[tuple[int, int], float] = {}
     safe = (set(spans) if _decided_whole(t, spans, cells.axes, radius, bound)
             else _safe_pieces(spans, radius, bound, direction, piece_excess))
-    points = _closed_values(cells, spans, safe, radius)
-    found = _excess_witnesses(points, _neighbor_offsets(grid.dim, radius), bound, direction,
-                              safe, piece_excess)
+    found = _excess_witnesses(cells, spans, safe, _neighbor_offsets(grid.dim, radius), bound,
+                              direction, piece_excess)
     witnesses = tuple(itertools.islice(found, _MAX_WITNESSES + 1))
     notes = ["values closed before comparison"]
     if len(witnesses) > _MAX_WITNESSES:
@@ -545,7 +543,7 @@ def _empty_points(t: PiecewiseMap, grid: Grid) -> list[tuple[float, ...]]:
         (i,) = pieces
         return t.pieces[i].is_constant and not t.value_on(i, cells.first_point(cell)).is_empty
 
-    def probe(x, pieces):
+    def probe(_, x, pieces):
         if t.value_on(pieces[0], x).is_empty:
             yield Witness(x, None, math.inf, "empty value")
 

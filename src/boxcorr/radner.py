@@ -543,9 +543,10 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
     preferred value has a group with no measurable bundle in [0, truncation]
     or a floor (``_group_floors``) whose price is at least the wealth. A
     bundle passing the tests lies above its box's floor, and ``_dot`` is
-    monotone, so the floor's price bounds the float budget test itself. Only
-    triples up to the last one left open draw their 12 bundles, and only open
-    ones test their candidates, so the draws, hits and witnesses stay those of
+    monotone, so the floor's price bounds the float budget test itself. One
+    pass decides and draws: an open triple first draws the 12 bundles of each
+    triple ruled out since the last open one, then its own, and only open ones
+    test their candidates, so the draws, hits and witnesses stay those of
     testing every candidate; ``candidates_checked`` still counts all of them.
     A truncation outside a preference map's domain raises ``DomainError``
     from ``_check_sample_domain``, and a step that is not a positive finite
@@ -570,45 +571,36 @@ def remark_4_3_inclusion(assoc: AssociatedEconomy, alloc_step: float) -> CheckRe
                    for _ in range(40)]
     preferred = [[assoc.preferred_value(i, x) for i in range(assoc.n)] for x in allocations]
 
-    def triples():
-        for p in assoc.simplex.points():
-            sets = [(assoc.budget(i, p), assoc.information(i, p)) for i in range(assoc.n)]
-            for k, prefs in enumerate(preferred):
-                for i, (bud_inf, pref) in enumerate(zip(sets, prefs)):
-                    yield p, k, i, bud_inf, pref
-
-    # decide every triple before any candidate is drawn: it stays live when
-    # some floor of its preferred value is priced below the wealth
     built: dict = {}
-    checked = 0
-    live = set()
-    for t, (p, k, i, (bud, inf), pref) in enumerate(triples()):
-        if (k, i, inf) not in built:
-            groups = assoc.info.coordinate_groups(i, p)
-            built[k, i, inf] = (_measurable_corners(pref, inf),
-                                _group_floors(pref, groups, assoc.truncation))
-        corners, floors = built[k, i, inf]
-        checked += 16 + len(corners)
-        if any(_dot(p, z) < bud.wealth for z in floors):
-            live.add(t)
-
     origin, top = (0.0,) * d, (assoc.truncation,) * d
-    antecedent_hits = 0
+    checked = ruled_out = antecedent_hits = 0
     wit = []
-    # draw through the last live triple, in the order of testing every one
-    last = max(live, default=-1)
-    for t, (p, k, i, (bud, inf), pref) in enumerate(itertools.islice(triples(), last + 1)):
-        drawn = [draw_bundle() for _ in range(12)]
-        if t not in live:
-            continue
-        candidates = [origin, assoc.info.endowments[i], allocations[k][i], top,
-                      *drawn, *built[k, i, inf][0]]
-        for y in candidates:
-            if bud.contains(y) and pref.contains(y) and inf.contains(y):
-                antecedent_hits += 1
-                if not assoc.clause_b(i, y, p):
-                    wit.append(Witness(y, None, 0.0, "inclusion violated",
-                                       f"agent {i} at p={p}"))
+    for p in assoc.simplex.points():
+        sets = [(assoc.budget(i, p), assoc.information(i, p)) for i in range(assoc.n)]
+        for k, prefs in enumerate(preferred):
+            for i, ((bud, inf), pref) in enumerate(zip(sets, prefs)):
+                if (k, i, inf) not in built:
+                    groups = assoc.info.coordinate_groups(i, p)
+                    built[k, i, inf] = (_measurable_corners(pref, inf),
+                                        _group_floors(pref, groups, assoc.truncation))
+                corners, floors = built[k, i, inf]
+                checked += 16 + len(corners)
+                # open when a floor of its preferred value is priced below the wealth;
+                # the triples ruled out since the last open one draw their bundles here
+                if not any(_dot(p, z) < bud.wealth for z in floors):
+                    ruled_out += 1
+                    continue
+                for _ in range(12 * ruled_out):
+                    draw_bundle()
+                ruled_out = 0
+                candidates = [origin, assoc.info.endowments[i], allocations[k][i], top,
+                              *[draw_bundle() for _ in range(12)], *corners]
+                for y in candidates:
+                    if bud.contains(y) and pref.contains(y) and inf.contains(y):
+                        antecedent_hits += 1
+                        if not assoc.clause_b(i, y, p):
+                            wit.append(Witness(y, None, 0.0, "inclusion violated",
+                                               f"agent {i} at p={p}"))
     return CheckReport(
         "constraint-inclusion", PASS if not wit else FAIL, tuple(wit[:32]),
         {

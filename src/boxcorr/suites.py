@@ -384,7 +384,7 @@ def _chain_containment(name: str, dilated: Sequence[PiecewiseMap],
         nonempty += d[0] * math.prod(map(len, cell))
         return True
 
-    def probe(x, pieces):
+    def probe(_, x, pieces):
         nonlocal nonempty, failed
         d = decided[pieces]
         if d is None:

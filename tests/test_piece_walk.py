@@ -18,7 +18,9 @@ out equal.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import operator
 import pathlib
 import random
 
@@ -43,6 +45,7 @@ from boxcorr.maps import (_add_root_cut, _dilate_affine_box, _effective_sign,
                           normalize_value)
 
 from test_atom_grid import seed_merge_cells
+import test_scan_oracle
 from test_scan_oracle import assert_same_report, indexed_points
 
 I = FlaggedInterval
@@ -269,51 +272,46 @@ def seed_piece_spans(t, pts, values):
     return spans
 
 
-def near_records(records, spans, safe, radius):
-    """The records the USC scan reads: those on a piece outside ``safe``,
-    and those on a safe piece within ``radius`` grid steps, on every axis,
-    of the span of a piece outside ``safe``."""
+def read_records(records, spans, safe, radius):
+    """The records a USC walk that runs to its end reads: those of the
+    centres on a piece outside ``safe`` and of their neighbours within
+    ``radius`` grid steps on every axis."""
     def piece_of(idx):
         return next(i for i, (lo, hi, _) in spans.items()
                     if all(l <= k <= h for k, l, h in zip(idx, lo, hi)))
 
-    def near(idx, pieces):
-        return any(all(l - radius <= k <= h + radius for k, l, h in zip(idx, *spans[q][:2]))
-                   for q in pieces)
-
-    out = {}
-    for idx, r in records.items():
-        i = piece_of(idx)
-        if i not in safe or near(idx, [q for q in spans if q not in safe]):
-            out[idx] = r
-    return out
+    centres = [idx for idx in records if piece_of(idx) not in safe]
+    read = {tuple(map(operator.add, idx, off)) for idx in centres
+            for off in itertools.product(range(-radius, radius + 1), repeat=len(idx))}
+    return {idx: r for idx, r in records.items() if idx in read}
 
 
 def built_records(opts, t, grid, within):
     """``check_usc(t, grid, within=within, **opts)`` and the point records
-    it built, ``{}`` when it built none."""
-    built = []
-    real = _checks._closed_values
+    its walk built, ``{}`` when it built none; it builds none twice."""
+    built = {}
+    real = _checks._point_record
 
-    def recorded(*args):
-        built.append(real(*args))
-        return built[-1]
+    def recorded(cells, spans, idx):
+        assert idx not in built
+        built[idx] = real(cells, spans, idx)
+        return built[idx]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_checks, "_closed_values", recorded)
+        mp.setattr(_checks, "_point_record", recorded)
         rep = check_usc(t, grid, within=within, **opts)
-    assert len(built) <= 1
-    return rep, built[0] if built else {}
+    return rep, {idx: r for idx, r in built.items() if r is not None}
 
 
 def assert_same_scan(t, grid, within=None, variants=None):
-    """The cell pass and the walk equal the frozen lookup, and every report
-    equals the full point-pair scan over the lookup's values (no center
-    skipped, no cap), in both directions, at one, two and three grid steps
-    of delta and at tol=0, or at the given ``check_usc`` option
-    ``variants``. The records a scan builds are the lookup's, restricted to
-    the points ``near_records`` keeps. The lookup reads a ``within`` box as
-    the filter ``box_contains(within, p)``.
+    """The cell pass and the point records equal the frozen lookup, and
+    every report equals the full point-pair scan over the lookup's values
+    (no center skipped, no cap), in both directions, at one, two and three
+    grid steps of delta and at tol=0, or at the given ``check_usc`` option
+    ``variants``. The records a scan builds are the lookup's, those that
+    ``read_records`` keeps when the scan runs to its end, and some of them
+    when it stops at the cap. The lookup reads a ``within`` box as the
+    filter ``box_contains(within, p)``.
 
     Returns ``(records built, points)`` per variant."""
     cells = _checks.GridCells((t,), grid, within)
@@ -323,11 +321,15 @@ def assert_same_scan(t, grid, within=None, variants=None):
     records = {idx: (x, values[idx], const_piece[idx]) for idx, x in pts.items()}
     assert spans == seed_piece_spans(t, pts, values)
     assert count == len(pts)
-    points = _checks._closed_values(cells, spans, set(), 1)
-    assert list(points.items()) == list(records.items())
+    # every index of the grid and one step past it on each side: the
+    # lookup's record at its points and none elsewhere, so no index wraps
+    around = itertools.product(*(range(-1, len(ax) + 1) for ax in cells.axes))
+    assert all(_checks._point_record(cells, spans, idx) == records.get(idx) for idx in around)
     walk = [(idx, x) for idx, x, _ in cells.points()]
     assert walk == sorted(pts.items())
     sizes = []
+    # the oracle's excess reads only the two values, so it is memoized on them
+    excess = functools.cache(test_scan_oracle.seed_hausdorff_upper)
     for opts in variants or ({}, {"direction": "lsc"}, {"delta": 2 * grid.step},
                              {"direction": "lsc", "delta": 2 * grid.step},
                              {"delta": 3 * grid.step}, {"tol": 0.0}):
@@ -339,14 +341,18 @@ def assert_same_scan(t, grid, within=None, variants=None):
                                     {})
         if _checks._decided_whole(t, spans, cells.axes, radius, bound):
             safe = set(spans)
-        want = near_records(records, spans, safe, radius)
-        assert list(built.items()) == list(want.items())
-        found = list(_checks._excess_witnesses(
-            records, _checks._neighbor_offsets(grid.dim, radius), bound, direction, set(), {}))
-        witnesses = tuple(found[:_checks._MAX_WITNESSES])
-        assert rep.witnesses == witnesses
-        assert repr(rep.witnesses) == repr(witnesses)
-        assert ("witness list truncated" in rep.notes) == (len(found) > _checks._MAX_WITNESSES)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(test_scan_oracle, "seed_hausdorff_upper", excess)
+            witnesses, truncated = test_scan_oracle._seed_excess_scan(
+                values, pts, _checks._neighbor_offsets(grid.dim, radius), bound, direction)
+        want = read_records(records, spans, safe, radius)
+        if truncated:
+            assert all(want[idx] == r for idx, r in built.items())
+        else:
+            assert built == want
+        assert rep.witnesses == tuple(witnesses)
+        assert repr(rep.witnesses) == repr(tuple(witnesses))
+        assert ("witness list truncated" in rep.notes) == truncated
         assert rep.parameters["points_checked"] == len(pts)
         sizes.append((len(built), len(pts)))
     return sizes
@@ -1064,13 +1070,33 @@ def _two_ramps():
 def test_two_affine_pieces_that_jump_at_a_face_take_the_point_scan():
     """The two ramps disagree at the cut, so the map is not decided whole,
     and neither piece is constant: at every radius, in both directions and
-    at tol=0, the scan builds a record at each of the 153 grid points, and
-    the reports equal the point-pair oracle's."""
+    at tol=0, every grid point is a centre, in lexicographic order, up to
+    the 33rd witness, where the walk stops, and the scan builds the records
+    of those centres and of the neighbours they read; the reports equal the
+    point-pair oracle's."""
     t = _two_ramps()
     grid = Grid(2, (0.0, 0.0), (2.0, 1.0), 0.125)
+    points = {(i, j) for i in range(17) for j in range(9)}
     variants = _strip_variants(grid.step)
     for opts in variants:
-        assert_same_report(t, grid, **opts)
+        rep = assert_same_report(t, grid, **opts)
         _, built = built_records(opts, t, grid, None)
-        assert set(built) == {(i, j) for i in range(17) for j in range(9)}
+        cells = _checks.GridCells((t,), grid)
+        spans, _ = _checks._piece_spans(cells)
+        radius = round(opts["delta"] / grid.step)
+        full = list(_checks._excess_witnesses(
+            cells, spans, set(), _checks._neighbor_offsets(2, radius),
+            rep.parameters["bound"], opts["direction"], {}))
+        stop = full[_checks._MAX_WITNESSES]
+        last, near = (tuple(round(v / grid.step) for v in x) for x in (stop.point, stop.neighbor))
+        offsets = list(itertools.product(range(-radius, radius + 1), repeat=2))
+        read = {(i + a, j + b) for i, j in points if (i, j) < last for a, b in offsets}
+        # the last centre reads its neighbours up to the 33rd witness's
+        read.add(last)
+        for off in _checks._neighbor_offsets(2, radius):
+            idx = tuple(map(operator.add, last, off))
+            read.add(idx)
+            if idx == near:
+                break
+        assert set(built) == read & points
     assert_same_scan(t, grid, None, variants)

@@ -1292,6 +1292,23 @@ def seed_allocations(assoc, alloc_step):
                   for _ in range(assoc.n)) for _ in range(40)]
 
 
+@pytest.mark.parametrize("economy,step,draws", [
+    (toy, 0.125, 240), (toy, 0.25, 240), (toy, 0.0625, 240),
+    (richer_toy, 0.125, 129804), (richer_toy, 0.25, 129516), (richer_toy, 0.0625, 129588),
+])
+def test_inclusion_decides_and_draws_in_one_pass(monkeypatch, economy, step, draws):
+    """The one pass over the triples draws, at each open triple, the bundles
+    of the triples ruled out since the last open one and then its own: the
+    reports equal the frozen loop's, and the draw counts are those of
+    drawing through the last open triple after deciding them all (the 240
+    allocation draws, and 36 per triple up to it)."""
+    assoc = associated(economy())
+    want = seed_remark_4_3_inclusion(assoc, step)
+    counted, _ = _count_inclusion_work(monkeypatch)
+    assert repr(remark_4_3_inclusion(assoc, step)) == repr(want)
+    assert len(counted) == draws and (draws - 240) % 36 == 0
+
+
 def test_toy_tie_triples_at_a_unit_price_are_ruled_out(monkeypatch):
     """At p = (1, 0, 0) two triples of the toy have a floor priced exactly
     at the wealth 1/2: their preferred boxes are open at the floor, so no

@@ -467,7 +467,7 @@ def test_piece_pair_maps_cover_every_piece_level_case():
         t = piece_pair_map(seed)
         cells = _checks.GridCells((t,), grid)
         pieces, _ = _checks._piece_spans(cells)
-        points = _checks._closed_values(cells, pieces, set(), 1)
+        points = {idx: _checks._point_record(cells, pieces, idx) for idx, _, _ in cells.points()}
         bound = 1e-9 + t.max_slope() * grid.step
         for direction in ("usc", "lsc"):
             safe = _checks._safe_pieces(pieces, 1, bound, direction, {})
@@ -565,15 +565,61 @@ def test_failing_scan_stops_at_the_witness_past_the_cap(monkeypatch):
     centers[0] = 0
     cells = _checks.GridCells((t,), grid)
     pieces, _ = _checks._piece_spans(cells)
-    points = _checks._closed_values(cells, pieces, set(), 1)
     bound = rep.parameters["bound"]
     piece_excess = {}
     safe = _checks._safe_pieces(pieces, 16, bound, "usc", piece_excess)
-    full = list(_checks._excess_witnesses(points, _checks._neighbor_offsets(1, 16), bound,
-                                          "usc", safe, piece_excess))
+    full = list(_checks._excess_witnesses(cells, pieces, safe, _checks._neighbor_offsets(1, 16),
+                                          bound, "usc", piece_excess))
     assert len(full) > _checks._MAX_WITNESSES
     assert full[:_checks._MAX_WITNESSES] == list(rep.witnesses)
     assert 0 < capped < centers[0]
+
+
+# ---------------------------------------------------------------------------
+# Neighbours at the table's edges
+# ---------------------------------------------------------------------------
+
+def _banded_map(dim):
+    """[0, 2]^dim cut at 0.5 and 1.5 on every axis. A piece in the middle
+    band of some axis has the value [0, 4]; another has [0, 1 + k/2], where
+    k counts its axes in the last band. In the usc direction the pieces off
+    the middle bands are unsafe, and in the lsc direction those on them.
+    Values at the first and last index of an axis differ, so a lookup that
+    wrapped index -1 around to the last index would report a jump across
+    the grid."""
+    bands = (I(0, 0.5, True, False), I(0.5, 1.5, True, False), I.closed(1.5, 2))
+    return PiecewiseMap((I.closed(0, 2),) * dim, 1, tuple(
+        Piece(tuple(bands[b] for b in ks), _const(0.0, 4.0 if 1 in ks else 1.0 + ks.count(2) / 2, dim))
+        for ks in itertools.product(range(3), repeat=dim)))
+
+
+@pytest.mark.parametrize("dim,step", [(1, 0.25), (2, 0.25), (3, 0.25)])
+def test_neighbours_at_the_table_edges_match_oracle(dim, step, monkeypatch):
+    """Centres at index 0 and at the last index of every axis, on the whole
+    grid and in ``within`` boxes that cut the unsafe pieces of the first or
+    last bands, or hold only the last index of axis 0: the reports equal the
+    oracle's in both directions, so a neighbour index below 0, past the last
+    index or outside the box is no neighbour."""
+    t = _banded_map(dim)
+    grid = Grid(dim, (0.0,) * dim, (2.0,) * dim, step)
+    last = len(grid.axis_values(0)) - 1
+    centres = []
+    real = _checks.GridCells.witnesses
+
+    def witnesses(cells, passes, probe):
+        def recorded(idx, x, pieces):
+            centres.append(idx)
+            return probe(idx, x, pieces)
+        return real(cells, passes, recorded)
+
+    monkeypatch.setattr(_checks.GridCells, "witnesses", witnesses)
+    for within in (None, (I.closed(step, 2 - step),) * dim, (I.closed(1.25, 2),) * dim,
+                   (I.point(2.0),) + (I.closed(1.25, 2),) * (dim - 1)):
+        for direction in ("usc", "lsc"):
+            for delta in (step, 2 * step):
+                assert_same_report(t, grid, within=within, direction=direction, delta=delta)
+    edges = {(d, idx[d]) for idx in centres for d in range(dim) if idx[d] in (0, last)}
+    assert edges == {(d, k) for d in range(dim) for k in (0, last)}
 
 
 # ---------------------------------------------------------------------------

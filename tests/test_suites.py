@@ -157,9 +157,9 @@ def count_valued_points(monkeypatch) -> list:
         return real_value_on(t, i, x)
 
     def witnesses(cells, passes, probe):
-        def recorded(x, pieces):
+        def recorded(idx, x, pieces):
             before = len(reads)
-            yield from probe(x, pieces)
+            yield from probe(idx, x, pieces)
             if len(reads) > before:
                 valued.append(x)
         return real_witnesses(cells, passes, recorded)
