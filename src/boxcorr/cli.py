@@ -72,6 +72,13 @@ def _parse_eps(text: str) -> tuple[float, ...]:
     return eps
 
 
+def _labelled(eps: tuple[float, ...] | None) -> tuple[float, ...] | None:
+    """``eps``, unless two radii give one ``{e:g}`` label, which report paths carry."""
+    if eps and len({f"{e:g}" for e in eps}) < len(eps):
+        raise InputError(f"--eps-chain entries give the same report label twice: {list(eps)}")
+    return eps
+
+
 def _grid_for(domain: Box, step: float) -> Grid:
     """Grid over the domain, stepping inward past open edges."""
     lo = tuple(iv.lo if iv.lo_closed else iv.lo + step for iv in domain)
@@ -233,7 +240,7 @@ def main() -> None:
 @_options("step", "eps_chain", "tol", "delta")
 def cmd_check_map(document, prop, step, eps_chain, tol, delta, out, fmt):
     """Run a semicontinuity check on a map (or pair) document."""
-    eps_user = _check_ranges(step, tol, delta, eps_chain)
+    eps_user = _labelled(_check_ranges(step, tol, delta, eps_chain))
     doc = _read_document(document)
     step = step if step is not None else 1 / 64
     try:
@@ -353,7 +360,7 @@ def cmd_check_hypotheses(document, which, step, eps_chain, tol, delta, out, fmt)
     (unverified) exits nonzero. The curated selection-backed run is part
     of reproduce-paper.
     """
-    eps_user = _check_ranges(step, tol, delta, eps_chain)
+    eps_user = _labelled(_check_ranges(step, tol, delta, eps_chain))
     doc = _read_document(document)
     step = step if step is not None else 1 / 8
     eps = eps_user or (0.5, 2.0, 4.0)

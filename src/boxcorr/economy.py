@@ -13,13 +13,18 @@ children are per-agent, per-condition verdicts; openness of the
 conflict region W_i = {x : A_i(x) cap P_i(x) != empty} is decided
 symbolically from the piece partition, everything metric runs on the
 supplied grid. Checkers never gate the search functions.
+
+Within one checker call, agents with equal inputs share each derived map
+and map-only scan, renamed per agent. Inputs are keyed by ``repr``, which
+tells apart those that ``==`` equates but compute differently (``-0.0`` and
+``0.0``, a ``Fraction`` and its float), so every report is a fresh run's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Sequence
 
 from . import io as _io
 from .checks import (
@@ -334,17 +339,28 @@ def _approximations(t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float]) -> li
     return [adherence(t_upper(t, eps, d)) for eps in eps_list]
 
 
-def _almost_w_usc_children(bars: Sequence[PiecewiseMap], eps_list: Sequence[float],
+def _shared(memo: dict, fn: Callable, *args, name: str | None = None):
+    """``fn(*args)``, run once per ``fn`` and ``repr(args)`` in ``memo``; a report
+    comes back under ``name``, with a parameters dict of its own."""
+    key = (fn, repr(args))
+    if key not in memo:
+        memo[key] = fn(*args)
+    hit = memo[key]
+    return hit if name is None else replace(hit, property_name=name,
+                                            parameters=dict(hit.parameters))
+
+
+def _almost_w_usc_children(memo: dict, t: PiecewiseMap, d: BoxSet, eps_list: Sequence[float],
                            grid: Grid, delta: float | None, tol: float,
-                           label: str, require_nonempty_convex: bool) -> list[CheckReport]:
-    """USC of each per-eps approximation ``bars[k]``, plus value-shape scans."""
+                           label: str, require_nonempty_convex: bool = True) -> list[CheckReport]:
+    """USC of each per-eps approximation of ``t`` on ``d``, plus value-shape scans."""
     children = []
-    for eps, bar in zip(eps_list, bars):
-        children.append(check_usc(bar, grid, delta, tol,
-                                  property_name=f"{label}.almost-w-usc@eps={eps:g}"))
+    for eps, bar in zip(eps_list, _shared(memo, _approximations, t, d, eps_list)):
+        children.append(_shared(memo, check_usc, bar, grid, delta, tol,
+                                name=f"{label}.almost-w-usc@eps={eps:g}"))
         if require_nonempty_convex:
-            children.append(scan_values(f"{label}.values@eps={eps:g}", (bar,), grid,
-                                        _value_shape, {"eps": eps}))
+            children.append(_shared(memo, scan_values, "", (bar,), grid, _value_shape,
+                                    {"eps": eps}, name=f"{label}.values@eps={eps:g}"))
     return children
 
 
@@ -359,8 +375,10 @@ def check_theorem_4_1_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
     openness of the conflict region; (4) USC surrogate of the adherent
     clipped dilation of A cap P on the conflict region, with nonempty
     convex values there; (5) the same for B over the whole domain;
-    (6) no block point ever lies in the adherent conflict value.
+    (6) no block point ever lies in the adherent conflict value. Agents
+    with equal inputs share conditions (4) and (5), which read no A or P.
     """
+    memo: dict = {}
     agent_reports = []
     for i in range(len(e.agents)):
         ag = e.agents[i]
@@ -375,15 +393,13 @@ def check_theorem_4_1_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
         for k, w_box in enumerate(w.boxes):
             h_w = restrict(e.conflict_map(i), w_box)
             c4_children.extend(_almost_w_usc_children(
-                _approximations(h_w, ag.d_set, eps_list), eps_list, grid, delta, tol,
-                f"agent{i}.conflict@W{k}", require_nonempty_convex=True))
+                memo, h_w, ag.d_set, eps_list, grid, delta, tol, f"agent{i}.conflict@W{k}"))
         conds.append(combine_reports(f"agent{i}.cond4-conflict-almost-w-usc",
                                      c4_children or [_vacuous(i)]))
         conds.append(combine_reports(
             f"agent{i}.cond5-b-almost-w-usc",
-            _almost_w_usc_children(_approximations(ag.b_map, ag.d_set, eps_list), eps_list,
-                                   grid, delta, tol, f"agent{i}.b",
-                                   require_nonempty_convex=True)))
+            _almost_w_usc_children(memo, ag.b_map, ag.d_set, eps_list, grid, delta, tol,
+                                   f"agent{i}.b")))
         # (6): block point never in the adherent conflict value
         conds.append(_irreflexive(e, i, e.adherent_conflict(i), grid, "conflict"))
         agent_reports.append(combine_reports(f"agent{i}", conds))
@@ -402,8 +418,10 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
     conflict-region box within X must pass the dual USC surrogate; the
     dilated-A-cap-P map (A+V) cap D cap P and the clipped dilation of B
     must have nonempty convex adherent values; and irreflexivity moves to
-    the adherent preference map.
+    the adherent preference map. Agents with equal B share its
+    approximations and their scans.
     """
+    memo: dict = {}
     agent_reports = []
     for i in range(len(e.agents)):
         ag = e.agents[i]
@@ -430,19 +448,20 @@ def check_theorem_4_2_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
                              eps_list, grid, delta, tol, property_name=f"agent{i}.dual@clW{k}")
             for k, cl_box in enumerate(cl_boxes)
         ] or [_vacuous(i)]
-        b_bars = _approximations(ag.b_map, ag.d_set, eps_list)
         c4_children.extend(_almost_w_usc_children(
-            b_bars, eps_list, grid, delta, tol, f"agent{i}.b", require_nonempty_convex=False))
+            memo, ag.b_map, ag.d_set, eps_list, grid, delta, tol, f"agent{i}.b",
+            require_nonempty_convex=False))
         conds.append(combine_reports(f"agent{i}.cond4-dual-and-b", c4_children))
 
         # (5): nonempty convex adherent values of (A+V) cap D cap P and of B^V
         c5_children = []
+        b_bars = _shared(memo, _approximations, ag.b_map, ag.d_set, eps_list)
         for eps, b_bar in zip(eps_list, b_bars):
-            t_iv = intersect_maps(t_upper(ag.a_map, eps, ag.d_set), ag.p_map)
-            pairs = ((f"agent{i}.t-iv", adherence(t_iv)), (f"agent{i}.b-v", b_bar))
-            c5_children += [scan_values(f"{label}@eps={eps:g}", (bar,), grid, _value_shape,
-                                        {"eps": eps})
-                            for label, bar in pairs]
+            t_iv = adherence(intersect_maps(t_upper(ag.a_map, eps, ag.d_set), ag.p_map))
+            c5_children += [scan_values(f"agent{i}.t-iv@eps={eps:g}", (t_iv,), grid,
+                                        _value_shape, {"eps": eps}),
+                            _shared(memo, scan_values, "", (b_bar,), grid, _value_shape,
+                                    {"eps": eps}, name=f"agent{i}.b-v@eps={eps:g}")]
         conds.append(combine_reports(f"agent{i}.cond5-approx-values", c5_children))
 
         # (6): block point never in the adherent preference value
@@ -463,21 +482,24 @@ def check_theorem_4_3_hypotheses(e: AbstractEconomy, eps_list: Sequence[float],
 
     ``candidates`` supplies one selection map per agent (None entries
     fall back to the constant-selection heuristic); a missing selection
-    yields the verdict "unverified" rather than "fail".
+    yields the verdict "unverified" rather than "fail". Agents with
+    equal B share condition (2).
     """
     if candidates is None:
         candidates = [None] * len(e.agents)
     if len(candidates) != len(e.agents):
         raise ValueError("one candidate entry per agent required (None allowed)")
+    memo: dict = {}
     agent_reports = []
     for i in range(len(e.agents)):
         ag = e.agents[i]
         conds = [_sets_condition(e, i, f"agent{i}.cond1-sets", require_compact_x=True)]
 
-        b_closed = closure_values(ag.b_map)
+        b_closed = _shared(memo, closure_values, ag.b_map)
         conds.append(combine_reports(f"agent{i}.cond2-cl-b", [
-            check_usc(b_closed, grid, delta, tol, property_name=f"agent{i}.cl-b-usc"),
-            scan_values(f"agent{i}.cl-b-values", (b_closed,), grid, _value_shape),
+            _shared(memo, check_usc, b_closed, grid, delta, tol, name=f"agent{i}.cl-b-usc"),
+            _shared(memo, scan_values, "", (b_closed,), grid, _value_shape,
+                    name=f"agent{i}.cl-b-values"),
         ]))
 
         conds.append(_openness_condition(e, i, f"agent{i}.cond3-open-conflict-region"))

@@ -371,6 +371,26 @@ def test_eps_chain_needs_an_entry(runner):
     assert "--eps-chain entries must be positive" in r.output
 
 
+@pytest.mark.parametrize("args", [
+    ("check-hypotheses", EXAMPLES / "ex4_1_n2.econ", "--format", "records"),
+    ("check-map", EXAMPLES / "ex2_1.map", "--property", "w-usc"),
+])
+@pytest.mark.parametrize("chain", ["0.5,0.5", "0.1,0.5,0.10000001"])
+def test_eps_chain_entries_with_one_label_are_input_errors(runner, args, chain):
+    """Report paths carry each radius as ``{eps:g}``, so two radii with one
+    label would give two rows one path."""
+    r = invoke(runner, *args, "--eps-chain", chain)
+    assert r.exit_code == 2, r.output
+    assert "--eps-chain entries give the same report label twice" in r.output
+    assert "Traceback" not in r.output
+
+
+def test_find_fixed_points_merges_a_repeated_eps(runner):
+    r = invoke(runner, "find-fixed-points", EXAMPLES / "ex2_1.map", "--eps-chain", "0.5,0.5")
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("eps chain: 0.5\n")
+
+
 def test_reproduce_paper_rejects_nan_tol(runner):
     r = invoke(runner, "reproduce-paper", "--tol", "nan")
     assert r.exit_code == 2

@@ -780,7 +780,9 @@ def test_theorem_4_1_value_probes_run_once_per_constant_tuple(monkeypatch):
     once per distinct tuple of decided pieces, and at each point of a cell
     whose tuple holds an undecided piece. A piece is decided when it is
     constant, or one-box at a position the scan reads only for convexity:
-    the A and P maps of the cond2 scans, whose affine pieces are one box."""
+    the A and P maps of the cond2 scans, whose affine pieces are one box.
+    Agent 1's value scans on the conflict and B approximations are agent
+    0's, shared: 8 scans run, where one per agent made 14."""
     e = ex4_1(2)
     grid = Grid.over_box(e.domain, 1 / 16)
     counts = {"calls": 0, "decided_tuples": 0, "undecided_points": 0, "scans": 0,
@@ -816,9 +818,10 @@ def test_theorem_4_1_value_probes_run_once_per_constant_tuple(monkeypatch):
     rep = check_theorem_4_1_hypotheses(e, (0.5, 2.0, 4.0), grid)
     assert rep.verdict == PASS
     # a probe at every point, as seed_scan_points runs it, makes 35,150 calls;
-    # with constant tuples alone decided, the affine A/P cells took 512 of 534
-    assert counts == {"calls": 36, "decided_tuples": 36, "undecided_points": 0, "scans": 14,
-                      "points": 35150, "convex_only_scans": 2}
+    # with constant tuples alone decided, the affine A/P cells took 512 of 534;
+    # one scan per agent made 36 calls over 35,150 points
+    assert counts == {"calls": 30, "decided_tuples": 30, "undecided_points": 0, "scans": 8,
+                      "points": 21800, "convex_only_scans": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -1181,10 +1184,12 @@ def test_block_scan_raises_on_a_block_of_the_wrong_length():
 
 
 def test_check_counts_on_ex4_1(monkeypatch):
-    """On ex4_1(2) at step 1/16 with eps (0.5, 2, 4), the 4.1 check's 12
+    """On ex4_1(2) at step 1/16 with eps (0.5, 2, 4), the 4.1 check's 3
     USC scans build no point record, and its block scans probe no point.
     The 4.2 check's reflexive witnesses and unsafe USC pieces take the
-    point walks."""
+    point walks. Both agents' approximations of B and of the restricted
+    conflict map are equal, and so are B's at all three eps: each distinct
+    map is scanned once, where one scan per agent and eps made 12 and 18."""
     e = ex4_1(2)
     grid = Grid.over_box(e.domain, 1 / 16)
     counts = {}
@@ -1221,13 +1226,13 @@ def test_check_counts_on_ex4_1(monkeypatch):
         counts.update(usc=0, points=0, records=0, block_probes=0, reflexive=0)
         rep = check(e, (0.5, 2.0, 4.0), grid)
         got[name] = (rep.verdict, dict(counts))
-    # a point record at every point, as check_usc built them before it read
-    # the cells, makes records equal to points: 26,700 and 28,818. The walk
-    # builds only the records its centres read, up to the 33rd witness, where
+    # one scan per agent and eps checked 26,700 and 28,818 points, and built a
+    # record at each of them before check_usc read the cells. The walk builds
+    # only the records its centres read, up to the 33rd witness, where
     # building every record near the unsafe pieces made 1,412
-    assert got == {"4.1": (PASS, {"usc": 12, "points": 26700, "records": 0, "block_probes": 0,
+    assert got == {"4.1": (PASS, {"usc": 3, "points": 4675, "records": 0, "block_probes": 0,
                                   "reflexive": 0}),
-                   "4.2": (FAIL, {"usc": 18, "points": 28818, "records": 976,
+                   "4.2": (FAIL, {"usc": 13, "points": 7693, "records": 976,
                                   "block_probes": 1168, "reflexive": 64})}
 
 
