@@ -6,10 +6,9 @@ step, delta, tol, the modulus slope) so results are reproducible.
 
 The grid scans read the maps piece by piece, off one ``GridCells`` table
 per scan: the cells of the grid on which each map keeps one piece. Every
-per-point verdict is one ``GridCells.witnesses`` walk: a rule decides the
-cells, and a probe runs only at the points of the piece tuples that fail,
-in lexicographic order, so the witnesses are those of a probe at every
-point. ``scan_values`` decides a tuple of constant pieces with one probe,
+per-point verdict is one ``GridCells.witnesses`` walk, whose rule decides
+each cell and whose probe runs at the points of the failing cells only.
+``scan_values`` decides a tuple of constant pieces with one probe,
 ``scan_block_points`` a cell from the index ranges its constant value
 holds, and ``_empty_points`` skips constant nonempty pieces. ``check_usc``
 decides a map of one-box pieces that meet continuously whole, by the
@@ -105,11 +104,12 @@ class GridCells:
     A cell is a tuple of grid index ranges, one per axis. Per axis, each
     piece of each map holds a contiguous range of grid indices, and so does
     the box ``within``; the cells are the common refinement of those ranges,
-    so every point of a cell lies on the same piece of each map. The table
-    of those pieces, one row per cell, is built once; ``cells``,
-    ``points`` and ``witnesses`` read it and skip what lies outside
-    ``maps[0]``'s domain or ``within``. The first two raise ``DomainError``
-    when they reach a point outside a later map's domain.
+    so every point of a cell lies on the same piece of each map. ``rows``
+    holds those pieces, one row per cell in the lexicographic order of the
+    cells' first points. Per axis, ``offsets`` maps each grid index of the
+    table to its segment number times the stride, so the sum over a point's
+    indices is its row number. ``points`` and ``witnesses`` skip what lies
+    outside ``maps[0]``'s domain or ``within``.
     """
 
     def __init__(self, maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = None):
@@ -131,6 +131,8 @@ class GridCells:
             segments.append([range(a, b) for a, b in itertools.pairwise(sorted(cuts))])
         starts = [[seg.start for seg in segs] for segs in segments]
         self.strides = [math.prod(map(len, segments[d + 1:])) for d in range(grid.dim)]
+        self.offsets = [{k: s * stride for s, seg in enumerate(segs) for k in seg}
+                        for segs, stride in zip(segments, self.strides)]
         slots = []
         for ranges in held:
             slot: list[int | None] = [None] * math.prod(map(len, segments))
@@ -146,68 +148,55 @@ class GridCells:
     def first_point(self, cell: Sequence[range]) -> tuple[float, ...]:
         return tuple(ax[r.start] for ax, r in zip(self.axes, cell))
 
-    def cells(self):
-        """``(cell, pieces)`` in the lexicographic order of the cells' first
-        points; ``pieces[k]`` is the piece of ``maps[k]`` holding the cell."""
-        for cell, pieces in zip(itertools.product(*self.segments), self.rows):
-            if pieces[0] is None:
-                continue
-            if None in pieces:
-                raise DomainError(f"point {self.first_point(cell)} outside map domain")
-            yield cell, pieces
-
-    def points(self):
-        """``(index, point, pieces)`` for the points of the cells, in
-        lexicographic order; ``pieces`` is the row of the point's cell.
-
-        Per axis, a point's grid index names its segment, so the row is the
-        sum over the axes of segment number times stride."""
-        indices = [[k for seg in segs for k in seg] for segs in self.segments]
-        offsets = [[s * stride for s, seg in enumerate(segs) for _ in seg]
-                   for segs, stride in zip(self.segments, self.strides)]
-        values = [[ax[k] for k in ks] for ax, ks in zip(self.axes, indices)]
+    def points(self, cells: Iterable[int] | None = None):
+        """``(index, point, pieces)`` for the points of the cells numbered
+        ``cells``, every cell when ``None``, in lexicographic order; ``pieces``
+        is the row of the point's cell. Per axis only the indices of the
+        segments those cells use are visited, and a point whose row was not
+        asked for is skipped. Raises ``DomainError`` at a point outside a
+        later map's domain."""
         rows = self.rows
+        asked = range(len(rows)) if cells is None else set(cells)
+        indices = []
+        for segs, stride in zip(self.segments, self.strides):
+            used = {n // stride % len(segs) for n in asked}
+            indices.append([k for s, seg in enumerate(segs) if s in used for k in seg])
+        offsets = [[offs[k] for k in ks] for offs, ks in zip(self.offsets, indices)]
+        values = [[ax[k] for k in ks] for ax, ks in zip(self.axes, indices)]
         for idx, x, offs in zip(itertools.product(*indices), itertools.product(*values),
                                 itertools.product(*offsets)):
-            pieces = rows[sum(offs)]
-            if pieces[0] is None:
+            n = sum(offs)
+            pieces = rows[n]
+            if pieces[0] is None or n not in asked:
                 continue
             if None in pieces:
                 raise DomainError(f"point {x} outside map domain")
             yield idx, x, pieces
 
-    @functools.cached_property
-    def _offsets(self) -> list[dict[int, int]]:
-        return [{k: s * stride for s, seg in enumerate(segs) for k in seg}
-                for segs, stride in zip(self.segments, self.strides)]
-
     def row_at(self, idx: Sequence[int]) -> tuple | None:
-        """The row of the cell holding grid index tuple ``idx``, or ``None`` when
-        an index lies below 0, past its axis or outside ``within``: per axis, a
-        dict built on the first call maps each index of the table to its segment
-        number times the stride, so no index wraps around."""
-        offs = [offsets.get(k) for k, offsets in zip(idx, self._offsets)]
+        """The row of the cell holding grid index tuple ``idx``, or ``None`` when an
+        index lies below 0, past its axis or outside ``within``: none wraps around."""
+        offs = [offsets.get(k) for k, offsets in zip(idx, self.offsets)]
         return None if None in offs else self.rows[sum(offs)]
 
     def witnesses(self, passes: Callable[[tuple[range, ...], tuple], bool],
                   probe: Callable[..., Iterable[Witness]]):
         """The ``Witness`` records of ``probe(idx, x, pieces)`` at the points
-        of ``points`` whose piece tuple fails, in that order, read lazily.
+        of the cells that fail, in lexicographic order, read lazily.
 
-        First ``passes(cell, pieces)`` decides each cell on ``maps[0]``'s
-        domain, in order, until its tuple fails; a tuple passes when all its
-        cells do, and when every tuple passes no point is visited. On a cell
-        outside a later map's domain that map's piece is ``None``: the rule
-        raises there, or fails it so that ``points`` raises at its first point.
+        ``passes(cell, pieces)`` decides each cell on ``maps[0]``'s domain
+        first, and no point is visited when all pass. The contract: a cell
+        the rule passes holds no witness, and a cell outside a later map's
+        domain, whose piece of that map is ``None``, fails or raises. Then
+        the witnesses, and the ``DomainError`` of ``points``, are those of a
+        probe at every point.
         """
-        failed = set()
-        for cell, pieces in zip(itertools.product(*self.segments), self.rows):
-            if pieces[0] is not None and pieces not in failed and not passes(cell, pieces):
-                failed.add(pieces)
-        if failed:
-            for idx, x, pieces in self.points():
-                if pieces in failed:
-                    yield from probe(idx, x, pieces)
+        cells = zip(itertools.product(*self.segments), self.rows)
+        failing = [n for n, (cell, pieces) in enumerate(cells)
+                   if pieces[0] is not None and not passes(cell, pieces)]
+        if failing:
+            for idx, x, pieces in self.points(failing):
+                yield from probe(idx, x, pieces)
 
 
 def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
@@ -224,9 +213,10 @@ def scan_values(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
     is constant, or at such a position with at most one value box:
     ``value_on`` then gives one box or none (where float rounding empties
     it) at every point, so that read is true on the whole piece. The walk's
-    rule passes a tuple of decided pieces when the probe, run once at its
-    first cell's first point, yields no triple. A cell outside a later map's
-    domain raises ``DomainError`` in the rule, before any witness is kept.
+    rule passes the cells of a tuple of decided pieces when the probe, run
+    once per tuple at a cell's first point, yields no triple. A cell outside
+    a later map's domain raises ``DomainError`` in the rule, before any
+    witness is kept.
     """
     cells = GridCells(maps, grid, within)
     passed: dict[tuple[int, ...], bool] = {}
@@ -308,7 +298,9 @@ def _piece_spans(cells: GridCells):
     """
     (t,) = cells.maps
     spans, count = {}, 0
-    for cell, (i,) in cells.cells():
+    for cell, (i,) in zip(itertools.product(*cells.segments), cells.rows):
+        if i is None:
+            continue
         count += math.prod(map(len, cell))
         lo, hi = tuple(r.start for r in cell), tuple(r.stop - 1 for r in cell)
         if i in spans:

@@ -24,7 +24,6 @@ Top-level documents carry a ``kind`` field: ``boxset``, ``grid``,
 from __future__ import annotations
 
 import json
-import math
 import sys
 from typing import Any
 
@@ -40,7 +39,7 @@ class DocumentError(ValueError):
 def _as_number(x: Any, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise DocumentError(f"{where}: expected a number, got {x!r}")
-    if not math.isfinite(x):
+    if not abs(x) <= sys.float_info.max:
         raise DocumentError(f"{where}: expected a finite number, got {x!r}")
     return x
 

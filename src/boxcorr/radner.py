@@ -26,6 +26,7 @@ import math
 import numbers
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -272,7 +273,7 @@ class AssociatedEconomy:
 
     def __post_init__(self) -> None:
         t = self.truncation
-        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not abs(t) <= sys.float_info.max:
             raise ValueError(f"truncation must be a finite number, got {t!r}")
         if t < max(self.info.aggregate_endowment):
             raise ValueError("truncation too small")

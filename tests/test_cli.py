@@ -442,7 +442,9 @@ def test_build_radner_toy(runner):
     assert "certificates-clear" in r.output
 
 
-@pytest.mark.parametrize("truncation", ["NaN", '"2"', "true"])
+@pytest.mark.parametrize("truncation", ["NaN", '"2"', "true",
+                                        pytest.param(str(10 ** 400), id="10**400"),
+                                        pytest.param(str(-10 ** 400), id="-10**400")])
 def test_build_radner_rejects_a_bad_truncation(runner, tmp_path, truncation):
     text = (EXAMPLES / "radner_toy.econ").read_text()
     assert '"truncation": 2.0' in text
@@ -493,6 +495,8 @@ def test_build_radner_rejects_counts_that_are_not_integers(runner, tmp_path, fie
     ("signals", ["threshold:1:2:3", "pooled"], "expected threshold:<coordinate>:<cut>"),
     ("signals", ["threshold:a:0", "pooled"], "expected threshold:<coordinate>:<cut>"),
     ("signals", ["threshold:1e400:0", "pooled"], "expected threshold:<coordinate>:<cut>"),
+    ("endowments", [[10 ** 400, 0.5, 0.5], [0.5, 0.5, 0.5]], "expected a finite number"),
+    ("endowments", [[-10 ** 400, 0.5, 0.5], [0.5, 0.5, 0.5]], "expected a finite number"),
 ])
 def test_build_radner_rejects_malformed_endowments_and_signals(runner, tmp_path, field,
                                                                value, message):

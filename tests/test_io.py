@@ -138,7 +138,9 @@ def test_product_block_indices_reject_booleans():
         io.product_from_doc(dict(doc, blocks=[[False]]))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 pytest.param(10 ** 400, id="10**400"),
+                                 pytest.param(-10 ** 400, id="-10**400")])
 def test_documents_reject_nonfinite_numbers(bad):
     t1, d = ex2_1()
     domain_end = io.map_to_doc(t1, d)

@@ -325,7 +325,9 @@ def test_associated_economy_takes_the_economys_truncation_or_the_default():
     assert to_abstract_economy(wide, PriceSimplex(3, 8)).truncation == 2.0 * 1.9
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2", True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2", True,
+                                 pytest.param(10 ** 400, id="10**400"),
+                                 pytest.param(-10 ** 400, id="-10**400")])
 def test_truncation_must_be_a_finite_number(bad):
     with pytest.raises(ValueError, match="truncation must be a finite number"):
         AssociatedEconomy(toy(), bad, PriceSimplex(3, 8))

@@ -13,15 +13,18 @@ parameters included.
 The scans decide per cell of a ``GridCells`` table first. Probes that
 read only values run on ``scan_values``, once per tuple of constant
 pieces; the block-point test runs on ``scan_block_points``, which probes
-only the points of affine tuples and of tuples whose value can hold the
+only the points of affine cells and of cells whose value can hold the
 block point. Both are checked against ``seed_scan_points`` running the
 same probe at every point, and ``GridCells``' cells and points against
-``seed_grid_values``, the per-point slot fill the class replaced.
+``seed_grid_values``, the per-point slot fill the class replaced. Every
+reader of the walk is also checked against ``seed_witnesses``, the walk
+that probed every point of a failing piece tuple.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -35,6 +38,7 @@ from boxcorr import (AffForm, AffineInterval, BoxSet, DomainError, FlaggedInterv
                      t_upper)
 from boxcorr import checks as _checks
 from boxcorr import economy as _economy
+from boxcorr import suites
 from boxcorr.checks import (FAIL, PASS, UNVERIFIED, CheckReport, GridCells, Witness,
                             scan_block_points, scan_values)
 from boxcorr.economy import (AbstractEconomy, AgentEvidence, AgentSpec, EquilibriumCertificate,
@@ -94,6 +98,51 @@ def seed_scan_points(name, maps, grid, probe, parameters=None, within=None):
              for _, x, pieces in seed_grid_values(maps, grid, within))
     witnesses = tuple(itertools.islice(itertools.chain.from_iterable(found), CAP))
     return CheckReport(name, FAIL if witnesses else PASS, witnesses, parameters or {})
+
+
+def table_cells(cells):
+    """``(cell, pieces)`` for the cells of the ``GridCells`` table ``cells`` on
+    ``maps[0]``'s domain, in the order of their rows, read off ``segments``
+    and ``rows``; raises ``DomainError`` at the first point of the first cell
+    outside a later map's domain. The cell walk the class used to offer."""
+    for cell, pieces in zip(itertools.product(*cells.segments), cells.rows):
+        if pieces[0] is None:
+            continue
+        if None in pieces:
+            raise DomainError(f"point {cells.first_point(cell)} outside map domain")
+        yield cell, pieces
+
+
+def seed_points(cells):
+    """The full-table point walk of ``GridCells`` before it took a cell set:
+    ``(index, point, pieces)`` for every point of the table, in lexicographic
+    order, with the row found as the sum of segment number times stride."""
+    indices = [[k for seg in segs for k in seg] for segs in cells.segments]
+    offsets = [[s * stride for s, seg in enumerate(segs) for _ in seg]
+               for segs, stride in zip(cells.segments, cells.strides)]
+    values = [[ax[k] for k in ks] for ax, ks in zip(cells.axes, indices)]
+    for idx, x, offs in zip(itertools.product(*indices), itertools.product(*values),
+                            itertools.product(*offsets)):
+        pieces = cells.rows[sum(offs)]
+        if pieces[0] is None:
+            continue
+        if None in pieces:
+            raise DomainError(f"point {x} outside map domain")
+        yield idx, x, pieces
+
+
+def seed_witnesses(cells, passes, probe):
+    """The per-tuple ``GridCells.witnesses`` walk: the rule decides the cells
+    until their piece tuple fails, and the probe runs at every point of
+    ``seed_points`` whose tuple failed."""
+    failed = set()
+    for cell, pieces in zip(itertools.product(*cells.segments), cells.rows):
+        if pieces[0] is not None and pieces not in failed and not passes(cell, pieces):
+            failed.add(pieces)
+    if failed:
+        for idx, x, pieces in seed_points(cells):
+            if pieces in failed:
+                yield from probe(idx, x, pieces)
 
 
 def _convex(bs):
@@ -503,7 +552,7 @@ def cell_points(maps, grid, within=None):
     cell, after checking that the cells come in the order of their first
     points and that none is empty."""
     out, firsts = [], []
-    for cell, pieces in GridCells(maps, grid, within).cells():
+    for cell, pieces in table_cells(GridCells(maps, grid, within)):
         assert all(len(r) for r in cell)
         firsts.append(tuple(r.start for r in cell))
         out += [(idx, pieces) for idx in itertools.product(*cell)]
@@ -570,7 +619,7 @@ def test_grid_cells_match_the_frozen_slot_fill_up_to_its_domain_error():
         cut = (*maps[:-1], _lower_half(maps[-1]))
         want = _until_error(seed_grid_values(cut, grid))
         assert _until_error(GridCells(cut, grid).points()) == want
-        assert _until_error(GridCells(cut, grid).cells())[1] == want[1]
+        assert _until_error(table_cells(GridCells(cut, grid)))[1] == want[1]
         raised += want[1] is not None
         assert_cells_partition((_lower_half(maps[0]), *maps[1:]), grid)
         assert_cells_partition(cut, grid, _lower_half(maps[-1]).domain)
@@ -586,8 +635,8 @@ def test_grid_cells_partition_the_points_of_grid_values():
     t = _open_edged_square()
     grid = Grid(2, (0.0, 0.0), (1.0, 1.0), 0.5)
     assert_cells_partition((t,), grid)
-    assert list(GridCells((t,), grid).cells()) == [((range(1, 3), range(0, 2)), (1,)),
-                                            ((range(1, 3), range(2, 3)), (0,))]
+    assert list(table_cells(GridCells((t,), grid))) == [((range(1, 3), range(0, 2)), (1,)),
+                                                       ((range(1, 3), range(2, 3)), (0,))]
 
 
 def test_grid_cells_refine_every_map_and_the_box():
@@ -598,11 +647,11 @@ def test_grid_cells_refine_every_map_and_the_box():
     cols = PiecewiseMap(dom, 1, (Piece((I(1, 2, False, True), I.closed(0, 2)), _const(1.0, 2)),
                                  Piece((I.closed(0, 1), I.closed(0, 2)), _const(0.0, 2))))
     grid = Grid(2, (0.0, 0.0), (2.0, 2.0), 0.5)
-    cells = list(GridCells((rows, cols), grid).cells())
+    cells = list(table_cells(GridCells((rows, cols), grid)))
     assert cells == [((range(0, 3), range(0, 3)), (1, 1)), ((range(0, 3), range(3, 5)), (0, 1)),
                      ((range(3, 5), range(0, 3)), (1, 0)), ((range(3, 5), range(3, 5)), (0, 0))]
     within = (I.closed(0, 2), I(0.5, 2, False, True))
-    assert [cell for cell, _ in GridCells((rows, cols), grid, within).cells()] == [
+    assert [cell for cell, _ in table_cells(GridCells((rows, cols), grid, within))] == [
         (range(0, 3), range(2, 3)), (range(0, 3), range(3, 5)),
         (range(3, 5), range(2, 3)), (range(3, 5), range(3, 5))]
     assert_cells_partition((rows, cols), grid, within)
@@ -614,10 +663,10 @@ def test_grid_cells_raise_at_the_first_point_outside_a_later_domain():
     lower = restrict(t, (I(0, 1, False, True), I.closed(0, 0.5)))
     assert_cells_partition((lower, t), grid)
     with pytest.raises(DomainError, match=r"\(0\.5, 1\.0\)"):
-        list(GridCells((t, lower), grid).cells())
+        list(table_cells(GridCells((t, lower), grid)))
     assert_cells_partition((t, lower), grid, (I.closed(0, 1), I.closed(0, 0.5)))
     with pytest.raises(DimensionMismatchError):
-        list(GridCells((t,), Grid(1, (0.0,), (1.0,), 0.5)).cells())
+        list(table_cells(GridCells((t,), Grid(1, (0.0,), (1.0,), 0.5))))
 
 
 def _as_point_probe(value_probe):
@@ -711,7 +760,7 @@ def test_scan_values_passes_constant_tuples_without_a_point_walk(monkeypatch):
     rep = scan_values("clean", maps, grid, probe, {"eps": 1.0})
     assert (rep.verdict, rep.witnesses, rep.parameters) == (PASS, (), {"eps": 1.0})
     # the adherence adds the closed line x1 = 1 as a third piece
-    tuples = {pieces for _, pieces in GridCells(maps, grid).cells()}
+    tuples = {pieces for _, pieces in table_cells(GridCells(maps, grid))}
     assert len(calls) == len(tuples) == 3
     assert set(calls) == {(t.evaluate(x), adherence(t).evaluate(x), t.evaluate(x))
                           for x in grid.points()}
@@ -729,9 +778,9 @@ def test_each_scan_builds_one_cell_table(monkeypatch):
             super().__init__(*args)
             built.append(self)
 
-        def points(self):
+        def points(self, cells=None):
             walked.append(self)
-            return super().points()
+            return super().points(cells)
 
     monkeypatch.setattr(_checks, "GridCells", Counted)
     scans = {
@@ -798,7 +847,7 @@ def test_theorem_4_1_value_probes_run_once_per_constant_tuple(monkeypatch):
 
         rep = real(name, maps, grid, wrapped, parameters, within, convex_only)
         tuples, undecided = set(), 0
-        for cell, pieces in GridCells(maps, grid, within).cells():
+        for cell, pieces in table_cells(GridCells(maps, grid, within)):
             counts["points"] += math.prod(map(len, cell))
             if all(p.is_constant or k in convex_only and len(p.value) <= 1
                    for k, p in enumerate(m.pieces[i] for m, i in zip(maps, pieces))):
@@ -1053,20 +1102,27 @@ def _box_map(dom, *boxes):
     return PiecewiseMap(dom, 1, (Piece(dom, value),))
 
 
+_CELL_WALK = GridCells.witnesses
+
+
+def _count_walk(monkeypatch, walk):
+    """Run ``walk`` as ``GridCells.witnesses``, counting the points it probes."""
+    probed = [0]
+
+    def counted(cells, passes, probe):
+        def wrapped(*args):
+            probed[0] += 1
+            return probe(*args)
+        return walk(cells, passes, wrapped)
+
+    monkeypatch.setattr(GridCells, "witnesses", counted)
+    return probed
+
+
 def _count_block_probes(monkeypatch):
     """Count the points the ``GridCells.witnesses`` walk probes, block scans
     and value scans alike."""
-    probed = [0]
-    real = _checks.GridCells.witnesses
-
-    def counted(cells, passes, probe):
-        def wrapped(idx, x, pieces):
-            probed[0] += 1
-            return probe(idx, x, pieces)
-        return real(cells, passes, wrapped)
-
-    monkeypatch.setattr(_checks.GridCells, "witnesses", counted)
-    return probed
+    return _count_walk(monkeypatch, _CELL_WALK)
 
 
 def test_block_scan_matches_seed_scan_on_the_scan_maps():
@@ -1229,11 +1285,13 @@ def test_check_counts_on_ex4_1(monkeypatch):
     # one scan per agent and eps checked 26,700 and 28,818 points, and built a
     # record at each of them before check_usc read the cells. The walk builds
     # only the records its centres read, up to the 33rd witness, where
-    # building every record near the unsafe pieces made 1,412
+    # building every record near the unsafe pieces made 1,412. The block scans
+    # probe the points of their failing cells only: 400, where probing every
+    # point of a failing piece tuple made 1,168
     assert got == {"4.1": (PASS, {"usc": 3, "points": 4675, "records": 0, "block_probes": 0,
                                   "reflexive": 0}),
                    "4.2": (FAIL, {"usc": 13, "points": 7693, "records": 976,
-                                  "block_probes": 1168, "reflexive": 64})}
+                                  "block_probes": 400, "reflexive": 64})}
 
 
 # ---------------------------------------------------------------------------
@@ -1546,3 +1604,209 @@ def test_family_reports_record_the_same_holes():
         params = index_reports(dual)[f"renamed/dual-w-usc@eps={eps:g}"].parameters
         assert params["pre_adherence_empty_points"] == holes[:8]
         assert params["pre_adherence_nonempty_everywhere"] is ne
+
+
+# ---------------------------------------------------------------------------
+# The cell walk against seed_witnesses
+# ---------------------------------------------------------------------------
+
+def assert_same_walk(monkeypatch, run):
+    """``run()`` on the cell walk gives ``seed_witnesses``' outcome: a report
+    equal witness for witness, in order, up to the same cap, with the same
+    parameters and notes, or the same exception type and message. The cell
+    walk probes no more points. Returns the outcome and both probe counts,
+    the seed's first."""
+    outcomes, probed = [], []
+    for walk in (seed_witnesses, _CELL_WALK):
+        count = _count_walk(monkeypatch, walk)
+        outcomes.append(_outcome(run))
+        probed.append(count[0])
+    monkeypatch.setattr(GridCells, "witnesses", _CELL_WALK)
+    want, got = outcomes
+    assert repr(got) == repr(want)
+    assert probed[1] <= probed[0]
+    return got, probed
+
+
+def _guillotine_map(rng):
+    """A constant map on [0, 2]^2 cut along axis 0, each side then cut along
+    axis 1 at its own place, so a piece spans cells that the other side's
+    cut makes."""
+    c0, pieces = rng.choice((0.5, 1.0, 1.5)), []
+    for a in (I(0, c0, True, False), I.closed(c0, 2)):
+        c1 = rng.choice((0.5, 1.0, 1.5))
+        for b in (I(0, c1, True, False), I.closed(c1, 2)):
+            pieces.append(Piece((a, b), (_const_box(rng.choice((0.0, 0.5, 1.0)), 0.5, 2),)))
+    return PiecewiseMap((I.closed(0, 2),) * 2, 1, tuple(pieces))
+
+
+def _reader_runs(maps, grid, within):
+    """Every reader of the walk on one map tuple and box, by name."""
+    last, block_axes = maps[-1], {(0,), (grid.dim - 1,)}
+    clip = BoxSet.single((I.closed(0.5, 1.5),))
+    runs = {
+        "values-shape": lambda: scan_values("v", maps, grid, _shape, None, within),
+        "values-inclusion": lambda: scan_values("v", maps, grid, _escapes_last, None, within),
+        "values-convex-only": lambda: scan_values("v", maps, grid, _convexity_at((0,)), None,
+                                                  within, (0,)),
+        "empty-points": lambda: _checks._empty_points(last, grid),
+    }
+    for block in block_axes:
+        for closure in (False, True):
+            runs[f"block{block}-{closure}"] = functools.partial(
+                scan_block_points, "b", maps, grid, block, "hit", "", closure, None, within)
+    for direction in ("usc", "lsc"):
+        for delta in (None, 2 * grid.step):
+            runs[f"{direction}-{delta}"] = functools.partial(
+                _checks.check_usc, last, grid, delta, within=within, direction=direction)
+    for target in (None, clip):
+        for radius in (0.0, 0.25):
+            runs[f"chain-{target is None}-{radius}"] = functools.partial(
+                suites._chain_containment, "c", maps[:-1], last, target, grid, radius)
+    return runs
+
+
+READERS = ("values", "block", "usc", "lsc", "empty-points", "chain")
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_cell_walk_matches_the_seed_walk_for_every_reader(reader, monkeypatch):
+    """Over the scan maps and pairs of guillotine maps, uncut and with the
+    last map cut to half its domain, and the boxes of ``_withins``: each
+    reader gives the seed walk's outcome, probing no more points. Some runs
+    fail at the cap and some raise the later map's ``DomainError``; the
+    block scans probe fewer points where a piece tuple spans cells that
+    their rule decides apart."""
+    rng = random.Random(7)
+    guillotines = [((_guillotine_map(rng), _guillotine_map(rng)),
+                    Grid(2, (-0.25, -0.25), (2.0, 2.0), 0.25)) for _ in range(4)]
+    cap = 8 if reader in ("chain", "empty-points") else CAP
+    verdicts, raised, fewer = set(), 0, 0
+    for maps, grid in _scan_maps() + guillotines:
+        for cut in (maps, (*maps[:-1], _lower_half(maps[-1]))):
+            for within in _withins(grid.dim):
+                for name, run in _reader_runs(cut, grid, within).items():
+                    if not name.startswith(reader) or name.startswith("empty") and within:
+                        continue
+                    got, (want_probes, probes) = assert_same_walk(monkeypatch, run)
+                    if isinstance(got, CheckReport):
+                        verdicts.add((got.verdict, len(got.witnesses) == cap))
+                    elif isinstance(got, list):
+                        verdicts.add((FAIL if got else PASS, len(got) == cap))
+                    else:
+                        assert got[0] is DomainError
+                        raised += 1
+                    fewer += probes < want_probes
+    assert {verdict for verdict, _ in verdicts} == {PASS, FAIL}
+    assert (FAIL, True) in verdicts
+    if reader not in ("usc", "lsc", "empty-points"):
+        assert raised
+    if reader == "block":
+        assert fewer
+
+
+def test_cell_walk_matches_the_seed_walk_on_seeded_chains(monkeypatch):
+    """The suite's seeded random chains, at radius 0 and at the suite's
+    radius, with and without a target set."""
+    rng = random.Random(2029)
+    failed = 0
+    for k in range(40):
+        t, d, grid = suites._random_piecewise(rng)
+        dilated = [adherence(t_upper(t, e, d)) for e in (1.0, 0.5, 0.25, 0.125)]
+        for radius in (0.0, 0.125 + grid.step):
+            got, _ = assert_same_walk(monkeypatch, functools.partial(
+                suites._chain_containment, f"seeded{k}", dilated, t, d if k % 4 else None,
+                grid, radius))
+            failed += got.verdict == FAIL
+    assert failed
+
+
+def _product_map(rng, dim):
+    """A constant map on [0, 2]^dim whose pieces are the products of random
+    cuts per axis, each cut point closed on a random side."""
+    axes = []
+    for _ in range(dim):
+        cuts = sorted(rng.sample((0.5, 0.75, 1.0, 1.5), rng.randint(0, 3)))
+        lower = [rng.random() < 0.5 for _ in cuts]
+        edges = [0.0, *cuts, 2.0]
+        axes.append([I(a, b, k == 0 or not lower[k - 1], k == len(cuts) or lower[k])
+                     for k, (a, b) in enumerate(itertools.pairwise(edges))])
+    return PiecewiseMap((I.closed(0, 2),) * dim, 1, tuple(
+        Piece(region, _const(float(rng.randint(0, 3)), dim))
+        for region in itertools.product(*axes)))
+
+
+def _row_numbers(cells):
+    """Each grid index tuple of the table mapped to its row number, found by
+    enumerating the cells' points in row order."""
+    return {idx: n for n, cell in enumerate(itertools.product(*cells.segments))
+            for idx in itertools.product(*cell)}
+
+
+def _rows_walk(cells, row_of, asked):
+    """``(index, point, pieces)`` at the points of the rows numbered ``asked``,
+    in lexicographic order; raises ``DomainError`` at the first point outside
+    a later map's domain."""
+    for idx in sorted(row_of):
+        pieces = cells.rows[row_of[idx]]
+        if row_of[idx] in asked and pieces[0] is not None:
+            x = tuple(ax[k] for ax, k in zip(cells.axes, idx))
+            if None in pieces:
+                raise DomainError(f"point {x} outside map domain")
+            yield idx, x, pieces
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_points_of_a_cell_set_are_the_full_walk_filtered_to_their_rows(dim):
+    """On random cell subsets of two maps of product pieces, on a grid that
+    starts outside the domain: ``points(cells)`` is the full walk filtered
+    to those rows, and with the last map cut, it raises at the first point
+    of those rows outside the cut."""
+    rng = random.Random(dim)
+    grid = Grid(dim, (-0.25,) * dim, (2.0,) * dim, 0.25)
+    raised = skipped = 0
+    for _ in range(6):
+        first, second = _product_map(rng, dim), _product_map(rng, dim)
+        for within in _withins(dim):
+            for maps in ((first, second), (first, _lower_half(second))):
+                cells = GridCells(maps, grid, within)
+                row_of, numbers = _row_numbers(cells), range(len(cells.rows))
+                subsets = [set(), set(numbers)] + [
+                    set(rng.sample(numbers, rng.randint(1, len(numbers))))
+                    for _ in range(4 if numbers else 0)]
+                for asked in subsets:
+                    want = _until_error(_rows_walk(cells, row_of, asked))
+                    assert _until_error(cells.points(asked)) == want
+                    raised += want[1] is not None
+                    if maps[1] is second:
+                        full = list(cells.points())
+                        assert want[0] == [p for p in full if row_of[p[0]] in asked]
+                        skipped += len(want[0]) < len(full)
+                assert _until_error(cells.points()) == \
+                    _until_error(_rows_walk(cells, row_of, numbers))
+    assert raised and skipped
+
+
+def test_irreflexive_scans_probe_only_failing_cells_on_ex4_1(monkeypatch):
+    """On ex4_1(3) at step 1/8, the 4.2 check's cond6-irreflexive scans probe
+    680, 104 and 112 points, where probing every point of a failing piece
+    tuple made 8,744, 296 and 112; the reports are the seed walk's."""
+    e = ex4_1(3)
+    grid = Grid.over_box(e.domain, 0.125)
+    real_block = _economy.scan_block_points
+    reports, counts = [], []
+    for walk in (seed_witnesses, _CELL_WALK):
+        probed, scans = _count_walk(monkeypatch, walk), []
+
+        def block(name, *args, **kwargs):
+            before = probed[0]
+            rep = real_block(name, *args, **kwargs)
+            scans.append((name, probed[0] - before))
+            return rep
+
+        monkeypatch.setattr(_economy, "scan_block_points", block)
+        reports.append(repr(check_theorem_4_2_hypotheses(e, (0.5, 2.0, 4.0), grid)))
+        counts.append(scans)
+    assert reports[0] == reports[1]
+    names = [f"agent{k}.cond6-irreflexive" for k in range(3)]
+    assert counts == [list(zip(names, (8744, 296, 112))), list(zip(names, (680, 104, 112)))]
