@@ -15,6 +15,9 @@ decides a map of one-box pieces that meet continuously whole, by the
 modulus bound, and otherwise each constant piece against the pieces that
 can hold its neighbours; its walk's centres lie on the pieces left open,
 and it builds each point record when a centre or neighbour first reads it.
+The readers that keep every hit, not witnesses, collect them per cell with
+``GridCells.hits``; ``propose_constant_selection`` dilates each constant
+piece's value once.
 """
 from __future__ import annotations
 
@@ -98,6 +101,18 @@ def _index_ranges(box: Box, axes: Sequence[Sequence[float]]) -> list[range]:
     return out
 
 
+def _hit_ranges(boxes: Iterable[Box], axes: Sequence[Sequence[float]],
+                cell: Sequence[range]):
+    """Per box that holds a grid point of ``cell``, lazily, the tuple of its
+    ``_index_ranges`` on ``axes`` clipped to the cell's ranges: the index
+    tuples of the cell's points in the box are their product."""
+    for b in boxes:
+        hit = tuple(range(max(r.start, c.start), min(r.stop, c.stop))
+                    for r, c in zip(_index_ranges(b, axes), cell))
+        if all(hit):
+            yield hit
+
+
 class GridCells:
     """The cells of ``grid`` on the pieces of ``maps``, and their one witness walk.
 
@@ -108,8 +123,9 @@ class GridCells:
     holds those pieces, one row per cell in the lexicographic order of the
     cells' first points. Per axis, ``offsets`` maps each grid index of the
     table to its segment number times the stride, so the sum over a point's
-    indices is its row number. ``points`` and ``witnesses`` skip what lies
-    outside ``maps[0]``'s domain or ``within``.
+    indices is its row number. ``points``, ``hits`` and ``witnesses`` skip
+    what lies outside ``maps[0]``'s domain or ``within``. The grid is read
+    only through ``dim`` and ``axis_values``.
     """
 
     def __init__(self, maps: Sequence[PiecewiseMap], grid: Grid, within: Box | None = None):
@@ -178,6 +194,37 @@ class GridCells:
         index lies below 0, past its axis or outside ``within``: none wraps around."""
         offs = [offsets.get(k) for k, offsets in zip(idx, self.offsets)]
         return None if None in offs else self.rows[sum(offs)]
+
+    def hits(self, blocks: Sequence[Sequence[int]],
+             values: Callable[[tuple[float, ...], tuple], Iterable[BoxSet]]):
+        """``(point, pieces)`` at the points on ``maps[0]``'s domain whose
+        block point on each of the disjoint ``blocks`` lies in that block's
+        value of ``values(x, pieces)``, in lexicographic order. On a cell of
+        constant pieces the values are read at its first point, and the hits
+        are the products of the blocks' ``_hit_ranges``; the points of other
+        cells are tested one by one, so ``points`` raises at a cell outside
+        a later map's domain."""
+        found, undecided = [], []
+        for n, (cell, pieces) in enumerate(zip(itertools.product(*self.segments), self.rows)):
+            if pieces[0] is None:
+                continue
+            if None in pieces or not all(m.pieces[i].is_constant for m, i in zip(self.maps, pieces)):
+                undecided.append(n)
+                continue
+            per_block = [list(_hit_ranges(v.boxes, [self.axes[j] for j in blk],
+                                          [cell[j] for j in blk]))
+                         for v, blk in zip(values(self.first_point(cell), pieces), blocks)]
+            for combo in itertools.product(*per_block):
+                ranges = list(cell)
+                for blk, hit in zip(blocks, combo):
+                    for j, r in zip(blk, hit):
+                        ranges[j] = r
+                found.extend(zip(itertools.product(*ranges), itertools.repeat(pieces)))
+        found.extend((idx, pieces) for idx, x, pieces in self.points(undecided)
+                     if all(v.contains(tuple(x[j] for j in blk))
+                            for v, blk in zip(values(x, pieces), blocks)))
+        found.sort(key=operator.itemgetter(0))
+        return [(tuple(map(operator.getitem, self.axes, idx)), pieces) for idx, pieces in found]
 
     def witnesses(self, passes: Callable[[tuple[range, ...], tuple], bool],
                   probe: Callable[..., Iterable[Witness]]):
@@ -271,10 +318,9 @@ def scan_block_points(name: str, maps: Sequence[PiecewiseMap], grid: Grid,
         i = pieces[-1]
         if None in pieces or len(axes) < len(block) or not last.pieces[i].is_constant:
             return False
-        own = [cell[j] for j in block]
-        return not any(len(b) != len(block) or all(max(r.start, c.start) < min(r.stop, c.stop)
-                                                   for r, c in zip(_index_ranges(b, axes), own))
-                       for b in boxes(last.value_on(i, cells.first_point(cell))))
+        value = boxes(last.value_on(i, cells.first_point(cell)))
+        return (all(len(b) == len(block) for b in value)
+                and next(_hit_ranges(value, axes, [cell[j] for j in block]), None) is None)
 
     def probe(_, x, pieces):
         point = tuple(x[j] for j in block)
@@ -609,11 +655,30 @@ def _largest_box(s: BoxSet):
                                        sum(iv.hi - iv.lo for iv in b)))
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+
+
 def propose_constant_selection(t: PiecewiseMap, k_region, eps: float, grid: Grid) -> PiecewiseMap | None:
-    """Constant-selection heuristic: a box inside every dilated value over K."""
+    """Constant-selection heuristic: a box inside every dilated value over K.
+
+    Each constant piece's value is dilated once, an affine piece's at each
+    of its grid points in K; the exact intersection of the same sets is the
+    same in any order. ``eps`` must satisfy ``0 < eps < inf`` (``ValueError``
+    otherwise).
+    """
+    _check_eps(eps)
+    cells = GridCells((t,), grid, k_region)
+    constant, affine = {}, []
+    for n, (cell, (i,)) in enumerate(zip(itertools.product(*cells.segments), cells.rows)):
+        if i is not None and t.pieces[i].is_constant:
+            constant.setdefault(i, cells.first_point(cell))
+        elif i is not None:
+            affine.append(n)
     inter: BoxSet | None = None
-    for _, x, (i,) in GridCells((t,), grid, k_region).points():
-        val = t.value_on(i, x)
+    for val in itertools.chain(itertools.starmap(t.value_on, constant.items()),
+                               (t.value_on(i, x) for _, x, (i,) in cells.points(affine))):
         if val.is_empty:
             return None
         dil = val.dilate(eps)
@@ -636,8 +701,10 @@ def check_e_uscs(t: PiecewiseMap, k_region: Box, candidate: PiecewiseMap | None,
     (block coordinates of x) everywhere on K.  When no candidate is supplied
     a constant selection is proposed; if the heuristic cannot produce a
     passing candidate the verdict is "unverified", not "fail".
-    ``property_name`` names the returned report.
+    ``property_name`` names the returned report. ``eps`` must satisfy
+    ``0 < eps < inf`` (``ValueError`` otherwise).
     """
+    _check_eps(eps)
     if block is None:
         block = tuple(range(t.codomain_dim))
     proposed = candidate is None

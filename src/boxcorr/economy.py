@@ -256,11 +256,19 @@ def verify_equilibrium(e: AbstractEconomy, x: Sequence[float]) -> EquilibriumCer
 
 def search_equilibria(e: AbstractEconomy, grid: Grid) -> list[EquilibriumCertificate]:
     """Valid certificates at every grid point of X, lexicographic order, as
-    ``verify_equilibrium`` gives them, read off one ``GridCells`` point walk."""
+    ``verify_equilibrium`` gives them: the points whose every block lies in
+    its agent's adherent B value where the conflict value is empty, read
+    per cell by ``GridCells.hits``."""
     check_grid_covers_targets(grid, e.dim, tuple(ag.d_set for ag in e.agents), e.blocks)
     maps = _equilibrium_maps(e)
-    certs = (_certificate(e, x, maps, pieces) for _, x, pieces in GridCells(maps, grid).points())
-    return [c for c in certs if c.valid]
+
+    def values(x, pieces):
+        for k in range(0, len(maps), 2):
+            conflict = maps[k + 1].value_on(pieces[k + 1], x)
+            yield maps[k].value_on(pieces[k], x) if conflict.is_empty else BoxSet.empty(conflict.dim)
+
+    return [_certificate(e, x, maps, pieces)
+            for x, pieces in GridCells(maps, grid).hits(e.blocks, values)]
 
 
 # ---------------------------------------------------------------------------

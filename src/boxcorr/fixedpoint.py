@@ -13,6 +13,9 @@ Survivors are certified against an independently serialized and
 reparsed copy of each factor, so a bug that corrupts in-memory piece
 data after construction cannot silently confirm itself.
 
+Both read their maps per cell of one ``GridCells`` table, so a constant
+piece is tested once per cell or block point, not once per point.
+
 Within one call each derived map is built once per distinct input, and
 equal inputs share it. Equal inputs give equal-valued maps and every read
 of these maps is a membership test, so sharing changes no answer.
@@ -21,11 +24,12 @@ of these maps is a membership test, so sharing changes no answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import io as _io
 from .checks import GridCells
 from .intervals import BoxSet, Grid
-from .maps import PiecewiseMap, adherence, t_upper
+from .maps import DomainError, PiecewiseMap, adherence, t_upper
 
 DEFAULT_EPS_CHAIN: tuple[float, ...] = (1 / 2, 1 / 4, 1 / 8, 1 / 16)
 
@@ -141,15 +145,15 @@ def check_grid_covers_targets(grid: Grid, dim: int, d_sets: tuple[BoxSet, ...],
 
 
 def fixed_points_of_approximation(pm: ProductMap, eps: float, grid: Grid) -> QvSet:
-    """All grid points x with every block x_i inside the approximate value at x."""
+    """All grid points x with every block x_i inside the approximate value
+    at x, read per cell by ``GridCells.hits``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     check_grid_covers_targets(grid, pm.dim, pm.d_sets, pm.blocks)
     approx = approximation_maps(pm, eps)
-    kept = (x for _, x, pieces in GridCells(approx, grid).points()
-            if all(m.value_on(i, x).contains(tuple(x[j] for j in blk))
-                   for m, i, blk in zip(approx, pieces, pm.blocks)))
-    return QvSet(eps, tuple(kept))
+    kept = GridCells(approx, grid).hits(pm.blocks, lambda x, pieces: (
+        m.value_on(i, x) for m, i in zip(approx, pieces)))
+    return QvSet(eps, tuple(x for x, _ in kept))
 
 
 def certify_fixed_points(
@@ -163,8 +167,11 @@ def certify_fixed_points(
     target set and in the adherence of the raw factor, the latter
     thickened by ``radius`` when positive. The factors and targets are
     serialized and reparsed first. The adherence is built once per
-    distinct reparsed factor and valued once per candidate; the factors
-    are still tested in order, so a failure names the first failing one.
+    distinct reparsed factor and read off one ``GridCells`` table over the
+    candidates' own axis values: a constant piece is thickened once and
+    decided once per factor and block point, an affine one once per
+    candidate. The factors are still tested in order, so a failure names
+    the first failing one.
     """
     if not radius >= 0:
         raise ValueError("radius must be nonnegative")
@@ -174,21 +181,29 @@ def certify_fixed_points(
     distinct: dict[PiecewiseMap, int] = {}
     which = tuple(distinct.setdefault(f, len(distinct)) for f in factors)
     bars = tuple(adherence(f) for f in distinct)
+    axes = [sorted({x[j] for x in points}) for j in range(pm.dim)]
+    cells = GridCells(bars, SimpleNamespace(dim=pm.dim, axis_values=axes.__getitem__))
+    index = [{v: k for k, v in enumerate(ax)} for ax in axes]
+    kinds = [[p.is_constant for p in bar.pieces] for bar in bars]
+    # keyed (k, i) for a thickened value, (factor, i, block point) for a decision
+    constant: dict[tuple, BoxSet | bool] = {}
     certified: list[tuple[float, ...]] = []
     failures: list[tuple[tuple[float, ...], int]] = []
     for x in points:
-        bad = -1
-        values: list[BoxSet | None] = [None] * len(bars)
-        for i, (k, d, blk) in enumerate(zip(which, d_sets, pm.blocks)):
-            xb = tuple(x[j] for j in blk)
-            val = values[k]
-            if val is None:
-                val = bars[k].evaluate(x)
-                if radius > 0:
-                    val = val.dilate(radius).closure()
-                values[k] = val
-            if not (d.contains(xb) and val.contains(xb)):
-                bad = i
+        row = cells.row_at([ix[v] for ix, v in zip(index, x)])
+        bad, affine = -1, {}
+        for f, (k, d, blk) in enumerate(zip(which, d_sets, pm.blocks)):
+            xb, i = tuple(x[j] for j in blk), row[k]
+            if i is None:
+                raise DomainError(f"point {tuple(x)} outside map domain")
+            memo = constant if kinds[k][i] else affine
+            if (f, i, xb) not in memo:
+                if (k, i) not in memo:
+                    val = bars[k].value_on(i, x)
+                    memo[k, i] = val.dilate(radius).closure() if radius > 0 else val
+                memo[f, i, xb] = d.contains(xb) and memo[k, i].contains(xb)
+            if not memo[f, i, xb]:
+                bad = f
                 break
         if bad < 0:
             certified.append(x)

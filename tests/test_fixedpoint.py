@@ -408,10 +408,14 @@ def test_chain_rejects_a_bad_radius_before_any_level(monkeypatch, radius):
 def test_symbolic_n4_chain_builds_each_map_once(monkeypatch):
     """The ex4_1(4) chain of the symbolic-n4 benchmark has four equal
     factors and four equal targets: it builds one t_upper per eps, one
-    adherence per eps and one for the reparsed factor, and values that one
-    adherence once per candidate. One build per factor made 12 t_upper,
-    16 adherence and 2,496 evaluate calls."""
-    counts = {"t_upper": 0, "adherence": 0, "evaluate": 0}
+    adherence per eps and one for the reparsed factor. The levels and the
+    certification read their pieces per cell, so no map is evaluated or
+    searched for the piece at a point; the certification decides each
+    (factor, piece, block point) once, with one target and one value
+    membership test, 109 decisions for the 624 candidates. One build per
+    factor made 12 t_upper, 16 adherence and 2,496 evaluate calls, and one
+    value per candidate 624 evaluate calls."""
+    counts = {"t_upper": 0, "adherence": 0, "evaluate": 0, "piece_at": 0, "contains": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -422,7 +426,10 @@ def test_symbolic_n4_chain_builds_each_map_once(monkeypatch):
     monkeypatch.setattr(fixedpoint, "t_upper", counted("t_upper", t_upper))
     monkeypatch.setattr(fixedpoint, "adherence", counted("adherence", adherence))
     monkeypatch.setattr(PiecewiseMap, "evaluate", counted("evaluate", PiecewiseMap.evaluate))
+    monkeypatch.setattr(PiecewiseMap, "piece_at", counted("piece_at", PiecewiseMap.piece_at))
+    monkeypatch.setattr(BoxSet, "contains", counted("contains", BoxSet.contains))
     pm = theorem_4_1_construction(ex4_1(4))
     res = intersect_qv_chain(pm, Grid(4, (0.0,) * 4, (2.0,) * 4, 0.5), (0.5, 0.25, 0.125))
-    assert counts == {"t_upper": 3, "adherence": 4, "evaluate": 624}
+    assert counts == {"t_upper": 3, "adherence": 4, "evaluate": 0, "piece_at": 0,
+                      "contains": 2 * 109}
     assert len(res.certified) == 624
